@@ -16,12 +16,13 @@ Two engines run the full protocol tree:
 Register growth between rounds appends |+> qubits on the least significant
 side.  In the frequency domain this is a zero-order hold: each coarse
 harmonic spreads over a fixed aliasing class of the fine register with
-weights given by :func:`extension_kernel_weight`.
+weights given by :func:`log_extension_kernel`.
 """
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +36,7 @@ from .fourier import (
     fidelity_threshold,
     from_fourier_basis,
     log_fidelity_threshold,
-    log_initial_state_weight,
     require_register_size,
-    sin_pi_frac,
     to_fourier_basis,
 )
 
@@ -57,12 +56,12 @@ DEFAULT_PAD = 2
 _P_FLOOR = 1e-300
 
 
-def _logsumexp(values) -> float:
-    vals = [v for v in values if v != NEG_INF]
-    if not vals:
+def _logsumexp(values: np.ndarray) -> float:
+    """log(sum(exp(values))) of a float array; -inf entries add nothing."""
+    top = values.max(initial=NEG_INF)
+    if top == NEG_INF:
         return NEG_INF
-    m = max(vals)
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+    return float(top + math.log(np.exp(values - top).sum()))
 
 
 def _signed_index(j: int, N: int) -> int:
@@ -117,24 +116,44 @@ class ProtocolSchedule:
 class SparseSpectrum:
     """Truncated harmonic spectrum in log space, for registers of any size.
 
-    ``log_weights`` maps signed harmonic index (arbitrary-precision int) to
-    the natural log of its weight.  ``log_tail`` bounds the total mass of
-    everything truncated away; it is transported through every operation and
-    never silently dropped.
+    ``log_weights`` is a read-only float array of natural-log weights in
+    descending order; ``indices`` holds the matching signed harmonic indices
+    as exact (arbitrary-precision) ints.  The constructor takes a mapping
+    ``{index: log_weight}``; ties keep the mapping's order.  ``log_tail``
+    bounds the total mass of everything truncated away; it is transported
+    through every operation and never silently dropped.
     """
 
-    __slots__ = ("n", "log_weights", "log_tail")
+    __slots__ = ("n", "log_weights", "indices", "log_tail")
 
-    def __init__(self, n: int, log_weights: dict[int, float], log_tail: float = NEG_INF):
+    def __init__(self, n: int, log_weights: Mapping[int, float], log_tail: float = NEG_INF):
         if n < 1:
             raise ValueError("register size must be positive")
-        if not log_weights:
+        indices = [_signed_index(j, 1 << n) for j in log_weights]
+        if len(set(indices)) != len(indices):
+            raise ValueError("harmonic indices must be distinct modulo 2**n")
+        lw = np.fromiter(log_weights.values(), float, len(indices))
+        order = np.argsort(-lw, kind="stable")
+        self._fill(n, lw[order], tuple(indices[i] for i in order.tolist()), log_tail)
+
+    @classmethod
+    def _ordered(cls, n: int, log_weights: np.ndarray, indices: Sequence[int],
+                 log_tail: float) -> SparseSpectrum:
+        """Spectrum from arrays already in descending-weight order."""
+        sp = cls.__new__(cls)
+        sp._fill(n, log_weights, tuple(indices), log_tail)
+        return sp
+
+    def _fill(self, n, log_weights, indices, log_tail):
+        if not indices:
             raise ValueError("sparse spectrum needs at least one harmonic")
-        total = math.exp(_logsumexp(list(log_weights.values()) + [log_tail]))
+        total = math.exp(_logsumexp(np.append(log_weights, log_tail)))
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"sparse spectrum mass must be 1, got {total!r}")
+        log_weights.flags.writeable = False
         self.n = n
-        self.log_weights = dict(log_weights)
+        self.log_weights = log_weights
+        self.indices = indices
         self.log_tail = log_tail
 
     @property
@@ -146,17 +165,20 @@ class SparseSpectrum:
         return math.exp(self.log_tail) if self.log_tail != NEG_INF else 0.0
 
     def weight(self, j: int) -> float:
-        lw = self.log_weights.get(_signed_index(j, self.dim), NEG_INF)
-        return math.exp(lw) if lw != NEG_INF else 0.0
+        try:
+            pos = self.indices.index(_signed_index(j, self.dim))
+        except ValueError:
+            return 0.0
+        return math.exp(self.log_weights[pos])
 
     def weights(self) -> dict[int, float]:
-        return {j: math.exp(lw) for j, lw in self.log_weights.items()}
+        return dict(zip(self.indices, np.exp(self.log_weights).tolist()))
 
     def dominant_index(self) -> int:
-        return max(self.log_weights, key=self.log_weights.get)
+        return self.indices[0]
 
     def __len__(self):
-        return len(self.log_weights)
+        return len(self.indices)
 
     def __repr__(self):
         return (f"SparseSpectrum(n={self.n}, harmonics={len(self)}, "
@@ -173,19 +195,12 @@ def initial_sparse_spectrum(n: int, max_harmonics: int = DEFAULT_MAX_HARMONICS) 
     if n < 2:
         raise ValueError("initial spectrum needs n >= 2")
     count = min((1 << n) // 4, max_harmonics)
-    log_weights: dict[int, float] = {}
-    kept = 0.0
-    t = 0
-    while len(log_weights) < count:
-        for j in (4 * t + 1, -(4 * t + 3)):
-            if len(log_weights) >= count:
-                break
-            lw = log_initial_state_weight(n, j)
-            log_weights[j] = lw
-            kept += math.exp(lw)
-        t += 1
-    tail = max(0.0, 1.0 - kept) if count < (1 << n) // 4 else 0.0
-    return SparseSpectrum(n, log_weights, math.log(tail) if tail > 0 else NEG_INF)
+    odd = np.arange(1, 2 * count, 2)  # |j|, so j = 1, -3, 5, -7, ...
+    # log of the closed form 8 / (N sin(pi |j| / N))**2, see initial_state_weight
+    lw = math.log(8.0) - 2.0 * (n * math.log(2.0) + np.log(np.sin(np.pi * np.ldexp(odd, -n))))
+    tail = max(0.0, 1.0 - np.exp(lw).sum()) if count < (1 << n) // 4 else 0.0
+    indices = np.where(odd % 4 == 1, odd, -odd).tolist()
+    return SparseSpectrum._ordered(n, lw, indices, math.log(tail) if tail > 0 else NEG_INF)
 
 
 def distill_pair(a, a2, target_k: int = 1) -> DistillationOutcome:
@@ -252,40 +267,36 @@ def extend_register(s: StateVector, n_new: int) -> StateVector:
     return StateVector(np.kron(s.amps, np.full(pad, 1.0 / math.sqrt(pad))))
 
 
-def extension_kernel_weight(n_coarse: int, n_fine: int, j_fine: int) -> float:
-    """Weight the |+>-append step sends to fine harmonic j_fine.
+def log_extension_kernel(n_coarse: int, n_fine: int, indices: Sequence[int],
+                         m: np.ndarray) -> np.ndarray:
+    """Log weights the |+>-append step sends along each coarse harmonic's class.
 
-    Appending qubits turns each coarse harmonic j into a staircase signal on
-    the fine register, whose spectrum occupies the aliasing class
-    j_fine = j (mod 2**n_coarse) with zero-order-hold weights
+    Appending d = n_fine - n_coarse qubits turns coarse harmonic j into a
+    staircase signal on the fine register, whose spectrum occupies the
+    aliasing class j + 2**n_coarse * m with zero-order-hold weights
 
-        sin^2(pi j_fine / 2**n_coarse) / (4**d * sin^2(pi j_fine / 2**n_fine))
+        sin^2(pi j / 2**n_coarse) / (4**d * sin^2(pi (j / 2**n_coarse + m) / 2**d)).
 
-    for d appended qubits.  Classes of distinct coarse harmonics are
-    disjoint, so weights map independently of coefficient phases.
+    Returns the natural log of these weights (-inf where a weight is zero)
+    with one row per coarse index in ``indices`` (signed, |j| <= 2**n_coarse / 2,
+    so no sine argument cancels) and one column per member offset in ``m``
+    (|m| < 2**d).  Classes of distinct coarse harmonics are disjoint, so
+    weights map independently of coefficient phases.
     """
     if n_fine < n_coarse:
         raise ValueError("fine register must be at least as large as the coarse one")
-    Ns = 1 << n_coarse
-    if j_fine % Ns == 0:
-        # DC member of the class of j = 0: all mass stays at multiples of Nf
-        return 1.0 if j_fine % (1 << n_fine) == 0 else 0.0
-    num = sin_pi_frac(j_fine, Ns)
-    den = (1 << (n_fine - n_coarse)) * sin_pi_frac(j_fine, 1 << n_fine)
-    return (num / den) ** 2
-
-
-def log_extension_kernel_weight(n_coarse: int, n_fine: int, j_fine: int) -> float:
-    """Natural log of :func:`extension_kernel_weight` (-inf where it is zero)."""
-    Ns = 1 << n_coarse
-    if j_fine % Ns == 0:
-        return 0.0 if j_fine % (1 << n_fine) == 0 else NEG_INF
     d = n_fine - n_coarse
-    return 2.0 * (
-        math.log(sin_pi_frac(j_fine, Ns))
-        - d * math.log(2.0)
-        - math.log(sin_pi_frac(j_fine, 1 << n_fine))
-    )
+    Ns = 1 << n_coarse
+    f = np.array([j / Ns for j in indices], dtype=float)[:, None]
+    dc = f[:, 0] == 0.0
+    out = np.empty((len(f), len(m)))
+    # the class of j = 0 keeps all its mass at index 0
+    out[dc] = np.where(m == 0, 0.0, NEG_INF)
+    f = f[~dc]
+    num = np.log(np.sin(np.pi * np.abs(f)))
+    den = np.log(np.abs(np.sin(np.ldexp(np.pi * (f + m), -d))))
+    out[~dc] = 2.0 * ((num - d * math.log(2.0)) - den)
+    return out
 
 
 def sparse_extend(sp: SparseSpectrum, n_new: int,
@@ -297,50 +308,43 @@ def sparse_extend(sp: SparseSpectrum, n_new: int,
     otherwise the members nearest the class maximum are kept and the
     remainder is bounded into the tail (kernel lobes decay as 1/m^2).  The
     result is then pruned to the ``max_harmonics`` heaviest entries, pruned
-    mass joining the tail.
+    mass joining the tail; ties keep class-then-member order.
     """
     if n_new < sp.n:
         raise ValueError(f"cannot shrink register from {sp.n} to {n_new}")
     if n_new == sp.n:
         return sp
-    delta = n_new - sp.n
     Ns, Nf = 1 << sp.n, 1 << n_new
-    members = 1 << delta
-    budget = max(16, (4 * max_harmonics) // len(sp.log_weights))
-    tail_parts = [sp.log_tail]
-    candidates: list[tuple[float, int]] = []
-    for j, lw in sp.log_weights.items():
-        if members <= budget:
-            span, complete = members, True
-        else:
-            span, complete = budget, False
-        half = span // 2
-        kept_kernel = 0.0
-        edge_kernels = []
-        for m in range(-half, span - half):
-            jf = _signed_index(j + Ns * m, Nf)
-            lk = log_extension_kernel_weight(sp.n, n_new, jf)
-            if lk == NEG_INF:
-                continue
-            kept_kernel += math.exp(lk)
-            candidates.append((lw + lk, jf))
-            if m in (-half, span - half - 1):
-                edge_kernels.append(math.exp(lk))
-        if not complete:
-            # Unenumerated class remainder: the kernel sums to 1 over the
-            # whole class, so the deficit is exact when float-resolvable;
-            # below resolution, fall back to the 1/m^2 lobe-decay bound.
-            deficit = 1.0 - kept_kernel
-            rem = deficit if deficit > 1e-13 else sum(edge_kernels) * half
-            if rem > 0.0:
-                tail_parts.append(lw + math.log(rem))
-    candidates.sort(key=lambda item: item[0], reverse=True)
-    kept = dict()
-    for lw, jf in candidates[:max_harmonics]:
-        kept[jf] = lw
-    for lw, _ in candidates[max_harmonics:]:
-        tail_parts.append(lw)
-    return SparseSpectrum(n_new, kept, _logsumexp(tail_parts))
+    members = 1 << (n_new - sp.n)
+    budget = max(16, (4 * max_harmonics) // len(sp))
+    span = min(members, budget)
+    half = span // 2
+    lk = log_extension_kernel(sp.n, n_new, sp.indices, np.arange(-half, span - half))
+    tail_parts = [np.array([sp.log_tail])]
+    if members > budget:
+        # Unenumerated class remainder: the kernel sums to 1 over the whole
+        # class, so the deficit is exact when float-resolvable; below
+        # resolution, fall back to the 1/m^2 lobe-decay bound.
+        kernel = np.exp(lk)
+        deficit = 1.0 - kernel.sum(axis=1)
+        rem = np.where(deficit > 1e-13, deficit, (kernel[:, 0] + kernel[:, -1]) * half)
+        has_rem = rem > 0.0
+        tail_parts.append(sp.log_weights[has_rem] + np.log(rem[has_rem]))
+    candidates = (sp.log_weights[:, None] + lk).ravel()
+    (live,) = np.nonzero(candidates != NEG_INF)
+    vals = candidates[live]
+    # the max_harmonics heaviest; ties at the cut go to the earliest enumerated
+    surplus = len(vals) - max_harmonics
+    cut = np.partition(vals, surplus)[surplus] if surplus > 0 else NEG_INF
+    chosen = vals > cut
+    chosen[np.flatnonzero(vals == cut)[:max_harmonics - np.count_nonzero(chosen)]] = True
+    kept = live[chosen][np.argsort(-vals[chosen], kind="stable")]
+    tail_parts.append(vals[~chosen])
+    row, col = np.divmod(kept, span)
+    indices = [_signed_index(sp.indices[c] + Ns * (k - half), Nf)
+               for c, k in zip(row.tolist(), col.tolist())]
+    return SparseSpectrum._ordered(n_new, candidates[kept], indices,
+                                   _logsumexp(np.concatenate(tail_parts)))
 
 
 def sparse_symmetric_round(sp: SparseSpectrum, target_k: int = 1) -> DistillationOutcome:
@@ -348,26 +352,26 @@ def sparse_symmetric_round(sp: SparseSpectrum, target_k: int = 1) -> Distillatio
 
     The unknown tail squares through the step as well (sum of squares of the
     truncated weights is at most the square of their sum), so the tail bound
-    remains valid after postselection.
+    remains valid after postselection.  Squaring keeps the weight order.
     """
-    doubled = {j: 2.0 * lw for j, lw in sp.log_weights.items()}
-    tail2 = 2.0 * sp.log_tail if sp.log_tail != NEG_INF else NEG_INF
-    log_p = _logsumexp(list(doubled.values()) + [tail2])
+    doubled = 2.0 * sp.log_weights
+    tail2 = 2.0 * sp.log_tail
+    log_p = _logsumexp(np.append(doubled, tail2))
     if log_p == NEG_INF:
         raise DegenerateInputError("spectrum mass vanished; cannot postselect")
-    out_lw = {j: lw - log_p for j, lw in doubled.items()}
-    out_tail = tail2 - log_p if tail2 != NEG_INF else NEG_INF
+    out_lw = doubled - log_p
+    out_tail = tail2 - log_p
     k = _signed_index(target_k, sp.dim)
-    if k not in out_lw:
-        raise DegenerateInputError(f"target harmonic {k} carries no weight")
-    fid = math.exp(out_lw[k])
-    log_error = _logsumexp([lw for j, lw in out_lw.items() if j != k] + [out_tail])
-    error = math.exp(log_error) if log_error != NEG_INF else 0.0
+    try:
+        pos = sp.indices.index(k)
+    except ValueError:
+        raise DegenerateInputError(f"target harmonic {k} carries no weight") from None
+    log_error = _logsumexp(np.append(np.delete(out_lw, pos), out_tail))
     return DistillationOutcome(
         p_success=math.exp(log_p),
-        output=SparseSpectrum(sp.n, out_lw, out_tail),
-        fidelity=fid,
-        error=error,
+        output=SparseSpectrum._ordered(sp.n, out_lw, sp.indices, out_tail),
+        fidelity=math.exp(out_lw[pos]),
+        error=math.exp(log_error) if log_error != NEG_INF else 0.0,
         log_error=log_error,
     )
 

@@ -291,16 +291,6 @@ def initial_state_weight(n: int, j: int) -> float:
     return 8.0 / (N * sin_pi_frac(j, N)) ** 2
 
 
-def log_initial_state_weight(n: int, j: int) -> float:
-    """Natural log of :func:`initial_state_weight` on its support."""
-    if n < 2:
-        raise ValueError("initial state weights need n >= 2")
-    if j % 4 != 1:
-        raise ValueError("initial state has no weight at j != 1 (mod 4)")
-    N = 1 << n
-    return math.log(8.0) - 2.0 * (n * math.log(2.0) + math.log(sin_pi_frac(j, N)))
-
-
 def alias_fold(n: int, series: Callable[[int], complex], j_max: int) -> tuple[FourierAmplitudes, float]:
     """Fold a Fourier series onto the N-point discrete spectrum.
 

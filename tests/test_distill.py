@@ -6,20 +6,25 @@ before this module existed.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourierdistill import (
     CapacityError,
     DegenerateInputError,
+    FourierAmplitudes,
     FourierSpectrum,
     PrecisionWarning,
     ProtocolSchedule,
+    SparseSpectrum,
     StateVector,
     approx_initial_state,
     distill_pair,
     extend_register,
-    extension_kernel_weight,
+    from_fourier_basis,
     initial_sparse_spectrum,
     initial_state_weight,
     plan_schedule,
@@ -37,7 +42,12 @@ from fourierdistill import (
     trace_csv_rows,
     trace_json_obj,
 )
-from fourierdistill.distill import _signed_index
+from fourierdistill.distill import _signed_index, log_extension_kernel
+
+
+def kernel_weights(n_coarse, n_fine, j, m):
+    """Linear zero-order-hold weights of fine harmonics j + 2**n_coarse * m."""
+    return np.exp(log_extension_kernel(n_coarse, n_fine, [j], np.asarray(m)))[0]
 
 
 def delta_spectrum(n, k):
@@ -171,25 +181,24 @@ class TestExtensionKernel:
         s, n_new = 5, 10
         dense = spectrum_of(extend_register(pure_fourier_state(s, j), n_new))
         Nf = 1 << n_new
-        for m in range(-16, 16):
-            jf = j + (1 << s) * m
-            kernel = extension_kernel_weight(s, n_new, jf)
+        offsets = np.arange(-16, 16)
+        for m, kernel in zip(offsets, kernel_weights(s, n_new, j, offsets)):
+            jf = j + (1 << s) * int(m)
             assert kernel == pytest.approx(dense.weight(jf % Nf), abs=1e-12)
 
     def test_class_weights_sum_to_one(self):
         s, n_new = 4, 9
         for j in (0, 1, -3, 7):
-            total = sum(extension_kernel_weight(s, n_new, j + (1 << s) * m)
-                        for m in range(1 << (n_new - s)))
+            total = sum(kernel_weights(s, n_new, j, np.arange(1 << (n_new - s))))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_index_zero_extends_exactly(self):
-        assert extension_kernel_weight(5, 12, 0) == 1.0
-        assert extension_kernel_weight(5, 12, 32) == 0.0
-        assert extension_kernel_weight(5, 12, 64) == 0.0
+        # fine indices 0, 32 and 64 of the class of j = 0
+        assert kernel_weights(5, 12, 0, [0, 1, 2]).tolist() == [1.0, 0.0, 0.0]
 
     def test_dominant_member_is_original_index(self):
-        members = {m: extension_kernel_weight(5, 10, 1 + 32 * m) for m in range(-16, 16)}
+        offsets = np.arange(-16, 16)
+        members = dict(zip(offsets.tolist(), kernel_weights(5, 10, 1, offsets)))
         assert max(members, key=members.get) == 0
         assert members[0] == pytest.approx(0.996794491447, abs=1e-10)
 
@@ -211,9 +220,17 @@ class TestSparseSpectrum:
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_mass_validation(self):
-        from fourierdistill import SparseSpectrum
         with pytest.raises(ValueError):
             SparseSpectrum(4, {1: math.log(0.5)})
+
+    def test_mapping_is_stored_in_descending_weight_order(self):
+        sp = SparseSpectrum(4, {3: math.log(0.25), 1: math.log(0.5), 18: math.log(0.25)})
+        assert sp.indices == (1, 3, 2)
+        assert sp.dominant_index() == 1
+        assert sp.weight(18) == pytest.approx(0.25, rel=1e-15)
+        assert sp.weight(5) == 0.0
+        with pytest.raises(ValueError):
+            SparseSpectrum(4, {1: math.log(0.5), 17: math.log(0.5)})
 
     def test_signed_index_canonicalization(self):
         assert _signed_index(29, 32) == -3
@@ -239,14 +256,21 @@ class TestSparseSpectrum:
         assert sp.tail_mass < 1e-12
 
     def test_sparse_extend_delta_at_zero(self):
-        from fourierdistill import SparseSpectrum
         sp = SparseSpectrum(5, {0: 0.0})
         out = sparse_extend(sp, 9)
         assert out.weight(0) == pytest.approx(1.0, abs=1e-12)
         assert len(out) == 1
 
+    def test_sparse_extend_index_zero_among_incomplete_classes(self):
+        # the class of j = 0 stays a single harmonic while the others are truncated
+        sp = SparseSpectrum(5, {0: math.log(0.5), 1: math.log(0.5)})
+        out = sparse_extend(sp, 15, max_harmonics=8)
+        assert out.weight(0) == 0.5
+        assert out.indices.count(0) == 1
+        assert 0.0 < out.tail_mass < 0.5
+        assert sum(out.weights().values()) + out.tail_mass == pytest.approx(1.0, abs=1e-9)
+
     def test_sparse_extend_delta_at_one(self):
-        from fourierdistill import SparseSpectrum
         out = sparse_extend(SparseSpectrum(5, {1: 0.0}), 10)
         assert out.dominant_index() == 1
         assert out.weight(1) == pytest.approx(0.996794491447, abs=1e-9)
@@ -254,12 +278,76 @@ class TestSparseSpectrum:
         assert out.weight(1 - 32) > 0
         assert out.weight(1 + 32) > 0
 
+    def test_sparse_extend_ties_keep_class_then_member_order(self):
+        # 1 and -1 mirror each other: every kernel weight of one class ties
+        # with a weight of the other, also at the budget cut
+        sp = SparseSpectrum(4, {1: math.log(0.5), -1: math.log(0.5)})
+        assert sparse_extend(sp, 8, max_harmonics=3).indices == (1, -1, -15)
+        wider = sparse_extend(sp, 8, max_harmonics=4)
+        assert wider.indices == (1, -1, -15, 15)
+        assert wider.weight(15) == wider.weight(-15)
+
     def test_sparse_extend_budget_prunes_into_tail(self):
         sp = sparse_extend(initial_sparse_spectrum(5), 16, max_harmonics=64)
         assert len(sp) <= 64
         assert sp.tail_mass > 0
         total = sum(sp.weights().values()) + sp.tail_mass
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def sparse_extension_inputs(draw):
+    """A complete spectrum on n0 <= 6 qubits, a target size and a budget."""
+    n0 = draw(st.integers(1, 6))
+    N = 1 << n0
+    support = draw(st.lists(st.integers(-(N // 2) + 1, N // 2), min_size=1,
+                            max_size=min(N, 16), unique=True))
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=len(support), max_size=len(support)))
+    total = sum(raw)
+    sp = SparseSpectrum(n0, {j: math.log(w / total) for j, w in zip(support, raw)})
+    return sp, n0 + draw(st.integers(1, 11)), draw(st.integers(1, 32))
+
+
+class TestSparseTailBound:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(sparse_extension_inputs())
+    def test_extension_against_dense_route(self, inputs):
+        sp, n_new, budget = inputs
+        out = sparse_extend(sp, n_new, max_harmonics=budget)
+        N, Nf = sp.dim, 1 << n_new
+        coeffs = np.zeros(N)
+        for j, w in sp.weights().items():
+            coeffs[j % N] = math.sqrt(w)
+        dense = spectrum_of(extend_register(from_fourier_basis(FourierAmplitudes(coeffs)),
+                                            n_new)).weights
+        for j, w in out.weights().items():
+            assert w == pytest.approx(dense[j % Nf], rel=1e-9)
+        # the mass really missing lies in the input's classes, off the kept
+        # set; the class of j = 0 has no mass off index 0
+        fine = np.arange(Nf)
+        in_class = np.isin(fine % N, [j % N for j in sp.indices]) & ((fine % N != 0) | (fine == 0))
+        kept = np.zeros(Nf, dtype=bool)
+        kept[[j % Nf for j in out.indices]] = True
+        missing = dense[in_class & ~kept].sum()
+        assert missing <= out.tail_mass * (1 + 1e-9)
+        assert sum(out.weights().values()) + out.tail_mass == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n0,d,j", [(40, 10, 1), (60, 12, -3), (30, 8, 5)])
+    def test_unresolvable_class_remainder_is_bounded(self, n0, d, j):
+        # a class whose out-of-span remainder is below float resolution takes
+        # the edge-kernel fallback; the truth is summed over the whole class
+        out = sparse_extend(SparseSpectrum(n0, {j: 0.0}), n0 + d, max_harmonics=4)
+        with mpmath.workdps(40):
+            Ns, Nf = mpmath.mpf(2) ** n0, mpmath.mpf(2) ** (n0 + d)
+            num = mpmath.sin(mpmath.pi * j / Ns) ** 2 / mpmath.mpf(4) ** d
+            kernel = {m: num / mpmath.sin(mpmath.pi * (j + Ns * m) / Nf) ** 2
+                      for m in range(-(1 << (d - 1)), 1 << (d - 1))}
+            out_of_span = sum(w for m, w in kernel.items() if not -8 <= m < 8)
+            kept = set(out.indices)
+            missing = sum(w for m, w in kernel.items() if j + (1 << n0) * m not in kept)
+            ratio = float(missing / mpmath.exp(out.log_tail))
+        assert out_of_span < 1e-13
+        assert 0.96 < ratio < 0.97
 
 
 class TestRounds:
@@ -422,6 +510,26 @@ class TestRunProtocolSparse:
         rows = trace_csv_rows(result)
         assert rows[0] == "round,size,p_success,fidelity,error"
         assert len(rows) == 1 + len(result.rounds)
+
+
+class TestDeepSparseRuns:
+    # frozen from the earlier scalar implementation of the sparse engine
+    FROZEN = {
+        100: (-201.68421806799174, [0.6718749999999993, 0.9626097279409899,
+                                    0.9996619995359951, 0.9999999484566544,
+                                    0.9999999999999987, 1.0]),
+        200: (-403.3684361359835, [0.6718749999999993, 0.9626097279409899,
+                                   0.9996619995359951, 0.9999999484566544,
+                                   0.9999999999999987, 1.0, 1.0]),
+    }
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_frozen_results_and_stable_order(self, n):
+        log2_error, p_success = self.FROZEN[n]
+        result = run_protocol_sparse(n)
+        assert result.final_log_error / math.log(2) == pytest.approx(log2_error, rel=1e-10)
+        assert [rec.p_success for rec in result.rounds] == pytest.approx(p_success, rel=1e-12)
+        assert run_protocol_sparse(n).final.output.indices == result.final.output.indices
 
 
 class TestProtocolInvariants:
