@@ -172,22 +172,25 @@ def cmd_resources(cfg: RunConfig):
             n_values = []
         else:
             n_values = list(range(a.n_min, a.n_max + 1))
+    if a.trials < 0:
+        raise ValueError("--trials must be non-negative")
     if a.trials > 0 and a.seed is None:
         raise ValueError("--seed is required when --trials > 0")
-    csv_rows = resources.resources_csv_rows(n_values, a.trials, a.seed, a.s0, a.pad)
-    json_rows = []
-    for n in n_values:
-        report = resources.full_resource_report(n, a.trials, a.seed, a.s0, a.pad)
-        json_rows.append({
-            "n": n,
+    reports = [resources.full_resource_report(n, a.trials, a.seed, a.s0, a.pad)
+               for n in n_values]
+    json_rows = [
+        {
+            "n": report.n_target,
             "toffoli_deterministic": report.toffoli_deterministic,
             "toffoli_expected_mean": report.toffoli_expected_mean,
             "toffoli_expected_std": report.toffoli_expected_std,
             "rounds": report.rounds,
             "width": report.width_qubits,
-        })
+        }
+        for report in reports
+    ]
     return {"command": "resources", "trials": a.trials, "seed": a.seed,
-            "rows": json_rows}, csv_rows
+            "rows": json_rows}, resources.resources_csv_rows(reports)
 
 
 def cmd_compare(cfg: RunConfig):

@@ -14,14 +14,15 @@ Two deterministic accountings are provided and reconciled:
 Retry overhead: a failed step discards its two input states, so its whole
 feeding subtree is rebuilt.  The expected cost then follows the recursion
 E_r = (2 E_(r-1) + A_r) / p_r, which is exposed analytically and sampled by
-a seeded Monte Carlo over the tree.
+a seeded Monte Carlo that draws the attempt count of each round for all
+trials at once.
 """
 from __future__ import annotations
 
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -177,27 +178,20 @@ def expected_cost_recursion(n: int, s0: int = DEFAULT_S0,
     return expected
 
 
-def _sample_tree_cost(costs: list[int], probs: list[float], r: int, rng) -> int:
-    total = 0
-    while True:
-        total += costs[r]
-        if r > 0:
-            total += _sample_tree_cost(costs, probs, r - 1, rng)
-            total += _sample_tree_cost(costs, probs, r - 1, rng)
-        if rng.random() < probs[r]:
-            return total
-
-
 def expected_cost_monte_carlo(n: int, trials: int, seed: int,
                               s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
                               probabilities: list[float] | None = None) -> tuple[float, float]:
     """Sampled (mean, std) of the protocol Toffoli count with retries.
 
-    A failed node rebuilds itself and its whole feeding subtree.  Each trial
-    draws from its own stream keyed by (seed, trial index), so results are
-    identical whether trials run serially or in parallel.  ``probabilities``
-    overrides the engine-derived per-round success probabilities (what-if
-    analysis; forcing 1.0 everywhere recovers the deterministic count).
+    A failed node rebuilds itself and its whole feeding subtree, so the
+    attempts at the top round are Geometric(p_R), and each attempt at round r
+    needs two successes from round r-1: N_(r-1) = 2 N_r + NB(2 N_r, p_(r-1)).
+    The cost of a trial is sum_r N_r * A_r.  All trials are drawn together,
+    level by level, from one stream seeded by ``seed``; the same (n, trials,
+    seed, s0, pad, probabilities) always gives the same (mean, std).
+    ``probabilities`` overrides the engine-derived per-round success
+    probabilities (what-if analysis; forcing 1.0 everywhere recovers the
+    deterministic count).
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -208,12 +202,16 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
         else round_success_probabilities(n, s0, pad)
     if len(probs) != schedule.rounds:
         raise ValueError(f"need {schedule.rounds} probabilities, got {len(probs)}")
-    costs = [adder_toffoli_count(size) for size in schedule.sizes]
-    top = schedule.rounds - 1
-    samples = np.array([
-        _sample_tree_cost(costs, probs, top, np.random.default_rng([seed, t]))
-        for t in range(trials)
-    ], dtype=float)
+    for r, p in enumerate(probs, start=1):
+        if not 0.0 < p <= 1.0 + 1e-12:
+            raise ValueError(f"round {r} success probability {p} is outside (0, 1]")
+    rng = np.random.default_rng(seed)
+    needed = np.ones(trials, dtype=np.int64)
+    samples = np.zeros(trials, dtype=np.int64)
+    for size, p in zip(reversed(schedule.sizes), reversed(probs)):
+        attempts = needed + rng.negative_binomial(needed, min(p, 1.0))
+        samples += attempts * adder_toffoli_count(size)
+        needed = 2 * attempts
     std = float(samples.std(ddof=1)) if trials > 1 else 0.0
     return float(samples.mean()), std
 
@@ -224,15 +222,8 @@ def full_resource_report(n: int, trials: int = 0, seed: int | None = None,
     report = toffoli_capped(n, s0, pad)
     if trials > 0:
         mean, std = expected_cost_monte_carlo(n, trials, seed, s0, pad)
-        report = ResourceReport(
-            n_target=report.n_target, s0=report.s0, pad=report.pad,
-            rounds=report.rounds, sizes=report.sizes, per_round=report.per_round,
-            toffoli_deterministic=report.toffoli_deterministic,
-            width_qubits=report.width_qubits,
-            adder_ancillas=report.adder_ancillas,
-            toffoli_expected_mean=mean, toffoli_expected_std=std,
-            trials=trials, seed=seed,
-        )
+        report = replace(report, toffoli_expected_mean=mean,
+                         toffoli_expected_std=std, trials=trials, seed=seed)
     return report
 
 
@@ -367,19 +358,24 @@ COMPARISON_CSV_HEADER = ("p,eps_f,log2_inv_eps_f,t_gates_bit_form,"
                          "t_gates_from_eps,kickback_toffolis,kickback_ancillas")
 
 
-def resources_csv_rows(n_values, trials: int = 0, seed: int | None = None,
+def resources_csv_rows(targets, trials: int = 0, seed: int | None = None,
                        s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> list[str]:
     """CSV rows of per-n costs (header first); expected-cost columns are
-    empty when trials = 0."""
+    empty when a report has no Monte Carlo estimate.
+
+    Each target is either a :class:`ResourceReport`, rendered as it is, or a
+    target n, whose report is built here from trials, seed, s0 and pad.
+    """
     rows = [RESOURCES_CSV_HEADER]
-    for n in n_values:
-        report = full_resource_report(n, trials, seed, s0, pad)
+    for target in targets:
+        report = target if isinstance(target, ResourceReport) \
+            else full_resource_report(target, trials, seed, s0, pad)
         if report.toffoli_expected_mean is None:
             mean_s, std_s = "", ""
         else:
             mean_s = f"{report.toffoli_expected_mean:.12g}"
             std_s = f"{report.toffoli_expected_std:.12g}"
-        rows.append(f"{n},{report.toffoli_deterministic},{mean_s},{std_s},"
+        rows.append(f"{report.n_target},{report.toffoli_deterministic},{mean_s},{std_s},"
                     f"{report.rounds},{report.width_qubits}")
     return rows
 

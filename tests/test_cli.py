@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from fourierdistill.cli import main
+from fourierdistill import resources
+from fourierdistill.cli import RunConfig, build_parser, cmd_resources, main
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +121,39 @@ class TestResourcesCommand:
         _, out2, _ = run_cli(capsys, "resources", "--n", "8",
                              "--trials", "300", "--seed", "4")
         assert out1 == out2
+
+    def test_negative_trials_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "resources", "--n", "10", "--trials", "-5")
+        assert code == 2
+        assert out == ""
+        assert "invalid request" in err and "--trials" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_report_per_n(self, capsys, monkeypatch, fmt):
+        calls = []
+        build = resources.full_resource_report
+
+        def counted(n, *args, **kwargs):
+            calls.append(n)
+            return build(n, *args, **kwargs)
+
+        monkeypatch.setattr(resources, "full_resource_report", counted)
+        code, _, _ = run_cli(capsys, "resources", "--n-min", "5", "--n-max", "8",
+                             "--trials", "50", "--seed", "3", "--format", fmt)
+        assert code == 0
+        assert calls == [5, 6, 7, 8]
+
+    def test_json_and_csv_rows_agree(self):
+        args = build_parser().parse_args(["resources", "--n-min", "5", "--n-max", "8",
+                                          "--trials", "50", "--seed", "3"])
+        payload, csv_rows = cmd_resources(RunConfig(command="resources", fmt="csv",
+                                                    out=None, strict=False, args=args))
+        assert len(csv_rows) == len(payload["rows"]) + 1
+        for row, line in zip(payload["rows"], csv_rows[1:]):
+            cells = line.split(",")
+            assert cells[0] == str(row["n"])
+            assert cells[2] == f"{row['toffoli_expected_mean']:.12g}"
+            assert cells[3] == f"{row['toffoli_expected_std']:.12g}"
 
 
 class TestCompareCommand:

@@ -32,6 +32,41 @@ from fourierdistill.resources import (
 )
 
 
+REF_TRIALS = 10_000
+VEC_TRIALS = 200_000
+
+
+def _sample_tree_cost(costs, probs, r, rng):
+    """Reference sampler: one trial of the distillation tree, node by node.
+
+    A node at round r pays costs[r] per attempt plus two fresh subtrees of
+    round r-1, and repeats until it succeeds with probability probs[r].
+    """
+    total = 0
+    while True:
+        total += costs[r]
+        if r > 0:
+            total += _sample_tree_cost(costs, probs, r - 1, rng)
+            total += _sample_tree_cost(costs, probs, r - 1, rng)
+        if rng.random() < probs[r]:
+            return total
+
+
+def _analytic_moments(costs, probs):
+    """Mean and variance of the retry cost: a geometric number of attempts,
+    each costing A_r plus two independent round r-1 subtrees.
+
+    E_r = (2 E_(r-1) + A_r) / p_r
+    V_r = 2 V_(r-1) / p_r + (1 - p_r) (A_r + 2 E_(r-1))**2 / p_r**2
+    """
+    mean = var = 0.0
+    for cost, p in zip(costs, probs):
+        attempt_mean = cost + 2 * mean
+        mean, var = (attempt_mean / p,
+                     2 * var / p + (1 - p) * attempt_mean ** 2 / p ** 2)
+    return mean, var
+
+
 class TestClosedForm:
     def test_reference_values(self):
         assert toffoli_closed_form(3, 5) == 212
@@ -115,20 +150,40 @@ class TestExpectedCost:
         c = expected_cost_monte_carlo(10, trials=500, seed=8)
         assert a != c
 
-    def test_per_trial_streams_are_independent(self):
-        # each trial is keyed by (seed, index): a run of k trials is the
-        # prefix of a longer run, so parallel and serial execution agree
-        import numpy as np
-        from fourierdistill.resources import _sample_tree_cost, round_success_probabilities
-        from fourierdistill import plan_schedule, adder_toffoli_count
-        sched = plan_schedule(10)
-        probs = round_success_probabilities(10)
-        costs = [adder_toffoli_count(s) for s in sched.sizes]
-        singles = [_sample_tree_cost(costs, probs, sched.rounds - 1,
-                                     np.random.default_rng([99, t]))
-                   for t in range(50)]
-        mean, _ = expected_cost_monte_carlo(10, trials=50, seed=99)
-        assert mean == pytest.approx(sum(singles) / 50, abs=1e-12)
+    def test_sampled_distribution_matches_analytic_moments(self):
+        # forced low probabilities make retries common; the level-by-level
+        # sampler and the recursive reference sampler must both reproduce
+        # the analytic mean and variance of the retry-the-subtree cost
+        probs = [0.5, 0.6, 0.7]
+        costs = [adder_toffoli_count(s) for s in plan_schedule(10).sizes]
+        engine_mean, _ = _analytic_moments(costs, round_success_probabilities(10))
+        assert engine_mean == pytest.approx(expected_cost_recursion(10), rel=1e-12)
+        mean, var = _analytic_moments(costs, probs)
+
+        rng = np.random.default_rng(1618)
+        ref = np.array([_sample_tree_cost(costs, probs, len(costs) - 1, rng)
+                        for _ in range(REF_TRIALS)], dtype=float)
+        ref_mean, ref_var = ref.mean(), ref.var(ddof=1)
+        # spread of a sample variance: (mu4 - var**2) / trials
+        var_spread = np.mean((ref - ref.mean()) ** 4) - var ** 2
+
+        vec_mean, vec_std = expected_cost_monte_carlo(
+            10, trials=VEC_TRIALS, seed=2718, probabilities=probs)
+        vec_var = vec_std ** 2
+
+        for m, v, trials in ((vec_mean, vec_var, VEC_TRIALS),
+                             (ref_mean, ref_var, REF_TRIALS)):
+            assert abs(m - mean) <= 4 * math.sqrt(var / trials)
+            assert abs(v - var) <= 4 * math.sqrt(var_spread / trials)
+        both = 1 / VEC_TRIALS + 1 / REF_TRIALS
+        assert abs(vec_mean - ref_mean) <= 4 * math.sqrt(var * both)
+        assert abs(vec_var - ref_var) <= 4 * math.sqrt(var_spread * both)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.25, float("nan"), 1.5])
+    def test_probability_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match="round 2"):
+            expected_cost_monte_carlo(10, trials=10, seed=1,
+                                      probabilities=[0.9, bad, 0.9])
 
     def test_forced_success_recovers_deterministic_count(self):
         report = toffoli_capped(10, with_probabilities=False)
@@ -136,6 +191,12 @@ class TestExpectedCost:
                                               probabilities=[1.0, 1.0, 1.0])
         assert mean == report.toffoli_deterministic
         assert std == 0.0
+
+    def test_probability_rounding_above_one_is_clamped(self):
+        # engine probabilities can exceed 1 by float rounding (about 6e-14)
+        mean, std = expected_cost_monte_carlo(10, trials=8, seed=1,
+                                              probabilities=[1.0, 1.0 + 1e-13, 1.0])
+        assert (mean, std) == (76.0, 0.0)
 
     def test_expected_exceeds_deterministic(self):
         report = full_resource_report(10, trials=2000, seed=5)
