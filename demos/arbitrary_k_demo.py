@@ -7,9 +7,9 @@ preserve a general index), which is why this route costs O(n^2) Toffolis.
 """
 from fourierdistill import (
     default_truncate_bits,
-    deterministic_transform_note,
     distill_k,
     prepare_approx_k,
+    transform_cost,
 )
 
 n, k = 8, 5
@@ -39,5 +39,5 @@ for bits in (2, 3, 4, 5, 8):
 
 print()
 print("Alternative for odd k: distill the fundamental state once, then the")
-print(f"deterministic index transform costs {deterministic_transform_note(10)} "
+print(f"deterministic index transform costs {transform_cost(10)} "
       f"Toffolis at n=10 (quadratic in n).")

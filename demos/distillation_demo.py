@@ -11,7 +11,6 @@ from fourierdistill import (
     plan_schedule,
     run_protocol_exact,
     run_protocol_sparse,
-    trace_csv_rows,
 )
 
 print("Schedule for a 10-bit target: sizes double from 5, capped at n+2")
@@ -21,8 +20,9 @@ print(f"  sizes = {sched.sizes}, logical width = {sched.width_qubits} qubits")
 print()
 print("Exact amplitude-level run at n = 10:")
 result = run_protocol_exact(10)
-for row in trace_csv_rows(result):
-    print("  " + row)
+for i, rec in enumerate(result.rounds, start=1):
+    print(f"  round {i}: size={rec.size:3d}  p_success={rec.p_success:.12f}  "
+          f"error={rec.error:.3e}")
 print(f"  final error {result.final_error:.3e} vs target "
       f"{result.threshold:.3e} -> meets: {result.meets_threshold}")
 

@@ -6,10 +6,9 @@ discards the whole feeding subtree).  The comparison table puts kickback
 rotations next to T-gate approximation sequences per bit of precision.
 """
 from fourierdistill import (
-    comparison_csv_rows,
+    comparison_table,
     expected_cost_recursion,
     full_resource_report,
-    resources_csv_rows,
     toffoli_capped,
     toffoli_closed_form,
 )
@@ -34,13 +33,17 @@ print(f"  Monte Carlo:        {mc.toffoli_expected_mean:.1f} "
 
 print()
 print("Cost table across targets (deterministic plus expected):")
-for row in resources_csv_rows([5, 10, 20, 50, 100], trials=4000, seed=23):
-    print("  " + row)
+for n in (5, 10, 20, 50, 100):
+    r = full_resource_report(n, trials=4000, seed=23)
+    print(f"  n={n:3d}: {r.toffoli_deterministic:5d} Toffolis, expected "
+          f"{r.toffoli_expected_mean:8.1f} +/- {r.toffoli_expected_std:6.1f}, "
+          f"{r.rounds} rounds, width {r.width_qubits}")
 
 print()
 print("Rotation-method comparison per precision p:")
-for row in comparison_csv_rows([6, 10, 15, 20, 30]):
-    print("  " + row)
+for row in comparison_table([6, 10, 15, 20, 30]):
+    print(f"  p={row.p:2d}: eps_f={row.eps_f:.3e}  T gates {row.t_gates_bit_form:6.2f}  "
+          f"kickback {row.kickback_toffolis} Toffolis, {row.kickback_ancillas} ancillas")
 print()
 print("Kickback needs p-1 Toffolis against roughly 3.21p - 6.45 T gates for")
 print("sequences; with Toffoli construction costs near a single T gate, the")

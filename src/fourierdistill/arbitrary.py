@@ -28,7 +28,7 @@ from .fourier import (
     require_register_size,
     spectrum_of,
 )
-from .resources import adder_toffoli_count, transform_cost
+from .resources import adder_toffoli_count
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,3 @@ def distill_k(n: int, k: int, rounds: int,
         adders=adders, toffoli_cost=adders * adder_toffoli_count(n),
     )
 
-
-def deterministic_transform_note(n: int) -> int:
-    """Toffoli cost of the deterministic odd-index transform alternative.
-
-    The transform circuit itself lives in prior constructions; only its cost
-    (n-3)(n-2)/2 is tracked here for comparison against distillation.
-    """
-    return transform_cost(n)

@@ -128,15 +128,6 @@ def modular_add_oracle(n: int) -> np.ndarray:
     return (v * N + (v + w) % N).ravel()
 
 
-def apply_permutation(perm: np.ndarray, s: StateVector) -> StateVector:
-    """Apply a basis-state permutation to a state."""
-    if len(perm) != s.dim:
-        raise ValueError("permutation size does not match state dimension")
-    out = np.empty_like(s.amps)
-    out[perm] = s.amps
-    return StateVector(out)
-
-
 def build_adder_circuit(n: int) -> tuple[GateCircuit, RegisterLayout]:
     """In-place ripple-carry adder: second register += first, mod 2**n.
 

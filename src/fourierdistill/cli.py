@@ -17,10 +17,11 @@ output carries 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,23 +33,7 @@ from .errors import CapacityError, PrecisionWarning
 #: golden tests and only change together with this number.
 SCHEMA_VERSION = 1
 
-SPECTRUM_CSV_HEADER = "j,series_weight,folded_weight"
-SIMULATE_CSV_HEADER = ("n,p_circuit,p_predicted,fidelity_circuit,"
-                       "fidelity_predicted,max_weight_diff,toffoli_circuit,"
-                       "toffoli_formula")
-CLONE_CSV_HEADER = "n,k,fidelity_first,fidelity_second,joint_fidelity"
-ARBITRARY_CSV_HEADER = "round,size,p_success,fidelity,error,k,truncate_bits"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated options of one CLI invocation."""
-
-    command: str
-    fmt: str
-    out: str | None
-    strict: bool
-    args: argparse.Namespace
+ROUND_COLUMNS = ("round", "size", "p_success", "fidelity", "error")
 
 
 def _g(x: float) -> float:
@@ -66,34 +51,59 @@ def _jsonify(obj):
     return obj
 
 
-def cmd_spectrum(cfg: RunConfig):
-    a = cfg.args
-    if a.j_min > a.j_max:
-        rows = []
-    else:
-        rows = [
-            {
-                "j": j,
-                "series_weight": fourier.series_weight(j),
-                "folded_weight": fourier.initial_state_weight(a.n, j),
-            }
-            for j in range(a.j_min, a.j_max + 1)
-        ]
-    payload = {"command": "spectrum", "n": a.n, "rows": rows}
-    csv_rows = [SPECTRUM_CSV_HEADER] + [
-        f"{r['j']},{r['series_weight']:.12g},{r['folded_weight']:.12g}" for r in rows
+def _cell(x) -> str:
+    """One CSV cell: empty for None, floats at 12 significant digits."""
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    return str(x)
+
+
+def _rounds(trace) -> list[dict]:
+    """Per-round rows of a protocol trace, numbered from 1."""
+    return [
+        {"round": i, "size": rec.size, "p_success": rec.p_success,
+         "fidelity": rec.fidelity, "error": rec.error}
+        for i, rec in enumerate(trace, start=1)
     ]
-    return payload, csv_rows
 
 
-def cmd_distill(cfg: RunConfig):
-    a = cfg.args
+# Each command returns (JSON payload, CSV columns, CSV rows as dicts).
+
+def cmd_spectrum(a: argparse.Namespace):
+    rows = [
+        {
+            "j": j,
+            "series_weight": fourier.series_weight(j),
+            "folded_weight": fourier.initial_state_weight(a.n, j),
+        }
+        for j in range(a.j_min, a.j_max + 1)
+    ]
+    payload = {"command": "spectrum", "n": a.n, "rows": rows}
+    return payload, ("j", "series_weight", "folded_weight"), rows
+
+
+def cmd_distill(a: argparse.Namespace):
     if a.engine == "exact":
         result = distill.run_protocol_exact(a.n, s0=a.s0, pad=a.pad)
     else:
         result = distill.run_protocol_sparse(a.n, s0=a.s0, pad=a.pad,
                                              max_harmonics=a.max_harmonics)
-    return distill.trace_json_obj(result), distill.trace_csv_rows(result)
+    rounds = _rounds(result.rounds)
+    payload = {
+        "n": result.n_target,
+        "engine": result.engine,
+        "sizes": list(result.schedule.sizes),
+        "note": result.schedule.note,
+        "rounds": rounds,
+        "final_error": result.final_error,
+        "final_log2_error": (result.final_log_error / math.log(2.0)
+                             if result.final_log_error != distill.NEG_INF else None),
+        "threshold": result.threshold,
+        "meets_threshold": result.meets_threshold,
+    }
+    return payload, ROUND_COLUMNS, rounds
 
 
 def _adder_check_summary(n: int) -> dict:
@@ -119,8 +129,7 @@ def _adder_check_summary(n: int) -> dict:
     return {"mode": mode, "basis_states": len(indices), "matches": matches}
 
 
-def cmd_simulate(cfg: RunConfig):
-    a = cfg.args
+def cmd_simulate(a: argparse.Namespace):
     if a.n > 8:
         raise CapacityError("gate-level simulation is limited to n <= 8 "
                             "(two registers plus ancilla)")
@@ -147,103 +156,63 @@ def cmd_simulate(cfg: RunConfig):
         "toffoli_formula": resources.adder_toffoli_count(a.n),
         "adder_check": _adder_check_summary(a.n),
     }
-    csv_rows = [
-        SIMULATE_CSV_HEADER,
-        ",".join([
-            str(a.n),
-            f"{run.probability:.12g}",
-            f"{predicted.p_success:.12g}",
-            f"{circuit_weights.weight(1):.12g}",
-            f"{predicted.fidelity:.12g}",
-            f"{diff:.12g}",
-            str(circuit.toffoli_count),
-            str(resources.adder_toffoli_count(a.n)),
-        ]),
-    ]
-    return payload, csv_rows
+    columns = ("n", "p_circuit", "p_predicted", "fidelity_circuit", "fidelity_predicted",
+               "max_weight_diff", "toffoli_circuit", "toffoli_formula")
+    return payload, columns, [payload]
 
 
-def cmd_resources(cfg: RunConfig):
-    a = cfg.args
-    if a.n is not None:
-        n_values = [a.n]
-    else:
-        if a.n_min > a.n_max:
-            n_values = []
-        else:
-            n_values = list(range(a.n_min, a.n_max + 1))
+def cmd_resources(a: argparse.Namespace):
+    n_values = [a.n] if a.n is not None else range(a.n_min, a.n_max + 1)
     if a.trials < 0:
         raise ValueError("--trials must be non-negative")
+    if a.seed is not None and a.seed < 0:
+        raise ValueError("--seed must be non-negative")
     if a.trials > 0 and a.seed is None:
         raise ValueError("--seed is required when --trials > 0")
-    reports = [resources.full_resource_report(n, a.trials, a.seed, a.s0, a.pad)
-               for n in n_values]
-    json_rows = [
-        {
+    rows = []
+    for n in n_values:
+        report = resources.full_resource_report(n, a.trials, a.seed, a.s0, a.pad)
+        rows.append({
             "n": report.n_target,
             "toffoli_deterministic": report.toffoli_deterministic,
             "toffoli_expected_mean": report.toffoli_expected_mean,
             "toffoli_expected_std": report.toffoli_expected_std,
             "rounds": report.rounds,
             "width": report.width_qubits,
-        }
-        for report in reports
-    ]
-    return {"command": "resources", "trials": a.trials, "seed": a.seed,
-            "rows": json_rows}, resources.resources_csv_rows(reports)
+        })
+    payload = {"command": "resources", "trials": a.trials, "seed": a.seed, "rows": rows}
+    columns = ("n", "toffoli_deterministic", "toffoli_expected_mean",
+               "toffoli_expected_std", "rounds", "width")
+    return payload, columns, rows
 
 
-def cmd_compare(cfg: RunConfig):
-    a = cfg.args
-    p_values = list(range(a.p_min, a.p_max + 1)) if a.p_min <= a.p_max else []
-    rows = resources.comparison_table(p_values)
-    payload = {
-        "command": "compare",
-        "rows": [
-            {
-                "p": r.p,
-                "eps_f": r.eps_f,
-                "log2_inv_eps_f": r.log2_inv_eps_f,
-                "t_gates_bit_form": r.t_gates_bit_form,
-                "t_gates_from_eps": r.t_gates_from_eps,
-                "kickback_toffolis": r.kickback_toffolis,
-                "kickback_ancillas": r.kickback_ancillas,
-            }
-            for r in rows
-        ],
-    }
-    return payload, resources.comparison_csv_rows(p_values)
+def cmd_compare(a: argparse.Namespace):
+    table = resources.comparison_table(range(a.p_min, a.p_max + 1))
+    rows = [dataclasses.asdict(r) for r in table]
+    columns = tuple(f.name for f in dataclasses.fields(resources.ComparisonRow))
+    return {"command": "compare", "rows": rows}, columns, rows
 
 
-def cmd_arbitrary_k(cfg: RunConfig):
-    a = cfg.args
+def cmd_arbitrary_k(a: argparse.Namespace):
     t = a.truncate_bits if a.truncate_bits is not None else default_truncate_bits(a.n)
     result = distill_k(a.n, a.k, a.rounds, t)
+    rounds = _rounds(result.trace)
     payload = {
         "command": "arbitrary-k",
         "n": a.n,
         "k": result.k,
         "truncate_bits": result.truncate_bits,
         "initial_fidelity": result.initial_fidelity,
-        "rounds": [
-            {"round": i + 1, "size": rec.size, "p_success": rec.p_success,
-             "fidelity": rec.fidelity, "error": rec.error}
-            for i, rec in enumerate(result.trace)
-        ],
+        "rounds": rounds,
         "final_error": result.final.error,
         "adders": result.adders,
         "toffoli_cost": result.toffoli_cost,
     }
-    csv_rows = [ARBITRARY_CSV_HEADER]
-    for i, rec in enumerate(result.trace):
-        csv_rows.append(f"{i + 1},{rec.size},{rec.p_success:.12g},"
-                        f"{rec.fidelity:.12g},{rec.error:.12g},"
-                        f"{result.k},{result.truncate_bits}")
-    return payload, csv_rows
+    rows = [{**r, "k": result.k, "truncate_bits": result.truncate_bits} for r in rounds]
+    return payload, ROUND_COLUMNS + ("k", "truncate_bits"), rows
 
 
-def cmd_clone(cfg: RunConfig):
-    a = cfg.args
+def cmd_clone(a: argparse.Namespace):
     source = fourier.pure_fourier_state(a.n, a.k)
     result = circuits.clone_fourier_state(a.n, source, k=a.k)
     payload = {
@@ -255,12 +224,8 @@ def cmd_clone(cfg: RunConfig):
         "joint_fidelity": result.joint_fidelity,
         "adder_toffolis": resources.adder_toffoli_count(a.n) if a.n >= 3 else None,
     }
-    csv_rows = [
-        CLONE_CSV_HEADER,
-        f"{a.n},{result.k},{result.fidelity_first:.12g},"
-        f"{result.fidelity_second:.12g},{result.joint_fidelity:.12g}",
-    ]
-    return payload, csv_rows
+    columns = ("n", "k", "fidelity_first", "fidelity_second", "joint_fidelity")
+    return payload, columns, [payload]
 
 
 _COMMANDS = {
@@ -281,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="output format (default depends on the command)")
+    def common(p, default_format):
+        p.add_argument("--format", choices=("json", "csv"), default=default_format,
+                       help="output format (default: %(default)s)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--strict", action="store_true",
                        help="exit with code 4 if a precision warning is raised")
@@ -292,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j-min", type=int, default=-15)
     p.add_argument("--j-max", type=int, default=15)
-    common(p)
+    common(p, "csv")
 
     p = sub.add_parser("distill", help="multi-round protocol trace")
     p.add_argument("--n", type=int, required=True)
@@ -301,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pad", type=int, default=distill.DEFAULT_PAD)
     p.add_argument("--max-harmonics", type=int, default=distill.DEFAULT_MAX_HARMONICS,
                    help="harmonic budget of the sparse engine")
-    common(p)
+    common(p, "json")
 
     p = sub.add_parser("simulate", help="gate-level distillation step (n <= 8)")
     p.add_argument("--n", type=int, default=5)
-    common(p)
+    common(p, "json")
 
     p = sub.add_parser("resources", help="Toffoli costs per target precision")
     p.add_argument("--n", type=int, default=None, help="single target n")
@@ -316,64 +281,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--s0", type=int, default=distill.DEFAULT_S0)
     p.add_argument("--pad", type=int, default=distill.DEFAULT_PAD)
-    common(p)
+    common(p, "csv")
 
     p = sub.add_parser("compare", help="kickback vs T-sequence rotation costs")
     p.add_argument("--p-min", type=int, default=6)
     p.add_argument("--p-max", type=int, default=20)
-    common(p)
+    common(p, "csv")
 
     p = sub.add_parser("arbitrary-k", help="prepare and distill an index-k state")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--truncate-bits", type=int, default=None)
-    common(p)
+    common(p, "json")
 
     p = sub.add_parser("clone", help="copy a Fourier state with one adder")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
-    common(p)
+    common(p, "json")
 
     return parser
 
 
-_DEFAULT_FORMAT = {
-    "spectrum": "csv",
-    "distill": "json",
-    "simulate": "json",
-    "resources": "csv",
-    "compare": "csv",
-    "arbitrary-k": "json",
-    "clone": "json",
-}
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text + "\n")
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.write(text + "\n")
     except OSError as exc:
         raise ValueError(f"cannot write output to {out}: {exc}") from exc
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fmt = args.format or _DEFAULT_FORMAT[args.command]
-    cfg = RunConfig(command=args.command, fmt=fmt, out=args.out,
-                    strict=args.strict, args=args)
+    args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            payload, csv_rows = _COMMANDS[args.command](cfg)
+            payload, columns, rows = _COMMANDS[args.command](args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
@@ -382,17 +328,17 @@ def main(argv=None) -> int:
         return 2
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    if fmt == "json":
-        payload = {"schema_version": SCHEMA_VERSION, **payload}
-        text = json.dumps(_jsonify(payload), indent=2)
+    if args.format == "json":
+        text = json.dumps(_jsonify({"schema_version": SCHEMA_VERSION, **payload}), indent=2)
     else:
-        text = "\n".join(csv_rows)
+        text = "\n".join([",".join(columns)]
+                         + [",".join(_cell(row[c]) for c in columns) for row in rows])
     try:
-        _emit(text, cfg.out)
+        _emit(text, args.out)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if cfg.strict and any(issubclass(w.category, PrecisionWarning) for w in caught):
+    if args.strict and any(issubclass(w.category, PrecisionWarning) for w in caught):
         return 4
     return 0
 

@@ -538,39 +538,3 @@ def run_protocol_sparse(n: int, schedule: ProtocolSchedule | None = None, *,
         meets_threshold=outcome.log_error <= log_threshold,
     )
 
-
-def trace_json_obj(result: ProtocolResult) -> dict:
-    """Trace in the stable JSON schema used by the command-line tools."""
-    return {
-        "n": result.n_target,
-        "engine": result.engine,
-        "sizes": list(result.schedule.sizes),
-        "note": result.schedule.note,
-        "rounds": [
-            {
-                "round": i + 1,
-                "size": rec.size,
-                "p_success": rec.p_success,
-                "fidelity": rec.fidelity,
-                "error": rec.error,
-            }
-            for i, rec in enumerate(result.rounds)
-        ],
-        "final_error": result.final_error,
-        "final_log2_error": (result.final_log_error / math.log(2.0)
-                             if result.final_log_error != NEG_INF else None),
-        "threshold": result.threshold,
-        "meets_threshold": result.meets_threshold,
-    }
-
-
-TRACE_CSV_HEADER = "round,size,p_success,fidelity,error"
-
-
-def trace_csv_rows(result: ProtocolResult) -> list[str]:
-    """Trace as CSV rows (header first), floats at 12 significant digits."""
-    rows = [TRACE_CSV_HEADER]
-    for i, rec in enumerate(result.rounds):
-        rows.append(f"{i + 1},{rec.size},{rec.p_success:.12g},"
-                    f"{rec.fidelity:.12g},{rec.error:.12g}")
-    return rows

@@ -36,11 +36,11 @@ def amplitude_cap() -> int:
     return int(raw) if raw else AMPLITUDE_CAP_DEFAULT
 
 
-def require_register_size(n: int, *, cap: int | None = None) -> None:
+def require_register_size(n: int) -> None:
     """Validate 1 <= n <= amplitude cap for dense-vector use."""
     if n < 1:
         raise ValueError(f"register size must be positive, got {n}")
-    limit = amplitude_cap() if cap is None else cap
+    limit = amplitude_cap()
     if n > limit:
         raise CapacityError(
             f"n={n} exceeds the amplitude-vector cap {limit}; "
@@ -82,13 +82,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return len(self.amps)
-
-    def to_json_obj(self) -> dict:
-        """JSON form: amplitudes as [re, im] pairs in index order y = 0..N-1."""
-        return {
-            "n": self.n,
-            "amps": [[float(a.real), float(a.imag)] for a in self.amps],
-        }
 
 
 @dataclass(frozen=True)
@@ -147,9 +140,6 @@ class FourierSpectrum:
 
     def dominant_index(self) -> int:
         return int(np.argmax(self.weights))
-
-    def to_json_obj(self) -> dict:
-        return {"n": self.n, "weights": [float(w) for w in self.weights]}
 
 
 def pure_fourier_state(n: int, k: int) -> StateVector:
@@ -228,18 +218,6 @@ def to_fourier_basis(s: StateVector) -> FourierAmplitudes:
 def from_fourier_basis(a: FourierAmplitudes) -> StateVector:
     """Exact inverse of :func:`to_fourier_basis`."""
     return StateVector(np.fft.ifft(a.coeffs) * math.sqrt(a.dim))
-
-
-def dft_direct(s: StateVector) -> FourierAmplitudes:
-    """O(N^2) transform kept as an independent cross-check for the FFT path.
-
-    Capped at n = 10; use :func:`to_fourier_basis` for real work.
-    """
-    require_register_size(s.n, cap=10)
-    N = s.dim
-    jy = np.outer(np.arange(N), np.arange(N))
-    w = np.exp(-2j * np.pi * jy / N) / math.sqrt(N)
-    return FourierAmplitudes(w @ s.amps)
 
 
 def spectrum_of(s: StateVector) -> FourierSpectrum:

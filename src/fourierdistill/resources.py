@@ -34,6 +34,7 @@ from .distill import (
     run_protocol_exact,
     run_protocol_sparse,
 )
+from .errors import CapacityError
 
 #: Largest target for which round probabilities come from the exact engine.
 EXACT_ENGINE_LIMIT = 16
@@ -41,6 +42,10 @@ EXACT_ENGINE_LIMIT = 16
 #: Harmonic budget for probability extraction; round probabilities converge
 #: far faster than the error itself, so a reduced budget loses nothing.
 PROBABILITY_HARMONICS = 512
+
+#: Most Monte Carlo trials per estimate: the sampler holds a few int64 arrays
+#: of this length at once (about 230 MB at the limit).
+MAX_TRIALS = 1 << 22
 
 
 def adder_toffoli_count(size: int) -> int:
@@ -61,23 +66,18 @@ def toffoli_closed_form(R: int, s: int) -> int:
 
 def toffoli_sum_direct(R: int, s: int) -> int:
     """Defining sum of the closed form: round r holds 2**(R-r) adders of
-    2**(r+1)*s - 4 Toffolis each."""
+    2**(r+1)*s - 4 Toffolis each.
+
+    This uncapped doubling accounting sizes round r at 2**r * s qubits (one
+    doubling ahead of the capped schedule, which enters round one at s0
+    qubits); this discrepancy between the two accountings is deliberate and
+    surfaced, not reconciled away.
+    """
     if R < 1:
         raise ValueError("R must be at least 1")
     if s < 3:
         raise ValueError("s must be at least 3")
     return sum((1 << (R - r)) * ((1 << (r + 1)) * s - 4) for r in range(1, R + 1))
-
-
-def toffoli_uncapped(R: int, s: int) -> int:
-    """Uncapped doubling accounting; identical to :func:`toffoli_closed_form`.
-
-    The closed form sizes round r at 2**r * s qubits (one doubling ahead of
-    the capped schedule, which enters round one at s0 qubits); this
-    discrepancy between the two accountings is deliberate and surfaced, not
-    reconciled away.
-    """
-    return toffoli_sum_direct(R, s)
 
 
 @dataclass(frozen=True)
@@ -195,6 +195,9 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
+    if trials > MAX_TRIALS:
+        raise CapacityError(f"--trials {trials} exceeds the Monte Carlo limit of "
+                            f"{MAX_TRIALS} trials per estimate")
     if seed is None:
         raise ValueError("a seed is required for the stochastic estimate")
     schedule = plan_schedule(n, s0, pad)
@@ -314,7 +317,12 @@ def t_sequence_cost_bits(p: int) -> float:
 
 def transform_cost(n: int) -> int:
     """Toffolis to transform between n-qubit Fourier states of odd index:
-    sum of (s - 2) for s = 3 .. n-1, i.e. (n-3)(n-2)/2."""
+    sum of (s - 2) for s = 3 .. n-1, i.e. (n-3)(n-2)/2.
+
+    This deterministic transform is the alternative to distilling an odd
+    index directly; its circuit comes from prior constructions, so only the
+    cost is tracked here, for comparison against distillation.
+    """
     if n < 4:
         raise ValueError("index transform needs n >= 4")
     return (n - 3) * (n - 2) // 2
@@ -350,41 +358,3 @@ def comparison_table(p_values) -> list[ComparisonRow]:
         ))
     return rows
 
-
-RESOURCES_CSV_HEADER = ("n,toffoli_deterministic,toffoli_expected_mean,"
-                        "toffoli_expected_std,rounds,width")
-
-COMPARISON_CSV_HEADER = ("p,eps_f,log2_inv_eps_f,t_gates_bit_form,"
-                         "t_gates_from_eps,kickback_toffolis,kickback_ancillas")
-
-
-def resources_csv_rows(targets, trials: int = 0, seed: int | None = None,
-                       s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> list[str]:
-    """CSV rows of per-n costs (header first); expected-cost columns are
-    empty when a report has no Monte Carlo estimate.
-
-    Each target is either a :class:`ResourceReport`, rendered as it is, or a
-    target n, whose report is built here from trials, seed, s0 and pad.
-    """
-    rows = [RESOURCES_CSV_HEADER]
-    for target in targets:
-        report = target if isinstance(target, ResourceReport) \
-            else full_resource_report(target, trials, seed, s0, pad)
-        if report.toffoli_expected_mean is None:
-            mean_s, std_s = "", ""
-        else:
-            mean_s = f"{report.toffoli_expected_mean:.12g}"
-            std_s = f"{report.toffoli_expected_std:.12g}"
-        rows.append(f"{report.n_target},{report.toffoli_deterministic},{mean_s},{std_s},"
-                    f"{report.rounds},{report.width_qubits}")
-    return rows
-
-
-def comparison_csv_rows(p_values) -> list[str]:
-    """CSV rows of the rotation-method comparison (header first)."""
-    rows = [COMPARISON_CSV_HEADER]
-    for row in comparison_table(p_values):
-        rows.append(f"{row.p},{row.eps_f:.12g},{row.log2_inv_eps_f:.12g},"
-                    f"{row.t_gates_bit_form:.12g},{row.t_gates_from_eps:.12g},"
-                    f"{row.kickback_toffolis},{row.kickback_ancillas}")
-    return rows

@@ -12,7 +12,6 @@ import pytest
 from fourierdistill import (
     approx_initial_state,
     apply_circuit,
-    apply_permutation,
     build_adder_circuit,
     build_distillation_circuit,
     clone_fourier_state,
@@ -42,6 +41,7 @@ from fourierdistill import (
     transform_cost,
     StateVector,
 )
+from oracles import apply_permutation
 
 
 def _report(num, text):

@@ -6,7 +6,6 @@ from fourierdistill import (
     DegenerateInputError,
     KTarget,
     default_truncate_bits,
-    deterministic_transform_note,
     distill_k,
     fidelity,
     prepare_approx_k,
@@ -138,5 +137,5 @@ class TestDistillK:
 
 class TestTransformNote:
     def test_delegates_to_cost_formula(self):
-        assert deterministic_transform_note(10) == transform_cost(10) == 28
-        assert deterministic_transform_note(100) == 4753
+        assert transform_cost(10) == 28
+        assert transform_cost(100) == 4753

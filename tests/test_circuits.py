@@ -11,7 +11,6 @@ from fourierdistill import (
     RegisterLayout,
     StateVector,
     apply_circuit,
-    apply_permutation,
     approx_initial_state,
     approx_state_circuit,
     build_adder_circuit,
@@ -27,6 +26,7 @@ from fourierdistill import (
     spectrum_of,
     to_fourier_basis,
 )
+from oracles import apply_permutation
 
 
 def basis_state(num_qubits, index):

@@ -2,17 +2,69 @@
 exit codes."""
 import json
 import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from fourierdistill import resources
-from fourierdistill.cli import RunConfig, build_parser, cmd_resources, main
+from fourierdistill.cli import main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: Golden case name -> (default format, command line).  The expected stdout of
+#: each case in each format is ``golden/<name>.<format>``.
+GOLDEN_CASES = {
+    "spectrum_n8": ("csv", ["spectrum", "--n", "8"]),
+    "distill_n10": ("json", ["distill", "--n", "10"]),
+    "distill_n12_sparse": ("json", ["distill", "--n", "12", "--engine", "sparse"]),
+    "simulate_n5": ("json", ["simulate", "--n", "5"]),
+    "resources_5_12": ("csv", ["resources", "--n-min", "5", "--n-max", "12"]),
+    "compare_6_10": ("csv", ["compare", "--p-min", "6", "--p-max", "10"]),
+    "arbitrary_k_n8_k5": ("json", ["arbitrary-k", "--n", "8", "--k", "5"]),
+    "clone_n4_k3": ("json", ["clone", "--n", "4", "--k", "3"]),
+}
+
+#: Fields that hold rounding noise (about 1e-16), compared with a tolerance.
+NOISE_FIELDS = {"simulate_n5": "max_weight_diff"}
+
+
+def _pull_field(text, fmt, field):
+    """``text`` with the value of ``field`` cut out, and that value."""
+    if fmt == "json":
+        m = re.search(rf'"{field}": ([^,\n]+)', text)
+        return text[:m.start(1)] + text[m.end(1):], float(m.group(1))
+    lines = text.split("\n")
+    col = lines[0].split(",").index(field)
+    cells = lines[1].split(",")
+    value = float(cells[col])
+    cells[col] = ""
+    lines[1] = ",".join(cells)
+    return "\n".join(lines), value
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", None])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_stdout(capsys, name, fmt):
+    default, argv = GOLDEN_CASES[name]
+    code, out, err = run_cli(capsys, *argv, *(["--format", fmt] if fmt else []))
+    assert (code, err) == (0, "")
+    fmt = fmt or default
+    expected = (GOLDEN / f"{name}.{fmt}").read_text()
+    field = NOISE_FIELDS.get(name)
+    if field:
+        out, value = _pull_field(out, fmt, field)
+        expected, expected_value = _pull_field(expected, fmt, field)
+        assert value == pytest.approx(expected_value, abs=1e-12)
+    assert out == expected
 
 
 class TestSpectrumCommand:
@@ -128,6 +180,26 @@ class TestResourcesCommand:
         assert out == ""
         assert "invalid request" in err and "--trials" in err
 
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "resources", "--n", "10", "--trials", "5",
+                                 "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "invalid request: --seed must be non-negative\n"
+
+    def test_trials_above_limit_is_capacity_error(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "resources", "--n", "10",
+                                     "--trials", "100000000", "--seed", "1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("capacity error:") and "--trials" in err
+        assert peak < 50e6  # refused before any per-trial array exists
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_one_report_per_n(self, capsys, monkeypatch, fmt):
         calls = []
@@ -143,11 +215,13 @@ class TestResourcesCommand:
         assert code == 0
         assert calls == [5, 6, 7, 8]
 
-    def test_json_and_csv_rows_agree(self):
-        args = build_parser().parse_args(["resources", "--n-min", "5", "--n-max", "8",
-                                          "--trials", "50", "--seed", "3"])
-        payload, csv_rows = cmd_resources(RunConfig(command="resources", fmt="csv",
-                                                    out=None, strict=False, args=args))
+    def test_json_and_csv_rows_agree(self, capsys):
+        argv = ["resources", "--n-min", "5", "--n-max", "8", "--trials", "50",
+                "--seed", "3", "--format"]
+        _, out, _ = run_cli(capsys, *argv, "json")
+        payload = json.loads(out)
+        _, out, _ = run_cli(capsys, *argv, "csv")
+        csv_rows = out.splitlines()
         assert len(csv_rows) == len(payload["rows"]) + 1
         for row, line in zip(payload["rows"], csv_rows[1:]):
             cells = line.split(",")

@@ -4,6 +4,7 @@ Expected values marked "frozen" were computed with an independent dense
 oracle (direct amplitude construction, numpy FFT, literal tensor products)
 before this module existed.
 """
+import json
 import math
 
 import mpmath
@@ -39,9 +40,8 @@ from fourierdistill import (
     spectrum_of,
     symmetric_round,
     to_fourier_basis,
-    trace_csv_rows,
-    trace_json_obj,
 )
+from fourierdistill.cli import main
 from fourierdistill.distill import _signed_index, log_extension_kernel
 
 
@@ -501,15 +501,17 @@ class TestRunProtocolSparse:
                 assert rs.p_success == pytest.approx(re.p_success, abs=1e-9)
                 assert rs.fidelity == pytest.approx(re.fidelity, abs=1e-9)
 
-    def test_trace_schema(self):
-        result = run_protocol_sparse(12)
-        obj = trace_json_obj(result)
+    def test_trace_schema(self, capsys):
+        argv = ["distill", "--n", "12", "--engine", "sparse", "--format"]
+        assert main(argv + ["json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
         assert obj["engine"] == "sparse"
         assert [r["size"] for r in obj["rounds"]] == [5, 10, 14]
         assert obj["meets_threshold"] is True
-        rows = trace_csv_rows(result)
+        assert main(argv + ["csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
         assert rows[0] == "round,size,p_success,fidelity,error"
-        assert len(rows) == 1 + len(result.rounds)
+        assert len(rows) == 1 + len(obj["rounds"])
 
 
 class TestDeepSparseRuns:

@@ -1,5 +1,4 @@
 """Tests for Fourier-state construction, basis conversion, and series math."""
-import json
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from fourierdistill import (
     StateVector,
     alias_fold,
     approx_initial_state,
-    dft_direct,
     fidelity,
     fidelity_threshold,
     from_fourier_basis,
@@ -27,6 +25,7 @@ from fourierdistill import (
     to_fourier_basis,
 )
 from fourierdistill.fourier import log_fidelity_threshold, sin_pi_frac
+from oracles import dft_direct
 
 
 class TestPureFourierState:
@@ -322,17 +321,6 @@ class TestValidationAndSerialization:
         s = pure_fourier_state(3, 1)
         with pytest.raises(ValueError):
             s.amps[0] = 0.0
-
-    def test_json_round_shapes(self):
-        s = pure_fourier_state(2, 1)
-        obj = s.to_json_obj()
-        assert obj["n"] == 2
-        assert len(obj["amps"]) == 4
-        assert all(len(pair) == 2 for pair in obj["amps"])
-        json.dumps(obj)  # serializable
-        wobj = spectrum_of(s).to_json_obj()
-        assert wobj["weights"][1] == pytest.approx(1.0, abs=1e-12)
-        json.dumps(wobj)
 
     def test_amplitude_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", "4")

@@ -1,11 +1,13 @@
 """Tests for cost formulas, Monte Carlo retry overhead, and the rotation
 cost comparison."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fourierdistill import (
+    CapacityError,
     adder_toffoli_count,
     comparison_table,
     epsilon_f_kickback,
@@ -20,16 +22,10 @@ from fourierdistill import (
     toffoli_capped,
     toffoli_closed_form,
     toffoli_sum_direct,
-    toffoli_uncapped,
     transform_cost,
 )
-from fourierdistill.resources import (
-    COMPARISON_CSV_HEADER,
-    RESOURCES_CSV_HEADER,
-    comparison_csv_rows,
-    resources_csv_rows,
-    round_success_probabilities,
-)
+from fourierdistill.cli import main
+from fourierdistill.resources import MAX_TRIALS, round_success_probabilities
 
 
 REF_TRIALS = 10_000
@@ -79,7 +75,7 @@ class TestClosedForm:
                 assert toffoli_closed_form(R, s) == toffoli_sum_direct(R, s)
 
     def test_uncapped_accounting_is_the_closed_form(self):
-        assert toffoli_uncapped(3, 5) == toffoli_closed_form(3, 5) == 212
+        assert toffoli_sum_direct(3, 5) == toffoli_closed_form(3, 5) == 212
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -184,6 +180,17 @@ class TestExpectedCost:
         with pytest.raises(ValueError, match="round 2"):
             expected_cost_monte_carlo(10, trials=10, seed=1,
                                       probabilities=[0.9, bad, 0.9])
+
+    def test_trials_above_limit_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="--trials"):
+                expected_cost_monte_carlo(10, trials=MAX_TRIALS + 1, seed=1,
+                                          probabilities=[0.9, 0.9, 0.9])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_forced_success_recovers_deterministic_count(self):
         report = toffoli_capped(10, with_probabilities=False)
@@ -312,12 +319,19 @@ class TestComparisonTable:
         assert by_p[6].eps_f == pytest.approx(0.0173545758748, rel=1e-9)
         assert by_p[20].kickback_ancillas == 41
 
-    def test_csv_headers_golden(self):
-        assert resources_csv_rows([])[0] == RESOURCES_CSV_HEADER
-        assert comparison_csv_rows([])[0] == COMPARISON_CSV_HEADER
+    def test_csv_headers_golden(self, capsys):
+        assert main(["resources", "--n-min", "9", "--n-max", "8"]) == 0
+        assert main(["compare", "--p-min", "9", "--p-max", "8"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "n,toffoli_deterministic,toffoli_expected_mean,toffoli_expected_std,"
+            "rounds,width",
+            "p,eps_f,log2_inv_eps_f,t_gates_bit_form,t_gates_from_eps,"
+            "kickback_toffolis,kickback_ancillas",
+        ]
 
-    def test_resources_rows_shape(self):
-        rows = resources_csv_rows([10], trials=0)
+    def test_resources_rows_shape(self, capsys):
+        assert main(["resources", "--n", "10", "--trials", "0"]) == 0
+        rows = capsys.readouterr().out.splitlines()
         assert rows[1].startswith("10,76,,,3,24")
 
 
