@@ -43,9 +43,7 @@ predicted = distill_pair(spectrum_of(inp), spectrum_of(inp))
 print(f"  circuit success probability  {run.probability:.12f}")
 print(f"  spectral prediction          {predicted.p_success:.12f}")
 
-fixed = {q: 0 for q in layout.first}
-fixed[layout.ancilla[0]] = 0
-output = extract_register(run.state, layout, fixed)
+output = extract_register(run.state, layout)
 print(f"  output fidelity (circuit)    {fidelity(output, n, 1):.12f}")
 print(f"  output fidelity (predicted)  {predicted.fidelity:.12f}")
 

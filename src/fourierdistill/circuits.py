@@ -6,6 +6,10 @@ register convention of :mod:`fourierdistill.fourier`).  The only measurement
 primitive is a Z-basis measurement; measuring in the |+>/|-> basis is done
 as H followed by measurement.
 
+X, CNOT and TOFFOLI are one rule, controlled X: flip the target where every
+control is 1.  On computational basis states such circuits are permutations,
+which :func:`basis_images` evaluates classically on integer indices.
+
 The modular adder comes in two forms: a basis-state permutation oracle
 (ground truth) and a ripple-carry decomposition into CNOT and Toffoli gates
 using one carry ancilla.  The decomposition restores the ancilla and matches
@@ -16,11 +20,12 @@ published adder constructions.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import CapacityError, DegenerateInputError
 from .fourier import (
     StateVector,
     pure_fourier_state,
@@ -37,6 +42,11 @@ GATE_ARITY = {
     "TOFFOLI": 3,
     "MEASURE_Z": 1,
 }
+
+#: Gates that flip their last qubit where all earlier qubits are 1.
+_CONTROLLED_X = frozenset({"X", "CNOT", "TOFFOLI"})
+
+_PHASES = {"Z": -1.0, "S": 1j}
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -71,10 +81,7 @@ class GateCircuit:
 
     @property
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for g in self.gates:
-            out[g.name] = out.get(g.name, 0) + 1
-        return out
+        return dict(Counter(g.name for g in self.gates))
 
     @property
     def toffoli_count(self) -> int:
@@ -98,10 +105,6 @@ class RegisterLayout:
         total = sum(len(s) for s in spans)
         if len(set().union(*spans)) != total:
             raise ValueError("register spans must be disjoint")
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.first) + len(self.second) + len(self.ancilla)
 
 
 @dataclass(frozen=True)
@@ -257,7 +260,7 @@ def apply_circuit(circuit: GateCircuit, s: StateVector,
     if s.n != circuit.num_qubits:
         raise ValueError(f"state has {s.n} qubits, circuit needs {circuit.num_qubits}")
     nq = circuit.num_qubits
-    psi = s.amps.astype(complex).copy().reshape((2,) * nq)
+    psi = s.amps.astype(complex).reshape((2,) * nq)
     postselect = postselect or {}
     rng = None
     probability = 1.0
@@ -267,34 +270,16 @@ def apply_circuit(circuit: GateCircuit, s: StateVector,
         if name == "H":
             q = g.qubits[0]
             lo, hi = _slice(nq, {q: 0}), _slice(nq, {q: 1})
-            a = psi[lo].copy()
-            b = psi[hi]
+            a, b = psi[lo].copy(), psi[hi]
             psi[lo] = (a + b) * _SQRT1_2
             psi[hi] = (a - b) * _SQRT1_2
-        elif name == "X":
-            q = g.qubits[0]
-            lo, hi = _slice(nq, {q: 0}), _slice(nq, {q: 1})
-            a = psi[lo].copy()
-            psi[lo] = psi[hi]
-            psi[hi] = a
-        elif name == "Z":
-            psi[_slice(nq, {g.qubits[0]: 1})] *= -1.0
-        elif name == "S":
-            psi[_slice(nq, {g.qubits[0]: 1})] *= 1j
-        elif name == "CNOT":
-            c, t = g.qubits
-            lo = _slice(nq, {c: 1, t: 0})
-            hi = _slice(nq, {c: 1, t: 1})
-            a = psi[lo].copy()
-            psi[lo] = psi[hi]
-            psi[hi] = a
-        elif name == "TOFFOLI":
-            c1, c2, t = g.qubits
-            lo = _slice(nq, {c1: 1, c2: 1, t: 0})
-            hi = _slice(nq, {c1: 1, c2: 1, t: 1})
-            a = psi[lo].copy()
-            psi[lo] = psi[hi]
-            psi[hi] = a
+        elif name in _CONTROLLED_X:
+            *controls, t = g.qubits
+            on = dict.fromkeys(controls, 1)
+            lo, hi = _slice(nq, {**on, t: 0}), _slice(nq, {**on, t: 1})
+            psi[lo], psi[hi] = psi[hi], psi[lo].copy()
+        elif name in _PHASES:
+            psi[_slice(nq, {g.qubits[0]: 1})] *= _PHASES[name]
         else:  # MEASURE_Z
             q = g.qubits[0]
             p1 = float(np.sum(np.abs(psi[_slice(nq, {q: 1})]) ** 2))
@@ -321,16 +306,38 @@ def apply_circuit(circuit: GateCircuit, s: StateVector,
     return CircuitRun(probability, StateVector(psi.ravel()), outcomes)
 
 
-def extract_register(run_state: StateVector, layout: RegisterLayout,
-                     fixed: dict[int, int]) -> StateVector:
-    """Pull out the second-register state once all other qubits are classical.
+def basis_images(circuit: GateCircuit, indices) -> np.ndarray:
+    """Images of computational basis states under an X/CNOT/TOFFOLI circuit.
 
-    ``fixed`` gives the known computational value of every qubit outside the
-    second register (measured first register, restored ancilla).
+    Every gate applies the controlled-X rule to all ``indices`` at once:
+    flip the target bit where every control bit is 1, with qubit 0 the most
+    significant bit.  Returns a new uint64 array.
+    """
+    nq = circuit.num_qubits
+    if nq > 64:
+        raise CapacityError(f"basis indices of {nq} qubits do not fit in uint64")
+    images = np.array(indices, dtype=np.uint64)
+    if images.size and int(images.max()) >> nq:
+        raise ValueError(f"basis index out of range for {nq} qubits")
+    bit = lambda q: np.uint64(1 << (nq - 1 - q))
+    for g in circuit.gates:
+        if g.name not in _CONTROLLED_X:
+            raise ValueError(f"{g.name} does not map basis states to basis states")
+        *controls, t = g.qubits
+        mask = sum((bit(q) for q in controls), np.uint64(0))
+        images ^= np.where((images & mask) == mask, bit(t), np.uint64(0))
+    return images
+
+
+def extract_register(run_state: StateVector, layout: RegisterLayout) -> StateVector:
+    """Pull out the second-register state with every other qubit at 0.
+
+    Valid once the first register has been measured as all zeros and the
+    ancilla restored, as after a successful distillation step.
     """
     nq = run_state.n
     view = run_state.amps.reshape((2,) * nq)
-    out = view[_slice(nq, fixed)].ravel()
+    out = view[_slice(nq, {q: 0 for q in range(nq) if q not in layout.second})].ravel()
     norm = math.sqrt(float(np.sum(np.abs(out) ** 2)))
     if norm < 1e-150:
         raise DegenerateInputError("register extraction hit a zero branch")

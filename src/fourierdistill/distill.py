@@ -216,23 +216,26 @@ def distill_pair(a, a2, target_k: int = 1) -> DistillationOutcome:
     if a.n != a2.n:
         raise ValueError(f"register sizes differ: {a.n} vs {a2.n}")
     k = target_k % a.dim
-    if isinstance(a, FourierAmplitudes):
+    amplitudes = isinstance(a, FourierAmplitudes)
+    if amplitudes:
         product = a.coeffs * a2.coeffs
-        p = float(np.sum(np.abs(product) ** 2))
-        if p < _P_FLOOR:
-            raise DegenerateInputError("input spectra are disjoint: success probability is zero")
-        out = FourierAmplitudes(product / math.sqrt(p))
-        fid = float(abs(out.coeffs[k]) ** 2)
+        weights = np.abs(product) ** 2
     elif isinstance(a, FourierSpectrum):
-        product = a.weights * a2.weights
-        p = float(product.sum())
-        if p < _P_FLOOR:
-            raise DegenerateInputError("input spectra are disjoint: success probability is zero")
-        out = FourierSpectrum(product / p)
-        fid = float(out.weights[k])
+        product = weights = a.weights * a2.weights
     else:
         raise TypeError(f"unsupported input type {type(a).__name__}")
-    err = 1.0 - fid
+    p = float(weights.sum())
+    if p < _P_FLOOR:
+        raise DegenerateInputError("input spectra are disjoint: success probability is zero")
+    # summed directly: 1 - fidelity cancels once the error nears float epsilon
+    err = float(weights[:k].sum() + weights[k + 1:].sum()) / p
+    del weights  # frees |product|**2 before the output is built
+    if amplitudes:
+        out = FourierAmplitudes(product / math.sqrt(p))
+        fid = float(abs(out.coeffs[k]) ** 2)
+    else:
+        out = FourierSpectrum(product / p)
+        fid = float(out.weights[k])
     return DistillationOutcome(p, out, fid, err, math.log(err) if err > 0 else NEG_INF)
 
 
@@ -464,8 +467,8 @@ class ProtocolResult:
         return self.final.log_error
 
 
-def run_protocol_exact(n: int, schedule: ProtocolSchedule | None = None, *,
-                       s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> ProtocolResult:
+def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
+                       pad: int = DEFAULT_PAD) -> ProtocolResult:
     """Run the full distillation tree on dense amplitude vectors.
 
     All sibling branches of the tree are identical under analytic
@@ -473,8 +476,7 @@ def run_protocol_exact(n: int, schedule: ProtocolSchedule | None = None, *,
     then per round a symmetric distillation (coefficients squared, success
     probability recorded) with register extension between rounds.
     """
-    if schedule is None:
-        schedule = plan_schedule(n, s0, pad)
+    schedule = plan_schedule(n, s0, pad)
     biggest = max(schedule.sizes)
     try:
         require_register_size(biggest)
@@ -486,9 +488,8 @@ def run_protocol_exact(n: int, schedule: ProtocolSchedule | None = None, *,
     state = approx_initial_state(schedule.sizes[0])
     records = []
     outcome = None
-    for r, size in enumerate(schedule.sizes):
-        if r > 0 and size > schedule.sizes[r - 1]:
-            state = extend_register(state, size)
+    for size in schedule.sizes:
+        state = extend_register(state, size)
         coeffs = to_fourier_basis(state)
         outcome = symmetric_round(coeffs, target_k=1)
         records.append(RoundRecord(size, outcome.p_success, outcome.fidelity,
@@ -502,8 +503,7 @@ def run_protocol_exact(n: int, schedule: ProtocolSchedule | None = None, *,
     )
 
 
-def run_protocol_sparse(n: int, schedule: ProtocolSchedule | None = None, *,
-                        s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
+def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
                         max_harmonics: int = DEFAULT_MAX_HARMONICS) -> ProtocolResult:
     """Run the protocol on the sparse spectral engine (any n, log-space).
 
@@ -512,14 +512,12 @@ def run_protocol_sparse(n: int, schedule: ProtocolSchedule | None = None, *,
     truncated mass carried as a tail bound.  A precision warning is raised
     if the final tail bound is not negligible against the error target.
     """
-    if schedule is None:
-        schedule = plan_schedule(n, s0, pad)
+    schedule = plan_schedule(n, s0, pad)
     sp = initial_sparse_spectrum(schedule.sizes[0], max_harmonics)
     records = []
     outcome = None
-    for r, size in enumerate(schedule.sizes):
-        if r > 0 and size > schedule.sizes[r - 1]:
-            sp = sparse_extend(sp, size, max_harmonics)
+    for size in schedule.sizes:
+        sp = sparse_extend(sp, size, max_harmonics)
         outcome = sparse_symmetric_round(sp, target_k=1)
         records.append(RoundRecord(size, outcome.p_success, outcome.fidelity,
                                    outcome.error, outcome.log_error))

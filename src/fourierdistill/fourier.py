@@ -258,15 +258,22 @@ def initial_state_weight(n: int, j: int) -> float:
     """Exact Fourier weight of the approximate initial state at index j.
 
     Closed form of the fully aliased series sum: 8 / (N*sin(pi*j/N))**2 for
-    j = 1 (mod 4) and zero elsewhere.  Valid for signed j and for n beyond
-    the amplitude cap; approaches series_weight(j) as n grows.
+    j = 1 (mod 4) and zero elsewhere.  Valid for signed j and for any n (N
+    never becomes a float); approaches series_weight(j) as n grows.  Weights
+    below 2**-1021 come out as 0.
     """
     if n < 2:
         raise ValueError("initial state weights need n >= 2")
     if j % 4 != 1:
         return 0.0
     N = 1 << n
-    return 8.0 / (N * sin_pi_frac(j, N)) ** 2
+    m = min(j % N, -j % N)
+    try:
+        # for m / N < 2**-1000 (it may underflow) the sine is its argument
+        x = math.pi * m if m < N >> 1000 else math.ldexp(sin_pi_frac(m, N), n)
+        return 8.0 / x ** 2
+    except OverflowError:  # x = N sin(pi m / N) >= 2**512
+        return 0.0
 
 
 def alias_fold(n: int, series: Callable[[int], complex], j_max: int) -> tuple[FourierAmplitudes, float]:
@@ -324,7 +331,7 @@ def fidelity_threshold(n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return math.sin(math.pi / (1 << n)) ** 2
+    return math.sin(math.ldexp(math.pi, -n)) ** 2
 
 
 def log_fidelity_threshold(n: int) -> float:

@@ -29,7 +29,6 @@ import numpy as np
 from .distill import (
     DEFAULT_PAD,
     DEFAULT_S0,
-    ProtocolSchedule,
     plan_schedule,
     run_protocol_exact,
     run_protocol_sparse,
@@ -140,14 +139,13 @@ def round_success_probabilities(n: int, s0: int = DEFAULT_S0,
     return list(_round_probabilities_cached(n, s0, pad))
 
 
-def toffoli_capped(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
-                   with_probabilities: bool = True) -> ResourceReport:
+def toffoli_capped(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> ResourceReport:
     """Deterministic cost of the capped schedule: 2**(R-r) adders in round r,
     each costing 2*size_r - 4 Toffolis at the scheduled round size."""
     if n < 5:
         raise ValueError("cost accounting starts at n = 5")
     schedule = plan_schedule(n, s0, pad)
-    probs = round_success_probabilities(n, s0, pad) if with_probabilities else None
+    probs = round_success_probabilities(n, s0, pad)
     R = schedule.rounds
     per_round = tuple(
         RoundCost(
@@ -155,7 +153,7 @@ def toffoli_capped(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
             size=size,
             adders=1 << (R - 1 - r),
             toffolis_per_adder=adder_toffoli_count(size),
-            p_success=probs[r] if probs else None,
+            p_success=probs[r],
         )
         for r, size in enumerate(schedule.sizes)
     )
@@ -270,6 +268,11 @@ def kickback_rotation_cost(p: int, controls: int = 0) -> KickbackCost:
     )
 
 
+def _require_precision_bits(p: int) -> None:
+    if not 1 <= p <= 1022:  # eps_f ~ 2**-p stays a normal double
+        raise ValueError(f"p must lie in 1..1022 (eps_f ~ 2**-p in double range), got {p}")
+
+
 def epsilon_f_kickback(p: int) -> float:
     """Trace-overlap gate error of a kickback rotation truncated to p bits.
 
@@ -277,16 +280,14 @@ def epsilon_f_kickback(p: int) -> float:
     half-angle identity as sqrt(2)*sin(pi/2**(p+2)) so that large p suffers
     no cancellation.
     """
-    if p < 1:
-        raise ValueError("p must be positive")
-    return math.sqrt(2.0) * math.sin(math.pi / (1 << (p + 2)))
+    _require_precision_bits(p)
+    return math.sqrt(2.0) * math.sin(math.ldexp(math.pi, -(p + 2)))
 
 
 def epsilon_f_kickback_approx(p: int) -> float:
     """Small-angle form (pi/2**p)/sqrt(8); four significant figures at p >= 6."""
-    if p < 1:
-        raise ValueError("p must be positive")
-    return (math.pi / (1 << p)) / math.sqrt(8.0)
+    _require_precision_bits(p)
+    return math.ldexp(math.pi, -p) / math.sqrt(8.0)
 
 
 def t_sequence_cost(eps_f: float) -> float:

@@ -98,9 +98,7 @@ def test_criterion_05_gate_level_matches_spectral():
     run = apply_circuit(circuit, joint, postselect={q: 0 for q in layout.first})
     predicted = distill_pair(spectrum_of(inp), spectrum_of(inp))
     assert abs(run.probability - predicted.p_success) < 1e-9
-    fixed = {q: 0 for q in layout.first}
-    fixed[layout.ancilla[0]] = 0
-    output = extract_register(run.state, layout, fixed)
+    output = extract_register(run.state, layout)
     diff = np.max(np.abs(spectrum_of(output).weights - predicted.output.weights))
     assert diff < 1e-9
     _report(5, f"distillation circuit at n=5 reproduces spectral step "

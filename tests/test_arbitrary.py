@@ -1,4 +1,6 @@
 """Tests for QVR preparation and arbitrary-index distillation."""
+import math
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,16 @@ class TestDistillK:
                    if a < 1.0)
         assert result.final.error < 1e-3
         assert result.toffoli_cost == 7 * 12 == 84
+
+    def test_round3_error_is_summed_off_target_weight(self):
+        # three symmetric rounds raise every weight to the 8th power; the
+        # error (4e-20) is far below the float resolution of 1 - fidelity
+        result = distill_k(8, 5, rounds=3)
+        w8 = spectrum_of(prepare_approx_k(8, 5).state).weights ** 8
+        expected = math.fsum(np.delete(w8, 5)) / math.fsum(w8)
+        assert result.final.error > 0
+        assert result.final.error == pytest.approx(expected, rel=1e-12)
+        assert result.final.log_error == pytest.approx(math.log(expected), rel=1e-12)
 
     def test_monotone_strict_until_saturation(self):
         result = distill_k(8, 5, rounds=2, truncate_bits=4)

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourierdistill import (
+    CapacityError,
     DegenerateInputError,
     Gate,
     GateCircuit,
@@ -13,6 +16,7 @@ from fourierdistill import (
     apply_circuit,
     approx_initial_state,
     approx_state_circuit,
+    basis_images,
     build_adder_circuit,
     build_constant_adder_circuit,
     build_distillation_circuit,
@@ -110,10 +114,10 @@ class TestAdderCircuit:
                 assert out & 1 == 0  # ancilla restored to |0>
                 assert out >> 1 == perm[idx]
 
-    def test_exhaustive_superposition_equivalence_n5(self):
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_exhaustive_superposition_equivalence(self, n):
         # random per-basis phases distinguish every permutation, covering all
-        # 1024 register inputs in one application
-        n = 5
+        # 4**n register inputs in one dense application
         circuit, _ = build_adder_circuit(n)
         perm = modular_add_oracle(n)
         rng = np.random.default_rng(99)
@@ -125,19 +129,14 @@ class TestAdderCircuit:
         np.testing.assert_allclose(run.state.amps,
                                    np.kron(expected, np.array([1.0, 0.0])), atol=1e-10)
 
-    @pytest.mark.parametrize("n", [6, 7, 8])
-    def test_randomized_basis_equivalence(self, n):
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_basis_images_match_oracle(self, n):
+        # every (v, w) input with the carry ancilla (least significant bit) at 0
         circuit, _ = build_adder_circuit(n)
-        rng = np.random.default_rng(n)
-        N = 1 << n
-        for _ in range(1000 // (1 << (n - 6))):
-            v = int(rng.integers(N))
-            w = int(rng.integers(N))
-            idx = joint_index(n, v, w)
-            run = apply_circuit(circuit, basis_state(2 * n + 1, idx << 1))
-            out = int(np.argmax(np.abs(run.state.amps)))
-            assert abs(run.state.amps[out] - 1.0) < 1e-10
-            assert out >> 1 == joint_index(n, v, (v + w) % N)
+        inputs = np.arange(1 << (2 * n), dtype=np.uint64) << np.uint64(1)
+        images = basis_images(circuit, inputs)
+        expected = modular_add_oracle(n).astype(np.uint64) << np.uint64(1)
+        np.testing.assert_array_equal(images, expected)
 
     def test_toffoli_count_as_built(self):
         # the MAJ/UMA chain costs 2n-2; the published 2n-4 layout is not
@@ -162,6 +161,78 @@ class TestAdderCircuit:
                                        [1.0, 0.0])
                     overlap = abs(np.vdot(expected, run.state.amps)) ** 2
                     assert overlap >= 1 - 1e-10
+
+
+def reversible_circuits(max_qubits=6, max_gates=12):
+    """Random X/CNOT/TOFFOLI circuits on 1..max_qubits qubits."""
+    arity = {"X": 1, "CNOT": 2, "TOFFOLI": 3}
+
+    @st.composite
+    def build(draw):
+        nq = draw(st.integers(1, max_qubits))
+        names = [name for name, k in arity.items() if k <= nq]
+        gates = []
+        for _ in range(draw(st.integers(0, max_gates))):
+            name = draw(st.sampled_from(names))
+            qubits = draw(st.permutations(range(nq)))[:arity[name]]
+            gates.append(Gate(name, tuple(qubits)))
+        return GateCircuit(nq, tuple(gates))
+
+    return build()
+
+
+class TestBasisImages:
+    def test_uncontrolled_x_flips_its_bit(self):
+        # qubit 0 is the most significant bit; X has no controls
+        circuit = GateCircuit(3, (Gate("X", (0,)),))
+        np.testing.assert_array_equal(basis_images(circuit, np.arange(8)),
+                                      np.arange(8) ^ 0b100)
+
+    def test_controlled_gates_truth_tables(self):
+        indices = np.arange(8)
+        cnot = GateCircuit(3, (Gate("CNOT", (2, 0)),))
+        np.testing.assert_array_equal(basis_images(cnot, indices),
+                                      [0, 5, 2, 7, 4, 1, 6, 3])
+        toffoli = GateCircuit(3, (Gate("TOFFOLI", (0, 2, 1)),))
+        np.testing.assert_array_equal(basis_images(toffoli, indices),
+                                      [0, 1, 2, 3, 4, 7, 6, 5])
+
+    def test_sixty_four_qubits(self):
+        circuit = GateCircuit(64, (Gate("X", (0,)), Gate("CNOT", (0, 63))))
+        images = basis_images(circuit, [0, 1 << 63])
+        assert images.dtype == np.uint64
+        assert images.tolist() == [(1 << 63) | 1, 0]
+
+    def test_input_not_modified(self):
+        indices = np.arange(4, dtype=np.uint64)
+        basis_images(GateCircuit(2, (Gate("X", (1,)),)), indices)
+        np.testing.assert_array_equal(indices, np.arange(4))
+
+    @pytest.mark.parametrize("name", ["H", "Z", "S", "MEASURE_Z"])
+    def test_non_permutation_gates_rejected(self, name):
+        circuit = GateCircuit(2, (Gate("X", (0,)), Gate(name, (1,))))
+        with pytest.raises(ValueError, match=name):
+            basis_images(circuit, [0])
+
+    def test_capacity(self):
+        with pytest.raises(CapacityError):
+            basis_images(GateCircuit(65, ()), [0])
+
+    def test_index_out_of_range(self):
+        with pytest.raises(ValueError):
+            basis_images(GateCircuit(2, ()), [4])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(reversible_circuits())
+    def test_agrees_with_dense_application(self, circuit):
+        # distinct amplitudes identify the permutation from one dense run,
+        # which covers every basis state of the circuit
+        dim = 1 << circuit.num_qubits
+        amps = np.arange(1, dim + 1) / np.linalg.norm(np.arange(1, dim + 1))
+        run = apply_circuit(circuit, StateVector(amps))
+        expected = np.empty(dim)
+        expected[basis_images(circuit, np.arange(dim)).astype(np.intp)] = amps
+        np.testing.assert_array_equal(run.state.amps, expected)
 
 
 class TestConstantAdderCircuit:
@@ -214,9 +285,7 @@ class TestDistillationCircuit:
         run = apply_circuit(circuit, joint, postselect={q: 0 for q in layout.first})
         predicted = distill_pair(spectrum_of(inp), spectrum_of(inp))
         assert run.probability == pytest.approx(predicted.p_success, abs=1e-9)
-        fixed = {q: 0 for q in layout.first}
-        fixed[layout.ancilla[0]] = 0
-        output = extract_register(run.state, layout, fixed)
+        output = extract_register(run.state, layout)
         np.testing.assert_allclose(spectrum_of(output).weights,
                                    predicted.output.weights, atol=1e-9)
 
@@ -227,9 +296,7 @@ class TestDistillationCircuit:
         joint = StateVector(np.kron(np.kron(gamma.amps, gamma.amps), [1.0, 0.0]))
         run = apply_circuit(circuit, joint, postselect={q: 0 for q in layout.first})
         assert run.probability == pytest.approx(1.0, abs=1e-10)
-        fixed = {q: 0 for q in layout.first}
-        fixed[layout.ancilla[0]] = 0
-        output = extract_register(run.state, layout, fixed)
+        output = extract_register(run.state, layout)
         assert fidelity(output, n, 1) == pytest.approx(1.0, abs=1e-10)
 
 

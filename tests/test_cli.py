@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fourierdistill import resources
-from fourierdistill.cli import main
+from fourierdistill.cli import ROUND_COLUMNS, _adder_check_summary, main
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +82,13 @@ class TestSpectrumCommand:
         assert float(by_j[-3][1]) == pytest.approx(8 / (9 * math.pi ** 2), rel=1e-10)
         assert float(by_j[2][1]) == 0.0
 
+    def test_register_beyond_double_exponent_range(self, capsys):
+        # 2**1100 does not fit a double; the weight still does
+        code, out, _ = run_cli(capsys, "spectrum", "--n", "1100",
+                               "--j-min", "1", "--j-max", "1")
+        assert code == 0
+        assert out.splitlines()[1] == "1,0.810569469139,0.810569469139"
+
     def test_empty_range_header_only(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--n", "6",
                                "--j-min", "5", "--j-max", "4")
@@ -118,6 +125,16 @@ class TestDistillCommand:
         assert code == 3
         assert "capacity" in err
 
+    def test_sparse_beyond_double_exponent_range(self, capsys):
+        # 2**1030 does not fit a double; the threshold underflows to 0
+        code, out, err = run_cli(capsys, "distill", "--n", "1030", "--engine", "sparse")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["threshold"] == 0.0
+        assert all(math.isfinite(r[c]) for r in obj["rounds"] for c in ROUND_COLUMNS)
+        assert math.isfinite(obj["final_log2_error"])
+        assert "max_harmonics" in err  # the tail bound is reported, not hidden
+
     def test_strict_escalates_precision_warning(self, capsys):
         code, _, err = run_cli(capsys, "distill", "--n", "21", "--engine", "sparse",
                                "--s0", "21", "--max-harmonics", "4", "--strict")
@@ -144,6 +161,19 @@ class TestSimulateCommand:
     def test_capacity_limit(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--n", "9")
         assert code == 3
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_adder_check_is_exhaustive(self, n):
+        # below n = 3 simulate refuses: the adder cost formula needs n >= 3
+        assert _adder_check_summary(n) == {
+            "mode": "exhaustive", "basis_states": 4 ** n, "matches": 4 ** n}
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_adder_check_reported(self, capsys, n):
+        code, out, _ = run_cli(capsys, "simulate", "--n", str(n))
+        assert code == 0
+        assert json.loads(out)["adder_check"] == {
+            "mode": "exhaustive", "basis_states": 4 ** n, "matches": 4 ** n}
 
 
 class TestResourcesCommand:
@@ -243,6 +273,14 @@ class TestCompareCommand:
         row10 = lines[5].split(",")
         assert float(row10[3]) == pytest.approx(25.65)
         assert row10[5] == "9"
+
+    def test_precision_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "compare", "--p-min", "1022", "--p-max", "1022")
+        assert code == 0
+        assert float(out.splitlines()[1].split(",")[1]) > 0
+        code, out, err = run_cli(capsys, "compare", "--p-min", "1100", "--p-max", "1100")
+        assert (code, out) == (2, "")
+        assert "1022" in err
 
     def test_empty_range(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--p-min", "9", "--p-max", "8")

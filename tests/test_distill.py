@@ -419,6 +419,13 @@ class TestRunProtocolExact:
         assert result.meets_threshold
         assert result.final_error <= math.sin(math.pi / 2 ** 10) ** 2
 
+    def test_final_error_is_off_target_weight(self):
+        # 1 - fidelity keeps only about 8 digits of a 2.6e-8 error
+        result = run_protocol_exact(10)
+        weights = np.abs(result.final.output.coeffs) ** 2
+        assert result.final_error == pytest.approx(math.fsum(np.delete(weights, 1)),
+                                                   rel=1e-12)
+
     def test_round1_success_probability_anchor(self):
         result = run_protocol_exact(10)
         assert 0.66 <= result.rounds[0].p_success <= 0.68

@@ -193,7 +193,7 @@ class TestExpectedCost:
         assert peak < 1e6
 
     def test_forced_success_recovers_deterministic_count(self):
-        report = toffoli_capped(10, with_probabilities=False)
+        report = toffoli_capped(10)
         mean, std = expected_cost_monte_carlo(10, trials=64, seed=1,
                                               probabilities=[1.0, 1.0, 1.0])
         assert mean == report.toffoli_deterministic
@@ -338,7 +338,7 @@ class TestComparisonTable:
 class TestReportInvariants:
     @pytest.mark.parametrize("n", [5, 10, 20, 50, 100])
     def test_width_and_total_consistency(self, n):
-        report = toffoli_capped(n, with_probabilities=False)
+        report = toffoli_capped(n)
         assert report.width_qubits <= 2 * n + 5
         assert report.toffoli_deterministic == sum(
             rc.toffolis for rc in report.per_round)
