@@ -23,6 +23,7 @@ from .distill import DistillationOutcome, RoundRecord, symmetric_round
 from .errors import CapacityError, DegenerateInputError
 from .fourier import (
     StateVector,
+    _adopt,
     fidelity,
     pure_fourier_state,
     require_register_size,
@@ -69,13 +70,16 @@ def qvr_phase(s: StateVector, bit: int, truncate_bits: int) -> StateVector:
     if truncate_bits < 1:
         raise ValueError("truncate_bits must be positive")
     if 2 * s.n > 62:
-        # (y << bit) and the quantization shift must fit in int64
+        # y shifted left by up to n - 1 bits must fit in int64
         raise CapacityError("quantized phase arithmetic supports n <= 31")
-    N = s.dim
     t = min(truncate_bits, s.n)  # t >= n is already exact
-    y = np.arange(N, dtype=np.int64)
-    quantized = ((y << bit) % N) << t >> s.n
-    return StateVector(s.amps * np.exp(2j * np.pi * quantized / (1 << t)))
+    # the phase takes 2**t values: look them up instead of an exp per amplitude
+    table = np.exp(2j * np.pi * np.arange(1 << t) / (1 << t))
+    # top t bits of (y * 2**bit) mod N, as one shift and mask
+    y = np.arange(s.dim, dtype=np.int64)
+    shift = s.n - t - bit
+    quantized = (y >> shift if shift >= 0 else y << -shift) & ((1 << t) - 1)
+    return _adopt(StateVector, s.amps * table[quantized])
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import CapacityError, DegenerateInputError
 from .fourier import (
     StateVector,
+    _adopt,
     pure_fourier_state,
     require_register_size,
     spectrum_of,
@@ -303,7 +304,7 @@ def apply_circuit(circuit: GateCircuit, s: StateVector,
             psi /= math.sqrt(p_branch)
             probability *= p_branch
             outcomes[q] = bit
-    return CircuitRun(probability, StateVector(psi.ravel()), outcomes)
+    return CircuitRun(probability, _adopt(StateVector, psi.ravel()), outcomes)
 
 
 def basis_images(circuit: GateCircuit, indices) -> np.ndarray:
@@ -341,7 +342,7 @@ def extract_register(run_state: StateVector, layout: RegisterLayout) -> StateVec
     norm = math.sqrt(float(np.sum(np.abs(out) ** 2)))
     if norm < 1e-150:
         raise DegenerateInputError("register extraction hit a zero branch")
-    return StateVector(out / norm)
+    return _adopt(StateVector, out / norm)
 
 
 @dataclass(frozen=True)
@@ -371,16 +372,18 @@ def clone_fourier_state(n: int, source: StateVector, k: int | None = None) -> Cl
     if k is None:
         k = spectrum_of(source).dominant_index()
     N = 1 << n
-    blank = np.full(N, 1.0 / math.sqrt(N))
-    joint = np.kron(blank, source.amps)
-    permuted = np.empty_like(joint)
-    permuted[modular_add_oracle(n)] = joint
-    matrix = np.flip(permuted.reshape(N, N), axis=0)  # X on every first-register qubit
-    gamma = pure_fourier_state(n, k).amps
-    fid_first = float(np.sum(np.abs(gamma.conj() @ matrix) ** 2))
-    fid_second = float(np.sum(np.abs(matrix @ gamma.conj()) ** 2))
-    joint_fid = float(abs(gamma.conj() @ matrix @ gamma.conj()) ** 2)
-    return CloneResult(StateVector(matrix.ravel()), k, fid_first, fid_second, joint_fid)
+    images = modular_add_oracle(n)
+    images ^= (N - 1) << n  # then X on every first-register qubit: v -> N - 1 - v
+    # the blank register's amplitude is 1/sqrt(N) for every v, so row v of the
+    # joint state |blank>|source> is the scaled source
+    joint = np.empty(N * N, dtype=complex)
+    joint[images.reshape(N, N)] = source.amps * (1.0 / math.sqrt(N))
+    matrix = joint.reshape(N, N)
+    gamma = pure_fourier_state(n, k).amps.conj()
+    fid_first = float(np.sum(np.abs(gamma @ matrix) ** 2))
+    fid_second = float(np.sum(np.abs(matrix @ gamma) ** 2))
+    joint_fid = float(abs(gamma @ matrix @ gamma) ** 2)
+    return CloneResult(_adopt(StateVector, joint), k, fid_first, fid_second, joint_fid)
 
 
 def circuit_to_text(circuit: GateCircuit) -> str:

@@ -138,7 +138,7 @@ def cmd_simulate(a: argparse.Namespace):
         "fidelity_predicted": predicted.fidelity,
         "max_weight_diff": diff,
         "toffoli_circuit": circuit.toffoli_count,
-        "toffoli_formula": resources.adder_toffoli_count(a.n),
+        "toffoli_formula": resources.adder_toffoli_count(a.n) if a.n >= 3 else None,
         "adder_check": _adder_check_summary(a.n),
     }
     columns = ("n", "p_circuit", "p_predicted", "fidelity_circuit", "fidelity_predicted",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +32,14 @@ from .fourier import (
     FourierAmplitudes,
     FourierSpectrum,
     StateVector,
+    _adopt,
+    _reclaim,
+    _unitary_fft,
     approx_initial_state,
     fidelity_threshold,
     from_fourier_basis,
     log_fidelity_threshold,
     require_register_size,
-    to_fourier_basis,
 )
 
 NEG_INF = float("-inf")
@@ -219,7 +221,8 @@ def distill_pair(a, a2, target_k: int = 1) -> DistillationOutcome:
     amplitudes = isinstance(a, FourierAmplitudes)
     if amplitudes:
         product = a.coeffs * a2.coeffs
-        weights = np.abs(product) ** 2
+        weights = np.abs(product)
+        weights *= weights
     elif isinstance(a, FourierSpectrum):
         product = weights = a.weights * a2.weights
     else:
@@ -231,10 +234,12 @@ def distill_pair(a, a2, target_k: int = 1) -> DistillationOutcome:
     err = float(weights[:k].sum() + weights[k + 1:].sum()) / p
     del weights  # frees |product|**2 before the output is built
     if amplitudes:
-        out = FourierAmplitudes(product / math.sqrt(p))
+        product /= math.sqrt(p)
+        out = _adopt(FourierAmplitudes, product)
         fid = float(abs(out.coeffs[k]) ** 2)
     else:
-        out = FourierSpectrum(product / p)
+        product /= p
+        out = _adopt(FourierSpectrum, product)
         fid = float(out.weights[k])
     return DistillationOutcome(p, out, fid, err, math.log(err) if err > 0 else NEG_INF)
 
@@ -256,7 +261,8 @@ def repeated_symmetric(a: FourierSpectrum, r: int, target_k: int = 1) -> Fourier
         lw = np.log(a.weights) * (2.0 ** r)
     lw -= lw.max()
     w = np.exp(lw)
-    return FourierSpectrum(w / w.sum())
+    w /= w.sum()
+    return _adopt(FourierSpectrum, w)
 
 
 def extend_register(s: StateVector, n_new: int) -> StateVector:
@@ -267,7 +273,9 @@ def extend_register(s: StateVector, n_new: int) -> StateVector:
     if n_new == s.n:
         return s
     pad = 1 << (n_new - s.n)
-    return StateVector(np.kron(s.amps, np.full(pad, 1.0 / math.sqrt(pad))))
+    amps = np.repeat(s.amps, pad)
+    amps *= 1.0 / math.sqrt(pad)
+    return _adopt(StateVector, amps)
 
 
 def log_extension_kernel(n_coarse: int, n_fine: int, indices: Sequence[int],
@@ -456,7 +464,14 @@ class ProtocolResult:
     threshold: float
     log_threshold: float
     meets_threshold: bool
-    output_state: StateVector | None = field(default=None, repr=False)
+
+    @property
+    def output_state(self) -> StateVector | None:
+        """Final register state of the exact engine, rebuilt from the last
+        round's coefficients on each access; None for the sparse engine."""
+        if self.engine != "exact":
+            return None
+        return from_fourier_basis(self.final.output)
 
     @property
     def final_error(self) -> float:
@@ -475,6 +490,10 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
     postselection, so a single path is simulated: initial approximate state,
     then per round a symmetric distillation (coefficients squared, success
     probability recorded) with register extension between rounds.
+
+    Each vector is transformed in its own buffer, and the last round's
+    output stays in the Fourier basis (see ``ProtocolResult.output_state``),
+    so the peak holds about two and a half vectors of the final size.
     """
     schedule = plan_schedule(n, s0, pad)
     biggest = max(schedule.sizes)
@@ -487,19 +506,24 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
         ) from None
     state = approx_initial_state(schedule.sizes[0])
     records = []
-    outcome = None
-    for size in schedule.sizes:
+    last = schedule.rounds - 1  # by index: the last sizes may repeat
+    for i, size in enumerate(schedule.sizes):
         state = extend_register(state, size)
-        coeffs = to_fourier_basis(state)
+        coeffs = _adopt(FourierAmplitudes, _unitary_fft(_reclaim(state.amps)))
+        del state
         outcome = symmetric_round(coeffs, target_k=1)
+        del coeffs
         records.append(RoundRecord(size, outcome.p_success, outcome.fidelity,
                                    outcome.error, outcome.log_error))
-        state = from_fourier_basis(outcome.output)
+        if i < last:
+            state = _adopt(StateVector, _unitary_fft(_reclaim(outcome.output.coeffs),
+                                                     inverse=True))
+            del outcome
     threshold = fidelity_threshold(n)
     return ProtocolResult(
         n_target=n, engine="exact", schedule=schedule, rounds=tuple(records),
         final=outcome, threshold=threshold, log_threshold=log_fidelity_threshold(n),
-        meets_threshold=outcome.error <= threshold, output_state=state,
+        meets_threshold=outcome.error <= threshold,
     )
 
 

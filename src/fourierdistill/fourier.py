@@ -55,10 +55,36 @@ def _register_bits(length: int) -> int:
     return n
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = arr.copy()
-    arr.flags.writeable = False
+def _adopt(cls, arr: np.ndarray):
+    """``cls`` around an array the package has just built and holds alone.
+
+    The array is validated and frozen in place. The public constructors copy
+    instead, because their caller may still hold the array.
+    """
+    obj = object.__new__(cls)
+    obj._seal(arr)
+    return obj
+
+
+def _reclaim(arr: np.ndarray) -> np.ndarray:
+    """Writable again: the buffer of an object its caller built and now drops.
+
+    The exact engine uses it to transform each vector in its own buffer.
+    """
+    arr.flags.writeable = True
     return arr
+
+
+def _check_unit_norm(arr: np.ndarray, message: str) -> None:
+    _register_bits(len(arr))
+    norm = float(np.vdot(arr, arr).real)  # sum |arr|^2 without a temporary
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"{message} = {norm!r}")
+
+
+def _freeze(obj, name: str, arr: np.ndarray) -> None:
+    arr.flags.writeable = False
+    object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True)
@@ -68,12 +94,11 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        _register_bits(len(amps))
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: sum |amps|^2 = {norm!r}")
-        object.__setattr__(self, "amps", _frozen(amps))
+        self._seal(np.array(self.amps, dtype=complex))
+
+    def _seal(self, amps: np.ndarray) -> None:
+        _check_unit_norm(amps, "state not normalized: sum |amps|^2")
+        _freeze(self, "amps", amps)
 
     @property
     def n(self) -> int:
@@ -91,12 +116,11 @@ class FourierAmplitudes:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        _register_bits(len(coeffs))
-        norm = float(np.sum(np.abs(coeffs) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"coefficients not normalized: sum = {norm!r}")
-        object.__setattr__(self, "coeffs", _frozen(coeffs))
+        self._seal(np.array(self.coeffs, dtype=complex))
+
+    def _seal(self, coeffs: np.ndarray) -> None:
+        _check_unit_norm(coeffs, "coefficients not normalized: sum")
+        _freeze(self, "coeffs", coeffs)
 
     @property
     def n(self) -> int:
@@ -107,7 +131,9 @@ class FourierAmplitudes:
         return len(self.coeffs)
 
     def spectrum(self) -> "FourierSpectrum":
-        return FourierSpectrum(np.abs(self.coeffs) ** 2)
+        weights = np.abs(self.coeffs)
+        weights *= weights
+        return _adopt(FourierSpectrum, weights)
 
 
 @dataclass(frozen=True)
@@ -117,15 +143,17 @@ class FourierSpectrum:
     weights: np.ndarray
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
+        self._seal(np.array(self.weights, dtype=float))
+
+    def _seal(self, weights: np.ndarray) -> None:
         _register_bits(len(weights))
         if np.any(weights < -1e-12):
             raise ValueError("spectrum weights must be non-negative")
-        weights = np.clip(weights, 0.0, None)
+        np.clip(weights, 0.0, None, out=weights)
         total = float(weights.sum())
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"spectrum weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "weights", _frozen(weights))
+        _freeze(self, "weights", weights)
 
     @property
     def n(self) -> int:
@@ -149,7 +177,7 @@ def pure_fourier_state(n: int, k: int) -> StateVector:
     if not 0 <= k < N:
         k %= N
     y = np.arange(N)
-    return StateVector(np.exp(2j * np.pi * k * y / N) / math.sqrt(N))
+    return _adopt(StateVector, np.exp(2j * np.pi * k * y / N) / math.sqrt(N))
 
 
 def rotation_angles(n: int, k: int) -> np.ndarray:
@@ -177,7 +205,7 @@ def approx_initial_state(n: int) -> StateVector:
     require_register_size(n)
     N = 1 << n
     quarter_phases = np.array([1, 1j, -1, -1j])
-    return StateVector(np.repeat(quarter_phases, N // 4) / math.sqrt(N))
+    return _adopt(StateVector, np.repeat(quarter_phases, N // 4) / math.sqrt(N))
 
 
 @dataclass(frozen=True)
@@ -203,21 +231,37 @@ def phase_staircase_state(spec: PhaseFunctionSpec) -> StateVector:
     require_register_size(n)
     N = 1 << n
     q = (np.arange(N) << b) >> n
-    return StateVector(np.exp(2j * np.pi * q / (1 << b)) / math.sqrt(N))
+    return _adopt(StateVector, np.exp(2j * np.pi * q / (1 << b)) / math.sqrt(N))
 
 
 def to_fourier_basis(s: StateVector) -> FourierAmplitudes:
     """Expand a state over the orthonormal Fourier-state basis.
 
     coeffs[j] = <fourier_j | s>, i.e. the forward transform with negative
-    exponent, computed by FFT.
+    exponent, computed by FFT into one new array.
     """
-    return FourierAmplitudes(np.fft.fft(s.amps) / math.sqrt(s.dim))
+    return _adopt(FourierAmplitudes, _unitary_fft(np.array(s.amps)))
 
 
 def from_fourier_basis(a: FourierAmplitudes) -> StateVector:
     """Exact inverse of :func:`to_fourier_basis`."""
-    return StateVector(np.fft.ifft(a.coeffs) * math.sqrt(a.dim))
+    return _adopt(StateVector, _unitary_fft(np.array(a.coeffs), inverse=True))
+
+
+def _unitary_fft(buf: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Unitary FFT of a writable complex array, in place; returns ``buf``.
+
+    ``np.fft.fft(a, out=a)`` gives the bits of ``np.fft.fft(a)`` without a
+    second vector, and the scaling is the same division (or product) as the
+    out-of-place ``fft(a) / sqrt(N)`` and ``ifft(a) * sqrt(N)``.
+    """
+    if inverse:
+        np.fft.ifft(buf, out=buf)
+        buf *= math.sqrt(len(buf))
+    else:
+        np.fft.fft(buf, out=buf)
+        buf /= math.sqrt(len(buf))
+    return buf
 
 
 def spectrum_of(s: StateVector) -> FourierSpectrum:
@@ -310,7 +354,8 @@ def alias_fold(n: int, series: Callable[[int], complex], j_max: int) -> tuple[Fo
     norm = math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
     if norm < 1e-150:
         raise ValueError("series is zero on the truncation window")
-    return FourierAmplitudes(coeffs / norm), tail_mass
+    coeffs /= norm
+    return _adopt(FourierAmplitudes, coeffs), tail_mass
 
 
 def fidelity(s: StateVector, n: int, k: int) -> float:

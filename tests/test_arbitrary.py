@@ -17,6 +17,7 @@ from fourierdistill import (
     spectrum_of,
     transform_cost,
 )
+from oracles import distill_k_reference
 
 
 class TestKTarget:
@@ -145,6 +146,27 @@ class TestDistillK:
     def test_validation(self):
         with pytest.raises(ValueError):
             distill_k(8, 5, rounds=0)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("n,k", [(8, 5), (12, 2731)])
+    def test_distill_k_matches_direct_form(self, n, k):
+        result = distill_k(n, k, rounds=3)
+        initial, trace = distill_k_reference(n, k, rounds=3)
+        assert result.initial_fidelity == initial
+        assert [(r.p_success, r.fidelity, r.error, r.log_error)
+                for r in result.trace] == trace
+
+    def test_phase_lookup_matches_exp_per_amplitude(self):
+        for n in range(1, 9):
+            N = 1 << n
+            y = np.arange(N, dtype=np.int64)
+            s = pure_fourier_state(n, 0)
+            for b in range(n):
+                for t in range(1, n + 2):
+                    q = ((y << b) % N) << min(t, n) >> n
+                    direct = s.amps * np.exp(2j * np.pi * q / (1 << min(t, n)))
+                    assert np.array_equal(qvr_phase(s, b, t).amps, direct), (n, b, t)
 
 
 class TestTransformNote:

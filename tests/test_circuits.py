@@ -1,5 +1,6 @@
 """Tests for gate-level circuits: adders, distillation, cloning, application."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,6 +397,16 @@ class TestClone:
         assert 0 < result.fidelity_first <= 1
         # cloning cannot purify: the source fidelity upper-bounds the joint
         assert result.joint_fidelity <= fidelity(approx_initial_state(5), 5, 1) + 1e-9
+
+    def test_peak_memory_in_joint_vectors(self):
+        source = pure_fourier_state(9, 1)
+        tracemalloc.start()
+        try:
+            clone_fourier_state(9, source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (16 << 18)  # one joint vector is 2**18 complex values
 
     def test_matches_gate_level_route_n3(self):
         # oracle-based clone agrees with running the adder circuit on

@@ -162,13 +162,25 @@ class TestSimulateCommand:
         code, _, _ = run_cli(capsys, "simulate", "--n", "9")
         assert code == 3
 
+    def test_n2_has_no_adder_formula(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--n", "2")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["toffoli_formula"] is None
+        assert obj["p_circuit"] == pytest.approx(1.0, abs=1e-12)
+        code, out, _ = run_cli(capsys, "simulate", "--n", "2", "--format", "csv")
+        assert code == 0
+        header, row = out.strip().split("\n")
+        assert row.split(",")[header.split(",").index("toffoli_formula")] == ""
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_adder_check_is_exhaustive(self, n):
-        # below n = 3 simulate refuses: the adder cost formula needs n >= 3
+        # simulate has no approximate input state at n = 1; from n = 2 on it
+        # also reports this check (test_adder_check_reported)
         assert _adder_check_summary(n) == {
             "mode": "exhaustive", "basis_states": 4 ** n, "matches": 4 ** n}
 
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_adder_check_reported(self, capsys, n):
         code, out, _ = run_cli(capsys, "simulate", "--n", str(n))
         assert code == 0

@@ -6,6 +6,7 @@ before this module existed.
 """
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -43,6 +44,7 @@ from fourierdistill import (
 )
 from fourierdistill.cli import main
 from fourierdistill.distill import _signed_index, log_extension_kernel
+from oracles import exact_protocol_reference
 
 
 def kernel_weights(n_coarse, n_fine, j, m):
@@ -450,6 +452,26 @@ class TestRunProtocolExact:
         final_size = result.schedule.sizes[-1]
         assert fidelity(result.output_state, final_size, 1) == pytest.approx(
             result.final.fidelity, abs=1e-12)
+
+    # n = 16 repeats its last size (18, 18), so the inverse FFT between the
+    # two last rounds must still run
+    @pytest.mark.parametrize("n", [6, 10, 12, 16])
+    def test_rounds_bit_identical_to_direct_form(self, n):
+        result = run_protocol_exact(n)
+        rounds = [(r.size, r.p_success, r.fidelity, r.error, r.log_error)
+                  for r in result.rounds]
+        assert rounds == exact_protocol_reference(n)
+
+    def test_peak_memory_in_final_size_vectors(self):
+        tracemalloc.start()
+        try:
+            result = run_protocol_exact(16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vector = 16 << max(result.schedule.sizes)  # bytes of one complex vector
+        assert max(result.schedule.sizes) == 18
+        assert peak <= 4.5 * vector
 
 
 class TestRunProtocolSparse:

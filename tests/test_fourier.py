@@ -322,6 +322,22 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError):
             s.amps[0] = 0.0
 
+    @pytest.mark.parametrize("cls,field,dtype,value", [
+        (StateVector, "amps", complex, 0.5),
+        (FourierAmplitudes, "coeffs", complex, 0.5),
+        (FourierSpectrum, "weights", float, 0.25),
+    ])
+    def test_constructor_does_not_alias_the_callers_array(self, cls, field, dtype, value):
+        mine = np.full(4, value, dtype=dtype)
+        obj = cls(mine)
+        mine[0] = 0.0
+        stored = getattr(obj, field)
+        assert np.array_equal(stored, np.full(4, value))
+        assert mine.flags.writeable
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0] = 0.0
+
     def test_amplitude_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", "4")
         with pytest.raises(CapacityError):
