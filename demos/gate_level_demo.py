@@ -16,7 +16,6 @@ from fourierdistill import (
     clone_fourier_state,
     distill_pair,
     extract_register,
-    fidelity,
     pure_fourier_state,
     spectrum_of,
 )
@@ -44,7 +43,7 @@ print(f"  circuit success probability  {run.probability:.12f}")
 print(f"  spectral prediction          {predicted.p_success:.12f}")
 
 output = extract_register(run.state, layout)
-print(f"  output fidelity (circuit)    {fidelity(output, n, 1):.12f}")
+print(f"  output fidelity (circuit)    {spectrum_of(output).weight(1):.12f}")
 print(f"  output fidelity (predicted)  {predicted.fidelity:.12f}")
 
 print()

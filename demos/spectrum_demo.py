@@ -11,7 +11,6 @@ import math
 from fourierdistill import (
     alias_fold,
     approx_initial_state,
-    fidelity,
     initial_state_weight,
     series_coefficient,
     series_weight,
@@ -44,6 +43,6 @@ print("   exactly on sample points, where a series converges to midpoints)")
 print()
 print("Fidelity of the approximate state with the ideal Fourier state:")
 for n in (4, 6, 8, 12, 16):
-    f = fidelity(approx_initial_state(n), n, 1)
+    f = spectrum_of(approx_initial_state(n)).weight(1)
     print(f"  n={n:2d}: {f:.9f}")
 print(f"  limit 8/pi^2 = {8 / math.pi ** 2:.9f}; never below 0.81")

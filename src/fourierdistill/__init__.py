@@ -3,7 +3,6 @@ gate-level circuits, and fault-tolerant resource accounting."""
 
 from .arbitrary import (
     KDistillationResult,
-    KTarget,
     PreparedKState,
     default_truncate_bits,
     distill_k,
@@ -20,7 +19,6 @@ from .circuits import (
     approx_state_circuit,
     basis_images,
     build_adder_circuit,
-    build_constant_adder_circuit,
     build_distillation_circuit,
     circuit_to_text,
     clone_fourier_state,
@@ -37,9 +35,7 @@ from .distill import (
     extend_register,
     initial_sparse_spectrum,
     plan_schedule,
-    repeated_symmetric,
     rounds_required,
-    rounds_required_simplified,
     run_protocol_exact,
     run_protocol_sparse,
     sparse_extend,
@@ -50,18 +46,14 @@ from .errors import CapacityError, DegenerateInputError, PrecisionWarning
 from .fourier import (
     FourierAmplitudes,
     FourierSpectrum,
-    PhaseFunctionSpec,
     StateVector,
     alias_fold,
     amplitude_cap,
     approx_initial_state,
-    fidelity,
     fidelity_threshold,
     from_fourier_basis,
     initial_state_weight,
-    phase_staircase_state,
     pure_fourier_state,
-    rotation_angles,
     series_coefficient,
     series_weight,
     spectrum_of,
@@ -73,16 +65,13 @@ from .resources import (
     adder_toffoli_count,
     comparison_table,
     epsilon_f_kickback,
-    epsilon_f_kickback_approx,
     expected_cost_monte_carlo,
     expected_cost_recursion,
     full_resource_report,
-    kickback_rotation_cost,
     t_sequence_cost,
     t_sequence_cost_bits,
     toffoli_capped,
     toffoli_closed_form,
-    toffoli_sum_direct,
     transform_cost,
 )
 

@@ -22,32 +22,14 @@ import numpy as np
 from .distill import DistillationOutcome, RoundRecord, symmetric_round
 from .errors import CapacityError, DegenerateInputError
 from .fourier import (
+    FourierSpectrum,
     StateVector,
     _adopt,
-    fidelity,
     pure_fourier_state,
     require_register_size,
     spectrum_of,
 )
 from .resources import adder_toffoli_count
-
-
-@dataclass(frozen=True)
-class KTarget:
-    """Target Fourier index with its binary decomposition."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        object.__setattr__(self, "k", self.k % (1 << self.n))
-
-    @property
-    def one_bits(self) -> tuple[int, ...]:
-        """Set bit positions of k, as powers of two (bit 0 = least significant)."""
-        return tuple(b for b in range(self.n) if (self.k >> b) & 1)
 
 
 def default_truncate_bits(n: int) -> int:
@@ -87,24 +69,27 @@ class PreparedKState:
     """QVR-prepared approximation of the index-k Fourier state."""
 
     state: StateVector
+    spectrum: FourierSpectrum
     n: int
     k: int
     truncate_bits: int
-    fidelity: float
+
+    @property
+    def fidelity(self) -> float:
+        """Overlap with the index-k Fourier state: the spectrum's weight at k."""
+        return self.spectrum.weight(self.k)
 
 
 def prepare_approx_k(n: int, k: int, truncate_bits: int | None = None) -> PreparedKState:
     """Build the approximate index-k state by QVR over the set bits of k."""
     require_register_size(n)
-    target = KTarget(n, k)
+    k %= 1 << n
     t = default_truncate_bits(n) if truncate_bits is None else truncate_bits
     state = pure_fourier_state(n, 0)
-    for b in target.one_bits:
-        state = qvr_phase(state, b, t)
-    return PreparedKState(
-        state=state, n=n, k=target.k, truncate_bits=t,
-        fidelity=fidelity(state, n, target.k),
-    )
+    for b in range(n):
+        if (k >> b) & 1:
+            state = qvr_phase(state, b, t)
+    return PreparedKState(state, spectrum_of(state), n, k, t)
 
 
 @dataclass(frozen=True)
@@ -134,7 +119,7 @@ def distill_k(n: int, k: int, rounds: int,
     if rounds < 1:
         raise ValueError("rounds must be positive")
     prep = prepare_approx_k(n, k, truncate_bits)
-    spectrum = spectrum_of(prep.state)
+    spectrum = prep.spectrum
     dominant = spectrum.dominant_index()
     if dominant != prep.k:
         raise DegenerateInputError(

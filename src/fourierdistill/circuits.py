@@ -88,10 +88,6 @@ class GateCircuit:
     def toffoli_count(self) -> int:
         return self.counts.get("TOFFOLI", 0)
 
-    @property
-    def measured_qubits(self) -> tuple[int, ...]:
-        return tuple(g.qubits[0] for g in self.gates if g.name == "MEASURE_Z")
-
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -171,45 +167,6 @@ def build_adder_circuit(n: int) -> tuple[GateCircuit, RegisterLayout]:
             gates.append(Gate("CNOT", (a, c)))
             gates.append(Gate("CNOT", (c, b)))
     return GateCircuit(2 * n + 1, tuple(gates)), layout
-
-
-def build_constant_adder_circuit(n: int, addend: int) -> tuple[GateCircuit, RegisterLayout]:
-    """Known-addend adder: register += addend mod 2**n, n - 2 Toffolis.
-
-    With one addend classical, half the Toffolis of the in-place adder
-    short-circuit into Clifford gates: the carry into position i + 1 is
-    majority(addend_i, w_i, carry_i), which needs one Toffoli when the
-    addend bit is set or clear plus CNOTs, and position 0 needs none.  This
-    is the adder phase kickback uses, so a rotation accurate to p bits costs
-    p - 1 Toffolis on a (p + 1)-qubit Fourier register.
-
-    Layout: register on qubits [0, n), carry ancillas for positions 1..n-1
-    on [n, 2n - 1).  Carries are left computed (dirty); uncomputing them is
-    a measurement-based Clifford fixup and adds no Toffoli gates.
-    """
-    if n < 3:
-        raise ValueError("constant adder needs n >= 3")
-    addend %= 1 << n
-    layout = RegisterLayout(range(0, n), range(n, n), range(n, 2 * n - 1))
-    qw = lambda i: n - 1 - i          # register bit i (LSB = 0)
-    qc = lambda i: n + i - 1          # carry into position i, for i >= 1
-    bit = lambda i: (addend >> i) & 1
-    gates: list[Gate] = []
-    # forward carry chain from the original register bits
-    if bit(0):
-        gates.append(Gate("CNOT", (qw(0), qc(1))))
-    for i in range(1, n - 1):
-        gates.append(Gate("TOFFOLI", (qw(i), qc(i), qc(i + 1))))
-        if bit(i):
-            gates.append(Gate("CNOT", (qw(i), qc(i + 1))))
-            gates.append(Gate("CNOT", (qc(i), qc(i + 1))))
-    # sum bits: w_i ^= addend_i ^ carry_i
-    for i in range(n):
-        if bit(i):
-            gates.append(Gate("X", (qw(i),)))
-        if i >= 1:
-            gates.append(Gate("CNOT", (qc(i), qw(i))))
-    return GateCircuit(2 * n - 1, tuple(gates)), layout
 
 
 def build_distillation_circuit(n: int) -> tuple[GateCircuit, RegisterLayout]:

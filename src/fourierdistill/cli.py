@@ -100,6 +100,7 @@ def cmd_distill(a: argparse.Namespace):
         "final_error": result.final_error,
         "final_log2_error": (result.final_log_error / math.log(2.0)
                              if result.final_log_error != distill.NEG_INF else None),
+        "log2_threshold": result.log_threshold / math.log(2.0),
         "threshold": result.threshold,
         "meets_threshold": result.meets_threshold,
     }
@@ -120,14 +121,17 @@ def cmd_simulate(a: argparse.Namespace):
     if a.n > 8:
         raise CapacityError("gate-level simulation is limited to n <= 8 "
                             "(two registers plus ancilla)")
-    inp = fourier.approx_initial_state(a.n)
-    joint = np.kron(np.kron(inp.amps, inp.amps), np.array([1.0, 0.0]))
+    prep = circuits.approx_state_circuit(a.n)  # Clifford preparation from |0...0>
+    zeros = fourier.StateVector(np.eye(1, 1 << a.n, dtype=complex)[0])
+    inp = circuits.apply_circuit(prep, zeros).state.amps
+    joint = np.kron(np.kron(inp, inp), np.array([1.0, 0.0]))
     circuit, layout = circuits.build_distillation_circuit(a.n)
     run = circuits.apply_circuit(circuit, fourier.StateVector(joint),
                                  postselect={q: 0 for q in layout.first})
     output = circuits.extract_register(run.state, layout)
     circuit_weights = fourier.spectrum_of(output)
-    predicted = distill.symmetric_round(fourier.spectrum_of(inp), target_k=1)
+    predicted = distill.symmetric_round(
+        fourier.spectrum_of(fourier.approx_initial_state(a.n)), target_k=1)
     diff = float(np.max(np.abs(circuit_weights.weights - predicted.output.weights)))
     payload = {
         "command": "simulate",

@@ -249,22 +249,6 @@ def symmetric_round(a, target_k: int = 1) -> DistillationOutcome:
     return distill_pair(a, a, target_k)
 
 
-def repeated_symmetric(a: FourierSpectrum, r: int, target_k: int = 1) -> FourierSpectrum:
-    """Spectrum after r successful symmetric rounds at fixed register size.
-
-    Each weight is raised to the power 2**r and the result renormalized;
-    computed in log space so large r cannot underflow intermediate values.
-    """
-    if r < 1:
-        raise ValueError("round count must be positive")
-    with np.errstate(divide="ignore"):
-        lw = np.log(a.weights) * (2.0 ** r)
-    lw -= lw.max()
-    w = np.exp(lw)
-    w /= w.sum()
-    return _adopt(FourierSpectrum, w)
-
-
 def extend_register(s: StateVector, n_new: int) -> StateVector:
     """Append |+> qubits on the least significant side up to n_new qubits."""
     if n_new < s.n:
@@ -406,17 +390,6 @@ def rounds_required(n: int) -> int:
     return max(1, math.ceil(math.log2(arg)))
 
 
-def rounds_required_simplified(n: int) -> int:
-    """Constant-folded version ceil(log2(0.63 n - 1.04)) of the round count.
-
-    Agrees with :func:`rounds_required` except where the argument lands on a
-    power of two (n = 8 in [6, 100]).
-    """
-    if n < 4:
-        raise ValueError("simplified round count needs 0.63*n - 1.04 > 1")
-    return math.ceil(math.log2(0.63 * n - 1.04))
-
-
 def plan_schedule(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> ProtocolSchedule:
     """Round sizes for target precision n: doubling capped at n + pad.
 
@@ -461,9 +434,19 @@ class ProtocolResult:
     schedule: ProtocolSchedule
     rounds: tuple[RoundRecord, ...]
     final: DistillationOutcome
-    threshold: float
-    log_threshold: float
-    meets_threshold: bool
+
+    @property
+    def threshold(self) -> float:
+        return fidelity_threshold(self.n_target)
+
+    @property
+    def log_threshold(self) -> float:
+        return log_fidelity_threshold(self.n_target)
+
+    @property
+    def meets_threshold(self) -> bool:
+        """Judged in log space, which resolves errors below the smallest double."""
+        return self.final.log_error <= self.log_threshold
 
     @property
     def output_state(self) -> StateVector | None:
@@ -519,12 +502,7 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
             state = _adopt(StateVector, _unitary_fft(_reclaim(outcome.output.coeffs),
                                                      inverse=True))
             del outcome
-    threshold = fidelity_threshold(n)
-    return ProtocolResult(
-        n_target=n, engine="exact", schedule=schedule, rounds=tuple(records),
-        final=outcome, threshold=threshold, log_threshold=log_fidelity_threshold(n),
-        meets_threshold=outcome.error <= threshold,
-    )
+    return ProtocolResult(n, "exact", schedule, tuple(records), outcome)
 
 
 def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
@@ -546,17 +524,12 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
         records.append(RoundRecord(size, outcome.p_success, outcome.fidelity,
                                    outcome.error, outcome.log_error))
         sp = outcome.output
-    log_threshold = log_fidelity_threshold(n)
-    if sp.log_tail > log_threshold + math.log(1e-3):
+    if sp.log_tail > log_fidelity_threshold(n) + math.log(1e-3):
         warnings.warn(
             f"truncation tail bound exp({sp.log_tail:.2f}) is not negligible "
             f"against the error target for n={n}; raise max_harmonics",
             PrecisionWarning,
             stacklevel=2,
         )
-    return ProtocolResult(
-        n_target=n, engine="sparse", schedule=schedule, rounds=tuple(records),
-        final=outcome, threshold=fidelity_threshold(n), log_threshold=log_threshold,
-        meets_threshold=outcome.log_error <= log_threshold,
-    )
+    return ProtocolResult(n, "sparse", schedule, tuple(records), outcome)
 

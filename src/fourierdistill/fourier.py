@@ -180,19 +180,6 @@ def pure_fourier_state(n: int, k: int) -> StateVector:
     return _adopt(StateVector, np.exp(2j * np.pi * k * y / N) / math.sqrt(N))
 
 
-def rotation_angles(n: int, k: int) -> np.ndarray:
-    """Per-qubit rotation arguments phi[m] = k / 2**m for the product form.
-
-    Written as a product of single-qubit states, Fourier state k applies the
-    rotation diag(1, exp(i*pi*phi[m])) to qubit m on top of |+>, with qubit 0
-    the most significant.  phi[0] = k gives the Z-like rotation on the top
-    qubit, phi[1] = k/2 the S-like rotation, and so on.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return k / np.exp2(np.arange(n))
-
-
 def approx_initial_state(n: int) -> StateVector:
     """Clifford-only approximation of the fundamental (k=1) Fourier state.
 
@@ -206,32 +193,6 @@ def approx_initial_state(n: int) -> StateVector:
     N = 1 << n
     quarter_phases = np.array([1, 1j, -1, -1j])
     return _adopt(StateVector, np.repeat(quarter_phases, N // 4) / math.sqrt(N))
-
-
-@dataclass(frozen=True)
-class PhaseFunctionSpec:
-    """Staircase phase model: resolution_bits samples, phase_bits of phase.
-
-    phase_bits = 2 reproduces the Z,S-only approximate initial state.
-    """
-
-    resolution_bits: int
-    phase_bits: int
-
-    def __post_init__(self):
-        if self.resolution_bits < 1 or self.phase_bits < 1:
-            raise ValueError("resolution_bits and phase_bits must be positive")
-        if self.phase_bits > self.resolution_bits:
-            raise ValueError("phase_bits cannot exceed resolution_bits")
-
-
-def phase_staircase_state(spec: PhaseFunctionSpec) -> StateVector:
-    """State whose amplitude at |y> is exp(2*pi*i * floor(2**b * y/N) / 2**b)."""
-    n, b = spec.resolution_bits, spec.phase_bits
-    require_register_size(n)
-    N = 1 << n
-    q = (np.arange(N) << b) >> n
-    return _adopt(StateVector, np.exp(2j * np.pi * q / (1 << b)) / math.sqrt(N))
 
 
 def to_fourier_basis(s: StateVector) -> FourierAmplitudes:
@@ -356,16 +317,6 @@ def alias_fold(n: int, series: Callable[[int], complex], j_max: int) -> tuple[Fo
         raise ValueError("series is zero on the truncation window")
     coeffs /= norm
     return _adopt(FourierAmplitudes, coeffs), tail_mass
-
-
-def fidelity(s: StateVector, n: int, k: int) -> float:
-    """Squared overlap of a state with the pure Fourier state of index k."""
-    if s.n != n:
-        raise ValueError(f"dimension mismatch: state has n={s.n}, expected {n}")
-    N = s.dim
-    y = np.arange(N)
-    overlap = np.sum(np.exp(-2j * np.pi * (k % N) * y / N) * s.amps) / math.sqrt(N)
-    return float(abs(overlap) ** 2)
 
 
 def fidelity_threshold(n: int) -> float:

@@ -63,22 +63,6 @@ def toffoli_closed_form(R: int, s: int) -> int:
     return (1 << (R + 1)) * R * s - (1 << (R + 2)) + 4
 
 
-def toffoli_sum_direct(R: int, s: int) -> int:
-    """Defining sum of the closed form: round r holds 2**(R-r) adders of
-    2**(r+1)*s - 4 Toffolis each.
-
-    This uncapped doubling accounting sizes round r at 2**r * s qubits (one
-    doubling ahead of the capped schedule, which enters round one at s0
-    qubits); this discrepancy between the two accountings is deliberate and
-    surfaced, not reconciled away.
-    """
-    if R < 1:
-        raise ValueError("R must be at least 1")
-    if s < 3:
-        raise ValueError("s must be at least 3")
-    return sum((1 << (R - r)) * ((1 << (r + 1)) * s - 4) for r in range(1, R + 1))
-
-
 @dataclass(frozen=True)
 class RoundCost:
     """Cost line of one protocol round."""
@@ -106,7 +90,6 @@ class ResourceReport:
     per_round: tuple[RoundCost, ...]
     toffoli_deterministic: int
     width_qubits: int
-    adder_ancillas: int = 1
     toffoli_expected_mean: float | None = None
     toffoli_expected_std: float | None = None
     trials: int = 0
@@ -232,47 +215,6 @@ def full_resource_report(n: int, trials: int = 0, seed: int | None = None,
 # Rotation-gate comparison: phase kickback vs T-gate approximation sequences.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KickbackCost:
-    """Non-Clifford cost of one phase-kickback rotation to p bits."""
-
-    precision_bits: int
-    toffolis: int
-    fourier_qubits: int
-    carry_ancillas: int
-    control_ancillas: int = 0
-
-    @property
-    def total_ancillas(self) -> int:
-        """All qubits beyond the data qubit: Fourier register plus carries."""
-        return self.fourier_qubits + self.carry_ancillas + self.control_ancillas
-
-
-def kickback_rotation_cost(p: int, controls: int = 0) -> KickbackCost:
-    """Cost of a p-bit kickback rotation: p - 1 Toffolis on a (p+1)-qubit
-    Fourier register with p carry ancillas (known-addend adder, half the
-    Toffolis short-circuited into Cliffords).
-
-    Each additional control adds one Toffoli and one ancilla.
-    """
-    if p < 2:
-        raise ValueError("precision must be at least 2 bits")
-    if controls < 0:
-        raise ValueError("controls must be non-negative")
-    return KickbackCost(
-        precision_bits=p,
-        toffolis=p - 1 + controls,
-        fourier_qubits=p + 1,
-        carry_ancillas=p,
-        control_ancillas=controls,
-    )
-
-
-def _require_precision_bits(p: int) -> None:
-    if not 1 <= p <= 1022:  # eps_f ~ 2**-p stays a normal double
-        raise ValueError(f"p must lie in 1..1022 (eps_f ~ 2**-p in double range), got {p}")
-
-
 def epsilon_f_kickback(p: int) -> float:
     """Trace-overlap gate error of a kickback rotation truncated to p bits.
 
@@ -280,14 +222,9 @@ def epsilon_f_kickback(p: int) -> float:
     half-angle identity as sqrt(2)*sin(pi/2**(p+2)) so that large p suffers
     no cancellation.
     """
-    _require_precision_bits(p)
+    if not 1 <= p <= 1022:  # eps_f ~ 2**-p stays a normal double
+        raise ValueError(f"p must lie in 1..1022 (eps_f ~ 2**-p in double range), got {p}")
     return math.sqrt(2.0) * math.sin(math.ldexp(math.pi, -(p + 2)))
-
-
-def epsilon_f_kickback_approx(p: int) -> float:
-    """Small-angle form (pi/2**p)/sqrt(8); four significant figures at p >= 6."""
-    _require_precision_bits(p)
-    return math.ldexp(math.pi, -p) / math.sqrt(8.0)
 
 
 def t_sequence_cost(eps_f: float) -> float:
@@ -343,19 +280,25 @@ class ComparisonRow:
 
 
 def comparison_table(p_values) -> list[ComparisonRow]:
-    """Comparison rows for each precision p in p_values (each p >= 2)."""
+    """Comparison rows for each precision p in p_values (each p >= 2).
+
+    A p-bit kickback rotation adds a known angle into a (p + 1)-qubit Fourier
+    register.  The classical addend turns half the adder's Toffolis into
+    Cliffords, leaving p - 1, and its p carries make 2p + 1 ancillas in all.
+    """
     rows = []
     for p in p_values:
+        if p < 2:
+            raise ValueError(f"kickback rotation needs p >= 2 bits, got p={p}")
         eps = epsilon_f_kickback(p)
-        kb = kickback_rotation_cost(p)
         rows.append(ComparisonRow(
             p=p,
             eps_f=eps,
             log2_inv_eps_f=math.log2(1.0 / eps),
             t_gates_bit_form=t_sequence_cost_bits(p),
             t_gates_from_eps=t_sequence_cost(eps),
-            kickback_toffolis=kb.toffolis,
-            kickback_ancillas=kb.total_ancillas,
+            kickback_toffolis=p - 1,
+            kickback_ancillas=2 * p + 1,
         ))
     return rows
 

@@ -15,21 +15,17 @@ from fourierdistill import (
     build_adder_circuit,
     build_distillation_circuit,
     clone_fourier_state,
+    comparison_table,
     distill_k,
     distill_pair,
     epsilon_f_kickback,
-    epsilon_f_kickback_approx,
     expected_cost_monte_carlo,
     extract_register,
-    fidelity,
-    kickback_rotation_cost,
     modular_add_oracle,
     plan_schedule,
     prepare_approx_k,
     pure_fourier_state,
-    repeated_symmetric,
     rounds_required,
-    rounds_required_simplified,
     run_protocol_exact,
     run_protocol_sparse,
     series_weight,
@@ -37,11 +33,16 @@ from fourierdistill import (
     symmetric_round,
     t_sequence_cost_bits,
     toffoli_closed_form,
-    toffoli_sum_direct,
     transform_cost,
     StateVector,
 )
-from oracles import apply_permutation
+from oracles import (
+    apply_permutation,
+    epsilon_f_kickback_approx,
+    fidelity,
+    rounds_required_simplified,
+    toffoli_sum_direct,
+)
 
 
 def _report(num, text):
@@ -109,7 +110,8 @@ def test_criterion_05_gate_level_matches_spectral():
 def test_criterion_06_error_suppression_law():
     w = spectrum_of(approx_initial_state(16))
     for r in (1, 2, 3):
-        eps = 1.0 - repeated_symmetric(w, r).weight(1)
+        w = symmetric_round(w).output
+        eps = 1.0 - w.weight(1)
         law = 9.0 ** -(2 ** r)
         assert law / 2 < eps < law * 2, f"r={r}: {eps} vs {law}"
     _report(6, "full-width errors at n=16 within factor 2 of 9^(-2^r), r=1..3")
@@ -171,7 +173,7 @@ def test_criterion_11_rotation_comparison():
         assert abs(offset - 0.15) <= 0.01, f"p={p}: offset {offset}"
         rel = abs(eps - epsilon_f_kickback_approx(p)) / eps
         assert rel < 5e-4, f"p={p}: approximation off at 4 significant figures"
-    assert kickback_rotation_cost(10).toffolis == 9
+    assert comparison_table([10])[0].kickback_toffolis == 9
     assert t_sequence_cost_bits(10) == pytest.approx(25.65)
     _report(11, "log2(1/eps_F) = p - 0.15 within 0.01 and 4-digit agreement on "
                 "p in [6,40]; kickback p-1 Toffolis vs 3.21p - 6.45 T gates")

@@ -6,10 +6,8 @@ import pytest
 
 from fourierdistill import (
     DegenerateInputError,
-    KTarget,
     default_truncate_bits,
     distill_k,
-    fidelity,
     prepare_approx_k,
     pure_fourier_state,
     qvr_phase,
@@ -17,17 +15,7 @@ from fourierdistill import (
     spectrum_of,
     transform_cost,
 )
-from oracles import distill_k_reference
-
-
-class TestKTarget:
-    def test_one_bits(self):
-        assert KTarget(8, 5).one_bits == (0, 2)
-        assert KTarget(8, 0).one_bits == ()
-        assert KTarget(4, 15).one_bits == (0, 1, 2, 3)
-
-    def test_k_reduced_mod_dimension(self):
-        assert KTarget(3, 9).k == 1
+from oracles import distill_k_reference, fidelity
 
 
 class TestQvrPhase:
@@ -94,6 +82,11 @@ class TestPrepareApproxK:
             prep = prepare_approx_k(n, k)
             assert prep.fidelity > 0.5
 
+    def test_k_reduced_mod_dimension(self):
+        prep = prepare_approx_k(3, 9)
+        assert prep.k == 1
+        np.testing.assert_array_equal(prep.state.amps, prepare_approx_k(3, 1).state.amps)
+
     def test_default_truncate_bits(self):
         assert default_truncate_bits(8) == 5
         assert default_truncate_bits(100) == 9
@@ -156,6 +149,13 @@ class TestBitIdentity:
         assert result.initial_fidelity == initial
         assert [(r.p_success, r.fidelity, r.error, r.log_error)
                 for r in result.trace] == trace
+
+    # (20, 292252) is the benchmark's arbitrary-k job at seed 1
+    @pytest.mark.parametrize("n,k", [(8, 5), (12, 2731), (20, 292252)])
+    def test_initial_fidelity_matches_direct_overlap(self, n, k):
+        # distill_k reports this prepared fidelity as its initial_fidelity
+        prep = prepare_approx_k(n, k)
+        assert prep.fidelity == pytest.approx(fidelity(prep.state, n, k), rel=1e-14)
 
     def test_phase_lookup_matches_exp_per_amplitude(self):
         for n in range(1, 9):

@@ -103,6 +103,7 @@ class TestDistillCommand:
         obj = json.loads(out)
         assert obj["meets_threshold"] is True
         assert obj["final_error"] <= math.sin(math.pi / 2 ** 10) ** 2
+        assert obj["final_log2_error"] <= obj["log2_threshold"]
         assert [r["size"] for r in obj["rounds"]] == [5, 10, 12]
         assert all("p_success" in r for r in obj["rounds"])
 
@@ -131,6 +132,9 @@ class TestDistillCommand:
         assert code == 0
         obj = json.loads(out)
         assert obj["threshold"] == 0.0
+        # the log form stays readable and decides meets_threshold
+        assert obj["log2_threshold"] == pytest.approx(2 * math.log2(math.pi) - 2 * 1030)
+        assert obj["meets_threshold"] == (obj["final_log2_error"] <= obj["log2_threshold"])
         assert all(math.isfinite(r[c]) for r in obj["rounds"] for c in ROUND_COLUMNS)
         assert math.isfinite(obj["final_log2_error"])
         assert "max_harmonics" in err  # the tail bound is reported, not hidden
@@ -161,6 +165,13 @@ class TestSimulateCommand:
     def test_capacity_limit(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--n", "9")
         assert code == 3
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_below_two_qubits_rejected(self, capsys, n):
+        # the preparation circuit names the limit before any vector is built
+        code, out, err = run_cli(capsys, "simulate", "--n", str(n))
+        assert (code, out) == (2, "")
+        assert "at least 2" in err
 
     def test_n2_has_no_adder_formula(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--n", "2")
@@ -293,6 +304,11 @@ class TestCompareCommand:
         code, out, err = run_cli(capsys, "compare", "--p-min", "1100", "--p-max", "1100")
         assert (code, out) == (2, "")
         assert "1022" in err
+
+    def test_one_bit_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--p-min", "1", "--p-max", "5")
+        assert (code, out) == (2, "")
+        assert "p=1" in err
 
     def test_empty_range(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--p-min", "9", "--p-max", "8")

@@ -31,9 +31,7 @@ from fourierdistill import (
     initial_state_weight,
     plan_schedule,
     pure_fourier_state,
-    repeated_symmetric,
     rounds_required,
-    rounds_required_simplified,
     run_protocol_exact,
     run_protocol_sparse,
     sparse_extend,
@@ -44,7 +42,7 @@ from fourierdistill import (
 )
 from fourierdistill.cli import main
 from fourierdistill.distill import _signed_index, log_extension_kernel
-from oracles import exact_protocol_reference
+from oracles import exact_protocol_reference, fidelity, rounds_required_simplified
 
 
 def kernel_weights(n_coarse, n_fine, j, m):
@@ -121,34 +119,40 @@ class TestDistillPair:
             assert abs(out.output.coeffs[j]) ** 2 == pytest.approx(b_brute, abs=1e-12)
 
 
+def after_rounds(w, r):
+    """Spectrum after r symmetric rounds at fixed register size."""
+    for _ in range(r):
+        w = symmetric_round(w).output
+    return w
+
+
 class TestRepeatedSymmetric:
     def test_single_round_agrees_with_step(self):
+        # r rounds raise every weight to the power 2**r, then renormalize
         w = spectrum_of(approx_initial_state(8))
-        np.testing.assert_allclose(repeated_symmetric(w, 1).weights,
-                                   symmetric_round(w).output.weights, atol=1e-12)
+        for r in (1, 2, 3):
+            power = w.weights ** (2 ** r)
+            np.testing.assert_allclose(after_rounds(w, r).weights, power / power.sum(),
+                                       atol=1e-12)
 
     @pytest.mark.parametrize("r,target", [(1, 1 / 81), (2, 9.0 ** -4), (3, 9.0 ** -8)])
     def test_error_tracks_ninth_power_law(self, r, target):
         w = spectrum_of(approx_initial_state(16))
-        out = repeated_symmetric(w, r)
+        out = after_rounds(w, r)
         eps = 1.0 - out.weight(1)
         assert target / 2 < eps < target * 2
 
     def test_frozen_error_values_n16(self):
         # frozen from the independent dense oracle
         w = spectrum_of(approx_initial_state(16))
-        assert 1 - repeated_symmetric(w, 2).weight(1) == pytest.approx(1.551550e-4, rel=1e-5)
-        assert 1 - repeated_symmetric(w, 3).weight(1) == pytest.approx(2.323716e-8, rel=1e-5)
+        assert 1 - after_rounds(w, 2).weight(1) == pytest.approx(1.551550e-4, rel=1e-5)
+        assert 1 - after_rounds(w, 3).weight(1) == pytest.approx(2.323716e-8, rel=1e-5)
 
     def test_large_round_count_stays_finite(self):
         w = spectrum_of(approx_initial_state(10))
-        out = repeated_symmetric(w, 8)
+        out = after_rounds(w, 8)
         assert out.weight(1) == pytest.approx(1.0, abs=1e-12)
         assert np.isfinite(out.weights).all()
-
-    def test_rejects_zero_rounds(self):
-        with pytest.raises(ValueError):
-            repeated_symmetric(spectrum_of(approx_initial_state(4)), 0)
 
 
 class TestExtendRegister:
@@ -447,7 +451,6 @@ class TestRunProtocolExact:
             run_protocol_exact(40)
 
     def test_output_state_matches_reported_fidelity(self):
-        from fourierdistill import fidelity
         result = run_protocol_exact(8)
         final_size = result.schedule.sizes[-1]
         assert fidelity(result.output_state, final_size, 1) == pytest.approx(

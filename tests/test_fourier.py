@@ -8,24 +8,21 @@ from fourierdistill import (
     CapacityError,
     FourierAmplitudes,
     FourierSpectrum,
-    PhaseFunctionSpec,
     StateVector,
     alias_fold,
     approx_initial_state,
-    fidelity,
     fidelity_threshold,
     from_fourier_basis,
     initial_state_weight,
-    phase_staircase_state,
     pure_fourier_state,
-    rotation_angles,
+    qvr_phase,
     series_coefficient,
     series_weight,
     spectrum_of,
     to_fourier_basis,
 )
 from fourierdistill.fourier import log_fidelity_threshold, sin_pi_frac
-from oracles import dft_direct
+from oracles import dft_direct, fidelity
 
 
 class TestPureFourierState:
@@ -63,21 +60,13 @@ class TestPureFourierState:
 
 
 class TestRotationAngles:
-    def test_fundamental(self):
-        np.testing.assert_allclose(rotation_angles(3, 1), [1, 0.5, 0.25])
-
-    def test_k0(self):
-        np.testing.assert_allclose(rotation_angles(2, 0), [0, 0])
-
-    def test_k3_n4(self):
-        np.testing.assert_allclose(rotation_angles(4, 3), [3, 1.5, 0.75, 0.375])
-
     def test_angles_reconstruct_state(self):
+        # product form: qubit m (0 = most significant) carries the rotation
+        # diag(1, exp(i*pi*k/2**m)) on top of |+>
         n, k = 5, 7
-        phis = rotation_angles(n, k)
         amps = np.array([1.0])
-        for phi in phis:
-            amps = np.kron(amps, np.array([1, np.exp(1j * np.pi * phi)]) / math.sqrt(2))
+        for m in range(n):
+            amps = np.kron(amps, np.array([1, np.exp(1j * np.pi * k / 2 ** m)]) / math.sqrt(2))
         np.testing.assert_allclose(amps, pure_fourier_state(n, k).amps, atol=1e-12)
 
 
@@ -106,10 +95,11 @@ class TestApproxInitialState:
         assert f16 == pytest.approx(limit, abs=1e-9)
 
     def test_matches_phase_staircase_two_bits(self):
+        # the two-bit staircase is the QVR phase of bit 0 truncated to 2 bits
         for n in (2, 5, 9):
-            spec = PhaseFunctionSpec(resolution_bits=n, phase_bits=2)
-            np.testing.assert_allclose(phase_staircase_state(spec).amps,
-                                       approx_initial_state(n).amps, atol=1e-15)
+            staircase = qvr_phase(pure_fourier_state(n, 0), 0, 2)
+            np.testing.assert_allclose(staircase.amps, approx_initial_state(n).amps,
+                                       atol=1e-15)
 
 
 class TestBasisConversion:

@@ -11,21 +11,19 @@ from fourierdistill import (
     adder_toffoli_count,
     comparison_table,
     epsilon_f_kickback,
-    epsilon_f_kickback_approx,
     expected_cost_monte_carlo,
     expected_cost_recursion,
     full_resource_report,
-    kickback_rotation_cost,
     plan_schedule,
     t_sequence_cost,
     t_sequence_cost_bits,
     toffoli_capped,
     toffoli_closed_form,
-    toffoli_sum_direct,
     transform_cost,
 )
 from fourierdistill.cli import main
 from fourierdistill.resources import MAX_TRIALS, round_success_probabilities
+from oracles import epsilon_f_kickback_approx, toffoli_sum_direct
 
 
 REF_TRIALS = 10_000
@@ -223,25 +221,18 @@ class TestExpectedCost:
 
 
 class TestKickbackCost:
+    @pytest.mark.filterwarnings("ignore:T-sequence cost model is out of regime")
     def test_examples(self):
-        assert kickback_rotation_cost(9).toffolis == 8
-        assert kickback_rotation_cost(2).toffolis == 1
+        rows = comparison_table([2, 9])
+        assert [r.kickback_toffolis for r in rows] == [1, 8]
 
     def test_register_and_ancilla_accounting(self):
-        cost = kickback_rotation_cost(9)
-        assert cost.fourier_qubits == 10
-        assert cost.carry_ancillas == 9
-        assert cost.total_ancillas == 19  # 2p + 1
-
-    def test_extra_controls(self):
-        base = kickback_rotation_cost(6)
-        controlled = kickback_rotation_cost(6, controls=1)
-        assert controlled.toffolis == base.toffolis + 1
-        assert controlled.total_ancillas == base.total_ancillas + 1
+        # (p + 1)-qubit Fourier register plus p carries
+        assert comparison_table([9])[0].kickback_ancillas == 19
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            kickback_rotation_cost(1)
+        with pytest.raises(ValueError, match="p=1"):
+            comparison_table([1])
 
 
 class TestEpsilonF:
