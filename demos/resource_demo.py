@@ -12,13 +12,14 @@ from fourierdistill import (
     toffoli_capped,
     toffoli_closed_form,
 )
+from fourierdistill.resources import round_success_probabilities
 
 print("Deterministic accounting for a 10-bit target:")
 report = toffoli_capped(10)
-for rc in report.per_round:
+for rc, p in zip(report.per_round, round_success_probabilities(10)):
     print(f"  round {rc.round_index}: {rc.adders} adders x "
           f"{rc.toffolis_per_adder} Toffolis at size {rc.size} "
-          f"(p_success {rc.p_success:.4f})")
+          f"(p_success {p:.4f})")
 print(f"  total {report.toffoli_deterministic} Toffolis, "
       f"width {report.width_qubits} qubits")
 print(f"  closed-form accounting (uncapped doubling, own size convention): "

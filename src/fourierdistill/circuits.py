@@ -106,11 +106,10 @@ class RegisterLayout:
 
 @dataclass(frozen=True)
 class CircuitRun:
-    """Result of applying a circuit: branch probability, state, outcomes."""
+    """Result of applying a circuit: postselected branch probability and state."""
 
     probability: float
     state: StateVector
-    outcomes: dict[int, int]
 
 
 def modular_add_oracle(n: int) -> np.ndarray:
@@ -206,23 +205,19 @@ def _slice(nq: int, assignments: dict[int, int]) -> tuple:
 
 
 def apply_circuit(circuit: GateCircuit, s: StateVector,
-                  postselect: dict[int, int] | None = None,
-                  seed: int | None = None) -> CircuitRun:
+                  postselect: dict[int, int] | None = None) -> CircuitRun:
     """Apply a circuit to a state, tracking measurement branch probability.
 
-    Measured qubits listed in ``postselect`` are projected onto the given
-    bit (renormalizing and accumulating the branch probability); other
-    measurements are sampled, which requires ``seed``.  The input state is
-    not modified.
+    Every measured qubit must be listed in ``postselect``; it is projected
+    onto the given bit, renormalizing and accumulating the branch
+    probability.  The input state is not modified.
     """
     if s.n != circuit.num_qubits:
         raise ValueError(f"state has {s.n} qubits, circuit needs {circuit.num_qubits}")
     nq = circuit.num_qubits
     psi = s.amps.astype(complex).reshape((2,) * nq)
     postselect = postselect or {}
-    rng = None
     probability = 1.0
-    outcomes: dict[int, int] = {}
     for g in circuit.gates:
         name = g.name
         if name == "H":
@@ -240,28 +235,19 @@ def apply_circuit(circuit: GateCircuit, s: StateVector,
             psi[_slice(nq, {g.qubits[0]: 1})] *= _PHASES[name]
         else:  # MEASURE_Z
             q = g.qubits[0]
-            p1 = float(np.sum(np.abs(psi[_slice(nq, {q: 1})]) ** 2))
-            p0 = float(np.sum(np.abs(psi[_slice(nq, {q: 0})]) ** 2))
-            if q in postselect:
-                bit = postselect[q]
-                if bit not in (0, 1):
-                    raise ValueError(f"postselect bit for qubit {q} must be 0 or 1")
-            elif seed is not None:
-                if rng is None:
-                    rng = np.random.default_rng(seed)
-                bit = 1 if rng.random() < p1 / (p0 + p1) else 0
-            else:
-                raise ValueError("sampling a measurement requires a seed; "
-                                 "pass postselect or seed")
-            p_branch = (p0, p1)[bit]
+            if q not in postselect:
+                raise ValueError(f"measured qubit {q} has no postselected bit")
+            bit = postselect[q]
+            if bit not in (0, 1):
+                raise ValueError(f"postselect bit for qubit {q} must be 0 or 1")
+            p_branch = float(np.sum(np.abs(psi[_slice(nq, {q: bit})]) ** 2))
             if p_branch < 1e-300:
                 raise DegenerateInputError(
                     f"postselected branch {bit} on qubit {q} has zero probability")
             psi[_slice(nq, {q: 1 - bit})] = 0.0
             psi /= math.sqrt(p_branch)
             probability *= p_branch
-            outcomes[q] = bit
-    return CircuitRun(probability, _adopt(StateVector, psi.ravel()), outcomes)
+    return CircuitRun(probability, _adopt(StateVector, psi.ravel()))
 
 
 def basis_images(circuit: GateCircuit, indices) -> np.ndarray:

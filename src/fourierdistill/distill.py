@@ -290,6 +290,12 @@ def log_extension_kernel(n_coarse: int, n_fine: int, indices: Sequence[int],
     f = f[~dc]
     num = np.log(np.sin(np.pi * np.abs(f)))
     den = np.log(np.abs(np.sin(np.ldexp(np.pi * (f + m), -d))))
+    # off DC the sine argument is nonzero, so a zero sine is float underflow
+    if np.any(den == NEG_INF):
+        raise ValueError(
+            f"{n_fine}-qubit register is past the sparse engine's size limit: "
+            f"2**-{n_fine} underflows below the smallest double (2**-1074) "
+            f"in the zero-order-hold kernel")
     out[~dc] = 2.0 * ((num - d * math.log(2.0)) - den)
     return out
 

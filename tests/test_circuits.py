@@ -337,19 +337,23 @@ class TestApplyCircuit:
         apply_circuit(GateCircuit(3, (Gate("X", (0,)), Gate("H", (1,)))), s)
         np.testing.assert_array_equal(s.amps, before)
 
-    def test_measurement_without_seed_rejected(self):
+    def test_unlisted_measurement_rejected(self):
         circuit = GateCircuit(1, (Gate("H", (0,)), Gate("MEASURE_Z", (0,))))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="qubit 0"):
             apply_circuit(circuit, basis_state(1, 0))
 
-    def test_sampled_measurement_deterministic_given_seed(self):
+    def test_postselected_entangled_pair(self):
         circuit = GateCircuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)),
                                   Gate("MEASURE_Z", (0,)), Gate("MEASURE_Z", (1,))))
-        runs = [apply_circuit(circuit, basis_state(2, 0), seed=11) for _ in range(3)]
-        assert all(r.outcomes == runs[0].outcomes for r in runs)
-        # entangled pair: both outcomes equal, branch probability one half
-        assert runs[0].outcomes[0] == runs[0].outcomes[1]
-        assert runs[0].probability == pytest.approx(0.5, abs=1e-12)
+        # correlated branches: one half each, leaving the measured basis state
+        for bit in (0, 1):
+            run = apply_circuit(circuit, basis_state(2, 0), postselect={0: bit, 1: bit})
+            assert run.probability == pytest.approx(0.5, abs=1e-12)
+            assert abs(run.state.amps[3 * bit]) == pytest.approx(1.0, abs=1e-12)
+        # anti-correlated branches never occur
+        for bit in (0, 1):
+            with pytest.raises(DegenerateInputError):
+                apply_circuit(circuit, basis_state(2, 0), postselect={0: bit, 1: 1 - bit})
 
     def test_zero_probability_postselection(self):
         circuit = GateCircuit(1, (Gate("MEASURE_Z", (0,)),))

@@ -139,6 +139,14 @@ class TestDistillCommand:
         assert math.isfinite(obj["final_log2_error"])
         assert "max_harmonics" in err  # the tail bound is reported, not hidden
 
+    @pytest.mark.parametrize("n", [1075, 2000])
+    def test_sparse_past_float_range_names_the_limit(self, capsys, n):
+        # pi * 2**-n_fine underflows to 0 in the zero-order-hold kernel
+        code, out, err = run_cli(capsys, "distill", "--n", str(n), "--engine", "sparse")
+        assert (code, out) == (2, "")
+        assert "size limit" in err and "underflows" in err
+        assert "nan" not in err
+
     def test_strict_escalates_precision_warning(self, capsys):
         code, _, err = run_cli(capsys, "distill", "--n", "21", "--engine", "sparse",
                                "--s0", "21", "--max-harmonics", "4", "--strict")

@@ -15,13 +15,17 @@ from fourierdistill import (
     expected_cost_recursion,
     full_resource_report,
     plan_schedule,
+    run_protocol_exact,
+    run_protocol_sparse,
     t_sequence_cost,
     t_sequence_cost_bits,
     toffoli_capped,
     toffoli_closed_form,
     transform_cost,
 )
+from fourierdistill import resources
 from fourierdistill.cli import main
+from fourierdistill.distill import DEFAULT_PAD, DEFAULT_S0
 from fourierdistill.resources import MAX_TRIALS, round_success_probabilities
 from oracles import epsilon_f_kickback_approx, toffoli_sum_direct
 
@@ -96,8 +100,21 @@ class TestCappedAccounting:
         assert report.toffoli_deterministic == 6
 
     def test_probabilities_attached(self):
-        report = toffoli_capped(10)
-        assert report.per_round[0].p_success == pytest.approx(0.671875, abs=1e-9)
+        assert round_success_probabilities(10)[0] == pytest.approx(0.671875, abs=1e-9)
+
+    def test_deterministic_counts_run_no_engine(self, monkeypatch, capsys):
+        argv = ["resources", "--n-min", "5", "--n-max", "100"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        before = toffoli_capped(100)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("deterministic counts ran a spectral engine")
+
+        monkeypatch.setattr(resources, "run_protocol_sparse", refuse)
+        assert toffoli_capped(100) == before
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     def test_minimum_target(self):
         with pytest.raises(ValueError):
@@ -112,19 +129,20 @@ class TestCappedAccounting:
 class TestRoundProbabilities:
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_exact_and_sparse_engines_agree(self, n):
-        from fourierdistill import run_protocol_exact, run_protocol_sparse
         exact = [r.p_success for r in run_protocol_exact(n).rounds]
         sparse = [r.p_success for r in run_protocol_sparse(n).rounds]
         assert len(exact) == len(sparse)
         for pe, ps in zip(exact, sparse):
             assert ps == pytest.approx(pe, abs=1e-3)
 
-    def test_engine_switchover_continuity(self):
-        # probabilities vary smoothly across the exact/sparse boundary
-        p16 = round_success_probabilities(16)
-        p17 = round_success_probabilities(17)
-        for a, b in zip(p16, p17):
-            assert b == pytest.approx(a, abs=1e-3)
+    @pytest.mark.parametrize("s0, pad, rel", [(DEFAULT_S0, DEFAULT_PAD, 1e-12),
+                                              (4, 1, 2e-11), (6, 3, 2e-11),
+                                              (5, 0, 2e-11)])
+    def test_probabilities_match_exact_engine(self, s0, pad, rel):
+        # the exact engine is ground truth wherever its vectors fit
+        for n in range(5, 17):
+            exact = [r.p_success for r in run_protocol_exact(n, s0=s0, pad=pad).rounds]
+            assert round_success_probabilities(n, s0, pad) == pytest.approx(exact, rel=rel)
 
 
 class TestExpectedCost:
@@ -172,6 +190,19 @@ class TestExpectedCost:
         both = 1 / VEC_TRIALS + 1 / REF_TRIALS
         assert abs(vec_mean - ref_mean) <= 4 * math.sqrt(var * both)
         assert abs(vec_var - ref_var) <= 4 * math.sqrt(var_spread * both)
+
+    def test_std_is_the_sample_std(self):
+        # two trials with spread: mean -/+ std/sqrt(2) are the two sampled
+        # costs, which holds for ddof=1 only
+        spread = 0
+        for seed in range(1, 21):
+            mean, std = expected_cost_monte_carlo(10, trials=2, seed=seed,
+                                                  probabilities=[0.5, 0.6, 0.7])
+            if std > 0:
+                spread += 1
+                for cost in (mean - std / math.sqrt(2), mean + std / math.sqrt(2)):
+                    assert cost == pytest.approx(round(cost), abs=1e-9)
+        assert spread > 0
 
     @pytest.mark.parametrize("bad", [0.0, -0.25, float("nan"), 1.5])
     def test_probability_outside_unit_interval_rejected(self, bad):
