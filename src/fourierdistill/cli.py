@@ -158,9 +158,13 @@ def cmd_resources(a: argparse.Namespace):
         raise ValueError("--seed must be non-negative")
     if a.trials > 0 and a.seed is None:
         raise ValueError("--seed is required when --trials > 0")
+    if a.s0 < 3:
+        raise ValueError(f"--s0 {a.s0} is below 3: the adder cost formula "
+                         f"needs registers of at least 3 qubits")
     rows = []
+    reuse = {}  # round prefixes shared by neighbouring n run once
     for n in n_values:
-        report = resources.full_resource_report(n, a.trials, a.seed, a.s0, a.pad)
+        report = resources.full_resource_report(n, a.trials, a.seed, a.s0, a.pad, reuse)
         rows.append({
             "n": report.n_target,
             "toffoli_deterministic": report.toffoli_deterministic,

@@ -20,6 +20,7 @@ weights given by :func:`log_extension_kernel`.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections.abc import Mapping, Sequence
@@ -512,24 +513,38 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
 
 
 def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
-                        max_harmonics: int = DEFAULT_MAX_HARMONICS) -> ProtocolResult:
+                        max_harmonics: int = DEFAULT_MAX_HARMONICS,
+                        reuse: dict | None = None) -> ProtocolResult:
     """Run the protocol on the sparse spectral engine (any n, log-space).
 
     Matches :func:`run_protocol_exact` wherever both run; scales to n = 100
     and beyond because only the heaviest harmonics are tracked, with the
     truncated mass carried as a tail bound.  A precision warning is raised
     if the final tail bound is not negligible against the error target.
+
+    ``reuse`` is a caller-owned store for sweeps over n: a round depends only
+    on the harmonic budget and its prefix of round sizes, so a run resumes
+    after the deepest prefix stored there, and leaves there only its rounds.
     """
     schedule = plan_schedule(n, s0, pad)
-    sp = initial_sparse_spectrum(schedule.sizes[0], max_harmonics)
-    records = []
-    outcome = None
-    for size in schedule.sizes:
-        sp = sparse_extend(sp, size, max_harmonics)
-        outcome = sparse_symmetric_round(sp, target_k=1)
+    keys = [(max_harmonics, schedule.sizes[:i]) for i in range(1, schedule.rounds + 1)]
+    store = {} if reuse is None else reuse
+    shared = set(itertools.takewhile(store.__contains__, keys))
+    for key in store.keys() - shared:
+        del store[key]
+    records, outcome = [], None
+    for size, key in zip(schedule.sizes, keys):
+        if key in shared:
+            outcome = store[key]
+        else:
+            sp = outcome.output if outcome else initial_sparse_spectrum(size, max_harmonics)
+            sp = sparse_extend(sp, size, max_harmonics)
+            outcome = sparse_symmetric_round(sp, target_k=1)
+            if reuse is not None:
+                reuse[key] = outcome
         records.append(RoundRecord(size, outcome.p_success, outcome.fidelity,
                                    outcome.error, outcome.log_error))
-        sp = outcome.output
+    sp = outcome.output
     if sp.log_tail > log_fidelity_threshold(n) + math.log(1e-3):
         warnings.warn(
             f"truncation tail bound exp({sp.log_tail:.2f}) is not negligible "
@@ -538,4 +553,3 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
             stacklevel=2,
         )
     return ProtocolResult(n, "sparse", schedule, tuple(records), outcome)
-

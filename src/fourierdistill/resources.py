@@ -18,7 +18,8 @@ feeding subtree is rebuilt.  The expected cost then follows the recursion
 E_r = (2 E_(r-1) + A_r) / p_r, which is exposed analytically and sampled by
 a seeded Monte Carlo that draws the attempt count of each round for all
 trials at once.  Only these two read the per-round success probabilities p_r,
-which come from one sparse-engine run per call.
+which come from one sparse-engine run per call; the calls of one sweep over n
+share a reuse store, so a round prefix common to several n runs once.
 """
 from __future__ import annotations
 
@@ -98,16 +99,19 @@ class ResourceReport:
             raise ValueError("per-round costs do not add up to the deterministic total")
 
 
-def round_success_probabilities(n: int, s0: int = DEFAULT_S0,
-                                pad: int = DEFAULT_PAD) -> list[float]:
+def round_success_probabilities(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
+                                reuse: dict | None = None) -> list[float]:
     """Per-round success probabilities from the sparse engine at
     ``PROBABILITY_HARMONICS`` harmonics, for every n.
 
     Against the exact engine at n = 5..16 they agree to 1.1e-13 relative at
     the default schedule and to 9.4e-12 at (s0, pad) = (4, 1), (6, 3) and
     (5, 0); tests hold them to that with the exact engine as ground truth.
+    A sweep over n passes one ``reuse`` store to every call, so the round
+    prefixes its schedules share run once, giving the same floats.
     """
-    result = run_protocol_sparse(n, s0=s0, pad=pad, max_harmonics=PROBABILITY_HARMONICS)
+    result = run_protocol_sparse(n, s0=s0, pad=pad, max_harmonics=PROBABILITY_HARMONICS,
+                                 reuse=reuse)
     return [rec.p_success for rec in result.rounds]
 
 
@@ -148,7 +152,8 @@ def expected_cost_recursion(n: int, s0: int = DEFAULT_S0,
 
 def expected_cost_monte_carlo(n: int, trials: int, seed: int,
                               s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
-                              probabilities: list[float] | None = None) -> tuple[float, float]:
+                              probabilities: list[float] | None = None,
+                              reuse: dict | None = None) -> tuple[float, float]:
     """Sampled (mean, std) of the protocol Toffoli count with retries.
 
     A failed node rebuilds itself and its whole feeding subtree, so the
@@ -159,7 +164,7 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
     seed, s0, pad, probabilities) always gives the same (mean, std).
     ``probabilities`` overrides the engine-derived per-round success
     probabilities (what-if analysis; forcing 1.0 everywhere recovers the
-    deterministic count).
+    deterministic count); otherwise ``reuse`` goes to the engine run.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -170,7 +175,7 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
         raise ValueError("a seed is required for the stochastic estimate")
     schedule = plan_schedule(n, s0, pad)
     probs = probabilities if probabilities is not None \
-        else round_success_probabilities(n, s0, pad)
+        else round_success_probabilities(n, s0, pad, reuse)
     if len(probs) != schedule.rounds:
         raise ValueError(f"need {schedule.rounds} probabilities, got {len(probs)}")
     for r, p in enumerate(probs, start=1):
@@ -188,11 +193,12 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
 
 
 def full_resource_report(n: int, trials: int = 0, seed: int | None = None,
-                         s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> ResourceReport:
+                         s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
+                         reuse: dict | None = None) -> ResourceReport:
     """Deterministic report, plus Monte Carlo expected cost when trials > 0."""
     report = toffoli_capped(n, s0, pad)
     if trials > 0:
-        mean, std = expected_cost_monte_carlo(n, trials, seed, s0, pad)
+        mean, std = expected_cost_monte_carlo(n, trials, seed, s0, pad, reuse=reuse)
         report = replace(report, toffoli_expected_mean=mean,
                          toffoli_expected_std=std, trials=trials, seed=seed)
     return report

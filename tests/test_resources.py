@@ -144,6 +144,17 @@ class TestRoundProbabilities:
             exact = [r.p_success for r in run_protocol_exact(n, s0=s0, pad=pad).rounds]
             assert round_success_probabilities(n, s0, pad) == pytest.approx(exact, rel=rel)
 
+    @pytest.mark.parametrize("s0, pad", [(DEFAULT_S0, DEFAULT_PAD), (4, 1), (6, 3), (5, 0)])
+    def test_sweep_reuse_gives_the_same_floats(self, s0, pad):
+        # each n resumes from the round prefix it shares with the n before it
+        reuse = {}
+        for n in range(5, 101):
+            swept = round_success_probabilities(n, s0, pad, reuse)
+            assert swept == round_success_probabilities(n, s0, pad)
+            sizes = plan_schedule(n, s0, pad).sizes
+            assert set(reuse) == {(resources.PROBABILITY_HARMONICS, sizes[:i])
+                                  for i in range(1, len(sizes) + 1)}
+
 
 class TestExpectedCost:
     def test_recursion_frozen_value(self):
