@@ -8,7 +8,7 @@ rotations next to T-gate approximation sequences per bit of precision.
 from fourierdistill import (
     comparison_table,
     expected_cost_recursion,
-    full_resource_report,
+    resource_reports,
     toffoli_capped,
     toffoli_closed_form,
 )
@@ -28,15 +28,14 @@ print(f"  closed-form accounting (uncapped doubling, own size convention): "
 print()
 print("Retry overhead: expected cost by recursion and by Monte Carlo")
 print(f"  analytic recursion: {expected_cost_recursion(10):.1f}")
-mc = full_resource_report(10, trials=20000, seed=11)
+mc = resource_reports([10], trials=20000, seed=11)[0]
 print(f"  Monte Carlo:        {mc.toffoli_expected_mean:.1f} "
       f"+/- {mc.toffoli_expected_std:.1f} (per-sample spread)")
 
 print()
 print("Cost table across targets (deterministic plus expected):")
-for n in (5, 10, 20, 50, 100):
-    r = full_resource_report(n, trials=4000, seed=23)
-    print(f"  n={n:3d}: {r.toffoli_deterministic:5d} Toffolis, expected "
+for r in resource_reports((5, 10, 20, 50, 100), trials=4000, seed=23):
+    print(f"  n={r.n_target:3d}: {r.toffoli_deterministic:5d} Toffolis, expected "
           f"{r.toffoli_expected_mean:8.1f} +/- {r.toffoli_expected_std:6.1f}, "
           f"{r.rounds} rounds, width {r.width_qubits}")
 

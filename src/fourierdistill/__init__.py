@@ -67,7 +67,7 @@ from .resources import (
     epsilon_f_kickback,
     expected_cost_monte_carlo,
     expected_cost_recursion,
-    full_resource_report,
+    resource_reports,
     t_sequence_cost,
     t_sequence_cost_bits,
     toffoli_capped,

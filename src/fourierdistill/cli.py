@@ -87,6 +87,9 @@ def cmd_spectrum(a: argparse.Namespace):
 def cmd_distill(a: argparse.Namespace):
     if a.engine == "exact":
         result = distill.run_protocol_exact(a.n, s0=a.s0, pad=a.pad)
+    elif a.max_harmonics < 1:
+        raise ValueError(f"--max-harmonics {a.max_harmonics} is below 1: the sparse "
+                         f"engine keeps at least one harmonic")
     else:
         result = distill.run_protocol_sparse(a.n, s0=a.s0, pad=a.pad,
                                              max_harmonics=a.max_harmonics)
@@ -161,18 +164,20 @@ def cmd_resources(a: argparse.Namespace):
     if a.s0 < 3:
         raise ValueError(f"--s0 {a.s0} is below 3: the adder cost formula "
                          f"needs registers of at least 3 qubits")
-    rows = []
-    reuse = {}  # round prefixes shared by neighbouring n run once
-    for n in n_values:
-        report = resources.full_resource_report(n, a.trials, a.seed, a.s0, a.pad, reuse)
-        rows.append({
+    if n_values and n_values[0] < 5:
+        flag = "--n" if a.n is not None else "--n-min"
+        raise ValueError(f"{flag} {n_values[0]} is below 5: cost accounting starts at n = 5")
+    rows = [
+        {
             "n": report.n_target,
             "toffoli_deterministic": report.toffoli_deterministic,
             "toffoli_expected_mean": report.toffoli_expected_mean,
             "toffoli_expected_std": report.toffoli_expected_std,
             "rounds": report.rounds,
             "width": report.width_qubits,
-        })
+        }
+        for report in resources.resource_reports(n_values, a.trials, a.seed, a.s0, a.pad)
+    ]
     payload = {"command": "resources", "trials": a.trials, "seed": a.seed, "rows": rows}
     columns = ("n", "toffoli_deterministic", "toffoli_expected_mean",
                "toffoli_expected_std", "rounds", "width")

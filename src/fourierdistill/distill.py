@@ -492,7 +492,7 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
     except CapacityError:
         raise CapacityError(
             f"schedule for n={n} needs {biggest}-qubit amplitude vectors; "
-            f"use run_protocol_sparse"
+            f"use --engine sparse"
         ) from None
     state = approx_initial_state(schedule.sizes[0])
     records = []

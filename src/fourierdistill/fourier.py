@@ -43,8 +43,7 @@ def require_register_size(n: int) -> None:
     limit = amplitude_cap()
     if n > limit:
         raise CapacityError(
-            f"n={n} exceeds the amplitude-vector cap {limit}; "
-            f"use the sparse spectral engine or raise {AMPLITUDE_CAP_ENV}"
+            f"n={n} exceeds the amplitude-vector cap {limit}; raise {AMPLITUDE_CAP_ENV}"
         )
 
 

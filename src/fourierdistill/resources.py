@@ -18,8 +18,8 @@ feeding subtree is rebuilt.  The expected cost then follows the recursion
 E_r = (2 E_(r-1) + A_r) / p_r, which is exposed analytically and sampled by
 a seeded Monte Carlo that draws the attempt count of each round for all
 trials at once.  Only these two read the per-round success probabilities p_r,
-which come from one sparse-engine run per call; the calls of one sweep over n
-share a reuse store, so a round prefix common to several n runs once.
+from one sparse-engine run per n; :func:`resource_reports` sweeps n with one
+reuse store for those runs, so a round prefix common to several n runs once.
 """
 from __future__ import annotations
 
@@ -81,22 +81,18 @@ class ResourceReport:
     """Deterministic and expected Toffoli costs for one protocol target."""
 
     n_target: int
-    s0: int
-    pad: int
-    rounds: int
-    sizes: tuple[int, ...]
     per_round: tuple[RoundCost, ...]
-    toffoli_deterministic: int
     width_qubits: int
     toffoli_expected_mean: float | None = None
     toffoli_expected_std: float | None = None
-    trials: int = 0
-    seed: int | None = None
 
-    def __post_init__(self):
-        total = sum(rc.toffolis for rc in self.per_round)
-        if total != self.toffoli_deterministic:
-            raise ValueError("per-round costs do not add up to the deterministic total")
+    @property
+    def rounds(self) -> int:
+        return len(self.per_round)
+
+    @property
+    def toffoli_deterministic(self) -> int:
+        return sum(rc.toffolis for rc in self.per_round)
 
 
 def round_success_probabilities(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
@@ -107,8 +103,8 @@ def round_success_probabilities(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT
     Against the exact engine at n = 5..16 they agree to 1.1e-13 relative at
     the default schedule and to 9.4e-12 at (s0, pad) = (4, 1), (6, 3) and
     (5, 0); tests hold them to that with the exact engine as ground truth.
-    A sweep over n passes one ``reuse`` store to every call, so the round
-    prefixes its schedules share run once, giving the same floats.
+    :func:`resource_reports` passes one ``reuse`` store to all calls of a
+    sweep: shared round prefixes run once and give the same floats.
     """
     result = run_protocol_sparse(n, s0=s0, pad=pad, max_harmonics=PROBABILITY_HARMONICS,
                                  reuse=reuse)
@@ -131,12 +127,7 @@ def toffoli_capped(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> Reso
         )
         for r, size in enumerate(schedule.sizes)
     )
-    return ResourceReport(
-        n_target=n, s0=s0, pad=pad, rounds=R, sizes=schedule.sizes,
-        per_round=per_round,
-        toffoli_deterministic=sum(rc.toffolis for rc in per_round),
-        width_qubits=schedule.width_qubits,
-    )
+    return ResourceReport(n, per_round, schedule.width_qubits)
 
 
 def expected_cost_recursion(n: int, s0: int = DEFAULT_S0,
@@ -152,8 +143,7 @@ def expected_cost_recursion(n: int, s0: int = DEFAULT_S0,
 
 def expected_cost_monte_carlo(n: int, trials: int, seed: int,
                               s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
-                              probabilities: list[float] | None = None,
-                              reuse: dict | None = None) -> tuple[float, float]:
+                              probabilities: list[float] | None = None) -> tuple[float, float]:
     """Sampled (mean, std) of the protocol Toffoli count with retries.
 
     A failed node rebuilds itself and its whole feeding subtree, so the
@@ -164,7 +154,7 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
     seed, s0, pad, probabilities) always gives the same (mean, std).
     ``probabilities`` overrides the engine-derived per-round success
     probabilities (what-if analysis; forcing 1.0 everywhere recovers the
-    deterministic count); otherwise ``reuse`` goes to the engine run.
+    deterministic count).
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -175,7 +165,7 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
         raise ValueError("a seed is required for the stochastic estimate")
     schedule = plan_schedule(n, s0, pad)
     probs = probabilities if probabilities is not None \
-        else round_success_probabilities(n, s0, pad, reuse)
+        else round_success_probabilities(n, s0, pad)
     if len(probs) != schedule.rounds:
         raise ValueError(f"need {schedule.rounds} probabilities, got {len(probs)}")
     for r, p in enumerate(probs, start=1):
@@ -192,16 +182,22 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
     return float(samples.mean()), std
 
 
-def full_resource_report(n: int, trials: int = 0, seed: int | None = None,
-                         s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
-                         reuse: dict | None = None) -> ResourceReport:
-    """Deterministic report, plus Monte Carlo expected cost when trials > 0."""
-    report = toffoli_capped(n, s0, pad)
-    if trials > 0:
-        mean, std = expected_cost_monte_carlo(n, trials, seed, s0, pad, reuse=reuse)
-        report = replace(report, toffoli_expected_mean=mean,
-                         toffoli_expected_std=std, trials=trials, seed=seed)
-    return report
+def resource_reports(n_values, trials: int = 0, seed: int | None = None,
+                     s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> list[ResourceReport]:
+    """Deterministic report per n, plus Monte Carlo expected cost when trials > 0.
+
+    The engine runs of the sweep share one reuse store, so a round prefix
+    common to several n runs once; every n gets the floats it gets alone.
+    """
+    reports, reuse = [], {}
+    for n in n_values:
+        report = toffoli_capped(n, s0, pad)
+        if trials > 0:
+            probs = round_success_probabilities(n, s0, pad, reuse)
+            mean, std = expected_cost_monte_carlo(n, trials, seed, s0, pad, probs)
+            report = replace(report, toffoli_expected_mean=mean, toffoli_expected_std=std)
+        reports.append(report)
+    return reports
 
 
 # ---------------------------------------------------------------------------

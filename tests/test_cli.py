@@ -126,7 +126,10 @@ class TestDistillCommand:
     def test_capacity_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "distill", "--n", "40", "--engine", "exact")
         assert code == 3
-        assert "capacity" in err
+        assert err == ("capacity error: schedule for n=40 needs 42-qubit amplitude "
+                       "vectors; use --engine sparse\n")
+        code, _, err = run_cli(capsys, "distill", "--n", "40", "--engine", "sparse")
+        assert (code, err) == (0, "")
 
     def test_sparse_beyond_double_exponent_range(self, capsys):
         # 2**1030 does not fit a double; the threshold underflows to 0
@@ -140,6 +143,17 @@ class TestDistillCommand:
         assert all(math.isfinite(r[c]) for r in obj["rounds"] for c in ROUND_COLUMNS)
         assert math.isfinite(obj["final_log2_error"])
         assert "max_harmonics" in err  # the tail bound is reported, not hidden
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_harmonic_budget_below_one_names_the_option(self, capsys, budget):
+        code, out, err = run_cli(capsys, "distill", "--n", "10", "--engine", "sparse",
+                                 "--max-harmonics", budget)
+        assert (code, out) == (2, "")
+        assert err == (f"invalid request: --max-harmonics {budget} is below 1: the "
+                       f"sparse engine keeps at least one harmonic\n")
+        # the exact engine has no harmonic budget and ignores the option
+        code, _, err = run_cli(capsys, "distill", "--n", "10", "--max-harmonics", budget)
+        assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("n", [1075, 2000])
     def test_sparse_past_float_range_names_the_limit(self, capsys, n):
@@ -268,7 +282,7 @@ class TestResourcesCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("built a report for an invalid --s0")
 
-        monkeypatch.setattr(resources, "full_resource_report", refuse)
+        monkeypatch.setattr(resources, "resource_reports", refuse)
         code, out, err = run_cli(capsys, "resources", "--n-min", "5", "--n-max", "8",
                                  "--s0", "2", *trials)
         assert (code, out) == (2, "")
@@ -278,6 +292,16 @@ class TestResourcesCommand:
         code, out, err = run_cli(capsys, "distill", "--n", "8", "--s0", "2")
         assert (code, err) == (0, "")
         assert json.loads(out)["sizes"][0] == 2
+
+    @pytest.mark.parametrize("argv, flag", [(["--n-min", "3", "--n-max", "6"], "--n-min"),
+                                            (["--n", "3"], "--n")])
+    def test_target_below_five_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "resources", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"invalid request: {flag} 3 is below 5: cost accounting starts at n = 5\n"
+        # an empty range has no target to reject
+        code, out, _ = run_cli(capsys, "resources", "--n-min", "3", "--n-max", "2")
+        assert (code, out.count("\n")) == (0, 1)
 
     def test_sweep_runs_each_shared_round_prefix_once(self, capsys, monkeypatch):
         # n = 5..100 schedule 491 rounds but only 138 distinct size prefixes
@@ -328,13 +352,13 @@ class TestResourcesCommand:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_one_report_per_n(self, capsys, monkeypatch, fmt):
         calls = []
-        build = resources.full_resource_report
+        build = resources.toffoli_capped
 
         def counted(n, *args, **kwargs):
             calls.append(n)
             return build(n, *args, **kwargs)
 
-        monkeypatch.setattr(resources, "full_resource_report", counted)
+        monkeypatch.setattr(resources, "toffoli_capped", counted)
         code, _, _ = run_cli(capsys, "resources", "--n-min", "5", "--n-max", "8",
                              "--trials", "50", "--seed", "3", "--format", fmt)
         assert code == 0
@@ -424,6 +448,21 @@ class TestCloneCommand:
         assert obj["fidelity_first"] >= 1 - 1e-9
         assert obj["fidelity_second"] >= 1 - 1e-9
         assert obj["adder_toffolis"] == 4
+
+
+class TestDenseCapacityAdvice:
+    @pytest.mark.parametrize("argv, qubits", [(["arbitrary-k", "--n", "9", "--k", "5"], 9),
+                                              (["clone", "--n", "5"], 10)])
+    def test_advice_names_only_the_cap(self, capsys, monkeypatch, argv, qubits):
+        # neither command has a sparse engine, so raising the cap is the remedy
+        monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", str(qubits - 1))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (f"capacity error: n={qubits} exceeds the amplitude-vector cap "
+                       f"{qubits - 1}; raise FOURIERDISTILL_AMP_CAP\n")
+        monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", str(qubits))
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
 
 
 class TestOutputHandling:

@@ -13,8 +13,8 @@ from fourierdistill import (
     epsilon_f_kickback,
     expected_cost_monte_carlo,
     expected_cost_recursion,
-    full_resource_report,
     plan_schedule,
+    resource_reports,
     run_protocol_exact,
     run_protocol_sparse,
     t_sequence_cost,
@@ -89,7 +89,7 @@ class TestClosedForm:
 class TestCappedAccounting:
     def test_n10_schedule_costs(self):
         report = toffoli_capped(10)
-        assert report.sizes == (5, 10, 12)
+        assert [rc.size for rc in report.per_round] == [5, 10, 12]
         assert [rc.adders for rc in report.per_round] == [4, 2, 1]
         assert [rc.toffolis_per_adder for rc in report.per_round] == [6, 16, 20]
         assert report.toffoli_deterministic == 76
@@ -246,8 +246,13 @@ class TestExpectedCost:
         assert (mean, std) == (76.0, 0.0)
 
     def test_expected_exceeds_deterministic(self):
-        report = full_resource_report(10, trials=2000, seed=5)
+        report, = resource_reports([10], trials=2000, seed=5)
         assert report.toffoli_expected_mean > report.toffoli_deterministic
+
+    def test_sweep_reports_equal_single_n_reports(self):
+        # the sweep's shared engine rounds give every n its own floats exactly
+        assert resource_reports(range(5, 41), 50, 3) == [
+            resource_reports([n], 50, 3)[0] for n in range(5, 41)]
 
     def test_n10_anchor_window(self):
         mean, _ = expected_cost_monte_carlo(10, trials=10000, seed=2024)
