@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, DegenerateInputError
 from .fourier import (
@@ -315,13 +316,13 @@ def clone_fourier_state(n: int, source: StateVector, k: int | None = None) -> Cl
     if k is None:
         k = spectrum_of(source).dominant_index()
     N = 1 << n
-    images = modular_add_oracle(n)
-    images ^= (N - 1) << n  # then X on every first-register qubit: v -> N - 1 - v
-    # the blank register's amplitude is 1/sqrt(N) for every v, so row v of the
-    # joint state |blank>|source> is the scaled source
-    joint = np.empty(N * N, dtype=complex)
-    joint[images.reshape(N, N)] = source.amps * (1.0 / math.sqrt(N))
-    matrix = joint.reshape(N, N)
+    # The blank register's amplitude is 1/sqrt(N) for every v, so the adder
+    # maps |v>|w> to |v>|w + v> with the scaled source amplitude of w, and X
+    # on the first register sends v to r = N - 1 - v.  Row r of the joint
+    # state is then the scaled source rotated left by r + 1.
+    scaled = source.amps * (1.0 / math.sqrt(N))
+    matrix = sliding_window_view(np.concatenate((scaled, scaled)), N)[1:N + 1].copy()
+    joint = matrix.ravel()
     gamma = pure_fourier_state(n, k).amps.conj()
     fid_first = float(np.sum(np.abs(gamma @ matrix) ** 2))
     fid_second = float(np.sum(np.abs(matrix @ gamma) ** 2))

@@ -64,7 +64,9 @@ def _logsumexp(values: np.ndarray) -> float:
     top = values.max(initial=NEG_INF)
     if top == NEG_INF:
         return NEG_INF
-    return float(top + math.log(np.exp(values - top).sum()))
+    shifted = values - top
+    np.exp(shifted, out=shifted)
+    return float(top + math.log(shifted.sum()))
 
 
 def _signed_index(j: int, N: int) -> int:
@@ -218,16 +220,24 @@ def distill_pair(a, a2, target_k: int = 1) -> DistillationOutcome:
         raise TypeError("inputs must both be spectra or both be amplitude vectors")
     if a.n != a2.n:
         raise ValueError(f"register sizes differ: {a.n} vs {a2.n}")
-    k = target_k % a.dim
-    amplitudes = isinstance(a, FourierAmplitudes)
-    if amplitudes:
+    if isinstance(a, FourierAmplitudes):
         product = a.coeffs * a2.coeffs
-        weights = np.abs(product)
-        weights *= weights
     elif isinstance(a, FourierSpectrum):
-        product = weights = a.weights * a2.weights
+        product = a.weights * a2.weights
     else:
         raise TypeError(f"unsupported input type {type(a).__name__}")
+    return _postselect(product, target_k % a.dim)
+
+
+def _postselect(product: np.ndarray, k: int) -> DistillationOutcome:
+    """Postselection on the pointwise product of two inputs' coefficients
+    (complex) or weights (real), normalized in the product's own buffer."""
+    amplitudes = np.iscomplexobj(product)
+    if amplitudes:
+        weights = np.abs(product)
+        weights *= weights
+    else:
+        weights = product
     p = float(weights.sum())
     if p < _P_FLOOR:
         raise DegenerateInputError("input spectra are disjoint: success probability is zero")
@@ -258,9 +268,9 @@ def extend_register(s: StateVector, n_new: int) -> StateVector:
     if n_new == s.n:
         return s
     pad = 1 << (n_new - s.n)
-    amps = np.repeat(s.amps, pad)
-    amps *= 1.0 / math.sqrt(pad)
-    return _adopt(StateVector, amps)
+    amps = np.empty((s.dim, pad), dtype=complex)
+    np.multiply(s.amps[:, None], 1.0 / math.sqrt(pad), out=amps)
+    return _adopt(StateVector, amps.ravel())
 
 
 def log_extension_kernel(n_coarse: int, n_fine: int, indices: Sequence[int],
@@ -285,19 +295,29 @@ def log_extension_kernel(n_coarse: int, n_fine: int, indices: Sequence[int],
     Ns = 1 << n_coarse
     f = np.array([j / Ns for j in indices], dtype=float)[:, None]
     dc = f[:, 0] == 0.0
-    out = np.empty((len(f), len(m)))
-    # the class of j = 0 keeps all its mass at index 0
-    out[dc] = np.where(m == 0, 0.0, NEG_INF)
     f = f[~dc]
-    num = np.log(np.sin(np.pi * np.abs(f)))
-    den = np.log(np.abs(np.sin(np.ldexp(np.pi * (f + m), -d))))
+    # one buffer carries log|sin(pi (f + m) / 2**d)| through the ufunc chain
+    den = np.add(f, m)
+    np.multiply(np.pi, den, out=den)
+    np.ldexp(den, -d, out=den)
+    np.sin(den, out=den)
+    np.abs(den, out=den)
+    np.log(den, out=den)
     # off DC the sine argument is nonzero, so a zero sine is float underflow
-    if np.any(den == NEG_INF):
+    if den.min(initial=0.0) == NEG_INF:
         raise ValueError(
             f"{n_fine}-qubit register is past the sparse engine's size limit: "
             f"2**-{n_fine} underflows below the smallest double (2**-1074) "
             f"in the zero-order-hold kernel")
-    out[~dc] = 2.0 * ((num - d * math.log(2.0)) - den)
+    num = np.log(np.sin(np.pi * np.abs(f)))
+    np.subtract(num - d * math.log(2.0), den, out=den)
+    np.multiply(2.0, den, out=den)
+    if not dc.any():
+        return den
+    out = np.empty((len(dc), len(m)))
+    # the class of j = 0 keeps all its mass at index 0
+    out[dc] = np.where(m == 0, 0.0, NEG_INF)
+    out[~dc] = den
     return out
 
 
@@ -321,32 +341,46 @@ def sparse_extend(sp: SparseSpectrum, n_new: int,
     budget = max(16, (4 * max_harmonics) // len(sp))
     span = min(members, budget)
     half = span // 2
-    lk = log_extension_kernel(sp.n, n_new, sp.indices, np.arange(-half, span - half))
+    # One buffer holds the kernel's log-weights, then the candidates'.
+    candidates = log_extension_kernel(sp.n, n_new, sp.indices,
+                                      np.arange(-half, span - half))
     tail_parts = [np.array([sp.log_tail])]
     if members > budget:
         # Unenumerated class remainder: the kernel sums to 1 over the whole
         # class, so the deficit is exact when float-resolvable; below
         # resolution, fall back to the 1/m^2 lobe-decay bound.
-        kernel = np.exp(lk)
+        kernel = np.exp(candidates)
         deficit = 1.0 - kernel.sum(axis=1)
         rem = np.where(deficit > 1e-13, deficit, (kernel[:, 0] + kernel[:, -1]) * half)
+        del kernel
         has_rem = rem > 0.0
         tail_parts.append(sp.log_weights[has_rem] + np.log(rem[has_rem]))
-    candidates = (sp.log_weights[:, None] + lk).ravel()
-    (live,) = np.nonzero(candidates != NEG_INF)
-    vals = candidates[live]
+    np.add(sp.log_weights[:, None], candidates, out=candidates)
+    candidates = candidates.ravel()
+    # -inf candidates (only a j = 0 class has them) are neither kept nor tail
+    live = candidates != NEG_INF
     # the max_harmonics heaviest; ties at the cut go to the earliest enumerated
-    surplus = len(vals) - max_harmonics
-    cut = np.partition(vals, surplus)[surplus] if surplus > 0 else NEG_INF
-    chosen = vals > cut
-    chosen[np.flatnonzero(vals == cut)[:max_harmonics - np.count_nonzero(chosen)]] = True
-    kept = live[chosen][np.argsort(-vals[chosen], kind="stable")]
-    tail_parts.append(vals[~chosen])
+    if np.count_nonzero(live) > max_harmonics:
+        # -inf sorts first, so this is the cut among the live candidates
+        cut = np.partition(candidates, len(candidates) - max_harmonics)[-max_harmonics]
+        chosen = candidates > cut
+        ties = np.flatnonzero(candidates == cut)
+        chosen[ties[:max_harmonics - np.count_nonzero(chosen)]] = True
+    else:
+        chosen = live
+    kept = np.flatnonzero(chosen)
+    kept = kept[np.argsort(-candidates[kept], kind="stable")]
+    log_weights = candidates[kept]
+    tail_parts.append(candidates[live & ~chosen])
+    # free each candidate-sized array before the next one is built
+    del candidates, live, chosen
+    tail = np.concatenate(tail_parts)
+    del tail_parts
+    log_tail = _logsumexp(tail)
     row, col = np.divmod(kept, span)
     indices = [_signed_index(sp.indices[c] + Ns * (k - half), Nf)
                for c, k in zip(row.tolist(), col.tolist())]
-    return SparseSpectrum._ordered(n_new, candidates[kept], indices,
-                                   _logsumexp(np.concatenate(tail_parts)))
+    return SparseSpectrum._ordered(n_new, log_weights, indices, log_tail)
 
 
 def sparse_symmetric_round(sp: SparseSpectrum, target_k: int = 1) -> DistillationOutcome:
@@ -481,9 +515,10 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
     then per round a symmetric distillation (coefficients squared, success
     probability recorded) with register extension between rounds.
 
-    Each vector is transformed in its own buffer, and the last round's
-    output stays in the Fourier basis (see ``ProtocolResult.output_state``),
-    so the peak holds about two and a half vectors of the final size.
+    Each vector is transformed and squared in its own buffer, and the last
+    round's output stays in the Fourier basis (see
+    ``ProtocolResult.output_state``), so the peak holds the coefficients and
+    their weights: about one and a half vectors of the final size.
     """
     schedule = plan_schedule(n, s0, pad)
     biggest = max(schedule.sizes)
@@ -499,9 +534,10 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
     last = schedule.rounds - 1  # by index: the last sizes may repeat
     for i, size in enumerate(schedule.sizes):
         state = extend_register(state, size)
-        coeffs = _adopt(FourierAmplitudes, _unitary_fft(_reclaim(state.amps)))
+        coeffs = _unitary_fft(_reclaim(state.amps))
         del state
-        outcome = symmetric_round(coeffs, target_k=1)
+        coeffs *= coeffs
+        outcome = _postselect(coeffs, 1)
         del coeffs
         records.append(RoundRecord(size, outcome.p_success, outcome.fidelity,
                                    outcome.error, outcome.log_error))
@@ -514,13 +550,15 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
 
 def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
                         max_harmonics: int = DEFAULT_MAX_HARMONICS,
-                        reuse: dict | None = None) -> ProtocolResult:
+                        reuse: dict | None = None,
+                        advice: str = "raise max_harmonics") -> ProtocolResult:
     """Run the protocol on the sparse spectral engine (any n, log-space).
 
     Matches :func:`run_protocol_exact` wherever both run; scales to n = 100
     and beyond because only the heaviest harmonics are tracked, with the
-    truncated mass carried as a tail bound.  A precision warning is raised
-    if the final tail bound is not negligible against the error target.
+    truncated mass carried as a tail bound.  A precision warning, ending in
+    ``advice``, is raised if the final tail bound is not negligible against
+    the error target; a caller that fixes the budget says so there.
 
     ``reuse`` is a caller-owned store for sweeps over n: a round depends only
     on the harmonic budget and its prefix of round sizes, so a run resumes
@@ -548,7 +586,7 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
     if sp.log_tail > log_fidelity_threshold(n) + math.log(1e-3):
         warnings.warn(
             f"truncation tail bound exp({sp.log_tail:.2f}) is not negligible "
-            f"against the error target for n={n}; raise max_harmonics",
+            f"against the error target for n={n}; {advice}",
             PrecisionWarning,
             stacklevel=2,
         )

@@ -106,8 +106,9 @@ def round_success_probabilities(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT
     :func:`resource_reports` passes one ``reuse`` store to all calls of a
     sweep: shared round prefixes run once and give the same floats.
     """
-    result = run_protocol_sparse(n, s0=s0, pad=pad, max_harmonics=PROBABILITY_HARMONICS,
-                                 reuse=reuse)
+    result = run_protocol_sparse(
+        n, s0=s0, pad=pad, max_harmonics=PROBABILITY_HARMONICS, reuse=reuse,
+        advice=f"round probabilities use a fixed {PROBABILITY_HARMONICS}-harmonic budget")
     return [rec.p_success for rec in result.rounds]
 
 

@@ -1,6 +1,7 @@
 """Reference oracles for the tests: slow, direct forms of what the package
 computes by faster routes, and circuits that witness the figures it states."""
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -10,10 +11,21 @@ from fourierdistill import (
     Gate,
     GateCircuit,
     RegisterLayout,
+    SparseSpectrum,
     StateVector,
     default_truncate_bits,
     plan_schedule,
 )
+from fourierdistill.distill import _signed_index
+
+
+def traced_peak(fn):
+    """``(fn(), peak bytes tracemalloc saw while fn ran)``."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def dft_direct(s: StateVector) -> FourierAmplitudes:
@@ -76,6 +88,56 @@ def exact_protocol_reference(n: int) -> list[tuple]:
         rounds.append((size, *record))
         amps = np.fft.ifft(out) * math.sqrt(len(out))
     return rounds
+
+
+def _logsumexp_reference(values: np.ndarray) -> float:
+    top = values.max(initial=-math.inf)
+    if top == -math.inf:
+        return -math.inf
+    return float(top + math.log(np.exp(values - top).sum()))
+
+
+def sparse_extend_reference(sp: SparseSpectrum, n_new: int,
+                            max_harmonics: int) -> SparseSpectrum:
+    """``sparse_extend`` in its direct form: the zero-order-hold kernel and the
+    candidates as separate whole arrays, selection over a copy of the finite
+    candidates, and the tail bound over a concatenated copy."""
+    Ns, Nf = 1 << sp.n, 1 << n_new
+    d = n_new - sp.n
+    members = 1 << d
+    budget = max(16, (4 * max_harmonics) // len(sp))
+    span = min(members, budget)
+    half = span // 2
+    m = np.arange(-half, span - half)
+    f = np.array([j / Ns for j in sp.indices], dtype=float)[:, None]
+    dc = f[:, 0] == 0.0
+    lk = np.empty((len(f), len(m)))
+    lk[dc] = np.where(m == 0, 0.0, -math.inf)
+    f = f[~dc]
+    num = np.log(np.sin(np.pi * np.abs(f)))
+    den = np.log(np.abs(np.sin(np.ldexp(np.pi * (f + m), -d))))
+    lk[~dc] = 2.0 * ((num - d * math.log(2.0)) - den)
+    tail_parts = [np.array([sp.log_tail])]
+    if members > budget:
+        kernel = np.exp(lk)
+        deficit = 1.0 - kernel.sum(axis=1)
+        rem = np.where(deficit > 1e-13, deficit, (kernel[:, 0] + kernel[:, -1]) * half)
+        has_rem = rem > 0.0
+        tail_parts.append(sp.log_weights[has_rem] + np.log(rem[has_rem]))
+    candidates = (sp.log_weights[:, None] + lk).ravel()
+    (live,) = np.nonzero(candidates != -math.inf)
+    vals = candidates[live]
+    surplus = len(vals) - max_harmonics
+    cut = np.partition(vals, surplus)[surplus] if surplus > 0 else -math.inf
+    chosen = vals > cut
+    chosen[np.flatnonzero(vals == cut)[:max_harmonics - np.count_nonzero(chosen)]] = True
+    kept = live[chosen][np.argsort(-vals[chosen], kind="stable")]
+    tail_parts.append(vals[~chosen])
+    row, col = np.divmod(kept, span)
+    indices = [_signed_index(sp.indices[c] + Ns * (k - half), Nf)
+               for c, k in zip(row.tolist(), col.tolist())]
+    return SparseSpectrum._ordered(n_new, candidates[kept], indices,
+                                   _logsumexp_reference(np.concatenate(tail_parts)))
 
 
 def distill_k_reference(n: int, k: int, rounds: int) -> tuple[float, list[tuple]]:

@@ -3,13 +3,13 @@ exit codes."""
 import json
 import math
 import re
-import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from fourierdistill import distill, resources
 from fourierdistill.cli import ROUND_COLUMNS, _adder_check_summary, main
+from oracles import traced_peak
 
 
 def run_cli(capsys, *argv):
@@ -265,13 +265,9 @@ class TestResourcesCommand:
         assert err == "invalid request: --seed must be non-negative\n"
 
     def test_trials_above_limit_is_capacity_error(self, capsys):
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, "resources", "--n", "10",
-                                     "--trials", "100000000", "--seed", "1")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (code, out, err), peak = traced_peak(
+            lambda: run_cli(capsys, "resources", "--n", "10",
+                            "--trials", "100000000", "--seed", "1"))
         assert code == 3
         assert out == ""
         assert err.startswith("capacity error:") and "--trials" in err
@@ -322,19 +318,11 @@ class TestResourcesCommand:
     def test_sweep_keeps_one_schedule_path(self, capsys):
         # the reuse store is pruned to the last run's rounds after every n, so
         # the sweep peaks near one engine run; unpruned it is about 2.8x
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         # untraced, so first-call allocations are not counted below
         main(["resources", "--n", "100", "--trials", "1", "--seed", "1"])
-        one = peak(lambda: resources.round_success_probabilities(100))
-        sweep = peak(lambda: main(["resources", "--n-min", "60", "--n-max", "100",
-                                   "--trials", "1", "--seed", "1"]))
+        _, one = traced_peak(lambda: resources.round_success_probabilities(100))
+        _, sweep = traced_peak(lambda: main(["resources", "--n-min", "60", "--n-max", "100",
+                                             "--trials", "1", "--seed", "1"]))
         assert capsys.readouterr().err == ""
         assert sweep < 2 * one
 
@@ -347,7 +335,8 @@ class TestResourcesCommand:
         assert code == 0
         assert err == "".join(
             f"warning: truncation tail bound exp(-119.22) is not negligible against "
-            f"the error target for n={n}; raise max_harmonics\n" for n in range(698, 703))
+            f"the error target for n={n}; round probabilities use a fixed 512-harmonic "
+            f"budget\n" for n in range(698, 703))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_one_report_per_n(self, capsys, monkeypatch, fmt):

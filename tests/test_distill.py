@@ -6,7 +6,6 @@ before this module existed.
 """
 import json
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -42,7 +41,13 @@ from fourierdistill import (
 )
 from fourierdistill.cli import main
 from fourierdistill.distill import _signed_index, log_extension_kernel
-from oracles import exact_protocol_reference, fidelity, rounds_required_simplified
+from oracles import (
+    exact_protocol_reference,
+    fidelity,
+    rounds_required_simplified,
+    sparse_extend_reference,
+    traced_peak,
+)
 
 
 def kernel_weights(n_coarse, n_fine, j, m):
@@ -320,6 +325,7 @@ class TestSparseTailBound:
     def test_extension_against_dense_route(self, inputs):
         sp, n_new, budget = inputs
         out = sparse_extend(sp, n_new, max_harmonics=budget)
+        assert_same_spectrum(out, sparse_extend_reference(sp, n_new, budget))
         N, Nf = sp.dim, 1 << n_new
         coeffs = np.zeros(N)
         for j, w in sp.weights().items():
@@ -354,6 +360,42 @@ class TestSparseTailBound:
             ratio = float(missing / mpmath.exp(out.log_tail))
         assert out_of_span < 1e-13
         assert 0.96 < ratio < 0.97
+
+
+def assert_same_spectrum(out, ref):
+    assert out.n == ref.n
+    assert np.array_equal(out.log_weights, ref.log_weights)
+    assert out.indices == ref.indices
+    assert out.log_tail == ref.log_tail
+
+
+class TestSparseExtendBitIdentity:
+    """``sparse_extend`` gives the floats of its direct form bit for bit."""
+
+    # n = 300 extends 5 -> 10 (whole classes), 10 -> 20 and 20 -> 40 (exact
+    # class deficits), 40 -> 80 (both remainders) and 80 -> 160 -> 302 (the
+    # lobe bound on every class)
+    @pytest.mark.parametrize("budget", [4096, 16384])
+    def test_schedule_extensions(self, budget):
+        sp = initial_sparse_spectrum(5, budget)
+        for size in plan_schedule(300).sizes[1:]:
+            out = sparse_extend(sp, size, budget)
+            assert_same_spectrum(out, sparse_extend_reference(sp, size, budget))
+            sp = sparse_symmetric_round(out).output
+
+    # the class of j = 0 is the only source of -inf candidates: with a cut
+    # (budget 3), without one (100), and beside class remainders (4 -> 10)
+    @pytest.mark.parametrize("n_new, budget", [(6, 3), (6, 100), (10, 5)])
+    def test_index_zero_class(self, n_new, budget):
+        sp = SparseSpectrum(4, {0: math.log(0.5), 1: math.log(0.25), 3: math.log(0.25)})
+        assert_same_spectrum(sparse_extend(sp, n_new, budget),
+                             sparse_extend_reference(sp, n_new, budget))
+
+    @pytest.mark.parametrize("budget", [3, 4])
+    def test_weight_tie_at_the_cut(self, budget):
+        sp = SparseSpectrum(4, {1: math.log(0.5), -1: math.log(0.5)})
+        assert_same_spectrum(sparse_extend(sp, 8, budget),
+                             sparse_extend_reference(sp, 8, budget))
 
 
 class TestRounds:
@@ -466,15 +508,10 @@ class TestRunProtocolExact:
         assert rounds == exact_protocol_reference(n)
 
     def test_peak_memory_in_final_size_vectors(self):
-        tracemalloc.start()
-        try:
-            result = run_protocol_exact(16)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(lambda: run_protocol_exact(16))
         vector = 16 << max(result.schedule.sizes)  # bytes of one complex vector
         assert max(result.schedule.sizes) == 18
-        assert peak <= 4.5 * vector
+        assert peak <= 2.0 * vector
 
 
 class TestRunProtocolSparse:
@@ -513,7 +550,7 @@ class TestRunProtocolSparse:
     def test_late_truncation_raises_precision_warning(self):
         # a heavily truncated initial spectrum distilled for a single round
         # leaves a tail bound far above the target error
-        with pytest.warns(PrecisionWarning):
+        with pytest.warns(PrecisionWarning, match="; raise max_harmonics$"):
             run_protocol_sparse(21, s0=21, max_harmonics=4)
 
     def test_normal_runs_stay_quiet(self):
@@ -522,6 +559,12 @@ class TestRunProtocolSparse:
             w.simplefilter("error", PrecisionWarning)
             run_protocol_sparse(100)
             run_protocol_sparse(40, max_harmonics=256)
+
+    def test_extension_peak_memory_at_a_large_budget(self):
+        # 16384 harmonics: one candidate array (16 per harmonic) is 2.1 MB, a
+        # spectrum's indices about 0.7 MB
+        _, peak = traced_peak(lambda: run_protocol_sparse(300, max_harmonics=16384))
+        assert peak <= 10e6
 
     @pytest.mark.parametrize("s0,pad", [(4, 1), (6, 3), (5, 0)])
     def test_engine_agreement_off_default_parameters(self, s0, pad):

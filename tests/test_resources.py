@@ -1,7 +1,6 @@
 """Tests for cost formulas, Monte Carlo retry overhead, and the rotation
 cost comparison."""
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from fourierdistill import resources
 from fourierdistill.cli import main
 from fourierdistill.distill import DEFAULT_PAD, DEFAULT_S0
 from fourierdistill.resources import MAX_TRIALS, round_success_probabilities
-from oracles import epsilon_f_kickback_approx, toffoli_sum_direct
+from oracles import epsilon_f_kickback_approx, toffoli_sum_direct, traced_peak
 
 
 REF_TRIALS = 10_000
@@ -222,14 +221,12 @@ class TestExpectedCost:
                                       probabilities=[0.9, bad, 0.9])
 
     def test_trials_above_limit_refused_before_allocation(self):
-        tracemalloc.start()
-        try:
+        def refused():
             with pytest.raises(CapacityError, match="--trials"):
                 expected_cost_monte_carlo(10, trials=MAX_TRIALS + 1, seed=1,
                                           probabilities=[0.9, 0.9, 0.9])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refused)
         assert peak < 1e6
 
     def test_forced_success_recovers_deterministic_count(self):
