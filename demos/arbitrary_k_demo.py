@@ -9,6 +9,7 @@ from fourierdistill import (
     default_truncate_bits,
     distill_k,
     prepare_approx_k,
+    schedule_cost,
     transform_cost,
 )
 
@@ -22,14 +23,14 @@ print(f"  fidelity with the ideal state: {prep.fidelity:.6f} (needs > 0.5)")
 
 print()
 print("Full-width distillation, three rounds:")
-result = distill_k(n, k, rounds=3, truncate_bits=t)
-print(f"  initial fidelity {result.initial_fidelity:.6f}")
-for i, rec in enumerate(result.trace, start=1):
+result = distill_k(prep, rounds=3)
+for i, rec in enumerate(result.rounds, start=1):
     print(f"  round {i}: p_success={rec.p_success:.9f}  "
           f"fidelity={rec.fidelity:.12f}")
-print(f"  final error {result.final.error:.2e}")
-print(f"  cost: {result.adders} adders x {2 * n - 4} Toffolis = "
-      f"{result.toffoli_cost}")
+print(f"  final error {result.final_error:.2e}")
+cost = schedule_cost(result.schedule)
+print(f"  cost: {sum(rc.adders for rc in cost.per_round)} adders x {2 * n - 4} "
+      f"Toffolis = {cost.toffoli_deterministic}")
 
 print()
 print("Truncation coarseness trades fidelity for ancilla size:")

@@ -2,7 +2,6 @@
 gate-level circuits, and fault-tolerant resource accounting."""
 
 from .arbitrary import (
-    KDistillationResult,
     PreparedKState,
     default_truncate_bits,
     distill_k,
@@ -68,6 +67,7 @@ from .resources import (
     expected_cost_monte_carlo,
     expected_cost_recursion,
     resource_reports,
+    schedule_cost,
     t_sequence_cost,
     t_sequence_cost_bits,
     toffoli_capped,

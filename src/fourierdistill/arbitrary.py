@@ -10,7 +10,8 @@ infidelity well under one half for register sizes of interest.
 Distillation then runs the same symmetric postselected rounds as the
 fundamental protocol but at full register width every round: appending |+>
 qubits preserves only the small-index interpretation of a harmonic, so no
-doubling schedule applies and the Toffoli cost is quadratic in n.
+doubling schedule applies and the Toffoli cost is quadratic in n.  The
+rounds run on the exact engine's loop over the schedule (n,) * rounds.
 """
 from __future__ import annotations
 
@@ -19,17 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distill import DistillationOutcome, RoundRecord, symmetric_round
+from .distill import ProtocolResult, ProtocolSchedule, _exact_rounds
 from .errors import CapacityError, DegenerateInputError
 from .fourier import (
-    FourierSpectrum,
+    FourierAmplitudes,
     StateVector,
     _adopt,
-    pure_fourier_state,
     require_register_size,
-    spectrum_of,
+    to_fourier_basis,
 )
-from .resources import adder_toffoli_count
 
 
 def default_truncate_bits(n: int) -> int:
@@ -57,87 +56,65 @@ def qvr_phase(s: StateVector, bit: int, truncate_bits: int) -> StateVector:
     t = min(truncate_bits, s.n)  # t >= n is already exact
     # the phase takes 2**t values: look them up instead of an exp per amplitude
     table = np.exp(2j * np.pi * np.arange(1 << t) / (1 << t))
-    # top t bits of (y * 2**bit) mod N, as one shift and mask
-    y = np.arange(s.dim, dtype=np.int64)
+    # top t bits of (y * 2**bit) mod N, as one shift and mask in place
+    q = np.arange(s.dim, dtype=np.int64)
     shift = s.n - t - bit
-    quantized = (y >> shift if shift >= 0 else y << -shift) & ((1 << t) - 1)
-    return _adopt(StateVector, s.amps * table[quantized])
+    if shift >= 0:
+        q >>= shift
+    else:
+        q <<= -shift
+    q &= (1 << t) - 1
+    phases = np.take(table, q, mode="wrap")
+    return _adopt(StateVector, np.multiply(s.amps, phases, out=phases))
 
 
 @dataclass(frozen=True)
 class PreparedKState:
-    """QVR-prepared approximation of the index-k Fourier state."""
+    """QVR-prepared approximation of the index-k Fourier state and its coefficients."""
 
     state: StateVector
-    spectrum: FourierSpectrum
+    coefficients: FourierAmplitudes
     n: int
     k: int
     truncate_bits: int
 
     @property
     def fidelity(self) -> float:
-        """Overlap with the index-k Fourier state: the spectrum's weight at k."""
-        return self.spectrum.weight(self.k)
+        """Overlap with the index-k Fourier state: the weight at k."""
+        return self.coefficients.spectrum().weight(self.k)
 
 
 def prepare_approx_k(n: int, k: int, truncate_bits: int | None = None) -> PreparedKState:
     """Build the approximate index-k state by QVR over the set bits of k."""
+    t = default_truncate_bits(n) if truncate_bits is None else truncate_bits
     require_register_size(n)
     k %= 1 << n
-    t = default_truncate_bits(n) if truncate_bits is None else truncate_bits
-    state = pure_fourier_state(n, 0)
+    N = 1 << n
+    state = _adopt(StateVector, np.full(N, 1.0 / math.sqrt(N), dtype=complex))  # |+>^n
     for b in range(n):
         if (k >> b) & 1:
             state = qvr_phase(state, b, t)
-    return PreparedKState(state, spectrum_of(state), n, k, t)
+    return PreparedKState(state, to_fourier_basis(state), n, k, t)
 
 
-@dataclass(frozen=True)
-class KDistillationResult:
-    """Full-width distillation run toward an arbitrary index."""
+def distill_k(prep: PreparedKState, rounds: int) -> ProtocolResult:
+    """Distill a prepared state toward its index k with full-width rounds.
 
-    n: int
-    k: int
-    truncate_bits: int
-    rounds: int
-    initial_fidelity: float
-    trace: tuple[RoundRecord, ...]
-    final: DistillationOutcome
-    adders: int
-    toffoli_cost: int
-
-
-def distill_k(n: int, k: int, rounds: int,
-              truncate_bits: int | None = None) -> KDistillationResult:
-    """Distill toward index k with full-width symmetric rounds.
-
-    A depth-d tree of full-width steps uses 2**d - 1 adders of 2n - 4
-    Toffolis each.  The input's dominant Fourier index must already be k;
-    otherwise repeated squaring converges to the wrong index and the run is
-    refused.
+    This is the exact engine's protocol on the schedule (n,) * rounds with
+    target k; no round changes the register size, so every round stays in
+    the Fourier basis.  Its Toffoli cost is ``resources.schedule_cost`` of
+    ``result.schedule``.  The input's dominant Fourier index must already be
+    k; otherwise repeated squaring converges to the wrong index and the run
+    is refused.
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
-    prep = prepare_approx_k(n, k, truncate_bits)
-    spectrum = prep.spectrum
-    dominant = spectrum.dominant_index()
+    dominant = prep.coefficients.spectrum().dominant_index()
     if dominant != prep.k:
         raise DegenerateInputError(
             f"dominant Fourier index {dominant} beats the target {prep.k} "
             f"(initial fidelity {prep.fidelity:.4f}); distillation would "
             f"converge to the wrong index")
-    trace = []
-    outcome = None
-    for _ in range(rounds):
-        outcome = symmetric_round(spectrum, target_k=prep.k)
-        trace.append(RoundRecord(size=n, p_success=outcome.p_success,
-                                 fidelity=outcome.fidelity, error=outcome.error,
-                                 log_error=outcome.log_error))
-        spectrum = outcome.output
-    adders = (1 << rounds) - 1
-    return KDistillationResult(
-        n=n, k=prep.k, truncate_bits=prep.truncate_bits, rounds=rounds,
-        initial_fidelity=prep.fidelity, trace=tuple(trace), final=outcome,
-        adders=adders, toffoli_cost=adders * adder_toffoli_count(n),
-    )
-
+    schedule = ProtocolSchedule(n_target=prep.n, s0=prep.n, pad=0, sizes=(prep.n,) * rounds)
+    records, outcome = _exact_rounds(np.array(prep.coefficients.coeffs), schedule.sizes, prep.k)
+    return ProtocolResult(prep.n, "exact", schedule, records, outcome)

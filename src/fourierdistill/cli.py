@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from . import circuits, distill, fourier, resources
-from .arbitrary import default_truncate_bits, distill_k
+from .arbitrary import distill_k, prepare_approx_k
 from .errors import CapacityError, PrecisionWarning
 
 #: Version tag carried by every JSON payload; CSV headers are pinned by
@@ -192,21 +192,22 @@ def cmd_compare(a: argparse.Namespace):
 
 
 def cmd_arbitrary_k(a: argparse.Namespace):
-    t = a.truncate_bits if a.truncate_bits is not None else default_truncate_bits(a.n)
-    result = distill_k(a.n, a.k, a.rounds, t)
-    rounds = _rounds(result.trace)
+    prep = prepare_approx_k(a.n, a.k, a.truncate_bits)
+    result = distill_k(prep, a.rounds)
+    cost = resources.schedule_cost(result.schedule)
+    rounds = _rounds(result.rounds)
     payload = {
         "command": "arbitrary-k",
         "n": a.n,
-        "k": result.k,
-        "truncate_bits": result.truncate_bits,
-        "initial_fidelity": result.initial_fidelity,
+        "k": prep.k,
+        "truncate_bits": prep.truncate_bits,
+        "initial_fidelity": prep.fidelity,
         "rounds": rounds,
-        "final_error": result.final.error,
-        "adders": result.adders,
-        "toffoli_cost": result.toffoli_cost,
+        "final_error": result.final_error,
+        "adders": sum(rc.adders for rc in cost.per_round),
+        "toffoli_cost": cost.toffoli_deterministic,
     }
-    rows = [{**r, "k": result.k, "truncate_bits": result.truncate_bits} for r in rounds]
+    rows = [{**r, "k": prep.k, "truncate_bits": prep.truncate_bits} for r in rounds]
     return payload, ROUND_COLUMNS + ("k", "truncate_bits"), rows
 
 

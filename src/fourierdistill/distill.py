@@ -506,6 +506,32 @@ class ProtocolResult:
         return self.final.log_error
 
 
+def _exact_rounds(coeffs: np.ndarray, sizes: Sequence[int],
+                  k: int) -> tuple[tuple[RoundRecord, ...], DistillationOutcome]:
+    """Symmetric rounds toward index k on dense coefficients, one per size.
+
+    ``coeffs`` holds the Fourier coefficients of the first round's input in a
+    buffer the loop takes over.  Each round squares the coefficients in place
+    and postselects.  The vector leaves the Fourier basis only when the next
+    round is larger, to append |+> qubits, so rounds of equal size run no
+    transform, and the last round's output stays in the Fourier basis.
+    """
+    records = []
+    for i, size in enumerate(sizes):
+        if i:
+            coeffs = _reclaim(outcome.output.coeffs)
+            del outcome
+        if len(coeffs) < 1 << size:
+            state = extend_register(_adopt(StateVector, _unitary_fft(coeffs, inverse=True)), size)
+            coeffs = _reclaim(state.amps)  # frees the smaller vector before the transform
+            _unitary_fft(coeffs)
+        coeffs *= coeffs
+        outcome = _postselect(coeffs, k)
+        records.append(RoundRecord(size, outcome.p_success, outcome.fidelity,
+                                   outcome.error, outcome.log_error))
+    return tuple(records), outcome
+
+
 def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
                        pad: int = DEFAULT_PAD) -> ProtocolResult:
     """Run the full distillation tree on dense amplitude vectors.
@@ -529,23 +555,9 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
             f"schedule for n={n} needs {biggest}-qubit amplitude vectors; "
             f"use --engine sparse"
         ) from None
-    state = approx_initial_state(schedule.sizes[0])
-    records = []
-    last = schedule.rounds - 1  # by index: the last sizes may repeat
-    for i, size in enumerate(schedule.sizes):
-        state = extend_register(state, size)
-        coeffs = _unitary_fft(_reclaim(state.amps))
-        del state
-        coeffs *= coeffs
-        outcome = _postselect(coeffs, 1)
-        del coeffs
-        records.append(RoundRecord(size, outcome.p_success, outcome.fidelity,
-                                   outcome.error, outcome.log_error))
-        if i < last:
-            state = _adopt(StateVector, _unitary_fft(_reclaim(outcome.output.coeffs),
-                                                     inverse=True))
-            del outcome
-    return ProtocolResult(n, "exact", schedule, tuple(records), outcome)
+    coeffs = _unitary_fft(_reclaim(approx_initial_state(schedule.sizes[0]).amps))
+    records, outcome = _exact_rounds(coeffs, schedule.sizes, 1)
+    return ProtocolResult(n, "exact", schedule, records, outcome)
 
 
 def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,

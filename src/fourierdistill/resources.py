@@ -8,8 +8,9 @@ Two deterministic accountings are provided and reconciled:
 
 * the closed form 2**(R+1)*R*s - 2**(R+2) + 4, whose per-round register
   size is 2**r * s for round r (equal to its defining sum by construction),
-* the capped schedule accounting, which walks the actual round sizes
-  (s0 doubling, capped at n + pad) and is therefore smaller.
+* the schedule accounting, which walks the actual round sizes and is
+  therefore smaller: the capped schedule (s0 doubling, capped at n + pad)
+  for ``resources``, and the full-width (n,) * R for ``arbitrary-k``.
 
 Both are pure schedule arithmetic and run no spectral engine.
 
@@ -32,6 +33,7 @@ import numpy as np
 from .distill import (
     DEFAULT_PAD,
     DEFAULT_S0,
+    ProtocolSchedule,
     plan_schedule,
     run_protocol_sparse,
 )
@@ -113,22 +115,19 @@ def round_success_probabilities(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT
 
 
 def toffoli_capped(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> ResourceReport:
-    """Deterministic cost of the capped schedule: 2**(R-r) adders in round r,
-    each costing 2*size_r - 4 Toffolis at the scheduled round size."""
+    """Deterministic cost of the capped schedule for target n."""
     if n < 5:
         raise ValueError("cost accounting starts at n = 5")
-    schedule = plan_schedule(n, s0, pad)
+    return schedule_cost(plan_schedule(n, s0, pad))
+
+
+def schedule_cost(schedule: ProtocolSchedule) -> ResourceReport:
+    """Deterministic cost of a schedule's tree: 2**(R-r) adders in round r,
+    each costing 2*size_r - 4 Toffolis at that round's size."""
     R = schedule.rounds
-    per_round = tuple(
-        RoundCost(
-            round_index=r + 1,
-            size=size,
-            adders=1 << (R - 1 - r),
-            toffolis_per_adder=adder_toffoli_count(size),
-        )
-        for r, size in enumerate(schedule.sizes)
-    )
-    return ResourceReport(n, per_round, schedule.width_qubits)
+    per_round = tuple(RoundCost(r + 1, size, 1 << (R - 1 - r), adder_toffoli_count(size))
+                      for r, size in enumerate(schedule.sizes))
+    return ResourceReport(schedule.n_target, per_round, schedule.width_qubits)
 
 
 def expected_cost_recursion(n: int, s0: int = DEFAULT_S0,
@@ -140,6 +139,17 @@ def expected_cost_recursion(n: int, s0: int = DEFAULT_S0,
     for size, p in zip(schedule.sizes, probs):
         expected = (2.0 * expected + adder_toffoli_count(size)) / p
     return expected
+
+
+def _check_trials(trials: int, seed: int | None) -> None:
+    """Refuse a Monte Carlo request before any engine runs for it."""
+    if trials < 1:
+        raise ValueError("at least one trial is required")
+    if trials > MAX_TRIALS:
+        raise CapacityError(f"--trials {trials} exceeds the Monte Carlo limit of "
+                            f"{MAX_TRIALS} trials per estimate")
+    if seed is None:
+        raise ValueError("a seed is required for the stochastic estimate")
 
 
 def expected_cost_monte_carlo(n: int, trials: int, seed: int,
@@ -157,13 +167,7 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
     probabilities (what-if analysis; forcing 1.0 everywhere recovers the
     deterministic count).
     """
-    if trials < 1:
-        raise ValueError("at least one trial is required")
-    if trials > MAX_TRIALS:
-        raise CapacityError(f"--trials {trials} exceeds the Monte Carlo limit of "
-                            f"{MAX_TRIALS} trials per estimate")
-    if seed is None:
-        raise ValueError("a seed is required for the stochastic estimate")
+    _check_trials(trials, seed)
     schedule = plan_schedule(n, s0, pad)
     probs = probabilities if probabilities is not None \
         else round_success_probabilities(n, s0, pad)
@@ -190,6 +194,8 @@ def resource_reports(n_values, trials: int = 0, seed: int | None = None,
     The engine runs of the sweep share one reuse store, so a round prefix
     common to several n runs once; every n gets the floats it gets alone.
     """
+    if trials > 0:
+        _check_trials(trials, seed)
     reports, reuse = [], {}
     for n in n_values:
         report = toffoli_capped(n, s0, pad)

@@ -16,6 +16,7 @@ from fourierdistill import (
     default_truncate_bits,
     plan_schedule,
 )
+from fourierdistill import distill, fourier
 from fourierdistill.distill import _signed_index
 
 
@@ -74,20 +75,38 @@ def _amplitude_round(coeffs: np.ndarray, k: int):
 
 def exact_protocol_reference(n: int) -> list[tuple]:
     """Per-round (size, p_success, fidelity, error, log_error) of the dense
-    protocol in its direct form: ``np.kron`` extension, a forward and an
-    inverse FFT every round, and ``abs(product) ** 2`` weights."""
+    protocol in its direct form: ``np.kron`` extension, an inverse and a
+    forward FFT only where the register grows, and ``abs(product) ** 2``
+    weights."""
     sizes = plan_schedule(n).sizes
     N = 1 << sizes[0]
     amps = np.repeat(np.array([1, 1j, -1, -1j]), N // 4) / math.sqrt(N)
+    coeffs = np.fft.fft(amps) / math.sqrt(N)
     rounds = []
     for size in sizes:
-        pad = (1 << size) // len(amps)
+        pad = (1 << size) // len(coeffs)
         if pad > 1:
+            amps = np.fft.ifft(coeffs) * math.sqrt(len(coeffs))
             amps = np.kron(amps, np.full(pad, 1.0 / math.sqrt(pad)))
-        record, out = _amplitude_round(np.fft.fft(amps) / math.sqrt(len(amps)), 1)
+            coeffs = np.fft.fft(amps) / math.sqrt(len(amps))
+        record, coeffs = _amplitude_round(coeffs, 1)
         rounds.append((size, *record))
-        amps = np.fft.ifft(out) * math.sqrt(len(out))
     return rounds
+
+
+def counted_transforms(monkeypatch) -> list[tuple[int, bool]]:
+    """Patch the package's unitary FFT in every module that calls it; each
+    transform appends (length, inverse) to the returned list."""
+    calls = []
+    transform = fourier._unitary_fft
+
+    def counted(buf, inverse=False):
+        calls.append((len(buf), inverse))
+        return transform(buf, inverse)
+
+    for module in (fourier, distill):
+        monkeypatch.setattr(module, "_unitary_fft", counted)
+    return calls
 
 
 def _logsumexp_reference(values: np.ndarray) -> float:
@@ -143,7 +162,7 @@ def sparse_extend_reference(sp: SparseSpectrum, n_new: int,
 def distill_k_reference(n: int, k: int, rounds: int) -> tuple[float, list[tuple]]:
     """Initial fidelity (the weight at k) and per-round (p_success, fidelity,
     error, log_error) of ``distill_k`` with each QVR phase evaluated by
-    ``np.exp`` per amplitude."""
+    ``np.exp`` per amplitude, and each round squaring complex coefficients."""
     N = 1 << n
     t = min(default_truncate_bits(n), n)
     y = np.arange(N, dtype=np.int64)
@@ -152,15 +171,12 @@ def distill_k_reference(n: int, k: int, rounds: int) -> tuple[float, list[tuple]
         if (k >> b) & 1:
             quantized = ((y << b) % N) << t >> n
             state = state * np.exp(2j * np.pi * quantized / (1 << t))
-    weights = np.abs(np.fft.fft(state) / math.sqrt(N)) ** 2
-    initial = float(weights[k])
+    coeffs = np.fft.fft(state) / math.sqrt(N)
+    initial = float((np.abs(coeffs) ** 2)[k])
     trace = []
     for _ in range(rounds):
-        product = weights * weights
-        p = float(product.sum())
-        err = float(product[:k].sum() + product[k + 1:].sum()) / p
-        weights = product / p
-        trace.append((p, float(weights[k]), err, math.log(err) if err > 0 else -math.inf))
+        record, coeffs = _amplitude_round(coeffs, k)
+        trace.append(record)
     return initial, trace
 
 

@@ -182,8 +182,8 @@ def test_criterion_11_rotation_comparison():
 def test_criterion_12_arbitrary_index():
     prep = prepare_approx_k(8, 5, 5)
     assert prep.fidelity > 0.5
-    result = distill_k(8, 5, rounds=3, truncate_bits=5)
-    fids = [result.initial_fidelity] + [rec.fidelity for rec in result.trace]
+    result = distill_k(prep, rounds=3)
+    fids = [prep.fidelity] + [rec.fidelity for rec in result.rounds]
     for a, b in zip(fids, fids[1:]):
         if a < 1.0:
             assert b > a

@@ -12,10 +12,11 @@ from fourierdistill import (
     pure_fourier_state,
     qvr_phase,
     run_protocol_exact,
+    schedule_cost,
     spectrum_of,
     transform_cost,
 )
-from oracles import distill_k_reference, fidelity
+from oracles import counted_transforms, distill_k_reference, fidelity
 
 
 class TestQvrPhase:
@@ -94,66 +95,87 @@ class TestPrepareApproxK:
 
 class TestDistillK:
     def test_reference_run_n8_k5(self):
-        result = distill_k(8, 5, rounds=3, truncate_bits=5)
-        fids = [rec.fidelity for rec in result.trace]
-        assert all(b > a for a, b in zip([result.initial_fidelity] + fids, fids)
-                   if a < 1.0)
-        assert result.final.error < 1e-3
-        assert result.toffoli_cost == 7 * 12 == 84
+        prep = prepare_approx_k(8, 5, 5)
+        result = distill_k(prep, rounds=3)
+        fids = [rec.fidelity for rec in result.rounds]
+        assert all(b > a for a, b in zip([prep.fidelity] + fids, fids) if a < 1.0)
+        assert result.final_error < 1e-3
+        assert schedule_cost(result.schedule).toffoli_deterministic == 7 * 12 == 84
 
     def test_round3_error_is_summed_off_target_weight(self):
         # three symmetric rounds raise every weight to the 8th power; the
         # error (4e-20) is far below the float resolution of 1 - fidelity
-        result = distill_k(8, 5, rounds=3)
-        w8 = spectrum_of(prepare_approx_k(8, 5).state).weights ** 8
+        prep = prepare_approx_k(8, 5)
+        result = distill_k(prep, rounds=3)
+        w8 = spectrum_of(prep.state).weights ** 8
         expected = math.fsum(np.delete(w8, 5)) / math.fsum(w8)
         assert result.final.error > 0
-        assert result.final.error == pytest.approx(expected, rel=1e-12)
+        assert result.final.error == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert result.final.log_error == pytest.approx(math.log(expected), rel=1e-12)
 
     def test_monotone_strict_until_saturation(self):
-        result = distill_k(8, 5, rounds=2, truncate_bits=4)
-        f0 = result.initial_fidelity
-        f1, f2 = result.trace[0].fidelity, result.trace[1].fidelity
-        assert f0 < f1 < f2 < 1.0 + 1e-12
+        prep = prepare_approx_k(8, 5, truncate_bits=4)
+        result = distill_k(prep, rounds=2)
+        f1, f2 = result.rounds[0].fidelity, result.rounds[1].fidelity
+        assert prep.fidelity < f1 < f2 < 1.0 + 1e-12
 
     def test_fundamental_index_cross_check(self):
         # the QVR route and the doubling protocol both converge on index 1
-        via_k = distill_k(10, 1, rounds=3)
+        via_k = distill_k(prepare_approx_k(10, 1), rounds=3)
         via_protocol = run_protocol_exact(10)
-        assert via_k.final.error < 1e-3
+        assert via_k.final_error < 1e-3
         assert via_protocol.final_error < 1e-3
+        assert spectrum_of(via_k.output_state).dominant_index() == 1
         assert spectrum_of(via_protocol.output_state).dominant_index() == 1
 
     def test_wrong_dominant_index_detected(self):
         # 1-bit quantization leaves the dominant weight at index 3, not 5
         with pytest.raises(DegenerateInputError):
-            distill_k(8, 5, rounds=3, truncate_bits=1)
+            distill_k(prepare_approx_k(8, 5, truncate_bits=1), rounds=3)
 
     def test_cost_accounting_exact(self):
+        # the tree of R full-width rounds holds 2**R - 1 adders of 2n - 4 Toffolis
+        prep = prepare_approx_k(6, 3)
         for rounds in (1, 2, 4):
-            result = distill_k(6, 3, rounds=rounds)
-            assert result.adders == (1 << rounds) - 1
-            assert result.toffoli_cost == result.adders * (2 * 6 - 4)
+            result = distill_k(prep, rounds=rounds)
+            assert result.schedule.sizes == (6,) * rounds
+            assert [r.size for r in result.rounds] == [6] * rounds
+            cost = schedule_cost(result.schedule)
+            assert sum(rc.adders for rc in cost.per_round) == (1 << rounds) - 1
+            assert cost.toffoli_deterministic == ((1 << rounds) - 1) * (2 * 6 - 4)
+
+    def test_prepared_state_is_left_unchanged(self):
+        prep = prepare_approx_k(8, 5)
+        before = np.array(prep.coefficients.coeffs)
+        distill_k(prep, rounds=3)
+        assert np.array_equal(prep.coefficients.coeffs, before)
+
+    def test_one_transform(self, monkeypatch):
+        # the QVR state is transformed once; full-width rounds stay in the
+        # Fourier basis
+        calls = counted_transforms(monkeypatch)
+        distill_k(prepare_approx_k(12, 2731), rounds=3)
+        assert calls == [(1 << 12, False)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            distill_k(8, 5, rounds=0)
+            distill_k(prepare_approx_k(8, 5), rounds=0)
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("n,k", [(8, 5), (12, 2731)])
     def test_distill_k_matches_direct_form(self, n, k):
-        result = distill_k(n, k, rounds=3)
+        prep = prepare_approx_k(n, k)
+        result = distill_k(prep, rounds=3)
         initial, trace = distill_k_reference(n, k, rounds=3)
-        assert result.initial_fidelity == initial
+        assert prep.fidelity == initial
         assert [(r.p_success, r.fidelity, r.error, r.log_error)
-                for r in result.trace] == trace
+                for r in result.rounds] == trace
 
     # (20, 292252) is the benchmark's arbitrary-k job at seed 1
     @pytest.mark.parametrize("n,k", [(8, 5), (12, 2731), (20, 292252)])
     def test_initial_fidelity_matches_direct_overlap(self, n, k):
-        # distill_k reports this prepared fidelity as its initial_fidelity
+        # arbitrary-k reports this prepared fidelity as its initial_fidelity
         prep = prepare_approx_k(n, k)
         assert prep.fidelity == pytest.approx(fidelity(prep.state, n, k), rel=1e-14)
 

@@ -273,6 +273,19 @@ class TestResourcesCommand:
         assert err.startswith("capacity error:") and "--trials" in err
         assert peak < 50e6  # refused before any per-trial array exists
 
+    def test_trial_limit_is_checked_before_any_engine_run(self, capsys, monkeypatch):
+        # n = 1100 is past the sparse engine's size limit (exit 2); the trial
+        # limit must be reported first, with no engine run
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the engine for a refused --trials")
+
+        monkeypatch.setattr(resources, "round_success_probabilities", refuse)
+        code, out, err = run_cli(capsys, "resources", "--n", "1100",
+                                 "--trials", "100000000", "--seed", "1")
+        assert (code, out) == (3, "")
+        assert err == ("capacity error: --trials 100000000 exceeds the Monte Carlo "
+                       "limit of 4194304 trials per estimate\n")
+
     @pytest.mark.parametrize("trials", [[], ["--trials", "5", "--seed", "1"]])
     def test_s0_below_adder_minimum_rejected(self, capsys, monkeypatch, trials):
         def refuse(*args, **kwargs):

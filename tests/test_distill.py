@@ -42,6 +42,7 @@ from fourierdistill import (
 from fourierdistill.cli import main
 from fourierdistill.distill import _signed_index, log_extension_kernel
 from oracles import (
+    counted_transforms,
     exact_protocol_reference,
     fidelity,
     rounds_required_simplified,
@@ -498,14 +499,35 @@ class TestRunProtocolExact:
         assert fidelity(result.output_state, final_size, 1) == pytest.approx(
             result.final.fidelity, abs=1e-12)
 
-    # n = 16 repeats its last size (18, 18), so the inverse FFT between the
-    # two last rounds must still run
     @pytest.mark.parametrize("n", [6, 10, 12, 16])
     def test_rounds_bit_identical_to_direct_form(self, n):
         result = run_protocol_exact(n)
         rounds = [(r.size, r.p_success, r.fidelity, r.error, r.log_error)
                   for r in result.rounds]
         assert rounds == exact_protocol_reference(n)
+
+    @pytest.mark.parametrize("n, transforms", [
+        (18, [(1 << 5, False), (1 << 5, True), (1 << 10, False), (1 << 10, True),
+              (1 << 20, False)]),
+        (20, [(1 << 5, False), (1 << 5, True), (1 << 10, False), (1 << 10, True),
+              (1 << 20, False), (1 << 20, True), (1 << 22, False)]),
+    ])
+    def test_leaves_fourier_basis_only_to_extend(self, monkeypatch, n, transforms):
+        # sizes (5, 10, 20, 20) and (5, 10, 20, 22): a round of the previous
+        # size squares its coefficients without a transform
+        calls = counted_transforms(monkeypatch)
+        run_protocol_exact(n)
+        assert calls == transforms
+
+    @pytest.mark.parametrize("n", range(15, 19))
+    def test_final_error_agrees_with_sparse_engine(self, n):
+        # these schedules repeat their last size; a transform pair between
+        # the two rounds put the exact error about 1e-12 off the sparse one
+        exact = run_protocol_exact(n)
+        assert exact.schedule.sizes[-1] == exact.schedule.sizes[-2]
+        sparse = run_protocol_sparse(n)
+        assert exact.final_error == pytest.approx(math.exp(sparse.final_log_error),
+                                                  rel=1e-13, abs=0.0)
 
     def test_peak_memory_in_final_size_vectors(self):
         result, peak = traced_peak(lambda: run_protocol_exact(16))

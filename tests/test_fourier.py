@@ -1,4 +1,5 @@
 """Tests for Fourier-state construction, basis conversion, and series math."""
+import functools
 import math
 
 import numpy as np
@@ -184,25 +185,31 @@ class TestSeriesCoefficients:
         assert total == pytest.approx(1.0, abs=2e-5)
 
 
+@pytest.fixture(scope="module")
+def staircase_fold():
+    """``alias_fold`` of the staircase series at j_max = 2**18, once per n."""
+    return functools.cache(lambda n: alias_fold(n, series_coefficient, 1 << 18))
+
+
 class TestAliasFold:
     @pytest.mark.parametrize("n", [8, 10, 12])
-    def test_cross_validates_against_direct_spectrum(self, n):
+    def test_cross_validates_against_direct_spectrum(self, staircase_fold, n):
         # The fold reproduces the series (midpoint) convention; against the
         # right-limit-sampled state the weights agree at the O(1/N) scale,
         # quartering with every added qubit pair.
         N = 1 << n
-        folded, tail = alias_fold(n, series_coefficient, 1 << 18)
+        folded, tail = staircase_fold(n)
         direct = spectrum_of(approx_initial_state(n))
         diff = np.max(np.abs(folded.spectrum().weights - direct.weights))
         assert diff < 2.5 / N
         assert diff > 0.5 / N  # the convention gap is real, not a tolerance slack
         assert 0 <= tail < 1e-3
 
-    def test_matches_cotangent_closed_form(self):
+    def test_matches_cotangent_closed_form(self, staircase_fold):
         # the full aliasing class sums to (2-2i)/N * cot(pi j / N); j_max
         # truncation limits the comparison, not the fold arithmetic
         n, N = 8, 256
-        folded, _ = alias_fold(n, series_coefficient, 1 << 18)
+        folded, _ = staircase_fold(n)
         for signed_j in (1, 5, -3, -7):
             ratio = folded.coeffs[signed_j % N] / folded.coeffs[1]
             exact = math.tan(math.pi / N) / math.tan(math.pi * signed_j / N)
