@@ -8,9 +8,11 @@ tracks only the heaviest harmonics in log space and reaches n = 100.
 import math
 
 from fourierdistill import (
+    from_fourier_basis,
     plan_schedule,
     run_protocol_exact,
     run_protocol_sparse,
+    spectrum_of,
 )
 
 print("Schedule for a 10-bit target: sizes double from 5, capped at n+2")
@@ -20,11 +22,16 @@ print(f"  sizes = {sched.sizes}, logical width = {sched.width_qubits} qubits")
 print()
 print("Exact amplitude-level run at n = 10:")
 result = run_protocol_exact(10)
-for i, rec in enumerate(result.rounds, start=1):
-    print(f"  round {i}: size={rec.size:3d}  p_success={rec.p_success:.12f}  "
+for i, (size, rec) in enumerate(zip(result.schedule.sizes, result.rounds), start=1):
+    print(f"  round {i}: size={size:3d}  p_success={rec.p_success:.12f}  "
           f"error={rec.error:.3e}")
 print(f"  final error {result.final_error:.3e} vs target "
       f"{result.threshold:.3e} -> meets: {result.meets_threshold}")
+# the last round's output stays in the Fourier basis; one inverse FFT
+# rebuilds the register state
+state = from_fourier_basis(result.final.output)
+print(f"  output register: {state.n} qubits, "
+      f"dominant Fourier index {spectrum_of(state).dominant_index()}")
 
 print()
 print("The first round succeeds about two thirds of the time; later rounds")
@@ -33,9 +40,9 @@ print("almost always, because the inputs are already close to pure.")
 print()
 print("Sparse spectral run at n = 100 (far beyond any amplitude vector):")
 big = run_protocol_sparse(100)
-for rec in big.rounds:
+for size, rec in zip(big.schedule.sizes, big.rounds):
     log2_err = rec.log_error / math.log(2)
-    print(f"  size={rec.size:4d}  p_success={rec.p_success:.12f}  "
+    print(f"  size={size:4d}  p_success={rec.p_success:.12f}  "
           f"log2(error)={log2_err:9.2f}")
 print(f"  final log2 error  {big.final_log_error / math.log(2):8.2f}")
 print(f"  target log2 bound {big.log_threshold / math.log(2):8.2f}")
@@ -45,6 +52,6 @@ print()
 print("Cross-check: both engines on the same 12-bit run")
 e = run_protocol_exact(12)
 s = run_protocol_sparse(12)
-for re, rs in zip(e.rounds, s.rounds):
-    print(f"  size={re.size:3d}  p exact={re.p_success:.12f}  "
+for size, re, rs in zip(e.schedule.sizes, e.rounds, s.rounds):
+    print(f"  size={size:3d}  p exact={re.p_success:.12f}  "
           f"sparse={rs.p_success:.12f}  |diff|={abs(re.p_success - rs.p_success):.1e}")

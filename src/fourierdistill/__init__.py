@@ -28,7 +28,6 @@ from .distill import (
     DistillationOutcome,
     ProtocolResult,
     ProtocolSchedule,
-    RoundRecord,
     SparseSpectrum,
     distill_pair,
     extend_register,

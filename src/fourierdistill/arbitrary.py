@@ -115,6 +115,6 @@ def distill_k(prep: PreparedKState, rounds: int) -> ProtocolResult:
             f"dominant Fourier index {dominant} beats the target {prep.k} "
             f"(initial fidelity {prep.fidelity:.4f}); distillation would "
             f"converge to the wrong index")
-    schedule = ProtocolSchedule(n_target=prep.n, s0=prep.n, pad=0, sizes=(prep.n,) * rounds)
-    records, outcome = _exact_rounds(np.array(prep.coefficients.coeffs), schedule.sizes, prep.k)
-    return ProtocolResult(prep.n, "exact", schedule, records, outcome)
+    schedule = ProtocolSchedule(prep.n, (prep.n,) * rounds)
+    return ProtocolResult("exact", schedule,
+                          _exact_rounds(np.array(prep.coefficients.coeffs), schedule.sizes, prep.k))

@@ -60,12 +60,12 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _rounds(trace) -> list[dict]:
-    """Per-round rows of a protocol trace, numbered from 1."""
+def _rounds(result: distill.ProtocolResult) -> list[dict]:
+    """Per-round rows of a protocol run, numbered from 1."""
     return [
-        {"round": i, "size": rec.size, "p_success": rec.p_success,
+        {"round": i, "size": size, "p_success": rec.p_success,
          "fidelity": rec.fidelity, "error": rec.error}
-        for i, rec in enumerate(trace, start=1)
+        for i, (size, rec) in enumerate(zip(result.schedule.sizes, result.rounds), start=1)
     ]
 
 
@@ -93,9 +93,9 @@ def cmd_distill(a: argparse.Namespace):
     else:
         result = distill.run_protocol_sparse(a.n, s0=a.s0, pad=a.pad,
                                              max_harmonics=a.max_harmonics)
-    rounds = _rounds(result.rounds)
+    rounds = _rounds(result)
     payload = {
-        "n": result.n_target,
+        "n": result.schedule.n_target,
         "engine": result.engine,
         "sizes": list(result.schedule.sizes),
         "note": result.schedule.note,
@@ -195,7 +195,7 @@ def cmd_arbitrary_k(a: argparse.Namespace):
     prep = prepare_approx_k(a.n, a.k, a.truncate_bits)
     result = distill_k(prep, a.rounds)
     cost = resources.schedule_cost(result.schedule)
-    rounds = _rounds(result.rounds)
+    rounds = _rounds(result)
     payload = {
         "command": "arbitrary-k",
         "n": a.n,

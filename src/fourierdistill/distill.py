@@ -24,7 +24,7 @@ import itertools
 import math
 import warnings
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .fourier import (
     _unitary_fft,
     approx_initial_state,
     fidelity_threshold,
-    from_fourier_basis,
     log_fidelity_threshold,
     require_register_size,
 )
@@ -80,7 +79,7 @@ class DistillationOutcome:
     """Result of one postselected distillation step."""
 
     p_success: float
-    output: object  # FourierSpectrum, FourierAmplitudes, or SparseSpectrum
+    output: object  # FourierSpectrum, FourierAmplitudes, SparseSpectrum, or None
     fidelity: float
     error: float
     log_error: float = NEG_INF  # natural log; resolves errors below float eps
@@ -92,11 +91,10 @@ class DistillationOutcome:
 
 @dataclass(frozen=True)
 class ProtocolSchedule:
-    """Per-round register sizes for the multi-round distillation tree."""
+    """Per-round register sizes for the multi-round distillation tree; the
+    last round reaches the target precision."""
 
     n_target: int
-    s0: int
-    pad: int
     sizes: tuple[int, ...]
     note: str | None = None
 
@@ -105,8 +103,9 @@ class ProtocolSchedule:
             raise ValueError("schedule needs at least one round")
         if any(b < a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("round sizes must be non-decreasing")
-        if max(self.sizes) > self.n_target + self.pad:
-            raise ValueError("round sizes exceed the padded target")
+        if self.sizes[-1] < self.n_target:
+            raise ValueError(f"last round size {self.sizes[-1]} is below the target "
+                             f"{self.n_target}")
 
     @property
     def rounds(self) -> int:
@@ -435,7 +434,8 @@ def plan_schedule(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> Proto
     """Round sizes for target precision n: doubling capped at n + pad.
 
     Sizes double from s0 because each round roughly doubles the number of
-    accurate bits.  For n <= s0 the first round already reaches target
+    accurate bits, for at least ``rounds_required(n)`` rounds and until the
+    last size reaches n.  For n <= s0 the first round already reaches target
     precision, so the schedule is a single flagged round.
     """
     if n < 1:
@@ -446,56 +446,40 @@ def plan_schedule(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> Proto
         raise ValueError("pad must be non-negative")
     if n <= s0:
         return ProtocolSchedule(
-            n_target=n, s0=s0, pad=pad, sizes=(min(s0, n + pad),),
+            n, (min(s0, n + pad),),
             note="single round: first round is already accurate to about five bits",
         )
     sizes = [s0]
-    for _ in range(rounds_required(n) - 1):
+    while len(sizes) < rounds_required(n) or sizes[-1] < n:
         sizes.append(min(2 * sizes[-1], n + pad))
-    return ProtocolSchedule(n_target=n, s0=s0, pad=pad, sizes=tuple(sizes))
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Per-round trace entry of a protocol run."""
-
-    size: int
-    p_success: float
-    fidelity: float
-    error: float
-    log_error: float = NEG_INF
+    return ProtocolSchedule(n, tuple(sizes))
 
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    """Full multi-round protocol outcome with per-round trace."""
+    """Full multi-round protocol outcome: one outcome per round of the
+    schedule.  Only the last round keeps its output spectrum."""
 
-    n_target: int
     engine: str
     schedule: ProtocolSchedule
-    rounds: tuple[RoundRecord, ...]
-    final: DistillationOutcome
+    rounds: tuple[DistillationOutcome, ...]
+
+    @property
+    def final(self) -> DistillationOutcome:
+        return self.rounds[-1]
 
     @property
     def threshold(self) -> float:
-        return fidelity_threshold(self.n_target)
+        return fidelity_threshold(self.schedule.n_target)
 
     @property
     def log_threshold(self) -> float:
-        return log_fidelity_threshold(self.n_target)
+        return log_fidelity_threshold(self.schedule.n_target)
 
     @property
     def meets_threshold(self) -> bool:
         """Judged in log space, which resolves errors below the smallest double."""
         return self.final.log_error <= self.log_threshold
-
-    @property
-    def output_state(self) -> StateVector | None:
-        """Final register state of the exact engine, rebuilt from the last
-        round's coefficients on each access; None for the sparse engine."""
-        if self.engine != "exact":
-            return None
-        return from_fourier_basis(self.final.output)
 
     @property
     def final_error(self) -> float:
@@ -507,7 +491,7 @@ class ProtocolResult:
 
 
 def _exact_rounds(coeffs: np.ndarray, sizes: Sequence[int],
-                  k: int) -> tuple[tuple[RoundRecord, ...], DistillationOutcome]:
+                  k: int) -> tuple[DistillationOutcome, ...]:
     """Symmetric rounds toward index k on dense coefficients, one per size.
 
     ``coeffs`` holds the Fourier coefficients of the first round's input in a
@@ -516,9 +500,10 @@ def _exact_rounds(coeffs: np.ndarray, sizes: Sequence[int],
     round is larger, to append |+> qubits, so rounds of equal size run no
     transform, and the last round's output stays in the Fourier basis.
     """
-    records = []
+    rounds = []
     for i, size in enumerate(sizes):
         if i:
+            rounds[-1] = replace(outcome, output=None)  # its buffer is the next round's
             coeffs = _reclaim(outcome.output.coeffs)
             del outcome
         if len(coeffs) < 1 << size:
@@ -527,9 +512,8 @@ def _exact_rounds(coeffs: np.ndarray, sizes: Sequence[int],
             _unitary_fft(coeffs)
         coeffs *= coeffs
         outcome = _postselect(coeffs, k)
-        records.append(RoundRecord(size, outcome.p_success, outcome.fidelity,
-                                   outcome.error, outcome.log_error))
-    return tuple(records), outcome
+        rounds.append(outcome)
+    return tuple(rounds)
 
 
 def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
@@ -542,9 +526,9 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
     probability recorded) with register extension between rounds.
 
     Each vector is transformed and squared in its own buffer, and the last
-    round's output stays in the Fourier basis (see
-    ``ProtocolResult.output_state``), so the peak holds the coefficients and
-    their weights: about one and a half vectors of the final size.
+    round's output stays in the Fourier basis, so the peak holds the
+    coefficients and their weights: about one and a half vectors of the
+    final size.
     """
     schedule = plan_schedule(n, s0, pad)
     biggest = max(schedule.sizes)
@@ -556,8 +540,7 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
             f"use --engine sparse"
         ) from None
     coeffs = _unitary_fft(_reclaim(approx_initial_state(schedule.sizes[0]).amps))
-    records, outcome = _exact_rounds(coeffs, schedule.sizes, 1)
-    return ProtocolResult(n, "exact", schedule, records, outcome)
+    return ProtocolResult("exact", schedule, _exact_rounds(coeffs, schedule.sizes, 1))
 
 
 def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
@@ -582,7 +565,7 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
     shared = set(itertools.takewhile(store.__contains__, keys))
     for key in store.keys() - shared:
         del store[key]
-    records, outcome = [], None
+    rounds, outcome = [], None
     for size, key in zip(schedule.sizes, keys):
         if key in shared:
             outcome = store[key]
@@ -592,8 +575,8 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
             outcome = sparse_symmetric_round(sp, target_k=1)
             if reuse is not None:
                 reuse[key] = outcome
-        records.append(RoundRecord(size, outcome.p_success, outcome.fidelity,
-                                   outcome.error, outcome.log_error))
+        rounds.append(replace(outcome, output=None))
+    rounds[-1] = outcome  # only the last round keeps its output
     sp = outcome.output
     if sp.log_tail > log_fidelity_threshold(n) + math.log(1e-3):
         warnings.warn(
@@ -602,4 +585,4 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
             PrecisionWarning,
             stacklevel=2,
         )
-    return ProtocolResult(n, "sparse", schedule, tuple(records), outcome)
+    return ProtocolResult("sparse", schedule, tuple(rounds))

@@ -189,17 +189,18 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
 
 def resource_reports(n_values, trials: int = 0, seed: int | None = None,
                      s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> list[ResourceReport]:
-    """Deterministic report per n, plus Monte Carlo expected cost when trials > 0.
+    """Deterministic report per n, plus Monte Carlo expected cost when trials
+    is not 0 (a negative count is refused).
 
     The engine runs of the sweep share one reuse store, so a round prefix
     common to several n runs once; every n gets the floats it gets alone.
     """
-    if trials > 0:
+    if trials:
         _check_trials(trials, seed)
     reports, reuse = [], {}
     for n in n_values:
         report = toffoli_capped(n, s0, pad)
-        if trials > 0:
+        if trials:
             probs = round_success_probabilities(n, s0, pad, reuse)
             mean, std = expected_cost_monte_carlo(n, trials, seed, s0, pad, probs)
             report = replace(report, toffoli_expected_mean=mean, toffoli_expected_std=std)

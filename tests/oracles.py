@@ -14,6 +14,7 @@ from fourierdistill import (
     SparseSpectrum,
     StateVector,
     default_truncate_bits,
+    from_fourier_basis,
     plan_schedule,
 )
 from fourierdistill import distill, fourier
@@ -51,6 +52,12 @@ def fidelity(s: StateVector, n: int, k: int) -> float:
     phase = (k % N) * np.arange(N, dtype=np.int64) % N
     overlap = np.sum(np.exp(-2j * np.pi * phase / N) * s.amps) / math.sqrt(N)
     return float(abs(overlap) ** 2)
+
+
+def output_state(result) -> StateVector:
+    """Final register state of an exact-engine protocol run, rebuilt from the
+    last round's Fourier coefficients."""
+    return from_fourier_basis(result.final.output)
 
 
 def apply_permutation(perm: np.ndarray, s: StateVector) -> StateVector:

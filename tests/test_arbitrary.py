@@ -16,7 +16,7 @@ from fourierdistill import (
     spectrum_of,
     transform_cost,
 )
-from oracles import counted_transforms, distill_k_reference, fidelity
+from oracles import counted_transforms, distill_k_reference, fidelity, output_state
 
 
 class TestQvrPhase:
@@ -111,7 +111,7 @@ class TestDistillK:
         expected = math.fsum(np.delete(w8, 5)) / math.fsum(w8)
         assert result.final.error > 0
         assert result.final.error == pytest.approx(expected, rel=1e-12, abs=0.0)
-        assert result.final.log_error == pytest.approx(math.log(expected), rel=1e-12)
+        assert result.final.log_error == pytest.approx(math.log(expected), rel=1e-12, abs=0.0)
 
     def test_monotone_strict_until_saturation(self):
         prep = prepare_approx_k(8, 5, truncate_bits=4)
@@ -125,8 +125,8 @@ class TestDistillK:
         via_protocol = run_protocol_exact(10)
         assert via_k.final_error < 1e-3
         assert via_protocol.final_error < 1e-3
-        assert spectrum_of(via_k.output_state).dominant_index() == 1
-        assert spectrum_of(via_protocol.output_state).dominant_index() == 1
+        assert spectrum_of(output_state(via_k)).dominant_index() == 1
+        assert spectrum_of(output_state(via_protocol)).dominant_index() == 1
 
     def test_wrong_dominant_index_detected(self):
         # 1-bit quantization leaves the dominant weight at index 3, not 5
@@ -139,7 +139,7 @@ class TestDistillK:
         for rounds in (1, 2, 4):
             result = distill_k(prep, rounds=rounds)
             assert result.schedule.sizes == (6,) * rounds
-            assert [r.size for r in result.rounds] == [6] * rounds
+            assert len(result.rounds) == rounds
             cost = schedule_cost(result.schedule)
             assert sum(rc.adders for rc in cost.per_round) == (1 << rounds) - 1
             assert cost.toffoli_deterministic == ((1 << rounds) - 1) * (2 * 6 - 4)
@@ -177,7 +177,7 @@ class TestBitIdentity:
     def test_initial_fidelity_matches_direct_overlap(self, n, k):
         # arbitrary-k reports this prepared fidelity as its initial_fidelity
         prep = prepare_approx_k(n, k)
-        assert prep.fidelity == pytest.approx(fidelity(prep.state, n, k), rel=1e-14)
+        assert prep.fidelity == pytest.approx(fidelity(prep.state, n, k), rel=1e-14, abs=0.0)
 
     def test_phase_lookup_matches_exp_per_amplitude(self):
         for n in range(1, 9):

@@ -80,8 +80,8 @@ class TestSpectrumCommand:
                    if float(row.split(",")[1]) != 0.0]
         assert nonzero == [-15, -11, -7, -3, 1, 5, 9, 13]
         by_j = {int(r.split(",")[0]): r.split(",") for r in lines[1:]}
-        assert float(by_j[1][1]) == pytest.approx(8 / math.pi ** 2, rel=1e-10)
-        assert float(by_j[-3][1]) == pytest.approx(8 / (9 * math.pi ** 2), rel=1e-10)
+        assert float(by_j[1][1]) == pytest.approx(8 / math.pi ** 2, rel=1e-10, abs=0.0)
+        assert float(by_j[-3][1]) == pytest.approx(8 / (9 * math.pi ** 2), rel=1e-10, abs=0.0)
         assert float(by_j[2][1]) == 0.0
 
     def test_register_beyond_double_exponent_range(self, capsys):
@@ -122,6 +122,16 @@ class TestDistillCommand:
         obj = json.loads(out)
         assert "single round" in obj["note"]
         assert len(obj["rounds"]) == 1
+
+    @pytest.mark.parametrize("engine", ["exact", "sparse"])
+    def test_small_start_reaches_the_threshold(self, capsys, engine):
+        # three doublings from 3 stopped at 12 qubits, below the 13-bit target
+        code, out, _ = run_cli(capsys, "distill", "--n", "13", "--s0", "3",
+                               "--engine", engine)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["sizes"] == [3, 6, 12, 15]
+        assert obj["meets_threshold"] is True
 
     def test_capacity_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "distill", "--n", "40", "--engine", "exact")
@@ -231,6 +241,12 @@ class TestResourcesCommand:
         assert lines[0] == ("n,toffoli_deterministic,toffoli_expected_mean,"
                             "toffoli_expected_std,rounds,width")
         assert lines[1] == "10,76,,,3,24"
+
+    def test_small_start_prices_a_round_at_the_target(self, capsys):
+        # sizes (3, 6, 12, 15): 8, 4, 2 and 1 adders of 2, 8, 20 and 26 Toffolis
+        code, out, _ = run_cli(capsys, "resources", "--n", "13", "--s0", "3")
+        assert code == 0
+        assert out.strip().splitlines()[1] == "13,114,,,4,30"
 
     def test_expected_cost_window(self, capsys):
         code, out, _ = run_cli(capsys, "resources", "--n", "10",
@@ -389,7 +405,7 @@ class TestCompareCommand:
         assert lines[0] == ("p,eps_f,log2_inv_eps_f,t_gates_bit_form,"
                             "t_gates_from_eps,kickback_toffolis,kickback_ancillas")
         row6 = lines[1].split(",")
-        assert float(row6[1]) == pytest.approx(0.0173545758748, rel=1e-9)
+        assert float(row6[1]) == pytest.approx(0.0173545758748, rel=1e-9, abs=0.0)
         assert 0.14 <= 6 - float(row6[2]) <= 0.16
         row10 = lines[5].split(",")
         assert float(row10[3]) == pytest.approx(25.65)

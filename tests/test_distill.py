@@ -23,12 +23,14 @@ from fourierdistill import (
     SparseSpectrum,
     StateVector,
     approx_initial_state,
+    distill_k,
     distill_pair,
     extend_register,
     from_fourier_basis,
     initial_sparse_spectrum,
     initial_state_weight,
     plan_schedule,
+    prepare_approx_k,
     pure_fourier_state,
     rounds_required,
     run_protocol_exact,
@@ -45,6 +47,7 @@ from oracles import (
     counted_transforms,
     exact_protocol_reference,
     fidelity,
+    output_state,
     rounds_required_simplified,
     sparse_extend_reference,
     traced_peak,
@@ -119,7 +122,7 @@ class TestDistillPair:
         a2 = to_fourier_basis(StateVector(raw2 / np.linalg.norm(raw2)))
         out = distill_pair(a, a2, target_k=1)
         p_brute = sum(abs(a.coeffs[j]) ** 2 * abs(a2.coeffs[j]) ** 2 for j in range(N))
-        assert out.p_success == pytest.approx(p_brute, rel=1e-12)
+        assert out.p_success == pytest.approx(p_brute, rel=1e-12, abs=0.0)
         for j in range(N):
             b_brute = abs(a.coeffs[j]) ** 2 * abs(a2.coeffs[j]) ** 2 / p_brute
             assert abs(out.output.coeffs[j]) ** 2 == pytest.approx(b_brute, abs=1e-12)
@@ -151,8 +154,8 @@ class TestRepeatedSymmetric:
     def test_frozen_error_values_n16(self):
         # frozen from the independent dense oracle
         w = spectrum_of(approx_initial_state(16))
-        assert 1 - after_rounds(w, 2).weight(1) == pytest.approx(1.551550e-4, rel=1e-5)
-        assert 1 - after_rounds(w, 3).weight(1) == pytest.approx(2.323716e-8, rel=1e-5)
+        assert 1 - after_rounds(w, 2).weight(1) == pytest.approx(1.551550e-4, rel=1e-5, abs=0.0)
+        assert 1 - after_rounds(w, 3).weight(1) == pytest.approx(2.323716e-8, rel=1e-5, abs=0.0)
 
     def test_large_round_count_stays_finite(self):
         w = spectrum_of(approx_initial_state(10))
@@ -221,7 +224,7 @@ class TestSparseSpectrum:
         dense = spectrum_of(approx_initial_state(6))
         assert len(sp) == 16
         for j, w in sp.weights().items():
-            assert w == pytest.approx(dense.weight(j % 64), rel=1e-12)
+            assert w == pytest.approx(dense.weight(j % 64), rel=1e-12, abs=0.0)
         assert sp.tail_mass == 0.0
 
     def test_initial_truncation_tracks_tail(self):
@@ -239,7 +242,7 @@ class TestSparseSpectrum:
         sp = SparseSpectrum(4, {3: math.log(0.25), 1: math.log(0.5), 18: math.log(0.25)})
         assert sp.indices == (1, 3, 2)
         assert sp.dominant_index() == 1
-        assert sp.weight(18) == pytest.approx(0.25, rel=1e-15)
+        assert sp.weight(18) == pytest.approx(0.25, rel=1e-15, abs=0.0)
         assert sp.weight(5) == 0.0
         with pytest.raises(ValueError):
             SparseSpectrum(4, {1: math.log(0.5), 17: math.log(0.5)})
@@ -334,7 +337,7 @@ class TestSparseTailBound:
         dense = spectrum_of(extend_register(from_fourier_basis(FourierAmplitudes(coeffs)),
                                             n_new)).weights
         for j, w in out.weights().items():
-            assert w == pytest.approx(dense[j % Nf], rel=1e-9)
+            assert w == pytest.approx(dense[j % Nf], rel=1e-9, abs=0.0)
         # the mass really missing lies in the input's classes, off the kept
         # set; the class of j = 0 has no mass off index 0
         fine = np.arange(Nf)
@@ -445,13 +448,31 @@ class TestPlanSchedule:
         for n in range(5, 101):
             assert plan_schedule(n).width_qubits <= 2 * n + 5
 
+    @pytest.mark.parametrize("n, s0, sizes", [(13, 3, (3, 6, 12, 15)),
+                                              (20, 2, (2, 4, 8, 16, 22))])
+    def test_small_start_keeps_doubling_to_the_target(self, n, s0, sizes):
+        # rounds_required(n) doublings from s0 <= 3 can stop below n
+        assert plan_schedule(n, s0=s0).sizes == sizes
+
+    def test_last_round_reaches_the_target(self):
+        for s0 in range(2, 9):
+            for pad in range(4):
+                for n in range(1, 300):
+                    sched = plan_schedule(n, s0, pad)
+                    assert sched.sizes[-1] >= n, (n, s0, pad)
+                    assert sched.sizes[-1] <= max(s0, n + pad)
+                    if n > s0:
+                        assert sched.rounds >= rounds_required(n)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             plan_schedule(10, s0=1)
         with pytest.raises(ValueError):
-            ProtocolSchedule(n_target=10, s0=5, pad=2, sizes=(5, 4))
+            plan_schedule(10, pad=-1)
         with pytest.raises(ValueError):
-            ProtocolSchedule(n_target=10, s0=5, pad=2, sizes=(5, 20))
+            ProtocolSchedule(n_target=10, sizes=(5, 4))
+        with pytest.raises(ValueError, match="below the target"):
+            ProtocolSchedule(n_target=10, sizes=(5, 9))
 
 
 class TestRunProtocolExact:
@@ -462,9 +483,9 @@ class TestRunProtocolExact:
         assert p[1] == pytest.approx(0.9626097279, abs=1e-9)
         assert p[2] == pytest.approx(0.9996623916, abs=1e-9)
         errors = [rec.error for rec in result.rounds]
-        assert errors[0] == pytest.approx(1.579976e-2, rel=1e-5)
-        assert errors[1] == pytest.approx(1.658905e-4, rel=1e-5)
-        assert errors[2] == pytest.approx(2.576991e-8, rel=1e-5)
+        assert errors[0] == pytest.approx(1.579976e-2, rel=1e-5, abs=0.0)
+        assert errors[1] == pytest.approx(1.658905e-4, rel=1e-5, abs=0.0)
+        assert errors[2] == pytest.approx(2.576991e-8, rel=1e-5, abs=0.0)
         assert result.meets_threshold
         assert result.final_error <= math.sin(math.pi / 2 ** 10) ** 2
 
@@ -473,7 +494,7 @@ class TestRunProtocolExact:
         result = run_protocol_exact(10)
         weights = np.abs(result.final.output.coeffs) ** 2
         assert result.final_error == pytest.approx(math.fsum(np.delete(weights, 1)),
-                                                   rel=1e-12)
+                                                   rel=1e-12, abs=0.0)
 
     def test_round1_success_probability_anchor(self):
         result = run_protocol_exact(10)
@@ -485,7 +506,7 @@ class TestRunProtocolExact:
         assert result.rounds[0].fidelity == pytest.approx(0.984200243598, abs=1e-10)
         # one round misses the strict 5-bit threshold by a factor below 2
         eps = result.final_error
-        assert eps == pytest.approx(1 / 81, rel=0.3)
+        assert eps == pytest.approx(1 / 81, rel=0.3, abs=0.0)
         assert eps <= 2 * result.threshold
         assert not result.meets_threshold
 
@@ -496,14 +517,14 @@ class TestRunProtocolExact:
     def test_output_state_matches_reported_fidelity(self):
         result = run_protocol_exact(8)
         final_size = result.schedule.sizes[-1]
-        assert fidelity(result.output_state, final_size, 1) == pytest.approx(
+        assert fidelity(output_state(result), final_size, 1) == pytest.approx(
             result.final.fidelity, abs=1e-12)
 
     @pytest.mark.parametrize("n", [6, 10, 12, 16])
     def test_rounds_bit_identical_to_direct_form(self, n):
         result = run_protocol_exact(n)
-        rounds = [(r.size, r.p_success, r.fidelity, r.error, r.log_error)
-                  for r in result.rounds]
+        rounds = [(size, r.p_success, r.fidelity, r.error, r.log_error)
+                  for size, r in zip(result.schedule.sizes, result.rounds)]
         assert rounds == exact_protocol_reference(n)
 
     @pytest.mark.parametrize("n, transforms", [
@@ -534,6 +555,21 @@ class TestRunProtocolExact:
         vector = 16 << max(result.schedule.sizes)  # bytes of one complex vector
         assert max(result.schedule.sizes) == 18
         assert peak <= 2.0 * vector
+
+
+class TestProtocolResult:
+    def test_only_the_last_round_keeps_its_output(self):
+        store = {}
+        runs = [run_protocol_exact(10), run_protocol_sparse(10),
+                run_protocol_sparse(10, reuse=store), run_protocol_sparse(12, reuse=store),
+                distill_k(prepare_approx_k(6, 3), rounds=3)]
+        for result in runs:
+            assert len(result.rounds) == result.schedule.rounds > 1
+            assert all(r.output is None for r in result.rounds[:-1])
+            assert result.final is result.rounds[-1]
+            assert result.final.output is not None
+        # the reuse store keeps whole outcomes, so a resumed run extends them
+        assert all(outcome.output is not None for outcome in store.values())
 
 
 class TestRunProtocolSparse:
@@ -626,8 +662,10 @@ class TestDeepSparseRuns:
     def test_frozen_results_and_stable_order(self, n):
         log2_error, p_success = self.FROZEN[n]
         result = run_protocol_sparse(n)
-        assert result.final_log_error / math.log(2) == pytest.approx(log2_error, rel=1e-10)
-        assert [rec.p_success for rec in result.rounds] == pytest.approx(p_success, rel=1e-12)
+        assert result.final_log_error / math.log(2) == pytest.approx(log2_error, rel=1e-10,
+                                                                     abs=0.0)
+        assert [rec.p_success for rec in result.rounds] == pytest.approx(p_success, rel=1e-12,
+                                                                         abs=0.0)
         assert run_protocol_sparse(n).final.output.indices == result.final.output.indices
 
 
@@ -662,12 +700,12 @@ class TestProtocolInvariants:
         N = 1 << 10
         ratio_in = w.weight(N - 3) / w.weight(1)
         ratio_out = out.weight(N - 3) / out.weight(1)
-        assert ratio_out == pytest.approx(ratio_in ** 2, rel=1e-12)
+        assert ratio_out == pytest.approx(ratio_in ** 2, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_normalization_preserved(self, n):
         result = run_protocol_exact(n)
-        assert float(np.sum(np.abs(result.output_state.amps) ** 2)) == pytest.approx(
+        assert float(np.sum(np.abs(output_state(result).amps) ** 2)) == pytest.approx(
             1.0, abs=1e-9)
         sparse = run_protocol_sparse(n)
         sp = sparse.final.output

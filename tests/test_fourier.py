@@ -171,7 +171,7 @@ class TestSeriesCoefficients:
 
     def test_tail_decay_exact(self):
         for j in (5, -7, 101, -1003):
-            assert series_weight(j) == pytest.approx(8 / (math.pi * j) ** 2, rel=1e-14)
+            assert series_weight(j) == pytest.approx(8 / (math.pi * j) ** 2, rel=1e-14, abs=0.0)
 
     def test_partial_sums_monotone_to_one(self):
         # total mass over j = 1 (mod 4) is (8/pi^2) * sum over odd m of 1/m^2 = 1
@@ -265,21 +265,21 @@ class TestFidelityThreshold:
         assert fidelity_threshold(1) == pytest.approx(1.0, abs=1e-15)
 
     def test_n5(self):
-        assert fidelity_threshold(5) == pytest.approx(9.60736e-3, rel=1e-5)
+        assert fidelity_threshold(5) == pytest.approx(9.60736e-3, rel=1e-5, abs=0.0)
 
     def test_small_angle_regime(self):
         thr = fidelity_threshold(10)
         approx = (math.pi / 2 ** 10) ** 2
-        assert thr == pytest.approx(9.41e-6, rel=1e-2)
+        assert thr == pytest.approx(9.41e-6, rel=1e-2, abs=0.0)
         assert abs(thr - approx) / approx < 0.01
 
     def test_log_form_consistent(self):
         for n in (3, 10, 30, 50):
             assert log_fidelity_threshold(n) == pytest.approx(
-                math.log(fidelity_threshold(n)), rel=1e-12)
+                math.log(fidelity_threshold(n)), rel=1e-12, abs=0.0)
         # far beyond float range of sin^2 underflow concerns
         assert log_fidelity_threshold(100) == pytest.approx(
-            2 * (math.log(math.pi) - 100 * math.log(2)), rel=1e-14)
+            2 * (math.log(math.pi) - 100 * math.log(2)), rel=1e-14, abs=0.0)
 
 
 class TestClosedFormWeights:
@@ -291,14 +291,16 @@ class TestClosedFormWeights:
 
     def test_signed_index_and_huge_register(self):
         assert initial_state_weight(8, -3) == pytest.approx(
-            initial_state_weight(8, 253), rel=1e-14)
+            initial_state_weight(8, 253), rel=1e-14, abs=0.0)
         # approaches the series weight for astronomically large registers
-        assert initial_state_weight(100, -3) == pytest.approx(series_weight(-3), rel=1e-10)
+        assert initial_state_weight(100, -3) == pytest.approx(series_weight(-3), rel=1e-10,
+                                                              abs=0.0)
 
     def test_sin_pi_frac_handles_big_negative_index(self):
         N = 1 << 100
-        assert sin_pi_frac(-3, N) == pytest.approx(math.sin(math.pi * 3 / N), rel=1e-12)
-        assert sin_pi_frac(5, N) == pytest.approx(math.sin(math.pi * 5 / N), rel=1e-12)
+        assert sin_pi_frac(-3, N) == pytest.approx(math.sin(math.pi * 3 / N), rel=1e-12,
+                                                   abs=0.0)
+        assert sin_pi_frac(5, N) == pytest.approx(math.sin(math.pi * 5 / N), rel=1e-12, abs=0.0)
 
 
 class TestValidationAndSerialization:

@@ -141,7 +141,8 @@ class TestRoundProbabilities:
         # the exact engine is ground truth wherever its vectors fit
         for n in range(5, 17):
             exact = [r.p_success for r in run_protocol_exact(n, s0=s0, pad=pad).rounds]
-            assert round_success_probabilities(n, s0, pad) == pytest.approx(exact, rel=rel)
+            assert round_success_probabilities(n, s0, pad) == pytest.approx(exact, rel=rel,
+                                                                            abs=0.0)
 
     @pytest.mark.parametrize("s0, pad", [(DEFAULT_S0, DEFAULT_PAD), (4, 1), (6, 3), (5, 0)])
     def test_sweep_reuse_gives_the_same_floats(self, s0, pad):
@@ -179,7 +180,7 @@ class TestExpectedCost:
         probs = [0.5, 0.6, 0.7]
         costs = [adder_toffoli_count(s) for s in plan_schedule(10).sizes]
         engine_mean, _ = _analytic_moments(costs, round_success_probabilities(10))
-        assert engine_mean == pytest.approx(expected_cost_recursion(10), rel=1e-12)
+        assert engine_mean == pytest.approx(expected_cost_recursion(10), rel=1e-12, abs=0.0)
         mean, var = _analytic_moments(costs, probs)
 
         rng = np.random.default_rng(1618)
@@ -255,6 +256,10 @@ class TestExpectedCost:
         mean, _ = expected_cost_monte_carlo(10, trials=10000, seed=2024)
         assert 70 <= mean <= 140
 
+    def test_sweep_refuses_negative_trials(self):
+        with pytest.raises(ValueError, match="at least one trial"):
+            resource_reports([10], trials=-1, seed=1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             expected_cost_monte_carlo(10, trials=0, seed=1)
@@ -284,7 +289,7 @@ class TestEpsilonF:
         # the stable half-angle form equals the literal trace expression
         for p in range(1, 16):
             literal = math.sqrt(1 - 0.5 * abs(1 + np.exp(1j * math.pi / 2 ** p)))
-            assert epsilon_f_kickback(p) == pytest.approx(literal, rel=1e-6)
+            assert epsilon_f_kickback(p) == pytest.approx(literal, rel=1e-6, abs=0.0)
 
     def test_four_significant_figures_at_p6(self):
         exact = epsilon_f_kickback(6)
@@ -351,7 +356,7 @@ class TestComparisonTable:
         by_p = {r.p: r for r in rows}
         assert by_p[10].kickback_toffolis == 9
         assert by_p[10].t_gates_bit_form == pytest.approx(25.65)
-        assert by_p[6].eps_f == pytest.approx(0.0173545758748, rel=1e-9)
+        assert by_p[6].eps_f == pytest.approx(0.0173545758748, rel=1e-9, abs=0.0)
         assert by_p[20].kickback_ancillas == 41
 
     def test_csv_headers_golden(self, capsys):
