@@ -18,6 +18,7 @@ from fourierdistill import (
     extract_register,
     pure_fourier_state,
     spectrum_of,
+    to_fourier_basis,
 )
 
 n = 5
@@ -38,7 +39,8 @@ print("all-|+> verification outcome on the first register:")
 inp = approx_initial_state(n)
 joint = StateVector(np.kron(np.kron(inp.amps, inp.amps), [1.0, 0.0]))
 run = apply_circuit(circuit, joint, postselect={q: 0 for q in layout.first})
-predicted = distill_pair(spectrum_of(inp), spectrum_of(inp))
+coeffs = to_fourier_basis(inp)
+predicted = distill_pair(coeffs, coeffs)
 print(f"  circuit success probability  {run.probability:.12f}")
 print(f"  spectral prediction          {predicted.p_success:.12f}")
 

@@ -38,7 +38,6 @@ from .distill import (
     run_protocol_sparse,
     sparse_extend,
     sparse_symmetric_round,
-    symmetric_round,
 )
 from .errors import CapacityError, DegenerateInputError, PrecisionWarning
 from .fourier import (

@@ -308,14 +308,13 @@ def clone_fourier_state(n: int, source: StateVector, k: int | None = None) -> Cl
     first-register qubit maps back to index k (up to global phase).  For a
     pure Fourier-state source both outputs are exact copies; for approximate
     sources the joint state is entangled and the per-register fidelities are
-    reported as measured.
+    reported as measured.  An explicit k is taken mod 2**n.
     """
     if source.n != n:
         raise ValueError(f"source has {source.n} qubits, expected {n}")
     require_register_size(2 * n)
-    if k is None:
-        k = spectrum_of(source).dominant_index()
     N = 1 << n
+    k = spectrum_of(source).dominant_index() if k is None else k % N
     # The blank register's amplitude is 1/sqrt(N) for every v, so the adder
     # maps |v>|w> to |v>|w + v> with the scaled source amplitude of w, and X
     # on the first register sends v to r = N - 1 - v.  Row r of the joint

@@ -133,9 +133,9 @@ def cmd_simulate(a: argparse.Namespace):
                                  postselect={q: 0 for q in layout.first})
     output = circuits.extract_register(run.state, layout)
     circuit_weights = fourier.spectrum_of(output)
-    predicted = distill.symmetric_round(
-        fourier.spectrum_of(fourier.approx_initial_state(a.n)), target_k=1)
-    diff = float(np.max(np.abs(circuit_weights.weights - predicted.output.weights)))
+    coeffs = fourier.to_fourier_basis(fourier.approx_initial_state(a.n))
+    predicted = distill.distill_pair(coeffs, coeffs)
+    diff = float(np.max(np.abs(circuit_weights.weights - predicted.output.spectrum().weights)))
     payload = {
         "command": "simulate",
         "n": a.n,
@@ -194,7 +194,8 @@ def cmd_compare(a: argparse.Namespace):
 def cmd_arbitrary_k(a: argparse.Namespace):
     prep = prepare_approx_k(a.n, a.k, a.truncate_bits)
     result = distill_k(prep, a.rounds)
-    cost = resources.schedule_cost(result.schedule)
+    # the adder cost formula starts at 3 qubits, as in simulate and clone
+    cost = resources.schedule_cost(result.schedule) if a.n >= 3 else None
     rounds = _rounds(result)
     payload = {
         "command": "arbitrary-k",
@@ -204,8 +205,8 @@ def cmd_arbitrary_k(a: argparse.Namespace):
         "initial_fidelity": prep.fidelity,
         "rounds": rounds,
         "final_error": result.final_error,
-        "adders": sum(rc.adders for rc in cost.per_round),
-        "toffoli_cost": cost.toffoli_deterministic,
+        "adders": sum(rc.adders for rc in cost.per_round) if cost else None,
+        "toffoli_cost": cost.toffoli_deterministic if cost else None,
     }
     rows = [{**r, "k": prep.k, "truncate_bits": prep.truncate_bits} for r in rounds]
     return payload, ROUND_COLUMNS + ("k", "truncate_bits"), rows

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import CapacityError, DegenerateInputError, PrecisionWarning
 from .fourier import (
     FourierAmplitudes,
-    FourierSpectrum,
     StateVector,
     _adopt,
     _reclaim,
@@ -79,7 +78,7 @@ class DistillationOutcome:
     """Result of one postselected distillation step."""
 
     p_success: float
-    output: object  # FourierSpectrum, FourierAmplitudes, SparseSpectrum, or None
+    output: object  # FourierAmplitudes, SparseSpectrum, or None
     fidelity: float
     error: float
     log_error: float = NEG_INF  # natural log; resolves errors below float eps
@@ -207,56 +206,37 @@ def initial_sparse_spectrum(n: int, max_harmonics: int = DEFAULT_MAX_HARMONICS) 
     return SparseSpectrum._ordered(n, lw, indices, math.log(tail) if tail > 0 else NEG_INF)
 
 
-def distill_pair(a, a2, target_k: int = 1) -> DistillationOutcome:
-    """One distillation step for two input spectra (or coefficient vectors).
+def distill_pair(a: FourierAmplitudes, a2: FourierAmplitudes,
+                 target_k: int = 1) -> DistillationOutcome:
+    """One distillation step for two inputs' Fourier coefficients.
 
-    Success probability is the overlap sum of the two weight spectra; the
-    output spectrum is their pointwise product renormalized.  Amplitude-level
-    inputs keep complex phases (coefficients multiply, scaled by sqrt of the
-    success probability).
+    The output coefficients are the pointwise product, scaled by one over
+    the square root of the success probability, which is the overlap sum of
+    the two weight spectra.
     """
-    if type(a) is not type(a2):
-        raise TypeError("inputs must both be spectra or both be amplitude vectors")
+    if not (isinstance(a, FourierAmplitudes) and isinstance(a2, FourierAmplitudes)):
+        raise TypeError("inputs must be FourierAmplitudes; expand a state with "
+                        "to_fourier_basis")
     if a.n != a2.n:
         raise ValueError(f"register sizes differ: {a.n} vs {a2.n}")
-    if isinstance(a, FourierAmplitudes):
-        product = a.coeffs * a2.coeffs
-    elif isinstance(a, FourierSpectrum):
-        product = a.weights * a2.weights
-    else:
-        raise TypeError(f"unsupported input type {type(a).__name__}")
-    return _postselect(product, target_k % a.dim)
+    return _postselect(a.coeffs * a2.coeffs, target_k % a.dim)
 
 
 def _postselect(product: np.ndarray, k: int) -> DistillationOutcome:
-    """Postselection on the pointwise product of two inputs' coefficients
-    (complex) or weights (real), normalized in the product's own buffer."""
-    amplitudes = np.iscomplexobj(product)
-    if amplitudes:
-        weights = np.abs(product)
-        weights *= weights
-    else:
-        weights = product
+    """Postselection on the pointwise product of two inputs' coefficients,
+    normalized in the product's own buffer."""
+    weights = np.abs(product)
+    weights *= weights
     p = float(weights.sum())
     if p < _P_FLOOR:
         raise DegenerateInputError("input spectra are disjoint: success probability is zero")
     # summed directly: 1 - fidelity cancels once the error nears float epsilon
     err = float(weights[:k].sum() + weights[k + 1:].sum()) / p
     del weights  # frees |product|**2 before the output is built
-    if amplitudes:
-        product /= math.sqrt(p)
-        out = _adopt(FourierAmplitudes, product)
-        fid = float(abs(out.coeffs[k]) ** 2)
-    else:
-        product /= p
-        out = _adopt(FourierSpectrum, product)
-        fid = float(out.weights[k])
+    product /= math.sqrt(p)
+    out = _adopt(FourierAmplitudes, product)
+    fid = float(abs(out.coeffs[k]) ** 2)
     return DistillationOutcome(p, out, fid, err, math.log(err) if err > 0 else NEG_INF)
-
-
-def symmetric_round(a, target_k: int = 1) -> DistillationOutcome:
-    """Distillation step with two identical inputs."""
-    return distill_pair(a, a, target_k)
 
 
 def extend_register(s: StateVector, n_new: int) -> StateVector:

@@ -153,8 +153,8 @@ def _check_trials(trials: int, seed: int | None) -> None:
 
 
 def expected_cost_monte_carlo(n: int, trials: int, seed: int,
-                              s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
-                              probabilities: list[float] | None = None) -> tuple[float, float]:
+                              s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD, *,
+                              probabilities: list[float]) -> tuple[float, float]:
     """Sampled (mean, std) of the protocol Toffoli count with retries.
 
     A failed node rebuilds itself and its whole feeding subtree, so the
@@ -163,23 +163,21 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
     The cost of a trial is sum_r N_r * A_r.  All trials are drawn together,
     level by level, from one stream seeded by ``seed``; the same (n, trials,
     seed, s0, pad, probabilities) always gives the same (mean, std).
-    ``probabilities`` overrides the engine-derived per-round success
-    probabilities (what-if analysis; forcing 1.0 everywhere recovers the
-    deterministic count).
+    ``probabilities`` are the per-round success probabilities, usually
+    :func:`round_success_probabilities`; forcing 1.0 everywhere recovers the
+    deterministic count.
     """
     _check_trials(trials, seed)
     schedule = plan_schedule(n, s0, pad)
-    probs = probabilities if probabilities is not None \
-        else round_success_probabilities(n, s0, pad)
-    if len(probs) != schedule.rounds:
-        raise ValueError(f"need {schedule.rounds} probabilities, got {len(probs)}")
-    for r, p in enumerate(probs, start=1):
+    if len(probabilities) != schedule.rounds:
+        raise ValueError(f"need {schedule.rounds} probabilities, got {len(probabilities)}")
+    for r, p in enumerate(probabilities, start=1):
         if not 0.0 < p <= 1.0 + 1e-12:
             raise ValueError(f"round {r} success probability {p} is outside (0, 1]")
     rng = np.random.default_rng(seed)
     needed = np.ones(trials, dtype=np.int64)
     samples = np.zeros(trials, dtype=np.int64)
-    for size, p in zip(reversed(schedule.sizes), reversed(probs)):
+    for size, p in zip(reversed(schedule.sizes), reversed(probabilities)):
         attempts = needed + rng.negative_binomial(needed, min(p, 1.0))
         samples += attempts * adder_toffoli_count(size)
         needed = 2 * attempts
@@ -202,7 +200,7 @@ def resource_reports(n_values, trials: int = 0, seed: int | None = None,
         report = toffoli_capped(n, s0, pad)
         if trials:
             probs = round_success_probabilities(n, s0, pad, reuse)
-            mean, std = expected_cost_monte_carlo(n, trials, seed, s0, pad, probs)
+            mean, std = expected_cost_monte_carlo(n, trials, seed, s0, pad, probabilities=probs)
             report = replace(report, toffoli_expected_mean=mean, toffoli_expected_std=std)
         reports.append(report)
     return reports

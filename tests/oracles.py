@@ -80,6 +80,13 @@ def _amplitude_round(coeffs: np.ndarray, k: int):
     return (p, fid, err, math.log(err) if err > 0 else -math.inf), out
 
 
+def squared_weights(weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """One symmetric step on weights alone: p = sum w**2, output w**2 / p."""
+    squares = weights ** 2
+    p = float(squares.sum())
+    return p, squares / p
+
+
 def exact_protocol_reference(n: int) -> list[tuple]:
     """Per-round (size, p_success, fidelity, error, log_error) of the dense
     protocol in its direct form: ``np.kron`` extension, an inverse and a

@@ -30,12 +30,13 @@ from fourierdistill import (
     run_protocol_sparse,
     series_weight,
     spectrum_of,
-    symmetric_round,
     t_sequence_cost_bits,
+    to_fourier_basis,
     toffoli_closed_form,
     transform_cost,
     StateVector,
 )
+from fourierdistill.resources import round_success_probabilities
 from oracles import (
     apply_permutation,
     epsilon_f_kickback_approx,
@@ -63,7 +64,8 @@ def test_criterion_02_initial_fidelity():
 
 
 def test_criterion_03_symmetric_round_n12():
-    out = symmetric_round(spectrum_of(approx_initial_state(12)))
+    coeffs = to_fourier_basis(approx_initial_state(12))
+    out = distill_pair(coeffs, coeffs)
     assert 0.66 <= out.p_success <= 0.68
     assert abs(out.p_success - 2 / 3) < 1e-3
     assert 0.984 <= out.fidelity <= 0.986
@@ -97,10 +99,11 @@ def test_criterion_05_gate_level_matches_spectral():
     circuit, layout = build_distillation_circuit(n)
     joint = StateVector(np.kron(np.kron(inp.amps, inp.amps), [1.0, 0.0]))
     run = apply_circuit(circuit, joint, postselect={q: 0 for q in layout.first})
-    predicted = distill_pair(spectrum_of(inp), spectrum_of(inp))
+    coeffs = to_fourier_basis(inp)
+    predicted = distill_pair(coeffs, coeffs)
     assert abs(run.probability - predicted.p_success) < 1e-9
     output = extract_register(run.state, layout)
-    diff = np.max(np.abs(spectrum_of(output).weights - predicted.output.weights))
+    diff = np.max(np.abs(spectrum_of(output).weights - predicted.output.spectrum().weights))
     assert diff < 1e-9
     _report(5, f"distillation circuit at n=5 reproduces spectral step "
                f"(p diff {abs(run.probability - predicted.p_success):.1e}, "
@@ -108,10 +111,10 @@ def test_criterion_05_gate_level_matches_spectral():
 
 
 def test_criterion_06_error_suppression_law():
-    w = spectrum_of(approx_initial_state(16))
+    coeffs = to_fourier_basis(approx_initial_state(16))
     for r in (1, 2, 3):
-        w = symmetric_round(w).output
-        eps = 1.0 - w.weight(1)
+        coeffs = distill_pair(coeffs, coeffs).output
+        eps = 1.0 - coeffs.spectrum().weight(1)
         law = 9.0 ** -(2 ** r)
         assert law / 2 < eps < law * 2, f"r={r}: {eps} vs {law}"
     _report(6, "full-width errors at n=16 within factor 2 of 9^(-2^r), r=1..3")
@@ -136,7 +139,8 @@ def test_criterion_08_cost_formulas_and_monte_carlo():
     for R in range(1, 9):
         for s in range(3, 21):
             assert toffoli_closed_form(R, s) == toffoli_sum_direct(R, s)
-    mean, std = expected_cost_monte_carlo(10, trials=10_000, seed=20240229)
+    mean, std = expected_cost_monte_carlo(10, trials=10_000, seed=20240229,
+                                          probabilities=round_success_probabilities(10))
     assert 70 <= mean <= 140
     _report(8, f"closed form = direct sum on [1,8]x[3,20], value 212 at (3,5); "
                f"expected cost at n=10 is {mean:.1f} (in [70, 140])")

@@ -283,11 +283,12 @@ class TestDistillationCircuit:
         circuit, layout = build_distillation_circuit(n)
         joint = StateVector(np.kron(np.kron(inp.amps, inp.amps), [1.0, 0.0]))
         run = apply_circuit(circuit, joint, postselect={q: 0 for q in layout.first})
-        predicted = distill_pair(spectrum_of(inp), spectrum_of(inp))
+        coeffs = to_fourier_basis(inp)
+        predicted = distill_pair(coeffs, coeffs)
         assert run.probability == pytest.approx(predicted.p_success, abs=1e-9)
         output = extract_register(run.state, layout)
         np.testing.assert_allclose(spectrum_of(output).weights,
-                                   predicted.output.weights, atol=1e-9)
+                                   predicted.output.spectrum().weights, atol=1e-9)
 
     def test_pure_inputs_always_postselect(self):
         n = 4

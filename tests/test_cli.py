@@ -457,6 +457,21 @@ class TestArbitraryKCommand:
         assert code == 2
         assert "dominant" in err
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_below_three_qubits_has_no_adder_cost(self, capsys, n):
+        # the rounds run; only the adder cost formula needs 3 qubits
+        code, out, err = run_cli(capsys, "arbitrary-k", "--n", str(n), "--k", "1")
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert (obj["adders"], obj["toffoli_cost"]) == (None, None)
+        assert [r["size"] for r in obj["rounds"]] == [n, n, n]
+        code, out, err = run_cli(capsys, "arbitrary-k", "--n", str(n), "--k", "1",
+                                 "--format", "csv")
+        assert (code, err) == (0, "")
+        lines = out.strip().splitlines()
+        assert lines[0] == "round,size,p_success,fidelity,error,k,truncate_bits"
+        assert [line.split(",")[1] for line in lines[1:]] == [str(n)] * 3
+
 
 class TestCloneCommand:
     def test_pure_clone(self, capsys):
@@ -466,6 +481,15 @@ class TestCloneCommand:
         assert obj["fidelity_first"] >= 1 - 1e-9
         assert obj["fidelity_second"] >= 1 - 1e-9
         assert obj["adder_toffolis"] == 4
+
+    @pytest.mark.parametrize("k, index", [(9, 1), (-1, 7), (8, 0)])
+    def test_index_reduced_mod_register(self, capsys, k, index):
+        # the echoed k is the index of the state cloned, as in arbitrary-k
+        code, out, _ = run_cli(capsys, "clone", "--n", "3", "--k", str(k))
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["k"] == index
+        assert obj["joint_fidelity"] >= 1 - 1e-9
 
 
 class TestDenseCapacityAdvice:

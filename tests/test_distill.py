@@ -17,7 +17,6 @@ from fourierdistill import (
     CapacityError,
     DegenerateInputError,
     FourierAmplitudes,
-    FourierSpectrum,
     PrecisionWarning,
     ProtocolSchedule,
     SparseSpectrum,
@@ -38,11 +37,10 @@ from fourierdistill import (
     sparse_extend,
     sparse_symmetric_round,
     spectrum_of,
-    symmetric_round,
     to_fourier_basis,
 )
 from fourierdistill.cli import main
-from fourierdistill.distill import _signed_index, log_extension_kernel
+from fourierdistill.distill import _exact_rounds, _signed_index, log_extension_kernel
 from oracles import (
     counted_transforms,
     exact_protocol_reference,
@@ -50,6 +48,7 @@ from oracles import (
     output_state,
     rounds_required_simplified,
     sparse_extend_reference,
+    squared_weights,
     traced_peak,
 )
 
@@ -59,36 +58,45 @@ def kernel_weights(n_coarse, n_fine, j, m):
     return np.exp(log_extension_kernel(n_coarse, n_fine, [j], np.asarray(m)))[0]
 
 
-def delta_spectrum(n, k):
-    w = np.zeros(1 << n)
-    w[k % (1 << n)] = 1.0
-    return FourierSpectrum(w)
+def delta_coeffs(n, k):
+    c = np.zeros(1 << n, dtype=complex)
+    c[k % (1 << n)] = 1.0
+    return FourierAmplitudes(c)
+
+
+def initial_coeffs(n):
+    """Fourier coefficients of the approximate initial state."""
+    return to_fourier_basis(approx_initial_state(n))
 
 
 class TestDistillPair:
     def test_two_deltas_at_target(self):
-        out = distill_pair(delta_spectrum(4, 3), delta_spectrum(4, 3), target_k=3)
+        out = distill_pair(delta_coeffs(4, 3), delta_coeffs(4, 3), target_k=3)
         assert out.p_success == pytest.approx(1.0, abs=1e-12)
         assert out.fidelity == pytest.approx(1.0, abs=1e-12)
-        assert out.output.weight(3) == pytest.approx(1.0, abs=1e-12)
+        assert out.output.spectrum().weight(3) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_spectra_raise(self):
         with pytest.raises(DegenerateInputError):
-            distill_pair(delta_spectrum(3, 1), delta_spectrum(3, 3))
+            distill_pair(delta_coeffs(3, 1), delta_coeffs(3, 3))
 
     def test_mismatched_sizes_raise(self):
         with pytest.raises(ValueError):
-            distill_pair(delta_spectrum(3, 1), delta_spectrum(4, 1))
+            distill_pair(delta_coeffs(3, 1), delta_coeffs(4, 1))
 
     def test_mixed_types_raise(self):
         amps = to_fourier_basis(approx_initial_state(4))
+        weights = spectrum_of(approx_initial_state(4))
         with pytest.raises(TypeError):
-            distill_pair(amps, spectrum_of(approx_initial_state(4)))
+            distill_pair(amps, weights)
+        with pytest.raises(TypeError, match="to_fourier_basis"):
+            distill_pair(weights, weights)
 
     def test_symmetric_success_probability_converges_to_two_thirds(self):
         # Sum over odd m of 1/m^4 = pi^4/96 makes the limit exactly 2/3
-        p12 = symmetric_round(spectrum_of(approx_initial_state(12))).p_success
-        p16 = symmetric_round(spectrum_of(approx_initial_state(16))).p_success
+        c12, c16 = initial_coeffs(12), initial_coeffs(16)
+        p12 = distill_pair(c12, c12).p_success
+        p16 = distill_pair(c16, c16).p_success
         assert p12 == pytest.approx(2 / 3, abs=4e-7)
         assert p16 == pytest.approx(2 / 3, abs=2e-9)
         assert abs(p16 - 2 / 3) < abs(p12 - 2 / 3)
@@ -96,20 +104,30 @@ class TestDistillPair:
     def test_symmetric_fidelity_converges_to_limit(self):
         # |c_1|^4 / (2/3) = 96/pi^4
         limit = 96 / math.pi ** 4
-        out = symmetric_round(spectrum_of(approx_initial_state(16)))
+        c = initial_coeffs(16)
+        out = distill_pair(c, c)
         assert out.fidelity == pytest.approx(limit, abs=1e-9)
         assert out.fidelity <= 0.986
 
     def test_amplitude_route_matches_weight_route(self):
-        coeffs = to_fourier_basis(approx_initial_state(6))
+        coeffs = initial_coeffs(6)
         out_amp = distill_pair(coeffs, coeffs)
-        out_w = distill_pair(coeffs.spectrum(), coeffs.spectrum())
-        assert out_amp.p_success == pytest.approx(out_w.p_success, abs=1e-12)
-        np.testing.assert_allclose(out_amp.output.spectrum().weights,
-                                   out_w.output.weights, atol=1e-12)
+        p_w, weights_w = squared_weights(coeffs.spectrum().weights)
+        assert out_amp.p_success == pytest.approx(p_w, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(out_amp.output.spectrum().weights, weights_w,
+                                   rtol=0.0, atol=1e-12)
+
+    def test_step_is_one_exact_engine_round(self):
+        # both routes square the same coefficients and share one postselection
+        coeffs = initial_coeffs(8)
+        step = distill_pair(coeffs, coeffs)
+        engine, = _exact_rounds(np.array(coeffs.coeffs), (8,), 1)
+        assert (step.p_success, step.fidelity, step.error) == (
+            engine.p_success, engine.fidelity, engine.error)
 
     def test_error_complements_fidelity(self):
-        out = symmetric_round(spectrum_of(approx_initial_state(8)))
+        c = initial_coeffs(8)
+        out = distill_pair(c, c)
         assert out.error + out.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_asymmetric_inputs_brute_force(self):
@@ -128,38 +146,37 @@ class TestDistillPair:
             assert abs(out.output.coeffs[j]) ** 2 == pytest.approx(b_brute, abs=1e-12)
 
 
-def after_rounds(w, r):
+def after_rounds(c, r):
     """Spectrum after r symmetric rounds at fixed register size."""
     for _ in range(r):
-        w = symmetric_round(w).output
-    return w
+        c = distill_pair(c, c).output
+    return c.spectrum()
 
 
 class TestRepeatedSymmetric:
     def test_single_round_agrees_with_step(self):
         # r rounds raise every weight to the power 2**r, then renormalize
-        w = spectrum_of(approx_initial_state(8))
+        c = initial_coeffs(8)
+        w = c.spectrum()
         for r in (1, 2, 3):
             power = w.weights ** (2 ** r)
-            np.testing.assert_allclose(after_rounds(w, r).weights, power / power.sum(),
+            np.testing.assert_allclose(after_rounds(c, r).weights, power / power.sum(),
                                        atol=1e-12)
 
     @pytest.mark.parametrize("r,target", [(1, 1 / 81), (2, 9.0 ** -4), (3, 9.0 ** -8)])
     def test_error_tracks_ninth_power_law(self, r, target):
-        w = spectrum_of(approx_initial_state(16))
-        out = after_rounds(w, r)
+        out = after_rounds(initial_coeffs(16), r)
         eps = 1.0 - out.weight(1)
         assert target / 2 < eps < target * 2
 
     def test_frozen_error_values_n16(self):
         # frozen from the independent dense oracle
-        w = spectrum_of(approx_initial_state(16))
-        assert 1 - after_rounds(w, 2).weight(1) == pytest.approx(1.551550e-4, rel=1e-5, abs=0.0)
-        assert 1 - after_rounds(w, 3).weight(1) == pytest.approx(2.323716e-8, rel=1e-5, abs=0.0)
+        c = initial_coeffs(16)
+        assert 1 - after_rounds(c, 2).weight(1) == pytest.approx(1.551550e-4, rel=1e-5, abs=0.0)
+        assert 1 - after_rounds(c, 3).weight(1) == pytest.approx(2.323716e-8, rel=1e-5, abs=0.0)
 
     def test_large_round_count_stays_finite(self):
-        w = spectrum_of(approx_initial_state(10))
-        out = after_rounds(w, 8)
+        out = after_rounds(initial_coeffs(10), 8)
         assert out.weight(1) == pytest.approx(1.0, abs=1e-12)
         assert np.isfinite(out.weights).all()
 
@@ -256,11 +273,13 @@ class TestSparseSpectrum:
     def test_sparse_round_matches_dense(self):
         sp = initial_sparse_spectrum(8)
         out = sparse_symmetric_round(sp)
-        dense = symmetric_round(spectrum_of(approx_initial_state(8)))
+        c = initial_coeffs(8)
+        dense = distill_pair(c, c)
         assert out.p_success == pytest.approx(dense.p_success, abs=1e-12)
         assert out.fidelity == pytest.approx(dense.fidelity, abs=1e-12)
+        dense_weights = dense.output.spectrum()
         for j, w in out.output.weights().items():
-            assert w == pytest.approx(dense.output.weight(j % 256), rel=1e-9, abs=1e-15)
+            assert w == pytest.approx(dense_weights.weight(j % 256), rel=1e-9, abs=1e-15)
 
     def test_sparse_extend_matches_dense_route(self):
         # per-weight cross-validation at (5 -> 10), the kernel's oracle
@@ -687,16 +706,18 @@ class TestProtocolInvariants:
                 assert f_next > f_prev
 
     def test_dominance_ordering_preserved(self):
-        w = spectrum_of(approx_initial_state(8))
-        out = symmetric_round(w).output
+        c = initial_coeffs(8)
+        w = c.spectrum()
+        out = distill_pair(c, c).output.spectrum()
         order_in = np.argsort(w.weights)
         order_out = np.argsort(out.weights[order_in])
         assert (np.diff(out.weights[order_in]) >= -1e-18).all()
         assert (order_out == np.arange(len(order_out))).all()
 
     def test_sideband_ratio_squares_exactly(self):
-        w = spectrum_of(approx_initial_state(10))
-        out = symmetric_round(w).output
+        c = initial_coeffs(10)
+        w = c.spectrum()
+        out = distill_pair(c, c).output.spectrum()
         N = 1 << 10
         ratio_in = w.weight(N - 3) / w.weight(1)
         ratio_out = out.weight(N - 3) / out.weight(1)

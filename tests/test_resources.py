@@ -162,15 +162,17 @@ class TestExpectedCost:
         assert expected_cost_recursion(10) == pytest.approx(90.3819, abs=0.01)
 
     def test_monte_carlo_matches_recursion(self):
-        mean, std = expected_cost_monte_carlo(10, trials=20000, seed=31415)
+        mean, std = expected_cost_monte_carlo(10, trials=20000, seed=31415,
+                                              probabilities=round_success_probabilities(10))
         stderr = std / math.sqrt(20000)
         assert abs(mean - expected_cost_recursion(10)) <= 3 * stderr
 
     def test_monte_carlo_deterministic_given_seed(self):
-        a = expected_cost_monte_carlo(10, trials=500, seed=7)
-        b = expected_cost_monte_carlo(10, trials=500, seed=7)
+        probs = round_success_probabilities(10)
+        a = expected_cost_monte_carlo(10, trials=500, seed=7, probabilities=probs)
+        b = expected_cost_monte_carlo(10, trials=500, seed=7, probabilities=probs)
         assert a == b
-        c = expected_cost_monte_carlo(10, trials=500, seed=8)
+        c = expected_cost_monte_carlo(10, trials=500, seed=8, probabilities=probs)
         assert a != c
 
     def test_sampled_distribution_matches_analytic_moments(self):
@@ -253,7 +255,8 @@ class TestExpectedCost:
             resource_reports([n], 50, 3)[0] for n in range(5, 41)]
 
     def test_n10_anchor_window(self):
-        mean, _ = expected_cost_monte_carlo(10, trials=10000, seed=2024)
+        mean, _ = expected_cost_monte_carlo(10, trials=10000, seed=2024,
+                                            probabilities=round_success_probabilities(10))
         assert 70 <= mean <= 140
 
     def test_sweep_refuses_negative_trials(self):
@@ -261,10 +264,11 @@ class TestExpectedCost:
             resource_reports([10], trials=-1, seed=1)
 
     def test_validation(self):
+        probs = round_success_probabilities(10)
         with pytest.raises(ValueError):
-            expected_cost_monte_carlo(10, trials=0, seed=1)
+            expected_cost_monte_carlo(10, trials=0, seed=1, probabilities=probs)
         with pytest.raises(ValueError):
-            expected_cost_monte_carlo(10, trials=10, seed=None)
+            expected_cost_monte_carlo(10, trials=10, seed=None, probabilities=probs)
         with pytest.raises(ValueError):
             expected_cost_monte_carlo(10, trials=10, seed=1, probabilities=[1.0])
 
