@@ -12,7 +12,7 @@ from fourierdistill import (
     plan_schedule,
     run_protocol_exact,
     run_protocol_sparse,
-    spectrum_of,
+    to_fourier_basis,
 )
 
 print("Schedule for a 10-bit target: sizes double from 5, capped at n+2")
@@ -31,7 +31,7 @@ print(f"  final error {result.final_error:.3e} vs target "
 # rebuilds the register state
 state = from_fourier_basis(result.final.output)
 print(f"  output register: {state.n} qubits, "
-      f"dominant Fourier index {spectrum_of(state).dominant_index()}")
+      f"dominant Fourier index {to_fourier_basis(state).weights().argmax()}")
 
 print()
 print("The first round succeeds about two thirds of the time; later rounds")

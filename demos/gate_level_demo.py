@@ -17,7 +17,6 @@ from fourierdistill import (
     distill_pair,
     extract_register,
     pure_fourier_state,
-    spectrum_of,
     to_fourier_basis,
 )
 
@@ -45,7 +44,7 @@ print(f"  circuit success probability  {run.probability:.12f}")
 print(f"  spectral prediction          {predicted.p_success:.12f}")
 
 output = extract_register(run.state, layout)
-print(f"  output fidelity (circuit)    {spectrum_of(output).weight(1):.12f}")
+print(f"  output fidelity (circuit)    {to_fourier_basis(output).weights()[1]:.12f}")
 print(f"  output fidelity (predicted)  {predicted.fidelity:.12f}")
 
 print()

@@ -14,7 +14,7 @@ from fourierdistill import (
     initial_state_weight,
     series_coefficient,
     series_weight,
-    spectrum_of,
+    to_fourier_basis,
 )
 
 print("Harmonic weights of the four-step phase staircase")
@@ -32,9 +32,9 @@ print(f"ratio, exactly 1/9           = {series_weight(-3) / series_weight(1):.12
 print()
 print("Folding the series onto an 8-qubit register (aliasing):")
 folded, tail = alias_fold(8, series_coefficient, j_max=1 << 16)
-direct = spectrum_of(approx_initial_state(8))
+direct = to_fourier_basis(approx_initial_state(8)).weights()
 print(f"  weight folded onto j=1:   {abs(folded.coeffs[1]) ** 2:.6f}")
-print(f"  exact register weight:    {direct.weight(1):.6f}")
+print(f"  exact register weight:    {direct[1]:.6f}")
 print(f"  closed form:              {initial_state_weight(8, 1):.6f}")
 print(f"  series tail beyond fold window: {tail:.2e}")
 print("  (fold and register weights differ at O(1/N): the staircase jumps")
@@ -43,6 +43,6 @@ print("   exactly on sample points, where a series converges to midpoints)")
 print()
 print("Fidelity of the approximate state with the ideal Fourier state:")
 for n in (4, 6, 8, 12, 16):
-    f = spectrum_of(approx_initial_state(n)).weight(1)
+    f = to_fourier_basis(approx_initial_state(n)).weights()[1]
     print(f"  n={n:2d}: {f:.9f}")
 print(f"  limit 8/pi^2 = {8 / math.pi ** 2:.9f}; never below 0.81")

@@ -42,7 +42,6 @@ from .distill import (
 from .errors import CapacityError, DegenerateInputError, PrecisionWarning
 from .fourier import (
     FourierAmplitudes,
-    FourierSpectrum,
     StateVector,
     alias_fold,
     amplitude_cap,
@@ -53,7 +52,6 @@ from .fourier import (
     pure_fourier_state,
     series_coefficient,
     series_weight,
-    spectrum_of,
     to_fourier_basis,
 )
 from .resources import (

@@ -81,7 +81,7 @@ class PreparedKState:
     @property
     def fidelity(self) -> float:
         """Overlap with the index-k Fourier state: the weight at k."""
-        return self.coefficients.spectrum().weight(self.k)
+        return float(self.coefficients.weights()[self.k])
 
 
 def prepare_approx_k(n: int, k: int, truncate_bits: int | None = None) -> PreparedKState:
@@ -109,7 +109,7 @@ def distill_k(prep: PreparedKState, rounds: int) -> ProtocolResult:
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
-    dominant = prep.coefficients.spectrum().dominant_index()
+    dominant = int(np.argmax(prep.coefficients.weights()))
     if dominant != prep.k:
         raise DegenerateInputError(
             f"dominant Fourier index {dominant} beats the target {prep.k} "

@@ -28,11 +28,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, DegenerateInputError
 from .fourier import (
+    AMPLITUDE_CAP_ENV,
     StateVector,
     _adopt,
+    amplitude_cap,
     pure_fourier_state,
     require_register_size,
-    spectrum_of,
+    to_fourier_basis,
 )
 
 GATE_ARITY = {
@@ -312,9 +314,11 @@ def clone_fourier_state(n: int, source: StateVector, k: int | None = None) -> Cl
     """
     if source.n != n:
         raise ValueError(f"source has {source.n} qubits, expected {n}")
-    require_register_size(2 * n)
+    if 2 * n > (cap := amplitude_cap()):
+        raise CapacityError(f"--n {n} needs a {2 * n}-qubit joint vector, above the "
+                            f"amplitude-vector cap {cap}; raise {AMPLITUDE_CAP_ENV}")
     N = 1 << n
-    k = spectrum_of(source).dominant_index() if k is None else k % N
+    k = int(np.argmax(to_fourier_basis(source).weights())) if k is None else k % N
     # The blank register's amplitude is 1/sqrt(N) for every v, so the adder
     # maps |v>|w> to |v>|w + v> with the scaled source amplitude of w, and X
     # on the first register sends v to r = N - 1 - v.  Row r of the joint

@@ -132,16 +132,16 @@ def cmd_simulate(a: argparse.Namespace):
     run = circuits.apply_circuit(circuit, fourier.StateVector(joint),
                                  postselect={q: 0 for q in layout.first})
     output = circuits.extract_register(run.state, layout)
-    circuit_weights = fourier.spectrum_of(output)
+    circuit_weights = fourier.to_fourier_basis(output).weights()
     coeffs = fourier.to_fourier_basis(fourier.approx_initial_state(a.n))
     predicted = distill.distill_pair(coeffs, coeffs)
-    diff = float(np.max(np.abs(circuit_weights.weights - predicted.output.spectrum().weights)))
+    diff = float(np.max(np.abs(circuit_weights - predicted.output.weights())))
     payload = {
         "command": "simulate",
         "n": a.n,
         "p_circuit": run.probability,
         "p_predicted": predicted.p_success,
-        "fidelity_circuit": circuit_weights.weight(1),
+        "fidelity_circuit": float(circuit_weights[1]),
         "fidelity_predicted": predicted.fidelity,
         "max_weight_diff": diff,
         "toffoli_circuit": circuit.toffoli_count,

@@ -167,19 +167,6 @@ class SparseSpectrum:
     def tail_mass(self) -> float:
         return math.exp(self.log_tail) if self.log_tail != NEG_INF else 0.0
 
-    def weight(self, j: int) -> float:
-        try:
-            pos = self.indices.index(_signed_index(j, self.dim))
-        except ValueError:
-            return 0.0
-        return math.exp(self.log_weights[pos])
-
-    def weights(self) -> dict[int, float]:
-        return dict(zip(self.indices, np.exp(self.log_weights).tolist()))
-
-    def dominant_index(self) -> int:
-        return self.indices[0]
-
     def __len__(self):
         return len(self.indices)
 
@@ -421,9 +408,9 @@ def plan_schedule(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> Proto
     if n < 1:
         raise ValueError("n must be positive")
     if s0 < 2:
-        raise ValueError("starting size must be at least 2")
+        raise ValueError(f"--s0 {s0} is below 2: the approximate initial state needs 2 qubits")
     if pad < 0:
-        raise ValueError("pad must be non-negative")
+        raise ValueError(f"--pad {pad} is negative: the last round must reach the target")
     if n <= s0:
         return ProtocolSchedule(
             n, (min(s0, n + pad),),

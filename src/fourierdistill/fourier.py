@@ -129,44 +129,11 @@ class FourierAmplitudes:
     def dim(self) -> int:
         return len(self.coeffs)
 
-    def spectrum(self) -> "FourierSpectrum":
+    def weights(self) -> np.ndarray:
+        """Weights |coeffs|^2 over Fourier indices j = 0..N-1, as a new array."""
         weights = np.abs(self.coeffs)
         weights *= weights
-        return _adopt(FourierSpectrum, weights)
-
-
-@dataclass(frozen=True)
-class FourierSpectrum:
-    """Non-negative weights |coefficient|^2 over Fourier indices j = 0..N-1."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self._seal(np.array(self.weights, dtype=float))
-
-    def _seal(self, weights: np.ndarray) -> None:
-        _register_bits(len(weights))
-        if np.any(weights < -1e-12):
-            raise ValueError("spectrum weights must be non-negative")
-        np.clip(weights, 0.0, None, out=weights)
-        total = float(weights.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"spectrum weights must sum to 1, got {total!r}")
-        _freeze(self, "weights", weights)
-
-    @property
-    def n(self) -> int:
-        return len(self.weights).bit_length() - 1
-
-    @property
-    def dim(self) -> int:
-        return len(self.weights)
-
-    def weight(self, j: int) -> float:
-        return float(self.weights[j % self.dim])
-
-    def dominant_index(self) -> int:
-        return int(np.argmax(self.weights))
+        return weights
 
 
 def pure_fourier_state(n: int, k: int) -> StateVector:
@@ -222,11 +189,6 @@ def _unitary_fft(buf: np.ndarray, inverse: bool = False) -> np.ndarray:
         np.fft.fft(buf, out=buf)
         buf /= math.sqrt(len(buf))
     return buf
-
-
-def spectrum_of(s: StateVector) -> FourierSpectrum:
-    """Fourier-basis weights of a state."""
-    return to_fourier_basis(s).spectrum()
 
 
 def series_coefficient(j: int) -> complex:

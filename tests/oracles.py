@@ -60,6 +60,20 @@ def output_state(result) -> StateVector:
     return from_fourier_basis(result.final.output)
 
 
+def sparse_weight(sp: SparseSpectrum, j: int) -> float:
+    """Weight of harmonic j (taken mod 2**n) in a sparse spectrum; 0 if not kept."""
+    try:
+        pos = sp.indices.index(_signed_index(j, sp.dim))
+    except ValueError:
+        return 0.0
+    return math.exp(sp.log_weights[pos])
+
+
+def sparse_weights(sp: SparseSpectrum) -> dict[int, float]:
+    """Kept harmonics of a sparse spectrum as ``{signed index: weight}``."""
+    return dict(zip(sp.indices, np.exp(sp.log_weights).tolist()))
+
+
 def apply_permutation(perm: np.ndarray, s: StateVector) -> StateVector:
     """Apply a basis-state permutation to a state."""
     if len(perm) != s.dim:

@@ -29,7 +29,6 @@ from fourierdistill import (
     run_protocol_exact,
     run_protocol_sparse,
     series_weight,
-    spectrum_of,
     t_sequence_cost_bits,
     to_fourier_basis,
     toffoli_closed_form,
@@ -103,7 +102,7 @@ def test_criterion_05_gate_level_matches_spectral():
     predicted = distill_pair(coeffs, coeffs)
     assert abs(run.probability - predicted.p_success) < 1e-9
     output = extract_register(run.state, layout)
-    diff = np.max(np.abs(spectrum_of(output).weights - predicted.output.spectrum().weights))
+    diff = np.max(np.abs(to_fourier_basis(output).weights() - predicted.output.weights()))
     assert diff < 1e-9
     _report(5, f"distillation circuit at n=5 reproduces spectral step "
                f"(p diff {abs(run.probability - predicted.p_success):.1e}, "
@@ -114,7 +113,7 @@ def test_criterion_06_error_suppression_law():
     coeffs = to_fourier_basis(approx_initial_state(16))
     for r in (1, 2, 3):
         coeffs = distill_pair(coeffs, coeffs).output
-        eps = 1.0 - coeffs.spectrum().weight(1)
+        eps = 1.0 - coeffs.weights()[1]
         law = 9.0 ** -(2 ** r)
         assert law / 2 < eps < law * 2, f"r={r}: {eps} vs {law}"
     _report(6, "full-width errors at n=16 within factor 2 of 9^(-2^r), r=1..3")

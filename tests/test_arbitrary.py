@@ -13,10 +13,10 @@ from fourierdistill import (
     qvr_phase,
     run_protocol_exact,
     schedule_cost,
-    spectrum_of,
+    to_fourier_basis,
     transform_cost,
 )
-from oracles import counted_transforms, distill_k_reference, fidelity, output_state
+from oracles import counted_transforms, distill_k_reference, fidelity
 
 
 class TestQvrPhase:
@@ -38,8 +38,8 @@ class TestQvrPhase:
         from fourierdistill import StateVector
         s = StateVector(raw / np.linalg.norm(raw))
         shifted = qvr_phase(s, 2, truncate_bits=6)
-        np.testing.assert_allclose(spectrum_of(shifted).weights,
-                                   np.roll(spectrum_of(s).weights, 4), atol=1e-12)
+        np.testing.assert_allclose(to_fourier_basis(shifted).weights(),
+                                   np.roll(to_fourier_basis(s).weights(), 4), atol=1e-12)
 
     def test_single_gate_error_scale(self):
         # frozen: one QVR gate at ceil(log2 n)+2 bits on an 8-qubit register
@@ -107,7 +107,7 @@ class TestDistillK:
         # error (4e-20) is far below the float resolution of 1 - fidelity
         prep = prepare_approx_k(8, 5)
         result = distill_k(prep, rounds=3)
-        w8 = spectrum_of(prep.state).weights ** 8
+        w8 = prep.coefficients.weights() ** 8
         expected = math.fsum(np.delete(w8, 5)) / math.fsum(w8)
         assert result.final.error > 0
         assert result.final.error == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -125,8 +125,8 @@ class TestDistillK:
         via_protocol = run_protocol_exact(10)
         assert via_k.final_error < 1e-3
         assert via_protocol.final_error < 1e-3
-        assert spectrum_of(output_state(via_k)).dominant_index() == 1
-        assert spectrum_of(output_state(via_protocol)).dominant_index() == 1
+        assert via_k.final.output.weights().argmax() == 1
+        assert via_protocol.final.output.weights().argmax() == 1
 
     def test_wrong_dominant_index_detected(self):
         # 1-bit quantization leaves the dominant weight at index 3, not 5

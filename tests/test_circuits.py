@@ -26,7 +26,6 @@ from fourierdistill import (
     extract_register,
     modular_add_oracle,
     pure_fourier_state,
-    spectrum_of,
     to_fourier_basis,
 )
 from oracles import apply_permutation, build_constant_adder_circuit, fidelity, traced_peak
@@ -287,8 +286,8 @@ class TestDistillationCircuit:
         predicted = distill_pair(coeffs, coeffs)
         assert run.probability == pytest.approx(predicted.p_success, abs=1e-9)
         output = extract_register(run.state, layout)
-        np.testing.assert_allclose(spectrum_of(output).weights,
-                                   predicted.output.spectrum().weights, atol=1e-9)
+        np.testing.assert_allclose(to_fourier_basis(output).weights(),
+                                   predicted.output.weights(), atol=1e-9)
 
     def test_pure_inputs_always_postselect(self):
         n = 4

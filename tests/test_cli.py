@@ -165,6 +165,16 @@ class TestDistillCommand:
         code, _, err = run_cli(capsys, "distill", "--n", "10", "--max-harmonics", budget)
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("engine", ["exact", "sparse"])
+    @pytest.mark.parametrize("argv, err", [
+        (["--s0", "1"], "--s0 1 is below 2: the approximate initial state needs 2 qubits"),
+        (["--pad", "-1"], "--pad -1 is negative: the last round must reach the target"),
+    ])
+    def test_planning_errors_name_the_flag(self, capsys, engine, argv, err):
+        code, out, stderr = run_cli(capsys, "distill", "--n", "10", "--engine", engine, *argv)
+        assert (code, out) == (2, "")
+        assert stderr == f"invalid request: {err}\n"
+
     @pytest.mark.parametrize("n", [1075, 2000])
     def test_sparse_past_float_range_names_the_limit(self, capsys, n):
         # pi * 2**-n_fine underflows to 0 in the zero-order-hold kernel
@@ -317,6 +327,14 @@ class TestResourcesCommand:
         code, out, err = run_cli(capsys, "distill", "--n", "8", "--s0", "2")
         assert (code, err) == (0, "")
         assert json.loads(out)["sizes"][0] == 2
+
+    @pytest.mark.parametrize("trials", [[], ["--trials", "5", "--seed", "1"]])
+    def test_negative_pad_names_the_flag(self, capsys, trials):
+        code, out, err = run_cli(capsys, "resources", "--n-min", "5", "--n-max", "6",
+                                 "--pad", "-1", *trials)
+        assert (code, out) == (2, "")
+        assert err == ("invalid request: --pad -1 is negative: the last round must "
+                       "reach the target\n")
 
     @pytest.mark.parametrize("argv, flag", [(["--n-min", "3", "--n-max", "6"], "--n-min"),
                                             (["--n", "3"], "--n")])
@@ -491,8 +509,20 @@ class TestCloneCommand:
         assert obj["k"] == index
         assert obj["joint_fidelity"] >= 1 - 1e-9
 
+    def test_capacity_error_names_the_register_flag(self, capsys, monkeypatch):
+        # --n is within the cap; the joint vector of both registers is not
+        monkeypatch.delenv("FOURIERDISTILL_AMP_CAP", raising=False)
+        code, out, err = run_cli(capsys, "clone", "--n", "12")
+        assert (code, out) == (3, "")
+        assert err == ("capacity error: --n 12 needs a 24-qubit joint vector, above the "
+                       "amplitude-vector cap 22; raise FOURIERDISTILL_AMP_CAP\n")
+
 
 class TestDenseCapacityAdvice:
+    #: What each command says before the cap; clone's joint vector has 2 * n qubits.
+    OVER_CAP = {"arbitrary-k": "n=9 exceeds",
+                "clone": "--n 5 needs a 10-qubit joint vector, above"}
+
     @pytest.mark.parametrize("argv, qubits", [(["arbitrary-k", "--n", "9", "--k", "5"], 9),
                                               (["clone", "--n", "5"], 10)])
     def test_advice_names_only_the_cap(self, capsys, monkeypatch, argv, qubits):
@@ -500,7 +530,7 @@ class TestDenseCapacityAdvice:
         monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", str(qubits - 1))
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
-        assert err == (f"capacity error: n={qubits} exceeds the amplitude-vector cap "
+        assert err == (f"capacity error: {self.OVER_CAP[argv[0]]} the amplitude-vector cap "
                        f"{qubits - 1}; raise FOURIERDISTILL_AMP_CAP\n")
         monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", str(qubits))
         code, _, err = run_cli(capsys, *argv)

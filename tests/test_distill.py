@@ -36,7 +36,6 @@ from fourierdistill import (
     run_protocol_sparse,
     sparse_extend,
     sparse_symmetric_round,
-    spectrum_of,
     to_fourier_basis,
 )
 from fourierdistill.cli import main
@@ -48,6 +47,8 @@ from oracles import (
     output_state,
     rounds_required_simplified,
     sparse_extend_reference,
+    sparse_weight,
+    sparse_weights,
     squared_weights,
     traced_peak,
 )
@@ -74,7 +75,7 @@ class TestDistillPair:
         out = distill_pair(delta_coeffs(4, 3), delta_coeffs(4, 3), target_k=3)
         assert out.p_success == pytest.approx(1.0, abs=1e-12)
         assert out.fidelity == pytest.approx(1.0, abs=1e-12)
-        assert out.output.spectrum().weight(3) == pytest.approx(1.0, abs=1e-12)
+        assert out.output.weights()[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_spectra_raise(self):
         with pytest.raises(DegenerateInputError):
@@ -86,7 +87,7 @@ class TestDistillPair:
 
     def test_mixed_types_raise(self):
         amps = to_fourier_basis(approx_initial_state(4))
-        weights = spectrum_of(approx_initial_state(4))
+        weights = amps.weights()
         with pytest.raises(TypeError):
             distill_pair(amps, weights)
         with pytest.raises(TypeError, match="to_fourier_basis"):
@@ -112,9 +113,9 @@ class TestDistillPair:
     def test_amplitude_route_matches_weight_route(self):
         coeffs = initial_coeffs(6)
         out_amp = distill_pair(coeffs, coeffs)
-        p_w, weights_w = squared_weights(coeffs.spectrum().weights)
+        p_w, weights_w = squared_weights(coeffs.weights())
         assert out_amp.p_success == pytest.approx(p_w, rel=1e-12, abs=0.0)
-        np.testing.assert_allclose(out_amp.output.spectrum().weights, weights_w,
+        np.testing.assert_allclose(out_amp.output.weights(), weights_w,
                                    rtol=0.0, atol=1e-12)
 
     def test_step_is_one_exact_engine_round(self):
@@ -147,38 +148,38 @@ class TestDistillPair:
 
 
 def after_rounds(c, r):
-    """Spectrum after r symmetric rounds at fixed register size."""
+    """Weights after r symmetric rounds at fixed register size."""
     for _ in range(r):
         c = distill_pair(c, c).output
-    return c.spectrum()
+    return c.weights()
 
 
 class TestRepeatedSymmetric:
     def test_single_round_agrees_with_step(self):
         # r rounds raise every weight to the power 2**r, then renormalize
         c = initial_coeffs(8)
-        w = c.spectrum()
+        w = c.weights()
         for r in (1, 2, 3):
-            power = w.weights ** (2 ** r)
-            np.testing.assert_allclose(after_rounds(c, r).weights, power / power.sum(),
+            power = w ** (2 ** r)
+            np.testing.assert_allclose(after_rounds(c, r), power / power.sum(),
                                        atol=1e-12)
 
     @pytest.mark.parametrize("r,target", [(1, 1 / 81), (2, 9.0 ** -4), (3, 9.0 ** -8)])
     def test_error_tracks_ninth_power_law(self, r, target):
         out = after_rounds(initial_coeffs(16), r)
-        eps = 1.0 - out.weight(1)
+        eps = 1.0 - out[1]
         assert target / 2 < eps < target * 2
 
     def test_frozen_error_values_n16(self):
         # frozen from the independent dense oracle
         c = initial_coeffs(16)
-        assert 1 - after_rounds(c, 2).weight(1) == pytest.approx(1.551550e-4, rel=1e-5, abs=0.0)
-        assert 1 - after_rounds(c, 3).weight(1) == pytest.approx(2.323716e-8, rel=1e-5, abs=0.0)
+        assert 1 - after_rounds(c, 2)[1] == pytest.approx(1.551550e-4, rel=1e-5, abs=0.0)
+        assert 1 - after_rounds(c, 3)[1] == pytest.approx(2.323716e-8, rel=1e-5, abs=0.0)
 
     def test_large_round_count_stays_finite(self):
         out = after_rounds(initial_coeffs(10), 8)
-        assert out.weight(1) == pytest.approx(1.0, abs=1e-12)
-        assert np.isfinite(out.weights).all()
+        assert out[1] == pytest.approx(1.0, abs=1e-12)
+        assert np.isfinite(out).all()
 
 
 class TestExtendRegister:
@@ -211,12 +212,12 @@ class TestExtensionKernel:
     def test_matches_dense_extension_spectrum(self, j):
         # acceptance oracle for the kernel: DFT of the literally extended state
         s, n_new = 5, 10
-        dense = spectrum_of(extend_register(pure_fourier_state(s, j), n_new))
+        dense = to_fourier_basis(extend_register(pure_fourier_state(s, j), n_new)).weights()
         Nf = 1 << n_new
         offsets = np.arange(-16, 16)
         for m, kernel in zip(offsets, kernel_weights(s, n_new, j, offsets)):
             jf = j + (1 << s) * int(m)
-            assert kernel == pytest.approx(dense.weight(jf % Nf), abs=1e-12)
+            assert kernel == pytest.approx(dense[jf % Nf], abs=1e-12)
 
     def test_class_weights_sum_to_one(self):
         s, n_new = 4, 9
@@ -238,17 +239,17 @@ class TestExtensionKernel:
 class TestSparseSpectrum:
     def test_initial_matches_dense_weights(self):
         sp = initial_sparse_spectrum(6)
-        dense = spectrum_of(approx_initial_state(6))
+        dense = initial_coeffs(6).weights()
         assert len(sp) == 16
-        for j, w in sp.weights().items():
-            assert w == pytest.approx(dense.weight(j % 64), rel=1e-12, abs=0.0)
+        for j, w in sparse_weights(sp).items():
+            assert w == pytest.approx(dense[j % 64], rel=1e-12, abs=0.0)
         assert sp.tail_mass == 0.0
 
     def test_initial_truncation_tracks_tail(self):
         sp = initial_sparse_spectrum(10, max_harmonics=16)
         assert len(sp) == 16
         assert sp.tail_mass > 0
-        total = sum(sp.weights().values()) + sp.tail_mass
+        total = sum(sparse_weights(sp).values()) + sp.tail_mass
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_mass_validation(self):
@@ -258,9 +259,9 @@ class TestSparseSpectrum:
     def test_mapping_is_stored_in_descending_weight_order(self):
         sp = SparseSpectrum(4, {3: math.log(0.25), 1: math.log(0.5), 18: math.log(0.25)})
         assert sp.indices == (1, 3, 2)
-        assert sp.dominant_index() == 1
-        assert sp.weight(18) == pytest.approx(0.25, rel=1e-15, abs=0.0)
-        assert sp.weight(5) == 0.0
+        assert sp.indices[0] == 1
+        assert sparse_weight(sp, 18) == pytest.approx(0.25, rel=1e-15, abs=0.0)
+        assert sparse_weight(sp, 5) == 0.0
         with pytest.raises(ValueError):
             SparseSpectrum(4, {1: math.log(0.5), 17: math.log(0.5)})
 
@@ -277,40 +278,40 @@ class TestSparseSpectrum:
         dense = distill_pair(c, c)
         assert out.p_success == pytest.approx(dense.p_success, abs=1e-12)
         assert out.fidelity == pytest.approx(dense.fidelity, abs=1e-12)
-        dense_weights = dense.output.spectrum()
-        for j, w in out.output.weights().items():
-            assert w == pytest.approx(dense_weights.weight(j % 256), rel=1e-9, abs=1e-15)
+        dense_weights = dense.output.weights()
+        for j, w in sparse_weights(out.output).items():
+            assert w == pytest.approx(dense_weights[j % 256], rel=1e-9, abs=1e-15)
 
     def test_sparse_extend_matches_dense_route(self):
         # per-weight cross-validation at (5 -> 10), the kernel's oracle
         sp = sparse_extend(initial_sparse_spectrum(5), 10)
-        dense = spectrum_of(extend_register(approx_initial_state(5), 10))
+        dense = to_fourier_basis(extend_register(approx_initial_state(5), 10)).weights()
         for j in range(1 << 10):
-            assert sp.weight(j) == pytest.approx(dense.weight(j), abs=1e-6)
+            assert sparse_weight(sp, j) == pytest.approx(dense[j], abs=1e-6)
         assert sp.tail_mass < 1e-12
 
     def test_sparse_extend_delta_at_zero(self):
         sp = SparseSpectrum(5, {0: 0.0})
         out = sparse_extend(sp, 9)
-        assert out.weight(0) == pytest.approx(1.0, abs=1e-12)
+        assert sparse_weight(out, 0) == pytest.approx(1.0, abs=1e-12)
         assert len(out) == 1
 
     def test_sparse_extend_index_zero_among_incomplete_classes(self):
         # the class of j = 0 stays a single harmonic while the others are truncated
         sp = SparseSpectrum(5, {0: math.log(0.5), 1: math.log(0.5)})
         out = sparse_extend(sp, 15, max_harmonics=8)
-        assert out.weight(0) == 0.5
+        assert sparse_weight(out, 0) == 0.5
         assert out.indices.count(0) == 1
         assert 0.0 < out.tail_mass < 0.5
-        assert sum(out.weights().values()) + out.tail_mass == pytest.approx(1.0, abs=1e-9)
+        assert sum(sparse_weights(out).values()) + out.tail_mass == pytest.approx(1.0, abs=1e-9)
 
     def test_sparse_extend_delta_at_one(self):
         out = sparse_extend(SparseSpectrum(5, {1: 0.0}), 10)
-        assert out.dominant_index() == 1
-        assert out.weight(1) == pytest.approx(0.996794491447, abs=1e-9)
+        assert out.indices[0] == 1
+        assert sparse_weight(out, 1) == pytest.approx(0.996794491447, abs=1e-9)
         # sidebands appear at 1 +/- 32 m
-        assert out.weight(1 - 32) > 0
-        assert out.weight(1 + 32) > 0
+        assert sparse_weight(out, 1 - 32) > 0
+        assert sparse_weight(out, 1 + 32) > 0
 
     def test_sparse_extend_ties_keep_class_then_member_order(self):
         # 1 and -1 mirror each other: every kernel weight of one class ties
@@ -319,13 +320,13 @@ class TestSparseSpectrum:
         assert sparse_extend(sp, 8, max_harmonics=3).indices == (1, -1, -15)
         wider = sparse_extend(sp, 8, max_harmonics=4)
         assert wider.indices == (1, -1, -15, 15)
-        assert wider.weight(15) == wider.weight(-15)
+        assert sparse_weight(wider, 15) == sparse_weight(wider, -15)
 
     def test_sparse_extend_budget_prunes_into_tail(self):
         sp = sparse_extend(initial_sparse_spectrum(5), 16, max_harmonics=64)
         assert len(sp) <= 64
         assert sp.tail_mass > 0
-        total = sum(sp.weights().values()) + sp.tail_mass
+        total = sum(sparse_weights(sp).values()) + sp.tail_mass
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -351,11 +352,11 @@ class TestSparseTailBound:
         assert_same_spectrum(out, sparse_extend_reference(sp, n_new, budget))
         N, Nf = sp.dim, 1 << n_new
         coeffs = np.zeros(N)
-        for j, w in sp.weights().items():
+        for j, w in sparse_weights(sp).items():
             coeffs[j % N] = math.sqrt(w)
-        dense = spectrum_of(extend_register(from_fourier_basis(FourierAmplitudes(coeffs)),
-                                            n_new)).weights
-        for j, w in out.weights().items():
+        dense = to_fourier_basis(extend_register(from_fourier_basis(FourierAmplitudes(coeffs)),
+                                                 n_new)).weights()
+        for j, w in sparse_weights(out).items():
             assert w == pytest.approx(dense[j % Nf], rel=1e-9, abs=0.0)
         # the mass really missing lies in the input's classes, off the kept
         # set; the class of j = 0 has no mass off index 0
@@ -365,7 +366,7 @@ class TestSparseTailBound:
         kept[[j % Nf for j in out.indices]] = True
         missing = dense[in_class & ~kept].sum()
         assert missing <= out.tail_mass * (1 + 1e-9)
-        assert sum(out.weights().values()) + out.tail_mass == pytest.approx(1.0, abs=1e-9)
+        assert sum(sparse_weights(out).values()) + out.tail_mass == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n0,d,j", [(40, 10, 1), (60, 12, -3), (30, 8, 5)])
     def test_unresolvable_class_remainder_is_bounded(self, n0, d, j):
@@ -707,20 +708,20 @@ class TestProtocolInvariants:
 
     def test_dominance_ordering_preserved(self):
         c = initial_coeffs(8)
-        w = c.spectrum()
-        out = distill_pair(c, c).output.spectrum()
-        order_in = np.argsort(w.weights)
-        order_out = np.argsort(out.weights[order_in])
-        assert (np.diff(out.weights[order_in]) >= -1e-18).all()
+        w = c.weights()
+        out = distill_pair(c, c).output.weights()
+        order_in = np.argsort(w)
+        order_out = np.argsort(out[order_in])
+        assert (np.diff(out[order_in]) >= -1e-18).all()
         assert (order_out == np.arange(len(order_out))).all()
 
     def test_sideband_ratio_squares_exactly(self):
         c = initial_coeffs(10)
-        w = c.spectrum()
-        out = distill_pair(c, c).output.spectrum()
+        w = c.weights()
+        out = distill_pair(c, c).output.weights()
         N = 1 << 10
-        ratio_in = w.weight(N - 3) / w.weight(1)
-        ratio_out = out.weight(N - 3) / out.weight(1)
+        ratio_in = w[N - 3] / w[1]
+        ratio_out = out[N - 3] / out[1]
         assert ratio_out == pytest.approx(ratio_in ** 2, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", [8, 12])
@@ -730,4 +731,4 @@ class TestProtocolInvariants:
             1.0, abs=1e-9)
         sparse = run_protocol_sparse(n)
         sp = sparse.final.output
-        assert sum(sp.weights().values()) + sp.tail_mass == pytest.approx(1.0, abs=1e-9)
+        assert sum(sparse_weights(sp).values()) + sp.tail_mass == pytest.approx(1.0, abs=1e-9)

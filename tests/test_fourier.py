@@ -8,7 +8,6 @@ import pytest
 from fourierdistill import (
     CapacityError,
     FourierAmplitudes,
-    FourierSpectrum,
     StateVector,
     alias_fold,
     approx_initial_state,
@@ -19,7 +18,6 @@ from fourierdistill import (
     qvr_phase,
     series_coefficient,
     series_weight,
-    spectrum_of,
     to_fourier_basis,
 )
 from fourierdistill.fourier import log_fidelity_threshold, sin_pi_frac
@@ -111,13 +109,13 @@ class TestBasisConversion:
         np.testing.assert_allclose(np.abs(coeffs), expected, atol=1e-12)
 
     def test_initial_state_weights_n8(self):
-        w = spectrum_of(approx_initial_state(8))
-        assert w.weight(1) == pytest.approx(0.810610160468, abs=1e-9)
-        assert w.weight(256 - 3) == pytest.approx(0.090103975485, abs=1e-9)
+        w = to_fourier_basis(approx_initial_state(8)).weights()
+        assert w[1] == pytest.approx(0.810610160468, abs=1e-9)
+        assert w[256 - 3] == pytest.approx(0.090103975485, abs=1e-9)
 
     @pytest.mark.parametrize("n", range(4, 17))
     def test_weights_vanish_off_support(self, n):
-        w = spectrum_of(approx_initial_state(n)).weights
+        w = to_fourier_basis(approx_initial_state(n)).weights()
         off = [j for j in range(1 << n) if j % 4 != 1]
         assert np.max(w[off]) < 1e-12
 
@@ -199,8 +197,8 @@ class TestAliasFold:
         # quartering with every added qubit pair.
         N = 1 << n
         folded, tail = staircase_fold(n)
-        direct = spectrum_of(approx_initial_state(n))
-        diff = np.max(np.abs(folded.spectrum().weights - direct.weights))
+        direct = to_fourier_basis(approx_initial_state(n)).weights()
+        diff = np.max(np.abs(folded.weights() - direct))
         assert diff < 2.5 / N
         assert diff > 0.5 / N  # the convention gap is real, not a tolerance slack
         assert 0 <= tail < 1e-3
@@ -218,8 +216,7 @@ class TestAliasFold:
 
     def test_delta_series(self):
         folded, tail = alias_fold(6, lambda j: 1.0 if j == 1 else 0.0, 64)
-        w = folded.spectrum()
-        assert w.weight(1) == pytest.approx(1.0, abs=1e-12)
+        assert folded.weights()[1] == pytest.approx(1.0, abs=1e-12)
         assert tail == pytest.approx(0.0, abs=1e-12)
 
     def test_fold_arithmetic_brute_force(self):
@@ -285,9 +282,9 @@ class TestFidelityThreshold:
 class TestClosedFormWeights:
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_matches_dft(self, n):
-        w = spectrum_of(approx_initial_state(n))
+        w = to_fourier_basis(approx_initial_state(n)).weights()
         for j in range(1 << n):
-            assert initial_state_weight(n, j) == pytest.approx(w.weight(j), abs=1e-12)
+            assert initial_state_weight(n, j) == pytest.approx(w[j], abs=1e-12)
 
     def test_signed_index_and_huge_register(self):
         assert initial_state_weight(8, -3) == pytest.approx(
@@ -312,10 +309,6 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError):
             StateVector(np.ones(3, complex) / math.sqrt(3))
 
-    def test_spectrum_rejects_negative(self):
-        with pytest.raises(ValueError):
-            FourierSpectrum(np.array([1.5, -0.5, 0.0, 0.0]))
-
     def test_amps_are_read_only(self):
         s = pure_fourier_state(3, 1)
         with pytest.raises(ValueError):
@@ -324,7 +317,6 @@ class TestValidationAndSerialization:
     @pytest.mark.parametrize("cls,field,dtype,value", [
         (StateVector, "amps", complex, 0.5),
         (FourierAmplitudes, "coeffs", complex, 0.5),
-        (FourierSpectrum, "weights", float, 0.25),
     ])
     def test_constructor_does_not_alias_the_callers_array(self, cls, field, dtype, value):
         mine = np.full(4, value, dtype=dtype)
@@ -336,6 +328,16 @@ class TestValidationAndSerialization:
         assert not stored.flags.writeable
         with pytest.raises(ValueError):
             stored[0] = 0.0
+
+    def test_weights_are_a_new_writable_array(self):
+        a = to_fourier_basis(approx_initial_state(4))
+        coeffs = a.coeffs.copy()
+        w = a.weights()
+        assert w.dtype == float and w.flags.writeable
+        assert np.array_equal(w, np.abs(coeffs) ** 2)
+        w[:] = -1.0
+        assert np.array_equal(a.coeffs, coeffs)
+        assert np.array_equal(a.weights(), np.abs(coeffs) ** 2)
 
     def test_amplitude_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", "4")

@@ -1,8 +1,9 @@
 """The traced bench runner still sees the spans its per-layer metrics read.
 
 ``bench/traced_cli.py`` binds call arguments by name (``n``, ``trials``,
-``seed``), and its ``install()`` rebinds package functions for the whole
-process, so it runs in a subprocess of its own.
+``seed``) and reads ``.dim`` of the first argument of the Fourier
+transforms, and its ``install()`` rebinds package functions for the whole
+process, so each command runs in a subprocess of its own.
 """
 import json
 import os
@@ -13,14 +14,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_resources_sweep_records_engine_and_monte_carlo_spans():
+def _traced(*argv) -> dict:
+    """The JSON record of one traced command line."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "traced_cli.py"), "resources",
-         "--n-min", "5", "--n-max", "8", "--trials", "5", "--seed", "1"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "traced_cli.py"), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)
     assert record["exit"] == 0
+    return record
+
+
+def test_traced_resources_sweep_records_engine_and_monte_carlo_spans():
+    record = _traced("resources", "--n-min", "5", "--n-max", "8", "--trials", "5",
+                     "--seed", "1")
     names = {span[0] for span in record["spans"]}
     assert {"resources.expected_cost_monte_carlo", "distill.run_protocol_sparse"} <= names
+
+
+def test_traced_dense_job_keeps_its_output_and_records_transform_spans():
+    record = _traced("arbitrary-k", "--n", "8", "--k", "5")
+    assert record["stdout"] == (ROOT / "tests" / "golden" / "arbitrary_k_n8_k5.json").read_text()
+    spans = {span[0]: span[4] for span in record["spans"]}
+    assert {"fourier.to_fourier_basis", "arbitrary.distill_k"} <= spans.keys()
+    assert spans["fourier.to_fourier_basis"] == {"points": 256}
