@@ -6,10 +6,10 @@ runs at full register width every round (appending |+> qubits would not
 preserve a general index), which is why this route costs O(n^2) Toffolis.
 """
 from fourierdistill import (
+    ResourceReport,
     default_truncate_bits,
     distill_k,
     prepare_approx_k,
-    schedule_cost,
     transform_cost,
 )
 
@@ -28,8 +28,8 @@ for i, rec in enumerate(result.rounds, start=1):
     print(f"  round {i}: p_success={rec.p_success:.9f}  "
           f"fidelity={rec.fidelity:.12f}")
 print(f"  final error {result.final_error:.2e}")
-cost = schedule_cost(result.schedule)
-print(f"  cost: {sum(rc.adders for rc in cost.per_round)} adders x {2 * n - 4} "
+cost = ResourceReport(result.schedule)
+print(f"  cost: {sum(cost.adders)} adders x {2 * n - 4} "
       f"Toffolis = {cost.toffoli_deterministic}")
 
 print()

@@ -6,6 +6,7 @@ discards the whole feeding subtree).  The comparison table puts kickback
 rotations next to T-gate approximation sequences per bit of precision.
 """
 from fourierdistill import (
+    adder_toffoli_count,
     comparison_table,
     expected_cost_recursion,
     resource_reports,
@@ -16,9 +17,10 @@ from fourierdistill.resources import round_success_probabilities
 
 print("Deterministic accounting for a 10-bit target:")
 report = toffoli_capped(10)
-for rc, p in zip(report.per_round, round_success_probabilities(10)):
-    print(f"  round {rc.round_index}: {rc.adders} adders x "
-          f"{rc.toffolis_per_adder} Toffolis at size {rc.size} "
+rounds = zip(report.adders, report.schedule.sizes, round_success_probabilities(10))
+for r, (adders, size, p) in enumerate(rounds, start=1):
+    print(f"  round {r}: {adders} adders x "
+          f"{adder_toffoli_count(size)} Toffolis at size {size} "
           f"(p_success {p:.4f})")
 print(f"  total {report.toffoli_deterministic} Toffolis, "
       f"width {report.width_qubits} qubits")
@@ -35,7 +37,7 @@ print(f"  Monte Carlo:        {mc.toffoli_expected_mean:.1f} "
 print()
 print("Cost table across targets (deterministic plus expected):")
 for r in resource_reports((5, 10, 20, 50, 100), trials=4000, seed=23):
-    print(f"  n={r.n_target:3d}: {r.toffoli_deterministic:5d} Toffolis, expected "
+    print(f"  n={r.schedule.n_target:3d}: {r.toffoli_deterministic:5d} Toffolis, expected "
           f"{r.toffoli_expected_mean:8.1f} +/- {r.toffoli_expected_std:6.1f}, "
           f"{r.rounds} rounds, width {r.width_qubits}")
 

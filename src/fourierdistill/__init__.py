@@ -63,7 +63,6 @@ from .resources import (
     expected_cost_monte_carlo,
     expected_cost_recursion,
     resource_reports,
-    schedule_cost,
     t_sequence_cost,
     t_sequence_cost_bits,
     toffoli_capped,

@@ -70,31 +70,31 @@ def qvr_phase(s: StateVector, bit: int, truncate_bits: int) -> StateVector:
 
 @dataclass(frozen=True)
 class PreparedKState:
-    """QVR-prepared approximation of the index-k Fourier state and its coefficients."""
+    """Fourier coefficients of the QVR-prepared approximation of the index-k state."""
 
-    state: StateVector
     coefficients: FourierAmplitudes
-    n: int
     k: int
     truncate_bits: int
 
     @property
     def fidelity(self) -> float:
         """Overlap with the index-k Fourier state: the weight at k."""
-        return float(self.coefficients.weights()[self.k])
+        return float(np.abs(self.coefficients.coeffs[self.k]) ** 2)
 
 
 def prepare_approx_k(n: int, k: int, truncate_bits: int | None = None) -> PreparedKState:
     """Build the approximate index-k state by QVR over the set bits of k."""
     t = default_truncate_bits(n) if truncate_bits is None else truncate_bits
     require_register_size(n)
+    if t < 1:
+        raise ValueError(f"--truncate-bits {t} is below 1: each QVR phase keeps at least one bit")
     k %= 1 << n
     N = 1 << n
     state = _adopt(StateVector, np.full(N, 1.0 / math.sqrt(N), dtype=complex))  # |+>^n
     for b in range(n):
         if (k >> b) & 1:
             state = qvr_phase(state, b, t)
-    return PreparedKState(state, to_fourier_basis(state), n, k, t)
+    return PreparedKState(to_fourier_basis(state), k, t)
 
 
 def distill_k(prep: PreparedKState, rounds: int) -> ProtocolResult:
@@ -102,19 +102,21 @@ def distill_k(prep: PreparedKState, rounds: int) -> ProtocolResult:
 
     This is the exact engine's protocol on the schedule (n,) * rounds with
     target k; no round changes the register size, so every round stays in
-    the Fourier basis.  Its Toffoli cost is ``resources.schedule_cost`` of
-    ``result.schedule``.  The input's dominant Fourier index must already be
-    k; otherwise repeated squaring converges to the wrong index and the run
-    is refused.
+    the Fourier basis.  Its Toffoli cost is the ``resources.ResourceReport``
+    of ``result.schedule``.  The input's dominant Fourier index must already
+    be k; otherwise repeated squaring converges to the wrong index and the
+    run is refused.
     """
     if rounds < 1:
-        raise ValueError("rounds must be positive")
-    dominant = int(np.argmax(prep.coefficients.weights()))
+        raise ValueError(f"--rounds {rounds} is below 1: distillation needs at least one round")
+    n = prep.coefficients.n
+    dominant = int(np.argmax(np.abs(prep.coefficients.coeffs)))
     if dominant != prep.k:
         raise DegenerateInputError(
             f"dominant Fourier index {dominant} beats the target {prep.k} "
             f"(initial fidelity {prep.fidelity:.4f}); distillation would "
-            f"converge to the wrong index")
-    schedule = ProtocolSchedule(prep.n, (prep.n,) * rounds)
+            f"converge to the wrong index: use a larger --truncate-bits "
+            f"(default ceil(log2 n) + 2 = {default_truncate_bits(n)})")
+    schedule = ProtocolSchedule(n, (n,) * rounds)
     return ProtocolResult("exact", schedule,
                           _exact_rounds(np.array(prep.coefficients.coeffs), schedule.sizes, prep.k))

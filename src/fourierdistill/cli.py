@@ -169,7 +169,7 @@ def cmd_resources(a: argparse.Namespace):
         raise ValueError(f"{flag} {n_values[0]} is below 5: cost accounting starts at n = 5")
     rows = [
         {
-            "n": report.n_target,
+            "n": report.schedule.n_target,
             "toffoli_deterministic": report.toffoli_deterministic,
             "toffoli_expected_mean": report.toffoli_expected_mean,
             "toffoli_expected_std": report.toffoli_expected_std,
@@ -195,7 +195,7 @@ def cmd_arbitrary_k(a: argparse.Namespace):
     prep = prepare_approx_k(a.n, a.k, a.truncate_bits)
     result = distill_k(prep, a.rounds)
     # the adder cost formula starts at 3 qubits, as in simulate and clone
-    cost = resources.schedule_cost(result.schedule) if a.n >= 3 else None
+    cost = resources.ResourceReport(result.schedule) if a.n >= 3 else None
     rounds = _rounds(result)
     payload = {
         "command": "arbitrary-k",
@@ -205,7 +205,7 @@ def cmd_arbitrary_k(a: argparse.Namespace):
         "initial_fidelity": prep.fidelity,
         "rounds": rounds,
         "final_error": result.final_error,
-        "adders": sum(rc.adders for rc in cost.per_round) if cost else None,
+        "adders": sum(cost.adders) if cost else None,
         "toffoli_cost": cost.toffoli_deterministic if cost else None,
     }
     rows = [{**r, "k": prep.k, "truncate_bits": prep.truncate_bits} for r in rounds]

@@ -20,7 +20,6 @@ weights given by :func:`log_extension_kernel`.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from collections.abc import Mapping, Sequence
@@ -163,16 +162,8 @@ class SparseSpectrum:
     def dim(self):
         return 1 << self.n
 
-    @property
-    def tail_mass(self) -> float:
-        return math.exp(self.log_tail) if self.log_tail != NEG_INF else 0.0
-
     def __len__(self):
         return len(self.indices)
-
-    def __repr__(self):
-        return (f"SparseSpectrum(n={self.n}, harmonics={len(self)}, "
-                f"tail_mass={self.tail_mass:.3e})")
 
 
 def initial_sparse_spectrum(n: int, max_harmonics: int = DEFAULT_MAX_HARMONICS) -> SparseSpectrum:
@@ -529,12 +520,11 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
     schedule = plan_schedule(n, s0, pad)
     keys = [(max_harmonics, schedule.sizes[:i]) for i in range(1, schedule.rounds + 1)]
     store = {} if reuse is None else reuse
-    shared = set(itertools.takewhile(store.__contains__, keys))
-    for key in store.keys() - shared:
+    for key in store.keys() - set(keys):
         del store[key]
     rounds, outcome = [], None
     for size, key in zip(schedule.sizes, keys):
-        if key in shared:
+        if key in store:
             outcome = store[key]
         else:
             sp = outcome.output if outcome else initial_sparse_spectrum(size, max_harmonics)

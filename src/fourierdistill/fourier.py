@@ -272,12 +272,12 @@ def alias_fold(n: int, series: Callable[[int], complex], j_max: int) -> tuple[Fo
             total += c
             kept_mass += abs(c) ** 2
         coeffs[j] = total
-    tail_mass = max(0.0, 1.0 - kept_mass)
+    tail = max(0.0, 1.0 - kept_mass)
     norm = math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
     if norm < 1e-150:
         raise ValueError("series is zero on the truncation window")
     coeffs /= norm
-    return _adopt(FourierAmplitudes, coeffs), tail_mass
+    return _adopt(FourierAmplitudes, coeffs), tail
 
 
 def fidelity_threshold(n: int) -> float:

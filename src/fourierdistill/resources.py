@@ -65,36 +65,31 @@ def toffoli_closed_form(R: int, s: int) -> int:
 
 
 @dataclass(frozen=True)
-class RoundCost:
-    """Cost line of one protocol round."""
-
-    round_index: int
-    size: int
-    adders: int
-    toffolis_per_adder: int
-
-    @property
-    def toffolis(self) -> int:
-        return self.adders * self.toffolis_per_adder
-
-
-@dataclass(frozen=True)
 class ResourceReport:
-    """Deterministic and expected Toffoli costs for one protocol target."""
+    """Deterministic and expected Toffoli costs of one schedule's tree."""
 
-    n_target: int
-    per_round: tuple[RoundCost, ...]
-    width_qubits: int
+    schedule: ProtocolSchedule
     toffoli_expected_mean: float | None = None
     toffoli_expected_std: float | None = None
 
     @property
     def rounds(self) -> int:
-        return len(self.per_round)
+        return self.schedule.rounds
+
+    @property
+    def width_qubits(self) -> int:
+        return self.schedule.width_qubits
+
+    @property
+    def adders(self) -> tuple[int, ...]:
+        """Adders per round: 2**(R-r) in round r of R, one per distillation step."""
+        R = self.schedule.rounds
+        return tuple(1 << (R - 1 - r) for r in range(R))
 
     @property
     def toffoli_deterministic(self) -> int:
-        return sum(rc.toffolis for rc in self.per_round)
+        """Each round's adders at 2*size - 4 Toffolis each."""
+        return sum(a * adder_toffoli_count(s) for a, s in zip(self.adders, self.schedule.sizes))
 
 
 def round_success_probabilities(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
@@ -118,16 +113,7 @@ def toffoli_capped(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> Reso
     """Deterministic cost of the capped schedule for target n."""
     if n < 5:
         raise ValueError("cost accounting starts at n = 5")
-    return schedule_cost(plan_schedule(n, s0, pad))
-
-
-def schedule_cost(schedule: ProtocolSchedule) -> ResourceReport:
-    """Deterministic cost of a schedule's tree: 2**(R-r) adders in round r,
-    each costing 2*size_r - 4 Toffolis at that round's size."""
-    R = schedule.rounds
-    per_round = tuple(RoundCost(r + 1, size, 1 << (R - 1 - r), adder_toffoli_count(size))
-                      for r, size in enumerate(schedule.sizes))
-    return ResourceReport(schedule.n_target, per_round, schedule.width_qubits)
+    return ResourceReport(plan_schedule(n, s0, pad))
 
 
 def expected_cost_recursion(n: int, s0: int = DEFAULT_S0,

@@ -187,19 +187,26 @@ def sparse_extend_reference(sp: SparseSpectrum, n_new: int,
                                    _logsumexp_reference(np.concatenate(tail_parts)))
 
 
-def distill_k_reference(n: int, k: int, rounds: int) -> tuple[float, list[tuple]]:
-    """Initial fidelity (the weight at k) and per-round (p_success, fidelity,
-    error, log_error) of ``distill_k`` with each QVR phase evaluated by
-    ``np.exp`` per amplitude, and each round squaring complex coefficients."""
+def qvr_state_reference(n: int, k: int, truncate_bits: int) -> np.ndarray:
+    """Amplitudes of the QVR-prepared index-k state, each phase evaluated by
+    ``np.exp`` per amplitude from |+>^n."""
     N = 1 << n
-    t = min(default_truncate_bits(n), n)
+    t = min(truncate_bits, n)
     y = np.arange(N, dtype=np.int64)
     state = np.exp(2j * np.pi * 0 * y / N) / math.sqrt(N)
     for b in range(n):
         if (k >> b) & 1:
             quantized = ((y << b) % N) << t >> n
             state = state * np.exp(2j * np.pi * quantized / (1 << t))
-    coeffs = np.fft.fft(state) / math.sqrt(N)
+    return state
+
+
+def distill_k_reference(n: int, k: int, rounds: int) -> tuple[float, list[tuple]]:
+    """Initial fidelity (the weight at k) and per-round (p_success, fidelity,
+    error, log_error) of ``distill_k`` from :func:`qvr_state_reference`, with
+    each round squaring complex coefficients."""
+    N = 1 << n
+    coeffs = np.fft.fft(qvr_state_reference(n, k, default_truncate_bits(n))) / math.sqrt(N)
     initial = float((np.abs(coeffs) ** 2)[k])
     trace = []
     for _ in range(rounds):

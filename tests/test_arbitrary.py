@@ -6,17 +6,20 @@ import pytest
 
 from fourierdistill import (
     DegenerateInputError,
+    FourierAmplitudes,
     default_truncate_bits,
     distill_k,
     prepare_approx_k,
     pure_fourier_state,
     qvr_phase,
+    ResourceReport,
+    StateVector,
     run_protocol_exact,
-    schedule_cost,
     to_fourier_basis,
     transform_cost,
 )
-from oracles import counted_transforms, distill_k_reference, fidelity
+from fourierdistill.cli import main
+from oracles import counted_transforms, distill_k_reference, fidelity, qvr_state_reference
 
 
 class TestQvrPhase:
@@ -35,7 +38,6 @@ class TestQvrPhase:
         # spectrum weights shift by 2**bit (mod N) for any input state
         rng = np.random.default_rng(17)
         raw = rng.normal(size=64) + 1j * rng.normal(size=64)
-        from fourierdistill import StateVector
         s = StateVector(raw / np.linalg.norm(raw))
         shifted = qvr_phase(s, 2, truncate_bits=6)
         np.testing.assert_allclose(to_fourier_basis(shifted).weights(),
@@ -65,8 +67,8 @@ class TestPrepareApproxK:
     def test_k_zero_is_exact(self):
         prep = prepare_approx_k(8, 0, 5)
         assert prep.fidelity == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(prep.state.amps, pure_fourier_state(8, 0).amps,
-                                   atol=1e-13)
+        np.testing.assert_allclose(prep.coefficients.coeffs,
+                                   to_fourier_basis(pure_fourier_state(8, 0)).coeffs, atol=1e-13)
 
     def test_reference_case_n8_k5(self):
         prep = prepare_approx_k(8, 5, 5)
@@ -86,7 +88,8 @@ class TestPrepareApproxK:
     def test_k_reduced_mod_dimension(self):
         prep = prepare_approx_k(3, 9)
         assert prep.k == 1
-        np.testing.assert_array_equal(prep.state.amps, prepare_approx_k(3, 1).state.amps)
+        np.testing.assert_array_equal(prep.coefficients.coeffs,
+                                      prepare_approx_k(3, 1).coefficients.coeffs)
 
     def test_default_truncate_bits(self):
         assert default_truncate_bits(8) == 5
@@ -100,7 +103,7 @@ class TestDistillK:
         fids = [rec.fidelity for rec in result.rounds]
         assert all(b > a for a, b in zip([prep.fidelity] + fids, fids) if a < 1.0)
         assert result.final_error < 1e-3
-        assert schedule_cost(result.schedule).toffoli_deterministic == 7 * 12 == 84
+        assert ResourceReport(result.schedule).toffoli_deterministic == 7 * 12 == 84
 
     def test_round3_error_is_summed_off_target_weight(self):
         # three symmetric rounds raise every weight to the 8th power; the
@@ -140,8 +143,8 @@ class TestDistillK:
             result = distill_k(prep, rounds=rounds)
             assert result.schedule.sizes == (6,) * rounds
             assert len(result.rounds) == rounds
-            cost = schedule_cost(result.schedule)
-            assert sum(rc.adders for rc in cost.per_round) == (1 << rounds) - 1
+            cost = ResourceReport(result.schedule)
+            assert sum(cost.adders) == (1 << rounds) - 1
             assert cost.toffoli_deterministic == ((1 << rounds) - 1) * (2 * 6 - 4)
 
     def test_prepared_state_is_left_unchanged(self):
@@ -161,6 +164,21 @@ class TestDistillK:
         with pytest.raises(ValueError):
             distill_k(prepare_approx_k(8, 5), rounds=0)
 
+    def test_cli_run_builds_no_weight_array(self, monkeypatch, capsys):
+        # the initial fidelity and the dominance check read the coefficients
+        # directly, so arbitrary-k squares no 2**n weight array
+        calls = []
+        weights = FourierAmplitudes.weights
+
+        def counted(self):
+            calls.append(self.dim)
+            return weights(self)
+
+        monkeypatch.setattr(FourierAmplitudes, "weights", counted)
+        assert main(["arbitrary-k", "--n", "8", "--k", "5"]) == 0
+        capsys.readouterr()
+        assert calls == []
+
 
 class TestBitIdentity:
     @pytest.mark.parametrize("n,k", [(8, 5), (12, 2731)])
@@ -177,7 +195,8 @@ class TestBitIdentity:
     def test_initial_fidelity_matches_direct_overlap(self, n, k):
         # arbitrary-k reports this prepared fidelity as its initial_fidelity
         prep = prepare_approx_k(n, k)
-        assert prep.fidelity == pytest.approx(fidelity(prep.state, n, k), rel=1e-14, abs=0.0)
+        direct = StateVector(qvr_state_reference(n, k, prep.truncate_bits))
+        assert prep.fidelity == pytest.approx(fidelity(direct, n, k), rel=1e-14, abs=0.0)
 
     def test_phase_lookup_matches_exp_per_amplitude(self):
         for n in range(1, 9):

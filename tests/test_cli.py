@@ -474,6 +474,24 @@ class TestArbitraryKCommand:
                                "--truncate-bits", "1")
         assert code == 2
         assert "dominant" in err
+        # the refusal names the remedy and the flag's default
+        assert "larger --truncate-bits" in err
+        assert "ceil(log2 n) + 2 = 5" in err
+
+    # k = 0 and k = 256 (k = 0 mod 2**8) have no set bit, so no QVR phase runs
+    @pytest.mark.parametrize("k", ["0", "256", "5"])
+    @pytest.mark.parametrize("bits", ["-3", "0"])
+    def test_truncate_bits_below_one_names_the_flag(self, capsys, k, bits):
+        code, out, err = run_cli(capsys, "arbitrary-k", "--n", "8", "--k", k,
+                                 "--truncate-bits", bits)
+        assert (code, out) == (2, "")
+        assert f"--truncate-bits {bits}" in err
+
+    def test_zero_rounds_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "arbitrary-k", "--n", "8", "--k", "5",
+                                 "--rounds", "0")
+        assert (code, out) == (2, "")
+        assert "--rounds 0" in err
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_below_three_qubits_has_no_adder_cost(self, capsys, n):

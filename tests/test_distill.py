@@ -243,13 +243,13 @@ class TestSparseSpectrum:
         assert len(sp) == 16
         for j, w in sparse_weights(sp).items():
             assert w == pytest.approx(dense[j % 64], rel=1e-12, abs=0.0)
-        assert sp.tail_mass == 0.0
+        assert math.exp(sp.log_tail) == 0.0
 
     def test_initial_truncation_tracks_tail(self):
         sp = initial_sparse_spectrum(10, max_harmonics=16)
         assert len(sp) == 16
-        assert sp.tail_mass > 0
-        total = sum(sparse_weights(sp).values()) + sp.tail_mass
+        assert math.exp(sp.log_tail) > 0
+        total = sum(sparse_weights(sp).values()) + math.exp(sp.log_tail)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_mass_validation(self):
@@ -288,7 +288,7 @@ class TestSparseSpectrum:
         dense = to_fourier_basis(extend_register(approx_initial_state(5), 10)).weights()
         for j in range(1 << 10):
             assert sparse_weight(sp, j) == pytest.approx(dense[j], abs=1e-6)
-        assert sp.tail_mass < 1e-12
+        assert math.exp(sp.log_tail) < 1e-12
 
     def test_sparse_extend_delta_at_zero(self):
         sp = SparseSpectrum(5, {0: 0.0})
@@ -302,8 +302,9 @@ class TestSparseSpectrum:
         out = sparse_extend(sp, 15, max_harmonics=8)
         assert sparse_weight(out, 0) == 0.5
         assert out.indices.count(0) == 1
-        assert 0.0 < out.tail_mass < 0.5
-        assert sum(sparse_weights(out).values()) + out.tail_mass == pytest.approx(1.0, abs=1e-9)
+        assert 0.0 < math.exp(out.log_tail) < 0.5
+        total = sum(sparse_weights(out).values()) + math.exp(out.log_tail)
+        assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_sparse_extend_delta_at_one(self):
         out = sparse_extend(SparseSpectrum(5, {1: 0.0}), 10)
@@ -325,8 +326,8 @@ class TestSparseSpectrum:
     def test_sparse_extend_budget_prunes_into_tail(self):
         sp = sparse_extend(initial_sparse_spectrum(5), 16, max_harmonics=64)
         assert len(sp) <= 64
-        assert sp.tail_mass > 0
-        total = sum(sparse_weights(sp).values()) + sp.tail_mass
+        assert math.exp(sp.log_tail) > 0
+        total = sum(sparse_weights(sp).values()) + math.exp(sp.log_tail)
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -365,8 +366,9 @@ class TestSparseTailBound:
         kept = np.zeros(Nf, dtype=bool)
         kept[[j % Nf for j in out.indices]] = True
         missing = dense[in_class & ~kept].sum()
-        assert missing <= out.tail_mass * (1 + 1e-9)
-        assert sum(sparse_weights(out).values()) + out.tail_mass == pytest.approx(1.0, abs=1e-9)
+        assert missing <= math.exp(out.log_tail) * (1 + 1e-9)
+        total = sum(sparse_weights(out).values()) + math.exp(out.log_tail)
+        assert total == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n0,d,j", [(40, 10, 1), (60, 12, -3), (30, 8, 5)])
     def test_unresolvable_class_remainder_is_bounded(self, n0, d, j):
@@ -731,4 +733,5 @@ class TestProtocolInvariants:
             1.0, abs=1e-9)
         sparse = run_protocol_sparse(n)
         sp = sparse.final.output
-        assert sum(sparse_weights(sp).values()) + sp.tail_mass == pytest.approx(1.0, abs=1e-9)
+        total = sum(sparse_weights(sp).values()) + math.exp(sp.log_tail)
+        assert total == pytest.approx(1.0, abs=1e-9)

@@ -88,9 +88,9 @@ class TestClosedForm:
 class TestCappedAccounting:
     def test_n10_schedule_costs(self):
         report = toffoli_capped(10)
-        assert [rc.size for rc in report.per_round] == [5, 10, 12]
-        assert [rc.adders for rc in report.per_round] == [4, 2, 1]
-        assert [rc.toffolis_per_adder for rc in report.per_round] == [6, 16, 20]
+        assert list(report.schedule.sizes) == [5, 10, 12]
+        assert list(report.adders) == [4, 2, 1]
+        assert [adder_toffoli_count(s) for s in report.schedule.sizes] == [6, 16, 20]
         assert report.toffoli_deterministic == 76
 
     def test_n5_single_round(self):
@@ -384,8 +384,10 @@ class TestReportInvariants:
     def test_width_and_total_consistency(self, n):
         report = toffoli_capped(n)
         assert report.width_qubits <= 2 * n + 5
+        R = report.rounds
         assert report.toffoli_deterministic == sum(
-            rc.toffolis for rc in report.per_round)
+            (1 << (R - r)) * (2 * size - 4)
+            for r, size in enumerate(report.schedule.sizes, start=1))
 
     def test_adder_cost_formula(self):
         assert adder_toffoli_count(5) == 6
