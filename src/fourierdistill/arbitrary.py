@@ -84,8 +84,8 @@ class PreparedKState:
 
 def prepare_approx_k(n: int, k: int, truncate_bits: int | None = None) -> PreparedKState:
     """Build the approximate index-k state by QVR over the set bits of k."""
-    t = default_truncate_bits(n) if truncate_bits is None else truncate_bits
     require_register_size(n)
+    t = default_truncate_bits(n) if truncate_bits is None else truncate_bits
     if t < 1:
         raise ValueError(f"--truncate-bits {t} is below 1: each QVR phase keeps at least one bit")
     k %= 1 << n

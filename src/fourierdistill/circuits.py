@@ -24,18 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, DegenerateInputError
-from .fourier import (
-    AMPLITUDE_CAP_ENV,
-    StateVector,
-    _adopt,
-    amplitude_cap,
-    pure_fourier_state,
-    require_register_size,
-    to_fourier_basis,
-)
+from .fourier import StateVector, _adopt, require_register_size, to_fourier_basis
 
 GATE_ARITY = {
     "X": 1,
@@ -193,7 +184,8 @@ def approx_state_circuit(n: int) -> GateCircuit:
     From |0...0>: H everywhere, Z on qubit 0, S on qubit 1.
     """
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise ValueError(f"--n {n} is below 2: the approximate initial state needs "
+                         f"at least 2 qubits")
     gates = [Gate("H", (q,)) for q in range(n)]
     gates.append(Gate("Z", (0,)))
     gates.append(Gate("S", (1,)))
@@ -293,44 +285,27 @@ def extract_register(run_state: StateVector, layout: RegisterLayout) -> StateVec
 
 @dataclass(frozen=True)
 class CloneResult:
-    """Joint two-register state after cloning, with per-register fidelities."""
+    """Cloned index and the fidelity toward it of each register and of the pair."""
 
-    state: StateVector
     k: int
-    fidelity_first: float
-    fidelity_second: float
-    joint_fidelity: float
+    fidelity: float
 
 
-def clone_fourier_state(n: int, source: StateVector, k: int | None = None) -> CloneResult:
+def clone_fourier_state(source: StateVector, k: int | None = None) -> CloneResult:
     """Copy a Fourier state with one adder: blank |+>^n, add, negate.
 
     The blank first register starts as the index-0 Fourier state; adding the
     source into it leaves index -k on the first register, which X on every
-    first-register qubit maps back to index k (up to global phase).  For a
-    pure Fourier-state source both outputs are exact copies; for approximate
-    sources the joint state is entangled and the per-register fidelities are
-    reported as measured.  An explicit k is taken mod 2**n.
+    first-register qubit maps back to index k (up to global phase).  So the
+    source sum_j c_j |f_j> becomes sum_j c_j exp(2 pi i j / N) |f_j>|f_j>, and
+    the first register, the second and the pair each hold index k with
+    probability |c_k|^2, the source's Fourier weight at k: 1 for a pure
+    Fourier-state source.  An explicit k is taken mod 2**n; by default k is
+    the source's dominant index.
     """
-    if source.n != n:
-        raise ValueError(f"source has {source.n} qubits, expected {n}")
-    if 2 * n > (cap := amplitude_cap()):
-        raise CapacityError(f"--n {n} needs a {2 * n}-qubit joint vector, above the "
-                            f"amplitude-vector cap {cap}; raise {AMPLITUDE_CAP_ENV}")
-    N = 1 << n
-    k = int(np.argmax(to_fourier_basis(source).weights())) if k is None else k % N
-    # The blank register's amplitude is 1/sqrt(N) for every v, so the adder
-    # maps |v>|w> to |v>|w + v> with the scaled source amplitude of w, and X
-    # on the first register sends v to r = N - 1 - v.  Row r of the joint
-    # state is then the scaled source rotated left by r + 1.
-    scaled = source.amps * (1.0 / math.sqrt(N))
-    matrix = sliding_window_view(np.concatenate((scaled, scaled)), N)[1:N + 1].copy()
-    joint = matrix.ravel()
-    gamma = pure_fourier_state(n, k).amps.conj()
-    fid_first = float(np.sum(np.abs(gamma @ matrix) ** 2))
-    fid_second = float(np.sum(np.abs(matrix @ gamma) ** 2))
-    joint_fid = float(abs(gamma @ matrix @ gamma) ** 2)
-    return CloneResult(_adopt(StateVector, joint), k, fid_first, fid_second, joint_fid)
+    coeffs = to_fourier_basis(source).coeffs
+    k = int(np.argmax(np.abs(coeffs))) if k is None else k % source.dim
+    return CloneResult(k, float(np.abs(coeffs[k]) ** 2))
 
 
 def circuit_to_text(circuit: GateCircuit) -> str:

@@ -213,15 +213,15 @@ def cmd_arbitrary_k(a: argparse.Namespace):
 
 
 def cmd_clone(a: argparse.Namespace):
-    source = fourier.pure_fourier_state(a.n, a.k)
-    result = circuits.clone_fourier_state(a.n, source, k=a.k)
+    result = circuits.clone_fourier_state(fourier.pure_fourier_state(a.n, a.k), a.k)
+    # each register and the pair hold index k with the same probability
     payload = {
         "command": "clone",
         "n": a.n,
         "k": result.k,
-        "fidelity_first": result.fidelity_first,
-        "fidelity_second": result.fidelity_second,
-        "joint_fidelity": result.joint_fidelity,
+        "fidelity_first": result.fidelity,
+        "fidelity_second": result.fidelity,
+        "joint_fidelity": result.fidelity,
         "adder_toffolis": resources.adder_toffoli_count(a.n) if a.n >= 3 else None,
     }
     columns = ("n", "k", "fidelity_first", "fidelity_second", "joint_fidelity")
@@ -320,28 +320,23 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             payload, columns, rows = _COMMANDS[args.command](args)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        if args.format == "json":
+            text = json.dumps(_jsonify({"schema_version": SCHEMA_VERSION, **payload}), indent=2)
+        else:
+            text = "\n".join([",".join(columns)]
+                             + [",".join(_cell(row[c]) for c in columns) for row in rows])
+        _emit(text, args.out)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return 2
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    if args.format == "json":
-        text = json.dumps(_jsonify({"schema_version": SCHEMA_VERSION, **payload}), indent=2)
-    else:
-        text = "\n".join([",".join(columns)]
-                         + [",".join(_cell(row[c]) for c in columns) for row in rows])
-    try:
-        _emit(text, args.out)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     if args.strict and any(issubclass(w.category, PrecisionWarning) for w in caught):
         return 4
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

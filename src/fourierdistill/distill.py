@@ -397,7 +397,7 @@ def plan_schedule(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> Proto
     precision, so the schedule is a single flagged round.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ValueError(f"--n {n} is below 1: the target needs at least one bit of precision")
     if s0 < 2:
         raise ValueError(f"--s0 {s0} is below 2: the approximate initial state needs 2 qubits")
     if pad < 0:

@@ -39,7 +39,7 @@ def amplitude_cap() -> int:
 def require_register_size(n: int) -> None:
     """Validate 1 <= n <= amplitude cap for dense-vector use."""
     if n < 1:
-        raise ValueError(f"register size must be positive, got {n}")
+        raise ValueError(f"--n {n} is below 1: a register needs at least one qubit")
     limit = amplitude_cap()
     if n > limit:
         raise CapacityError(
@@ -229,7 +229,8 @@ def initial_state_weight(n: int, j: int) -> float:
     below 2**-1021 come out as 0.
     """
     if n < 2:
-        raise ValueError("initial state weights need n >= 2")
+        raise ValueError(f"--n {n} is below 2: the approximate initial state needs "
+                         f"at least 2 qubits")
     if j % 4 != 1:
         return 0.0
     N = 1 << n

@@ -198,8 +198,8 @@ def test_criterion_12_arbitrary_index():
 
 
 def test_criterion_13_cloning():
-    result = clone_fourier_state(4, pure_fourier_state(4, 3))
-    assert result.fidelity_first >= 1 - 1e-9
-    assert result.fidelity_second >= 1 - 1e-9
+    result = clone_fourier_state(pure_fourier_state(4, 3))
+    assert result.k == 3
+    assert result.fidelity >= 1 - 1e-9  # each register and the pair
     _report(13, "one-adder clone of the n=4, k=3 state leaves both registers "
                 "at fidelity 1 - 1e-9")

@@ -95,6 +95,11 @@ class TestPrepareApproxK:
         assert default_truncate_bits(8) == 5
         assert default_truncate_bits(100) == 9
 
+    def test_default_truncate_bits_needs_a_register(self):
+        # prepare_approx_k checks the register size first, so only a direct call gets here
+        with pytest.raises(ValueError, match="n must be positive"):
+            default_truncate_bits(0)
+
 
 class TestDistillK:
     def test_reference_run_n8_k5(self):

@@ -374,53 +374,76 @@ class TestCliffordPreparation:
         assert set(approx_state_circuit(6).counts) <= {"H", "S", "Z"}
 
 
+def gate_level_clone_fidelities(source, k):
+    """Fidelities toward index k of the first register, the second register
+    and the pair, read from the adder circuit run on blank |+>^n (first),
+    the source (second) and the ancilla |0>, then X on every first-register
+    qubit."""
+    n = source.n
+    circuit, layout = build_adder_circuit(n)
+    blank = pure_fourier_state(n, 0)
+    joint = StateVector(np.kron(np.kron(blank.amps, source.amps), [1.0, 0.0]))
+    run = apply_circuit(circuit, joint)
+    gates = tuple(Gate("X", (q,)) for q in layout.first)
+    flipped = apply_circuit(GateCircuit(2 * n + 1, gates), run.state)
+    matrix = flipped.state.amps.reshape(1 << n, 1 << n, 2)[:, :, 0]  # ancilla restored
+    gamma = pure_fourier_state(n, k).amps.conj()
+    return (float(np.sum(np.abs(gamma @ matrix) ** 2)),
+            float(np.sum(np.abs(matrix @ gamma) ** 2)),
+            float(abs(gamma @ matrix @ gamma) ** 2))
+
+
 class TestClone:
     def test_pure_clone_n4_k3(self):
-        result = clone_fourier_state(4, pure_fourier_state(4, 3))
+        result = clone_fourier_state(pure_fourier_state(4, 3))
         assert result.k == 3
-        assert result.fidelity_first >= 1 - 1e-9
-        assert result.fidelity_second >= 1 - 1e-9
-        assert result.joint_fidelity >= 1 - 1e-9
+        assert result.fidelity >= 1 - 1e-9
 
     def test_index_zero_trivial(self):
-        result = clone_fourier_state(3, pure_fourier_state(3, 0))
-        assert result.fidelity_first == pytest.approx(1.0, abs=1e-12)
-        assert result.fidelity_second == pytest.approx(1.0, abs=1e-12)
+        result = clone_fourier_state(pure_fourier_state(3, 0))
+        assert result.fidelity == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 7), (5, 12)])
     def test_pure_clone_general(self, n, k):
-        result = clone_fourier_state(n, pure_fourier_state(n, k))
-        assert result.fidelity_first >= 1 - 1e-9
-        assert result.fidelity_second >= 1 - 1e-9
+        result = clone_fourier_state(pure_fourier_state(n, k))
+        assert result.k == k
+        assert result.fidelity >= 1 - 1e-9
 
     def test_approximate_input_reports_joint_overlap(self):
-        # no exactness claim for approximate sources; overlap is just reported
-        result = clone_fourier_state(5, approx_initial_state(5), k=1)
-        assert 0 < result.joint_fidelity < 1
-        assert 0 < result.fidelity_first <= 1
-        # cloning cannot purify: the source fidelity upper-bounds the joint
-        assert result.joint_fidelity <= fidelity(approx_initial_state(5), 5, 1) + 1e-9
+        # cloning cannot purify: every fidelity is the source's weight at k
+        source = approx_initial_state(5)
+        result = clone_fourier_state(source, k=1)
+        assert 0 < result.fidelity < 1
+        assert result.fidelity == to_fourier_basis(source).weights()[1]
+        assert result.fidelity == pytest.approx(fidelity(source, 5, 1), rel=1e-12, abs=0)
 
     def test_peak_memory_in_joint_vectors(self):
-        source = pure_fourier_state(9, 1)
-        _, peak = traced_peak(lambda: clone_fourier_state(9, source))
-        assert peak <= 1.25 * (16 << 18)  # one joint vector is 2**18 complex values
+        # no joint vector: the transformed source and its magnitudes
+        source = pure_fourier_state(16, 1)
+        _, peak = traced_peak(lambda: clone_fourier_state(source))
+        assert peak <= 2 * (16 << 16)  # one n-qubit vector is 2**16 complex values
 
     def test_matches_gate_level_route_n3(self):
-        # oracle-based clone agrees with running the adder circuit on
-        # blank |+>^n (first) and source (second), then X on the first register
-        n, k = 3, 2
-        source = pure_fourier_state(n, k)
-        result = clone_fourier_state(n, source)
-        circuit, layout = build_adder_circuit(n)
-        blank = pure_fourier_state(n, 0)
-        joint = StateVector(np.kron(np.kron(blank.amps, source.amps), [1.0, 0.0]))
-        run = apply_circuit(circuit, joint)
-        gates = tuple(Gate("X", (q,)) for q in layout.first)
-        flipped = apply_circuit(GateCircuit(2 * n + 1, gates), run.state)
-        via_gates = flipped.state.amps.reshape(1 << n, 1 << n, 2)[:, :, 0]
-        overlap = abs(np.vdot(result.state.amps, via_gates.ravel())) ** 2
-        assert overlap == pytest.approx(1.0, abs=1e-10)
+        n = 3
+        for k in range(1 << n):
+            source = pure_fourier_state(n, k)
+            expected = clone_fourier_state(source, k).fidelity
+            for measured in gate_level_clone_fidelities(source, k):
+                assert measured == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_approximate_source_matches_gate_level_route(self, n):
+        source = approx_initial_state(n)
+        expected = clone_fourier_state(source, 1).fidelity
+        assert 0 < expected < 1
+        for measured in gate_level_clone_fidelities(source, 1):
+            assert measured == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("k, index", [(None, 5), (13, 5), (-3, 5), (2, 2)])
+    def test_index_defaults_to_dominant_and_reduces_mod_register(self, k, index):
+        result = clone_fourier_state(pure_fourier_state(3, 5), k)
+        assert result.k == index
+        assert result.fidelity == pytest.approx(1.0 if index == 5 else 0.0, abs=1e-12)
 
 
 class TestCircuitText:
@@ -434,3 +457,19 @@ class TestCircuitText:
             "TOFFOLI 0 1 2\n"
             "MEASURE_Z 0\n"
         )
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: modular_add_oracle(0), ValueError, "n must be positive"),
+    (lambda: build_adder_circuit(0), ValueError, "n must be positive"),
+    (lambda: apply_circuit(GateCircuit(1, (Gate("MEASURE_Z", (0,)),)), basis_state(1, 0),
+                           postselect={0: 2}),
+     ValueError, "postselect bit for qubit 0 must be 0 or 1"),
+    # the first register holds 1, so no branch has every other qubit at 0
+    (lambda: extract_register(basis_state(3, 0b100),
+                              RegisterLayout(range(0, 1), range(1, 2), range(2, 3))),
+     DegenerateInputError, "register extraction hit a zero branch"),
+], ids=["oracle-n", "adder-n", "postselect-bit", "zero-branch"])
+def test_invalid_input_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

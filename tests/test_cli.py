@@ -528,27 +528,46 @@ class TestCloneCommand:
         assert obj["joint_fidelity"] >= 1 - 1e-9
 
     def test_capacity_error_names_the_register_flag(self, capsys, monkeypatch):
-        # --n is within the cap; the joint vector of both registers is not
+        # only the source register is a dense vector, so the cap applies to --n
         monkeypatch.delenv("FOURIERDISTILL_AMP_CAP", raising=False)
         code, out, err = run_cli(capsys, "clone", "--n", "12")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["joint_fidelity"] >= 1 - 1e-9
+        code, out, err = run_cli(capsys, "clone", "--n", "23")
         assert (code, out) == (3, "")
-        assert err == ("capacity error: --n 12 needs a 24-qubit joint vector, above the "
-                       "amplitude-vector cap 22; raise FOURIERDISTILL_AMP_CAP\n")
+        assert err == ("capacity error: n=23 exceeds the amplitude-vector cap 22; "
+                       "raise FOURIERDISTILL_AMP_CAP\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["distill", "--n", "0"], "--n 0 is below 1: the target needs at least one bit of precision"),
+    (["distill", "--n", "-3", "--engine", "sparse"],
+     "--n -3 is below 1: the target needs at least one bit of precision"),
+    (["arbitrary-k", "--n", "0", "--k", "1"],
+     "--n 0 is below 1: a register needs at least one qubit"),
+    (["arbitrary-k", "--n", "-1", "--k", "1", "--truncate-bits", "3"],
+     "--n -1 is below 1: a register needs at least one qubit"),
+    (["clone", "--n", "0"], "--n 0 is below 1: a register needs at least one qubit"),
+    (["simulate", "--n", "1"],
+     "--n 1 is below 2: the approximate initial state needs at least 2 qubits"),
+    (["spectrum", "--n", "1"],
+     "--n 1 is below 2: the approximate initial state needs at least 2 qubits"),
+])
+def test_register_size_below_minimum_names_the_flag(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"invalid request: {message}\n"
 
 
 class TestDenseCapacityAdvice:
-    #: What each command says before the cap; clone's joint vector has 2 * n qubits.
-    OVER_CAP = {"arbitrary-k": "n=9 exceeds",
-                "clone": "--n 5 needs a 10-qubit joint vector, above"}
-
     @pytest.mark.parametrize("argv, qubits", [(["arbitrary-k", "--n", "9", "--k", "5"], 9),
-                                              (["clone", "--n", "5"], 10)])
+                                              (["clone", "--n", "5"], 5)])
     def test_advice_names_only_the_cap(self, capsys, monkeypatch, argv, qubits):
         # neither command has a sparse engine, so raising the cap is the remedy
         monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", str(qubits - 1))
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
-        assert err == (f"capacity error: {self.OVER_CAP[argv[0]]} the amplitude-vector cap "
+        assert err == (f"capacity error: n={qubits} exceeds the amplitude-vector cap "
                        f"{qubits - 1}; raise FOURIERDISTILL_AMP_CAP\n")
         monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", str(qubits))
         code, _, err = run_cli(capsys, *argv)
@@ -568,9 +587,11 @@ class TestOutputHandling:
 
     def test_unwritable_path_reports_with_path(self, capsys, tmp_path):
         bad = tmp_path / "missing" / "rows.csv"
-        code, _, err = run_cli(capsys, "compare", "--out", str(bad))
-        assert code == 2
-        assert str(bad) in err
+        code, out, err = run_cli(capsys, "compare", "--out", str(bad))
+        assert (code, out) == (2, "")
+        # rendered like every other exit-2 error, with the OS reason kept
+        assert err.startswith(f"invalid request: cannot write output to {bad}: ")
+        assert "No such file or directory" in err
 
     def test_argparse_validation_exit(self):
         with pytest.raises(SystemExit) as exc:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from fourierdistill import (
     CapacityError,
     DegenerateInputError,
+    DistillationOutcome,
     FourierAmplitudes,
     PrecisionWarning,
     ProtocolSchedule,
@@ -735,3 +736,24 @@ class TestProtocolInvariants:
         sp = sparse.final.output
         total = sum(sparse_weights(sp).values()) + math.exp(sp.log_tail)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: DistillationOutcome(1.5, None, 1.0, 0.0), ValueError,
+     "success probability out of range: 1.5"),
+    (lambda: ProtocolSchedule(5, ()), ValueError, "schedule needs at least one round"),
+    (lambda: SparseSpectrum(0, {0: 0.0}), ValueError, "register size must be positive"),
+    (lambda: SparseSpectrum(3, {}), ValueError, "needs at least one harmonic"),
+    (lambda: initial_sparse_spectrum(1), ValueError, "initial spectrum needs n >= 2"),
+    (lambda: log_extension_kernel(4, 3, [1], np.arange(1)), ValueError,
+     "fine register must be at least as large"),
+    (lambda: sparse_extend(initial_sparse_spectrum(4), 3), ValueError,
+     "cannot shrink register from 4 to 3"),
+    (lambda: sparse_symmetric_round(initial_sparse_spectrum(4), target_k=2),
+     DegenerateInputError, "target harmonic 2 carries no weight"),
+    (lambda: rounds_required(0), ValueError, "n must be positive"),
+], ids=["outcome-p", "empty-schedule", "sparse-n", "sparse-empty", "initial-n",
+        "kernel-shrink", "extend-shrink", "target-missing", "rounds-n"])
+def test_invalid_input_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -20,7 +20,7 @@ from fourierdistill import (
     series_weight,
     to_fourier_basis,
 )
-from fourierdistill.fourier import log_fidelity_threshold, sin_pi_frac
+from fourierdistill.fourier import log_fidelity_threshold, require_register_size, sin_pi_frac
 from oracles import dft_direct, fidelity
 
 
@@ -344,3 +344,14 @@ class TestValidationAndSerialization:
         with pytest.raises(CapacityError):
             pure_fourier_state(5, 1)
         assert pure_fourier_state(4, 1).n == 4
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: require_register_size(0), "--n 0 is below 1: a register needs at least one qubit"),
+    (lambda: alias_fold(2, lambda j: 0j, 4), "series is zero on the truncation window"),
+    (lambda: fidelity_threshold(0), "n must be positive"),
+    (lambda: log_fidelity_threshold(0), "n must be positive"),
+], ids=["register-size", "zero-series", "threshold-n", "log-threshold-n"])
+def test_invalid_input_raises(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

@@ -394,3 +394,11 @@ class TestReportInvariants:
         assert adder_toffoli_count(10) == 16
         with pytest.raises(ValueError):
             adder_toffoli_count(2)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: t_sequence_cost_bits(0), "p must be positive"),
+], ids=["t-sequence-bits-p"])
+def test_invalid_input_raises(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
