@@ -30,7 +30,6 @@ from .distill import (
     ProtocolSchedule,
     SparseSpectrum,
     distill_pair,
-    extend_register,
     initial_sparse_spectrum,
     plan_schedule,
     rounds_required,

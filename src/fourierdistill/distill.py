@@ -30,11 +30,8 @@ import numpy as np
 from .errors import CapacityError, DegenerateInputError, PrecisionWarning
 from .fourier import (
     FourierAmplitudes,
-    StateVector,
     _adopt,
-    _reclaim,
     _unitary_fft,
-    approx_initial_state,
     fidelity_threshold,
     log_fidelity_threshold,
     require_register_size,
@@ -197,12 +194,15 @@ def distill_pair(a: FourierAmplitudes, a2: FourierAmplitudes,
                         "to_fourier_basis")
     if a.n != a2.n:
         raise ValueError(f"register sizes differ: {a.n} vs {a2.n}")
-    return _postselect(a.coeffs * a2.coeffs, target_k % a.dim)
+    product = a.coeffs * a2.coeffs
+    outcome = _postselect(product, target_k % a.dim)
+    return replace(outcome, output=_adopt(FourierAmplitudes, product))
 
 
 def _postselect(product: np.ndarray, k: int) -> DistillationOutcome:
     """Postselection on the pointwise product of two inputs' coefficients,
-    normalized in the product's own buffer."""
+    normalized in the product's own buffer; the outcome has no output, so
+    the caller decides what the buffer becomes."""
     weights = np.abs(product)
     weights *= weights
     p = float(weights.sum())
@@ -212,22 +212,8 @@ def _postselect(product: np.ndarray, k: int) -> DistillationOutcome:
     err = float(weights[:k].sum() + weights[k + 1:].sum()) / p
     del weights  # frees |product|**2 before the output is built
     product /= math.sqrt(p)
-    out = _adopt(FourierAmplitudes, product)
-    fid = float(abs(out.coeffs[k]) ** 2)
-    return DistillationOutcome(p, out, fid, err, math.log(err) if err > 0 else NEG_INF)
-
-
-def extend_register(s: StateVector, n_new: int) -> StateVector:
-    """Append |+> qubits on the least significant side up to n_new qubits."""
-    if n_new < s.n:
-        raise ValueError(f"cannot shrink register from {s.n} to {n_new}")
-    require_register_size(n_new)
-    if n_new == s.n:
-        return s
-    pad = 1 << (n_new - s.n)
-    amps = np.empty((s.dim, pad), dtype=complex)
-    np.multiply(s.amps[:, None], 1.0 / math.sqrt(pad), out=amps)
-    return _adopt(StateVector, amps.ravel())
+    fid = float(abs(product[k]) ** 2)
+    return DistillationOutcome(p, None, fid, err, math.log(err) if err > 0 else NEG_INF)
 
 
 def log_extension_kernel(n_coarse: int, n_fine: int, indices: Sequence[int],
@@ -448,29 +434,48 @@ class ProtocolResult:
         return self.final.log_error
 
 
-def _exact_rounds(coeffs: np.ndarray, sizes: Sequence[int],
-                  k: int) -> tuple[DistillationOutcome, ...]:
+def _extend_coset(coeffs: np.ndarray, size: int, stride: int, r: int) -> np.ndarray:
+    """Coset coefficients c[r::stride] after appending |+> qubits up to ``size``.
+
+    By the shift theorem the register state is e^(2 pi i r y / N) h[y mod
+    N / stride] / sqrt(stride), with h the unitary inverse transform of the
+    coset.  Appending d qubits turns h into h[u] e^(-2 pi i r l / 2**size) /
+    sqrt(2**d) at u * 2**d + l, one outer product, and a unitary transform
+    of length 2**size / stride gives the new coset.  With r = 0 the twiddle
+    row is constant and this is the plain |+> append.  ``coeffs`` is
+    transformed in its own buffer.
+    """
+    grow = (1 << size) // (stride * len(coeffs))
+    twiddle = np.exp(np.arange(grow) * (-2j * np.pi * r / (1 << size)))
+    twiddle /= math.sqrt(grow)
+    return _unitary_fft(np.multiply.outer(_unitary_fft(coeffs, inverse=True), twiddle).ravel())
+
+
+def _exact_rounds(coeffs: np.ndarray, sizes: Sequence[int], k: int,
+                  stride: int = 1) -> tuple[DistillationOutcome, ...]:
     """Symmetric rounds toward index k on dense coefficients, one per size.
 
-    ``coeffs`` holds the Fourier coefficients of the first round's input in a
-    buffer the loop takes over.  Each round squares the coefficients in place
-    and postselects.  The vector leaves the Fourier basis only when the next
-    round is larger, to append |+> qubits, so rounds of equal size run no
-    transform, and the last round's output stays in the Fourier basis.
+    Squaring keeps the Fourier weight on the coset j = k (mod stride), and so
+    does appending |+> qubits while stride divides the register's dimension,
+    so the rounds run on that coset alone.  ``coeffs`` holds the first
+    round's input coefficients c[k % stride::stride], of a register with
+    stride * len(coeffs) amplitudes, in a buffer the loop takes over.  Each
+    round squares them in place and postselects; only a round larger than
+    the one before runs transforms (:func:`_extend_coset`).  The last
+    round's output alone is scattered back to every Fourier index.
     """
+    r = k % stride
     rounds = []
-    for i, size in enumerate(sizes):
-        if i:
-            rounds[-1] = replace(outcome, output=None)  # its buffer is the next round's
-            coeffs = _reclaim(outcome.output.coeffs)
-            del outcome
-        if len(coeffs) < 1 << size:
-            state = extend_register(_adopt(StateVector, _unitary_fft(coeffs, inverse=True)), size)
-            coeffs = _reclaim(state.amps)  # frees the smaller vector before the transform
-            _unitary_fft(coeffs)
+    for size in sizes:
+        if stride * len(coeffs) < 1 << size:
+            coeffs = _extend_coset(coeffs, size, stride, r)
         coeffs *= coeffs
-        outcome = _postselect(coeffs, k)
-        rounds.append(outcome)
+        rounds.append(_postselect(coeffs, k // stride))
+    if stride > 1:
+        full = np.zeros(stride * len(coeffs), dtype=complex)
+        full[r::stride] = coeffs
+        coeffs = full
+    rounds[-1] = replace(rounds[-1], output=_adopt(FourierAmplitudes, coeffs))
     return tuple(rounds)
 
 
@@ -483,10 +488,10 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
     then per round a symmetric distillation (coefficients squared, success
     probability recorded) with register extension between rounds.
 
-    Each vector is transformed and squared in its own buffer, and the last
-    round's output stays in the Fourier basis, so the peak holds the
-    coefficients and their weights: about one and a half vectors of the
-    final size.
+    The initial state's Fourier weight, and so every round's, lies on the
+    indices j = 1 (mod 4), and the rounds run on that quarter of each
+    vector.  The peak is the last round's output, scattered back to every
+    index: about one and a quarter vectors of the final size.
     """
     schedule = plan_schedule(n, s0, pad)
     biggest = max(schedule.sizes)
@@ -497,8 +502,10 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
             f"schedule for n={n} needs {biggest}-qubit amplitude vectors; "
             f"use --engine sparse"
         ) from None
-    coeffs = _unitary_fft(_reclaim(approx_initial_state(schedule.sizes[0]).amps))
-    return ProtocolResult("exact", schedule, _exact_rounds(coeffs, schedule.sizes, 1))
+    # the initial state is the 2-qubit index-1 Fourier state with |+> qubits
+    # appended, so its coset starts as one coefficient on a 2-qubit register
+    coeffs = np.ones(1, dtype=complex)
+    return ProtocolResult("exact", schedule, _exact_rounds(coeffs, schedule.sizes, 1, stride=4))
 
 
 def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,

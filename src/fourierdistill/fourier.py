@@ -65,15 +65,6 @@ def _adopt(cls, arr: np.ndarray):
     return obj
 
 
-def _reclaim(arr: np.ndarray) -> np.ndarray:
-    """Writable again: the buffer of an object its caller built and now drops.
-
-    The exact engine uses it to transform each vector in its own buffer.
-    """
-    arr.flags.writeable = True
-    return arr
-
-
 def _check_unit_norm(arr: np.ndarray, message: str) -> None:
     _register_bits(len(arr))
     norm = float(np.vdot(arr, arr).real)  # sum |arr|^2 without a temporary
@@ -137,13 +128,22 @@ class FourierAmplitudes:
 
 
 def pure_fourier_state(n: int, k: int) -> StateVector:
-    """The n-qubit Fourier state with index k (k taken mod 2**n)."""
+    """The n-qubit Fourier state with index k (k taken mod 2**n), built in
+    one complex buffer."""
     require_register_size(n)
     N = 1 << n
-    if not 0 <= k < N:
-        k %= N
-    y = np.arange(N)
-    return _adopt(StateVector, np.exp(2j * np.pi * k * y / N) / math.sqrt(N))
+    amps = np.empty(N, dtype=complex)
+    # the exact phase k*y mod N, as ints in the imaginary parts' memory
+    phase = amps.imag.view(np.int64)
+    cols = 1 << (n // 2)
+    np.add.outer(np.arange(0, N, cols), np.arange(cols), out=phase.reshape(-1, cols))
+    phase *= k % N
+    phase &= N - 1
+    np.multiply(phase, 2 * math.pi / N, out=amps.real)
+    np.sin(amps.real, out=amps.imag)
+    np.cos(amps.real, out=amps.real)
+    amps /= math.sqrt(N)
+    return _adopt(StateVector, amps)
 
 
 def approx_initial_state(n: int) -> StateVector:

@@ -101,12 +101,24 @@ def squared_weights(weights: np.ndarray) -> tuple[float, np.ndarray]:
     return p, squares / p
 
 
-def exact_protocol_reference(n: int) -> list[tuple]:
+def extend_register(s: StateVector, n_new: int) -> StateVector:
+    """Append |+> qubits on the least significant side up to n_new qubits,
+    as the literal tensor product with the |+> state."""
+    if n_new < s.n:
+        raise ValueError(f"cannot shrink register from {s.n} to {n_new}")
+    fourier.require_register_size(n_new)
+    if n_new == s.n:
+        return s
+    pad = 1 << (n_new - s.n)
+    return StateVector(np.kron(s.amps, np.full(pad, 1.0 / math.sqrt(pad))))
+
+
+def exact_protocol_reference(n: int, s0: int = 5, pad: int = 2) -> tuple[list[tuple], np.ndarray]:
     """Per-round (size, p_success, fidelity, error, log_error) of the dense
-    protocol in its direct form: ``np.kron`` extension, an inverse and a
-    forward FFT only where the register grows, and ``abs(product) ** 2``
-    weights."""
-    sizes = plan_schedule(n).sizes
+    protocol in its direct form, and the final round's output coefficients:
+    full-length vectors, ``np.kron`` extension, an inverse and a forward FFT
+    only where the register grows, and ``abs(product) ** 2`` weights."""
+    sizes = plan_schedule(n, s0, pad).sizes
     N = 1 << sizes[0]
     amps = np.repeat(np.array([1, 1j, -1, -1j]), N // 4) / math.sqrt(N)
     coeffs = np.fft.fft(amps) / math.sqrt(N)
@@ -119,7 +131,7 @@ def exact_protocol_reference(n: int) -> list[tuple]:
             coeffs = np.fft.fft(amps) / math.sqrt(len(amps))
         record, coeffs = _amplitude_round(coeffs, 1)
         rounds.append((size, *record))
-    return rounds
+    return rounds, coeffs
 
 
 def counted_transforms(monkeypatch) -> list[tuple[int, bool]]:

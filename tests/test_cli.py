@@ -2,12 +2,15 @@
 exit codes."""
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from fourierdistill import distill, resources
+from fourierdistill import distill, fourier, resources
 from fourierdistill.cli import ROUND_COLUMNS, _adder_check_summary, main
 from oracles import traced_peak
 
@@ -132,6 +135,20 @@ class TestDistillCommand:
         obj = json.loads(out)
         assert obj["sizes"] == [3, 6, 12, 15]
         assert obj["meets_threshold"] is True
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_exact_n20_peak_rss(self):
+        # tracemalloc misses pocketfft's scratch, so read the process's peak;
+        # a middle process keeps other tests' children out of RUSAGE_CHILDREN
+        script = ("import resource, subprocess, sys; subprocess.run([sys.executable, '-m', "
+                  "'fourierdistill.cli', 'distill', '--n', '20', '--engine', 'exact'], "
+                  "check=True, stdout=subprocess.DEVNULL); "
+                  "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        env.pop(fourier.AMPLITUDE_CAP_ENV, None)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert int(proc.stdout) / 1024 <= 160  # MB; full-length vectors need about 221
 
     def test_capacity_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "distill", "--n", "40", "--engine", "exact")
