@@ -494,6 +494,8 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
     index: about one and a quarter vectors of the final size.
     """
     schedule = plan_schedule(n, s0, pad)
+    if schedule.sizes[0] < 2:
+        raise ValueError("approximate initial state needs n >= 2")
     biggest = max(schedule.sizes)
     try:
         require_register_size(biggest)

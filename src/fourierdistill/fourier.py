@@ -128,22 +128,13 @@ class FourierAmplitudes:
 
 
 def pure_fourier_state(n: int, k: int) -> StateVector:
-    """The n-qubit Fourier state with index k (k taken mod 2**n), built in
-    one complex buffer."""
+    """The n-qubit Fourier state with index k (k taken mod 2**n)."""
     require_register_size(n)
     N = 1 << n
-    amps = np.empty(N, dtype=complex)
-    # the exact phase k*y mod N, as ints in the imaginary parts' memory
-    phase = amps.imag.view(np.int64)
-    cols = 1 << (n // 2)
-    np.add.outer(np.arange(0, N, cols), np.arange(cols), out=phase.reshape(-1, cols))
-    phase *= k % N
-    phase &= N - 1
-    np.multiply(phase, 2 * math.pi / N, out=amps.real)
-    np.sin(amps.real, out=amps.imag)
-    np.cos(amps.real, out=amps.real)
-    amps /= math.sqrt(N)
-    return _adopt(StateVector, amps)
+    if not 0 <= k < N:
+        k %= N
+    y = np.arange(N)
+    return _adopt(StateVector, np.exp(2j * np.pi * k * y / N) / math.sqrt(N))
 
 
 def approx_initial_state(n: int) -> StateVector:

@@ -192,6 +192,17 @@ class TestDistillCommand:
         assert (code, out) == (2, "")
         assert stderr == f"invalid request: {err}\n"
 
+    @pytest.mark.parametrize("engine, err", [
+        ("exact", "approximate initial state needs n >= 2"),
+        ("sparse", "initial spectrum needs n >= 2"),
+    ])
+    def test_one_qubit_first_round_rejected(self, capsys, engine, err):
+        # --pad 0 caps the first round at n = 1 qubit, below the initial state
+        code, out, stderr = run_cli(capsys, "distill", "--n", "1", "--pad", "0",
+                                    "--engine", engine)
+        assert (code, out) == (2, "")
+        assert stderr == f"invalid request: {err}\n"
+
     @pytest.mark.parametrize("n", [1075, 2000])
     def test_sparse_past_float_range_names_the_limit(self, capsys, n):
         # pi * 2**-n_fine underflows to 0 in the zero-order-hold kernel

@@ -575,15 +575,15 @@ class TestRunProtocolExact:
     ])
     def test_rounds_bit_identical_to_direct_form(self, n, s0, pad):
         # the engine transforms quarter-length cosets, which round differently
-        # from the oracle's full-length FFTs.  Against an extended-precision
-        # run of the oracle, the oracle's own error field is up to 1.1e-13
-        # off at n = 16, s0 = 3, pad = 1, the engine's 1.5e-14, hence 2e-13
+        # from the oracle's full-length FFTs: up to 9.7e-14 relative, in the
+        # error field at n = 16, s0 = 3, pad = 1.  The name predates the
+        # coset engine, when the two forms agreed bit for bit
         result = run_protocol_exact(n, s0=s0, pad=pad)
         rounds, output = exact_protocol_reference(n, s0, pad)
         assert [size for size, *_ in rounds] == list(result.schedule.sizes)
         for r, (_, *expected) in zip(result.rounds, rounds):
             assert (r.p_success, r.fidelity, r.error, r.log_error) == pytest.approx(
-                tuple(expected), rel=2e-13, abs=0.0)
+                tuple(expected), rel=1e-13, abs=0.0)
         # each squaring doubles a coefficient's relative rounding error
         eps = np.finfo(float).eps
         np.testing.assert_allclose(result.final.output.coeffs, output,

@@ -21,7 +21,7 @@ from fourierdistill import (
     to_fourier_basis,
 )
 from fourierdistill.fourier import log_fidelity_threshold, require_register_size, sin_pi_frac
-from oracles import dft_direct, fidelity, traced_peak
+from oracles import dft_direct, fidelity
 
 
 class TestPureFourierState:
@@ -46,17 +46,6 @@ class TestPureFourierState:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             pure_fourier_state(40, 1)
-
-    @pytest.mark.parametrize("k", [1, 3, 12345, -7, (1 << 16) + 5])
-    def test_built_in_one_vector(self, k):
-        n = 16
-        s, peak = traced_peak(lambda: pure_fourier_state(n, k))
-        assert peak <= 1.5 * (16 << n)  # bytes of 1.5 complex vectors
-        N = 1 << n
-        # the reference reduces k*y mod N in integers too, so its phase is exact
-        phase = (k % N) * np.arange(N, dtype=np.int64) % N
-        np.testing.assert_allclose(s.amps, np.exp(2j * np.pi * phase / N) / math.sqrt(N),
-                                   rtol=0.0, atol=1e-15)
 
     def test_eigenstate_of_modular_increment(self):
         # incrementing the basis index multiplies the state by a global phase
