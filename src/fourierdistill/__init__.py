@@ -30,7 +30,6 @@ from .distill import (
     ProtocolSchedule,
     SparseSpectrum,
     distill_pair,
-    initial_sparse_spectrum,
     plan_schedule,
     rounds_required,
     run_protocol_exact,

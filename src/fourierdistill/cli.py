@@ -319,9 +319,11 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            payload, columns, rows = _COMMANDS[args.command](args)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
+            try:
+                payload, columns, rows = _COMMANDS[args.command](args)
+            finally:  # a command that fails still reports what it warned
+                for w in caught:
+                    print(f"warning: {w.message}", file=sys.stderr)
         if args.format == "json":
             text = json.dumps(_jsonify({"schema_version": SCHEMA_VERSION, **payload}), indent=2)
         else:

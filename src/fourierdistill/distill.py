@@ -13,10 +13,12 @@ Two engines run the full protocol tree:
 * a sparse spectral engine holding log-weights of a truncated harmonic set,
   which reproduces the exact engine at small n and scales past n = 100.
 
-Register growth between rounds appends |+> qubits on the least significant
-side.  In the frequency domain this is a zero-order hold: each coarse
-harmonic spreads over a fixed aliasing class of the fine register with
-weights given by :func:`log_extension_kernel`.
+Both engines start from the 2-qubit index-1 Fourier state: the approximate
+initial state is that state with |+> qubits appended.  Register growth,
+before the first round as between rounds, appends |+> qubits on the least
+significant side.  In the frequency domain this is a zero-order hold: each
+coarse harmonic spreads over a fixed aliasing class of the fine register
+with weights given by :func:`log_extension_kernel`.
 """
 from __future__ import annotations
 
@@ -163,24 +165,6 @@ class SparseSpectrum:
         return len(self.indices)
 
 
-def initial_sparse_spectrum(n: int, max_harmonics: int = DEFAULT_MAX_HARMONICS) -> SparseSpectrum:
-    """Sparse form of the approximate initial state's exact Fourier weights.
-
-    Harmonics live at signed j = 1 (mod 4); they are kept in order of
-    decreasing weight (increasing |j|) up to ``max_harmonics``, remainder in
-    the tail.  With max_harmonics >= 2**n / 4 the spectrum is exact.
-    """
-    if n < 2:
-        raise ValueError("initial spectrum needs n >= 2")
-    count = min((1 << n) // 4, max_harmonics)
-    odd = np.arange(1, 2 * count, 2)  # |j|, so j = 1, -3, 5, -7, ...
-    # log of the closed form 8 / (N sin(pi |j| / N))**2, see initial_state_weight
-    lw = math.log(8.0) - 2.0 * (n * math.log(2.0) + np.log(np.sin(np.pi * np.ldexp(odd, -n))))
-    tail = max(0.0, 1.0 - np.exp(lw).sum()) if count < (1 << n) // 4 else 0.0
-    indices = np.where(odd % 4 == 1, odd, -odd).tolist()
-    return SparseSpectrum._ordered(n, lw, indices, math.log(tail) if tail > 0 else NEG_INF)
-
-
 def distill_pair(a: FourierAmplitudes, a2: FourierAmplitudes,
                  target_k: int = 1) -> DistillationOutcome:
     """One distillation step for two inputs' Fourier coefficients.
@@ -245,13 +229,13 @@ def log_extension_kernel(n_coarse: int, n_fine: int, indices: Sequence[int],
     np.ldexp(den, -d, out=den)
     np.sin(den, out=den)
     np.abs(den, out=den)
-    np.log(den, out=den)
     # off DC the sine argument is nonzero, so a zero sine is float underflow
-    if den.min(initial=0.0) == NEG_INF:
+    if den.min(initial=1.0) == 0.0:
         raise ValueError(
             f"{n_fine}-qubit register is past the sparse engine's size limit: "
             f"2**-{n_fine} underflows below the smallest double (2**-1074) "
             f"in the zero-order-hold kernel")
+    np.log(den, out=den)
     num = np.log(np.sin(np.pi * np.abs(f)))
     np.subtract(num - d * math.log(2.0), den, out=den)
     np.multiply(2.0, den, out=den)
@@ -518,15 +502,20 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
 
     Matches :func:`run_protocol_exact` wherever both run; scales to n = 100
     and beyond because only the heaviest harmonics are tracked, with the
-    truncated mass carried as a tail bound.  A precision warning, ending in
-    ``advice``, is raised if the final tail bound is not negligible against
-    the error target; a caller that fixes the budget says so there.
+    truncated mass carried as a tail bound.  Like the exact engine it starts
+    from the 2-qubit index-1 Fourier state, so every round, the first
+    included, extends the spectrum to its size and then squares it.  A
+    precision warning, ending in ``advice``, is raised if the final tail
+    bound is not negligible against the error target; a caller that fixes
+    the budget says so there.
 
     ``reuse`` is a caller-owned store for sweeps over n: a round depends only
     on the harmonic budget and its prefix of round sizes, so a run resumes
     after the deepest prefix stored there, and leaves there only its rounds.
     """
     schedule = plan_schedule(n, s0, pad)
+    if schedule.sizes[0] < 2:
+        raise ValueError("initial spectrum needs n >= 2")
     keys = [(max_harmonics, schedule.sizes[:i]) for i in range(1, schedule.rounds + 1)]
     store = {} if reuse is None else reuse
     for key in store.keys() - set(keys):
@@ -536,7 +525,7 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
         if key in store:
             outcome = store[key]
         else:
-            sp = outcome.output if outcome else initial_sparse_spectrum(size, max_harmonics)
+            sp = outcome.output if outcome else SparseSpectrum(2, {1: 0.0})
             sp = sparse_extend(sp, size, max_harmonics)
             outcome = sparse_symmetric_round(sp, target_k=1)
             if reuse is not None:

@@ -18,7 +18,7 @@ from fourierdistill import (
     plan_schedule,
 )
 from fourierdistill import distill, fourier
-from fourierdistill.distill import _signed_index
+from fourierdistill.distill import DEFAULT_MAX_HARMONICS, NEG_INF, _signed_index
 
 
 def traced_peak(fn):
@@ -58,6 +58,24 @@ def output_state(result) -> StateVector:
     """Final register state of an exact-engine protocol run, rebuilt from the
     last round's Fourier coefficients."""
     return from_fourier_basis(result.final.output)
+
+
+def initial_sparse_spectrum(n: int, max_harmonics: int = DEFAULT_MAX_HARMONICS) -> SparseSpectrum:
+    """Sparse form of the approximate initial state's exact Fourier weights.
+
+    Harmonics live at signed j = 1 (mod 4); they are kept in order of
+    decreasing weight (increasing |j|) up to ``max_harmonics``, remainder in
+    the tail.  With max_harmonics >= 2**n / 4 the spectrum is exact.
+    """
+    if n < 2:
+        raise ValueError("initial spectrum needs n >= 2")
+    count = min((1 << n) // 4, max_harmonics)
+    odd = np.arange(1, 2 * count, 2)  # |j|, so j = 1, -3, 5, -7, ...
+    # log of the closed form 8 / (N sin(pi |j| / N))**2, see initial_state_weight
+    lw = math.log(8.0) - 2.0 * (n * math.log(2.0) + np.log(np.sin(np.pi * np.ldexp(odd, -n))))
+    tail = max(0.0, 1.0 - np.exp(lw).sum()) if count < (1 << n) // 4 else 0.0
+    indices = np.where(odd % 4 == 1, odd, -odd).tolist()
+    return SparseSpectrum._ordered(n, lw, indices, math.log(tail) if tail > 0 else NEG_INF)
 
 
 def sparse_weight(sp: SparseSpectrum, j: int) -> float:

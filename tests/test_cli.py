@@ -6,11 +6,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from fourierdistill import distill, fourier, resources
+from fourierdistill import CapacityError, PrecisionWarning, cli, distill, fourier, resources
 from fourierdistill.cli import ROUND_COLUMNS, _adder_check_summary, main
 from oracles import traced_peak
 
@@ -209,7 +210,7 @@ class TestDistillCommand:
         code, out, err = run_cli(capsys, "distill", "--n", str(n), "--engine", "sparse")
         assert (code, out) == (2, "")
         assert "size limit" in err and "underflows" in err
-        assert "nan" not in err
+        assert "nan" not in err and "warning" not in err
 
     def test_strict_escalates_precision_warning(self, capsys):
         code, _, err = run_cli(capsys, "distill", "--n", "21", "--engine", "sparse",
@@ -620,6 +621,17 @@ class TestOutputHandling:
         # rendered like every other exit-2 error, with the OS reason kept
         assert err.startswith(f"invalid request: cannot write output to {bad}: ")
         assert "No such file or directory" in err
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ValueError, 2, "invalid request"), (CapacityError, 3, "capacity error")])
+    def test_warnings_print_before_the_error_line(self, capsys, monkeypatch, error, code, prefix):
+        def warn_then_fail(args):
+            warnings.warn("tail bound too wide", PrecisionWarning)
+            raise error("round 3 failed")
+
+        monkeypatch.setitem(cli._COMMANDS, "compare", warn_then_fail)
+        assert run_cli(capsys, "compare") == (
+            code, "", f"warning: tail bound too wide\n{prefix}: round 3 failed\n")
 
     def test_argparse_validation_exit(self):
         with pytest.raises(SystemExit) as exc:

@@ -26,7 +26,6 @@ from fourierdistill import (
     distill_k,
     distill_pair,
     from_fourier_basis,
-    initial_sparse_spectrum,
     initial_state_weight,
     plan_schedule,
     prepare_approx_k,
@@ -50,6 +49,7 @@ from oracles import (
     exact_protocol_reference,
     extend_register,
     fidelity,
+    initial_sparse_spectrum,
     output_state,
     rounds_required_simplified,
     sparse_extend_reference,
@@ -74,6 +74,11 @@ def delta_coeffs(n, k):
 def initial_coeffs(n):
     """Fourier coefficients of the approximate initial state."""
     return to_fourier_basis(approx_initial_state(n))
+
+
+def sparse_start():
+    """The sparse engine's start: the 2-qubit index-1 Fourier state."""
+    return SparseSpectrum(2, {1: 0.0})
 
 
 class TestDistillPair:
@@ -265,7 +270,7 @@ class TestExtensionKernel:
 
 class TestSparseSpectrum:
     def test_initial_matches_dense_weights(self):
-        sp = initial_sparse_spectrum(6)
+        sp = sparse_extend(sparse_start(), 6)
         dense = initial_coeffs(6).weights()
         assert len(sp) == 16
         for j, w in sparse_weights(sp).items():
@@ -273,11 +278,24 @@ class TestSparseSpectrum:
         assert math.exp(sp.log_tail) == 0.0
 
     def test_initial_truncation_tracks_tail(self):
-        sp = initial_sparse_spectrum(10, max_harmonics=16)
+        sp = sparse_extend(sparse_start(), 10, max_harmonics=16)
         assert len(sp) == 16
         assert math.exp(sp.log_tail) > 0
         total = sum(sparse_weights(sp).values()) + math.exp(sp.log_tail)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_start_extends_to_the_closed_form(self):
+        # the engine's 2-qubit start, extended, is the initial state's spectrum
+        for n in (2, 3, 5, 10, 20, 39):
+            for budget in (1, 4, 16, 512, 4096):
+                sp = sparse_extend(sparse_start(), n, budget)
+                ref = initial_sparse_spectrum(n, budget)
+                assert sp.indices == ref.indices
+                np.testing.assert_allclose(sp.log_weights, ref.log_weights, rtol=0, atol=1e-14)
+                if ref.log_tail == -math.inf:
+                    assert sp.log_tail == -math.inf
+                else:
+                    assert sp.log_tail == pytest.approx(ref.log_tail, rel=0, abs=1e-9)
 
     def test_mass_validation(self):
         with pytest.raises(ValueError):
@@ -425,13 +443,13 @@ def assert_same_spectrum(out, ref):
 class TestSparseExtendBitIdentity:
     """``sparse_extend`` gives the floats of its direct form bit for bit."""
 
-    # n = 300 extends 5 -> 10 (whole classes), 10 -> 20 and 20 -> 40 (exact
+    # n = 300 extends 2 -> 5 and 5 -> 10 (whole classes), 10 -> 20 and 20 -> 40 (exact
     # class deficits), 40 -> 80 (both remainders) and 80 -> 160 -> 302 (the
     # lobe bound on every class)
     @pytest.mark.parametrize("budget", [4096, 16384])
     def test_schedule_extensions(self, budget):
-        sp = initial_sparse_spectrum(5, budget)
-        for size in plan_schedule(300).sizes[1:]:
+        sp = sparse_start()
+        for size in plan_schedule(300).sizes:
             out = sparse_extend(sp, size, budget)
             assert_same_spectrum(out, sparse_extend_reference(sp, size, budget))
             sp = sparse_symmetric_round(out).output
@@ -784,10 +802,10 @@ class TestProtocolInvariants:
     (lambda: ProtocolSchedule(5, ()), ValueError, "schedule needs at least one round"),
     (lambda: SparseSpectrum(0, {0: 0.0}), ValueError, "register size must be positive"),
     (lambda: SparseSpectrum(3, {}), ValueError, "needs at least one harmonic"),
-    (lambda: initial_sparse_spectrum(1), ValueError, "initial spectrum needs n >= 2"),
+    (lambda: run_protocol_sparse(1, pad=0), ValueError, "initial spectrum needs n >= 2"),
     (lambda: log_extension_kernel(4, 3, [1], np.arange(1)), ValueError,
      "fine register must be at least as large"),
-    (lambda: sparse_extend(initial_sparse_spectrum(4), 3), ValueError,
+    (lambda: sparse_extend(sparse_extend(sparse_start(), 4), 3), ValueError,
      "cannot shrink register from 4 to 3"),
     (lambda: sparse_symmetric_round(initial_sparse_spectrum(4), target_k=2),
      DegenerateInputError, "target harmonic 2 carries no weight"),

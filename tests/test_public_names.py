@@ -1,5 +1,6 @@
-"""Every public name the package exports is used by the package or a demo,
-and so is every public field, property and method of an exported class.
+"""Every public name the package exports or defines at module level is used
+by the package or a demo, and so is every public field, property and method
+of an exported class.
 
 A name that only tests call is a test oracle and belongs in ``oracles.py``.
 """
@@ -11,27 +12,50 @@ from pathlib import Path
 import fourierdistill
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fourierdistill"
 
 
 def _used_names(paths) -> set[str]:
     """Names read in the given files, bare or as attributes (``fourier.x``).
 
-    Definitions and imports are not uses, so a function is not its own caller.
+    Definitions, assignments and imports are not uses, so a function is not
+    its own caller and a constant or field is not its own reader.  Listing a
+    dataclass's fields with ``dataclasses.fields(cls)`` reads every field.
     """
     used = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "dataclasses.fields":
+                cls = getattr(fourierdistill, ast.unparse(node.args[0]).rpartition(".")[2])
+                used |= {f.name for f in dataclasses.fields(cls)}
     return used
 
 
 def _package_and_demo_uses() -> set[str]:
-    src = ROOT / "src" / "fourierdistill"
-    files = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
     return _used_names(files + sorted((ROOT / "demos").glob("*.py")))
+
+
+def _module_level_public_names() -> set[str]:
+    """``module.name`` of every public function, class and constant defined
+    at the top level of a package module."""
+    defined = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined |= {f"{path.stem}.{name}" for name in names if not name.startswith("_")}
+    return defined
 
 
 def _exported() -> dict:
@@ -65,3 +89,11 @@ def test_every_public_member_of_an_exported_class_has_a_reader():
     unread = sorted(f"{name}.{member}" for name, cls in classes.items()
                     for member in _public_members(cls) - used)
     assert unread == []
+
+
+def test_every_module_level_public_name_has_a_reader():
+    # exported or not: a public helper left behind when its caller goes is dead code
+    defined = _module_level_public_names()
+    assert {"distill.run_protocol_sparse", "distill.NEG_INF", "cli.SCHEMA_VERSION"} <= defined
+    used = _package_and_demo_uses()
+    assert sorted(q for q in defined if q.partition(".")[2] not in used) == []
