@@ -118,5 +118,6 @@ def distill_k(prep: PreparedKState, rounds: int) -> ProtocolResult:
             f"converge to the wrong index: use a larger --truncate-bits "
             f"(default ceil(log2 n) + 2 = {default_truncate_bits(n)})")
     schedule = ProtocolSchedule(n, (n,) * rounds)
+    coeffs = np.array(prep.coefficients.coeffs)
     return ProtocolResult("exact", schedule,
-                          _exact_rounds(np.array(prep.coefficients.coeffs), schedule.sizes, prep.k))
+                          _exact_rounds(coeffs, len(coeffs), schedule.sizes, prep.k))

@@ -185,6 +185,13 @@ def cmd_resources(a: argparse.Namespace):
 
 
 def cmd_compare(a: argparse.Namespace):
+    if a.p_min <= a.p_max:  # an empty range prints the header alone
+        if a.p_min < 2:
+            raise ValueError(f"--p-min {a.p_min} is below 2: kickback rotation needs "
+                             f"p >= 2 bits, got p={a.p_min}")
+        if a.p_max > 1022:
+            raise ValueError(f"--p-max {a.p_max} is above 1022: eps_f ~ 2**-p must "
+                             f"stay a normal double")
     table = resources.comparison_table(range(a.p_min, a.p_max + 1))
     rows = [dataclasses.asdict(r) for r in table]
     columns = tuple(f.name for f in dataclasses.fields(resources.ComparisonRow))

@@ -418,7 +418,7 @@ class ProtocolResult:
         return self.final.log_error
 
 
-def _extend_coset(coeffs: np.ndarray, size: int, stride: int, r: int) -> np.ndarray:
+def _extend_coset(buf: np.ndarray, length: int, size: int, stride: int, r: int) -> np.ndarray:
     """Coset coefficients c[r::stride] after appending |+> qubits up to ``size``.
 
     By the shift theorem the register state is e^(2 pi i r y / N) h[y mod
@@ -426,40 +426,58 @@ def _extend_coset(coeffs: np.ndarray, size: int, stride: int, r: int) -> np.ndar
     coset.  Appending d qubits turns h into h[u] e^(-2 pi i r l / 2**size) /
     sqrt(2**d) at u * 2**d + l, one outer product, and a unitary transform
     of length 2**size / stride gives the new coset.  With r = 0 the twiddle
-    row is constant and this is the plain |+> append.  ``coeffs`` is
-    transformed in its own buffer.
+    row is constant and this is the plain |+> append.  The coset is read
+    from ``buf[:length]`` and grown into the longer prefix it returns.
     """
-    grow = (1 << size) // (stride * len(coeffs))
+    grow = (1 << size) // (stride * length)
     twiddle = np.exp(np.arange(grow) * (-2j * np.pi * r / (1 << size)))
     twiddle /= math.sqrt(grow)
-    return _unitary_fft(np.multiply.outer(_unitary_fft(coeffs, inverse=True), twiddle).ravel())
+    h = _unitary_fft(buf[:length], inverse=True)
+    grown = buf[:length * grow]
+    np.multiply.outer(h, twiddle, out=grown.reshape(length, grow))
+    return _unitary_fft(grown)
 
 
-def _exact_rounds(coeffs: np.ndarray, sizes: Sequence[int], k: int,
+def _spread_coset(buf: np.ndarray, length: int, stride: int, r: int) -> None:
+    """Move the coset in ``buf[:length]`` to ``buf[r::stride]``, zeros elsewhere.
+
+    Blocks of 2**14 move back to front: each is copied, its destination span
+    zeroed, then written with the stride.  No destination index is below
+    its source, so no entry is overwritten before it is read.
+    """
+    block = 1 << 14
+    for hi in range(length, 0, -block):
+        lo = max(hi - block, 0)
+        part = buf[lo:hi].copy()
+        buf[lo * stride:hi * stride] = 0
+        buf[lo * stride + r:hi * stride:stride] = part
+
+
+def _exact_rounds(buf: np.ndarray, length: int, sizes: Sequence[int], k: int,
                   stride: int = 1) -> tuple[DistillationOutcome, ...]:
     """Symmetric rounds toward index k on dense coefficients, one per size.
 
     Squaring keeps the Fourier weight on the coset j = k (mod stride), and so
     does appending |+> qubits while stride divides the register's dimension,
-    so the rounds run on that coset alone.  ``coeffs`` holds the first
-    round's input coefficients c[k % stride::stride], of a register with
-    stride * len(coeffs) amplitudes, in a buffer the loop takes over.  Each
-    round squares them in place and postselects; only a round larger than
-    the one before runs transforms (:func:`_extend_coset`).  The last
-    round's output alone is scattered back to every Fourier index.
+    so the rounds run on that coset alone, as a prefix of ``buf``: a buffer
+    the loop takes over, with one entry per Fourier index of the last
+    round's register.  ``buf[:length]`` holds the first round's input
+    c[k % stride::stride], of a register with stride * length amplitudes.
+    Each round squares the coset in place and postselects; only a round
+    larger than the one before grows it, by transforms (:func:`_extend_coset`).
+    The last round's output then spreads in place, and ``buf`` becomes it.
     """
     r = k % stride
+    coset = buf[:length]
     rounds = []
     for size in sizes:
-        if stride * len(coeffs) < 1 << size:
-            coeffs = _extend_coset(coeffs, size, stride, r)
-        coeffs *= coeffs
-        rounds.append(_postselect(coeffs, k // stride))
+        if stride * len(coset) < 1 << size:
+            coset = _extend_coset(buf, len(coset), size, stride, r)
+        coset *= coset
+        rounds.append(_postselect(coset, k // stride))
     if stride > 1:
-        full = np.zeros(stride * len(coeffs), dtype=complex)
-        full[r::stride] = coeffs
-        coeffs = full
-    rounds[-1] = replace(rounds[-1], output=_adopt(FourierAmplitudes, coeffs))
+        _spread_coset(buf, len(coset), stride, r)
+    rounds[-1] = replace(rounds[-1], output=_adopt(FourierAmplitudes, buf))
     return tuple(rounds)
 
 
@@ -474,8 +492,9 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
 
     The initial state's Fourier weight, and so every round's, lies on the
     indices j = 1 (mod 4), and the rounds run on that quarter of each
-    vector.  The peak is the last round's output, scattered back to every
-    index: about one and a quarter vectors of the final size.
+    vector.  They run in one zero-filled buffer of the final size, whose
+    pages stay untouched until written; the last round's output spreads to
+    every index inside it, so the peak is about one vector of the final size.
     """
     schedule = plan_schedule(n, s0, pad)
     if schedule.sizes[0] < 2:
@@ -490,8 +509,9 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
         ) from None
     # the initial state is the 2-qubit index-1 Fourier state with |+> qubits
     # appended, so its coset starts as one coefficient on a 2-qubit register
-    coeffs = np.ones(1, dtype=complex)
-    return ProtocolResult("exact", schedule, _exact_rounds(coeffs, schedule.sizes, 1, stride=4))
+    buf = np.zeros(1 << biggest, dtype=complex)
+    buf[0] = 1
+    return ProtocolResult("exact", schedule, _exact_rounds(buf, 1, schedule.sizes, 1, stride=4))
 
 
 def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,

@@ -42,6 +42,7 @@ from fourierdistill.distill import (
     _exact_rounds,
     _extend_coset,
     _signed_index,
+    _spread_coset,
     log_extension_kernel,
 )
 from oracles import (
@@ -133,7 +134,7 @@ class TestDistillPair:
         # both routes square the same coefficients and share one postselection
         coeffs = initial_coeffs(8)
         step = distill_pair(coeffs, coeffs)
-        engine, = _exact_rounds(np.array(coeffs.coeffs), (8,), 1)
+        engine, = _exact_rounds(np.array(coeffs.coeffs), 1 << 8, (8,), 1)
         assert (step.p_success, step.fidelity, step.error) == (
             engine.p_success, engine.fidelity, engine.error)
 
@@ -227,16 +228,38 @@ class TestExtendCoset:
         state = approx_initial_state(n)
         coset = to_fourier_basis(state).coeffs[1::4]
         full = to_fourier_basis(extend_register(state, n + d)).coeffs
-        grown = _extend_coset(np.array(coset), n + d, 4, 1)
+        buf = np.zeros(len(full), dtype=complex)
+        buf[:len(coset)] = coset
+        grown = _extend_coset(buf, len(coset), n + d, 4, 1)
+        assert grown.base is buf and len(grown) == len(full) // 4
         np.testing.assert_allclose(grown, full[1::4], rtol=0.0, atol=1e-15)
         # the other three quarters hold no weight
         assert np.abs(np.delete(full, np.s_[1::4])).max() <= 1e-15
 
     def test_stride_one_is_the_plus_append(self):
         coeffs = initial_coeffs(4).coeffs
-        grown = _extend_coset(np.array(coeffs), 7, 1, 0)
+        buf = np.zeros(1 << 7, dtype=complex)
+        buf[:len(coeffs)] = coeffs
+        grown = _extend_coset(buf, len(coeffs), 7, 1, 0)
+        assert grown.base is buf and len(grown) == len(buf)
         full = to_fourier_basis(extend_register(approx_initial_state(4), 7)).coeffs
         np.testing.assert_allclose(grown, full, rtol=0.0, atol=1e-15)
+
+
+class TestSpreadCoset:
+    @pytest.mark.parametrize("r", range(4))
+    @pytest.mark.parametrize("length", [1, 1 << 13, 1 << 14, 1 << 15])
+    def test_matches_a_strided_copy(self, r, length):
+        # lengths below, at and above the 2**14 block; distinct nonzero
+        # entries, and a nonzero tail that the spread must clear
+        stride = 4
+        rng = np.random.default_rng(length + r)
+        buf = rng.standard_normal(stride * length) + 1j * rng.standard_normal(stride * length)
+        coset = buf[:length].copy()
+        _spread_coset(buf, length, stride, r)
+        full = np.zeros(stride * length, dtype=complex)
+        full[r::stride] = coset
+        assert buf.tobytes() == full.tobytes()
 
 
 class TestExtensionKernel:
