@@ -10,7 +10,6 @@ from fourierdistill import (
     default_truncate_bits,
     distill_k,
     prepare_approx_k,
-    transform_cost,
 )
 
 n, k = 8, 5
@@ -37,8 +36,3 @@ print("Truncation coarseness trades fidelity for ancilla size:")
 for bits in (2, 3, 4, 5, 8):
     prep = prepare_approx_k(n, k, bits)
     print(f"  {bits} bits -> fidelity {prep.fidelity:.6f}")
-
-print()
-print("Alternative for odd k: distill the fundamental state once, then the")
-print(f"deterministic index transform costs {transform_cost(10)} "
-      f"Toffolis at n=10 (quadratic in n).")

@@ -12,7 +12,6 @@ from fourierdistill import (
     apply_circuit,
     approx_initial_state,
     build_distillation_circuit,
-    circuit_to_text,
     clone_fourier_state,
     distill_pair,
     extract_register,
@@ -27,9 +26,9 @@ print(f"  gate counts: {circuit.counts}")
 print(f"  Toffolis as built: {circuit.toffoli_count} "
       f"(published adder constructions reach {2 * n - 4})")
 print()
-print("First lines of the exported gate list:")
-for line in circuit_to_text(circuit).splitlines()[:8]:
-    print("  " + line)
+print(f"First gates of the {circuit.num_qubits}-qubit circuit:")
+for g in circuit.gates[:8]:
+    print("  " + " ".join([g.name] + [str(q) for q in g.qubits]))
 print("  ...")
 
 print()

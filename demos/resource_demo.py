@@ -11,7 +11,6 @@ from fourierdistill import (
     expected_cost_recursion,
     resource_reports,
     toffoli_capped,
-    toffoli_closed_form,
 )
 from fourierdistill.resources import round_success_probabilities
 
@@ -24,8 +23,6 @@ for r, (adders, size, p) in enumerate(rounds, start=1):
           f"(p_success {p:.4f})")
 print(f"  total {report.toffoli_deterministic} Toffolis, "
       f"width {report.width_qubits} qubits")
-print(f"  closed-form accounting (uncapped doubling, own size convention): "
-      f"{toffoli_closed_form(3, 5)}")
 
 print()
 print("Retry overhead: expected cost by recursion and by Monte Carlo")

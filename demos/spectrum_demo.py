@@ -9,10 +9,8 @@ controls everything the distillation protocol can do.
 import math
 
 from fourierdistill import (
-    alias_fold,
     approx_initial_state,
     initial_state_weight,
-    series_coefficient,
     series_weight,
     to_fourier_basis,
 )
@@ -30,15 +28,13 @@ print(f"largest sideband    (j = -3) = {series_weight(-3):.6f}")
 print(f"ratio, exactly 1/9           = {series_weight(-3) / series_weight(1):.12f}")
 
 print()
-print("Folding the series onto an 8-qubit register (aliasing):")
-folded, tail = alias_fold(8, series_coefficient, j_max=1 << 16)
+print("Folding the series onto an 8-qubit register (aliasing), as printed by")
+print("`fourierdistill spectrum --n 8`, next to the register's own weights:")
 direct = to_fourier_basis(approx_initial_state(8)).weights()
-print(f"  weight folded onto j=1:   {abs(folded.coeffs[1]) ** 2:.6f}")
-print(f"  exact register weight:    {direct[1]:.6f}")
-print(f"  closed form:              {initial_state_weight(8, 1):.6f}")
-print(f"  series tail beyond fold window: {tail:.2e}")
-print("  (fold and register weights differ at O(1/N): the staircase jumps")
-print("   exactly on sample points, where a series converges to midpoints)")
+print("     j  series_weight  folded_weight  register weight")
+for j in (1, -3, 5):
+    print(f"  {j:+4d}  {series_weight(j):13.6f}  {initial_state_weight(8, j):13.6f}"
+          f"  {direct[j % 256]:15.6f}")
 
 print()
 print("Fidelity of the approximate state with the ideal Fourier state:")

@@ -19,7 +19,6 @@ from .circuits import (
     basis_images,
     build_adder_circuit,
     build_distillation_circuit,
-    circuit_to_text,
     clone_fourier_state,
     extract_register,
     modular_add_oracle,
@@ -41,14 +40,12 @@ from .errors import CapacityError, DegenerateInputError, PrecisionWarning
 from .fourier import (
     FourierAmplitudes,
     StateVector,
-    alias_fold,
     amplitude_cap,
     approx_initial_state,
     fidelity_threshold,
     from_fourier_basis,
     initial_state_weight,
     pure_fourier_state,
-    series_coefficient,
     series_weight,
     to_fourier_basis,
 )
@@ -64,8 +61,6 @@ from .resources import (
     t_sequence_cost,
     t_sequence_cost_bits,
     toffoli_capped,
-    toffoli_closed_form,
-    transform_cost,
 )
 
 __version__ = "0.1.0"

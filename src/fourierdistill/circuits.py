@@ -306,11 +306,3 @@ def clone_fourier_state(source: StateVector, k: int | None = None) -> CloneResul
     coeffs = to_fourier_basis(source).coeffs
     k = int(np.argmax(np.abs(coeffs))) if k is None else k % source.dim
     return CloneResult(k, float(np.abs(coeffs[k]) ** 2))
-
-
-def circuit_to_text(circuit: GateCircuit) -> str:
-    """Stable plain-text gate list: header ``QUBITS n``, one gate per line."""
-    lines = [f"QUBITS {circuit.num_qubits}"]
-    for g in circuit.gates:
-        lines.append(" ".join([g.name] + [str(q) for q in g.qubits]))
-    return "\n".join(lines) + "\n"

@@ -7,16 +7,14 @@ transform sign convention is fixed by that definition (positive exponent in
 the state, so the analysis transform carries the negative exponent).
 
 The module also provides the Clifford-reachable approximation of the k=1
-state (phase staircase with two bits of phase resolution), its Fourier-series
-coefficients, and the aliasing fold that connects series coefficients to the
-discrete spectrum.
+state (phase staircase with two bits of phase resolution), the harmonic
+weights of its Fourier series, and the closed form of its discrete spectrum.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +31,12 @@ NORM_TOL = 1e-10
 def amplitude_cap() -> int:
     """Current cap on n for dense amplitude vectors."""
     raw = os.environ.get(AMPLITUDE_CAP_ENV)
-    return int(raw) if raw else AMPLITUDE_CAP_DEFAULT
+    if not raw:
+        return AMPLITUDE_CAP_DEFAULT
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{AMPLITUDE_CAP_ENV}={raw!r} is not a whole number of qubits") from None
 
 
 def require_register_size(n: int) -> None:
@@ -182,19 +185,10 @@ def _unitary_fft(buf: np.ndarray, inverse: bool = False) -> np.ndarray:
     return buf
 
 
-def series_coefficient(j: int) -> complex:
-    """Fourier-series coefficient of the two-bit staircase phase function.
-
-    Nonzero only for harmonics j = 1 (mod 4), including negative j, where it
-    equals (2 - 2i)/(pi*j).  The j = 0 coefficient vanishes.
-    """
-    if j % 4 != 1:
-        return 0j
-    return (2 - 2j) / (math.pi * j)
-
-
 def series_weight(j: int) -> float:
-    """Squared magnitude of :func:`series_coefficient`: 8/(pi*j)^2 on support."""
+    """Weight of harmonic j in the Fourier series of the two-bit staircase
+    phase function: 8/(pi*j)^2 for j = 1 (mod 4), signed j included, and
+    zero elsewhere (j = 0 too)."""
     if j % 4 != 1:
         return 0.0
     return 8.0 / (math.pi * j) ** 2
@@ -232,44 +226,6 @@ def initial_state_weight(n: int, j: int) -> float:
         return 8.0 / x ** 2
     except OverflowError:  # x = N sin(pi m / N) >= 2**512
         return 0.0
-
-
-def alias_fold(n: int, series: Callable[[int], complex], j_max: int) -> tuple[FourierAmplitudes, float]:
-    """Fold a Fourier series onto the N-point discrete spectrum.
-
-    Discrete sampling aliases harmonic N*x + j onto index j, so the discrete
-    coefficient is the sum of the series over the aliasing class, truncated
-    to |N*x + j| <= j_max and then renormalized.  Returns the folded
-    amplitudes together with the truncated tail mass (series weight outside
-    the truncation window, assuming the full series has unit mass).
-
-    Note on conventions: a Fourier series converges to jump midpoints, so
-    for a discontinuous phase staircase sampled exactly at its jumps the
-    fold reproduces the midpoint-sampled transform.  Against the state's
-    right-limit samples (``approx_initial_state``) the folded weights agree
-    only to O(1/N); per-harmonic ratios match the closed form
-    (2-2i)/N * cot(pi*j/N) to truncation accuracy.
-    """
-    N = 1 << n
-    if j_max < N:
-        raise ValueError(f"j_max must be at least N = {N}")
-    coeffs = np.zeros(N, dtype=complex)
-    kept_mass = 0.0
-    for j in range(N):
-        x_lo = -((j_max + j) // N)
-        x_hi = (j_max - j) // N
-        total = 0j
-        for x in range(x_lo, x_hi + 1):
-            c = complex(series(N * x + j))
-            total += c
-            kept_mass += abs(c) ** 2
-        coeffs[j] = total
-    tail = max(0.0, 1.0 - kept_mass)
-    norm = math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
-    if norm < 1e-150:
-        raise ValueError("series is zero on the truncation window")
-    coeffs /= norm
-    return _adopt(FourierAmplitudes, coeffs), tail
 
 
 def fidelity_threshold(n: int) -> float:

@@ -4,15 +4,10 @@ Only Toffoli gates are counted; Clifford gates, ancilla preparation, and
 measurement are treated as cheap.  Each distillation step consumes one adder
 whose published cost on s-qubit registers is 2s - 4 Toffoli gates.
 
-Two deterministic accountings are provided and reconciled:
-
-* the closed form 2**(R+1)*R*s - 2**(R+2) + 4, whose per-round register
-  size is 2**r * s for round r (equal to its defining sum by construction),
-* the schedule accounting, which walks the actual round sizes and is
-  therefore smaller: the capped schedule (s0 doubling, capped at n + pad)
-  for ``resources``, and the full-width (n,) * R for ``arbitrary-k``.
-
-Both are pure schedule arithmetic and run no spectral engine.
+The deterministic count walks the actual round sizes of a schedule: the
+capped one (s0 doubling, capped at n + pad) for ``resources``, and the
+full-width (n,) * R for ``arbitrary-k``.  It is pure schedule arithmetic and
+runs no spectral engine.
 
 Retry overhead: a failed step discards its two input states, so its whole
 feeding subtree is rebuilt.  The expected cost then follows the recursion
@@ -53,15 +48,6 @@ def adder_toffoli_count(size: int) -> int:
     if size < 3:
         raise ValueError("adder cost formula needs registers of at least 3 qubits")
     return 2 * size - 4
-
-
-def toffoli_closed_form(R: int, s: int) -> int:
-    """Total protocol Toffolis, closed form: 2**(R+1)*R*s - 2**(R+2) + 4."""
-    if R < 1:
-        raise ValueError("R must be at least 1")
-    if s < 3:
-        raise ValueError("s must be at least 3")
-    return (1 << (R + 1)) * R * s - (1 << (R + 2)) + 4
 
 
 @dataclass(frozen=True)
@@ -232,19 +218,6 @@ def t_sequence_cost_bits(p: int) -> float:
     if p < 1:
         raise ValueError("p must be positive")
     return 3.21 * p - 6.45
-
-
-def transform_cost(n: int) -> int:
-    """Toffolis to transform between n-qubit Fourier states of odd index:
-    sum of (s - 2) for s = 3 .. n-1, i.e. (n-3)(n-2)/2.
-
-    This deterministic transform is the alternative to distilling an odd
-    index directly; its circuit comes from prior constructions, so only the
-    cost is tracked here, for comparison against distillation.
-    """
-    if n < 4:
-        raise ValueError("index transform needs n >= 4")
-    return (n - 3) * (n - 2) // 2
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 computes by faster routes, and circuits that witness the figures it states."""
 import math
 import tracemalloc
+from typing import Callable
 
 import numpy as np
 
@@ -254,6 +255,69 @@ def rounds_required_simplified(n: int) -> int:
     return math.ceil(math.log2(0.63 * n - 1.04))
 
 
+def series_coefficient(j: int) -> complex:
+    """Fourier-series coefficient of the two-bit staircase phase function.
+
+    Nonzero only for harmonics j = 1 (mod 4), including negative j, where it
+    equals (2 - 2i)/(pi*j); its squared magnitude is ``series_weight``.  The
+    j = 0 coefficient vanishes.
+    """
+    if j % 4 != 1:
+        return 0j
+    return (2 - 2j) / (math.pi * j)
+
+
+def alias_fold(n: int, series: Callable[[int], complex], j_max: int) -> tuple[FourierAmplitudes, float]:
+    """Fold a Fourier series onto the N-point discrete spectrum.
+
+    Discrete sampling aliases harmonic N*x + j onto index j, so the discrete
+    coefficient is the sum of the series over the aliasing class, truncated
+    to |N*x + j| <= j_max and then renormalized.  Returns the folded
+    amplitudes together with the truncated tail mass (series weight outside
+    the truncation window, assuming the full series has unit mass).
+
+    Note on conventions: a Fourier series converges to jump midpoints, so
+    for a discontinuous phase staircase sampled exactly at its jumps the
+    fold reproduces the midpoint-sampled transform.  Against the state's
+    right-limit samples (``approx_initial_state``) the folded weights agree
+    only to O(1/N); per-harmonic ratios match the closed form
+    (2-2i)/N * cot(pi*j/N) to truncation accuracy.
+    """
+    N = 1 << n
+    if j_max < N:
+        raise ValueError(f"j_max must be at least N = {N}")
+    coeffs = np.zeros(N, dtype=complex)
+    kept_mass = 0.0
+    for j in range(N):
+        x_lo = -((j_max + j) // N)
+        x_hi = (j_max - j) // N
+        total = 0j
+        for x in range(x_lo, x_hi + 1):
+            c = complex(series(N * x + j))
+            total += c
+            kept_mass += abs(c) ** 2
+        coeffs[j] = total
+    tail = max(0.0, 1.0 - kept_mass)
+    norm = math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
+    if norm < 1e-150:
+        raise ValueError("series is zero on the truncation window")
+    return FourierAmplitudes(coeffs / norm), tail
+
+
+def toffoli_closed_form(R: int, s: int) -> int:
+    """Total protocol Toffolis, closed form: 2**(R+1)*R*s - 2**(R+2) + 4.
+
+    Its per-round register size is 2**r * s for round r, so it equals
+    :func:`toffoli_sum_direct` by construction and exceeds the schedule
+    accounting of ``ResourceReport``, which walks the capped sizes.
+    """
+    if R < 1:
+        raise ValueError("R must be at least 1")
+    if s < 3:
+        raise ValueError("s must be at least 3")
+    return (1 << (R + 1)) * R * s - (1 << (R + 2)) + 4
+
+
 def toffoli_sum_direct(R: int, s: int) -> int:
     """Defining sum of ``toffoli_closed_form``: round r holds 2**(R-r) adders
     of 2**(r+1)*s - 4 Toffolis each.
@@ -268,6 +332,27 @@ def toffoli_sum_direct(R: int, s: int) -> int:
 def epsilon_f_kickback_approx(p: int) -> float:
     """Small-angle form (pi/2**p)/sqrt(8) of ``epsilon_f_kickback``."""
     return math.ldexp(math.pi, -p) / math.sqrt(8.0)
+
+
+def transform_cost(n: int) -> int:
+    """Toffolis to transform between n-qubit Fourier states of odd index:
+    sum of (s - 2) for s = 3 .. n-1, i.e. (n-3)(n-2)/2.
+
+    This deterministic transform is the alternative to distilling an odd
+    index directly; its circuit comes from prior constructions, so only the
+    cost is stated, for comparison against distillation.
+    """
+    if n < 4:
+        raise ValueError("index transform needs n >= 4")
+    return (n - 3) * (n - 2) // 2
+
+
+def circuit_to_text(circuit: GateCircuit) -> str:
+    """Stable plain-text gate list: header ``QUBITS n``, one gate per line."""
+    lines = [f"QUBITS {circuit.num_qubits}"]
+    for g in circuit.gates:
+        lines.append(" ".join([g.name] + [str(q) for q in g.qubits]))
+    return "\n".join(lines) + "\n"
 
 
 def build_constant_adder_circuit(n: int, addend: int) -> tuple[GateCircuit, RegisterLayout]:

@@ -31,8 +31,6 @@ from fourierdistill import (
     series_weight,
     t_sequence_cost_bits,
     to_fourier_basis,
-    toffoli_closed_form,
-    transform_cost,
     StateVector,
 )
 from fourierdistill.resources import round_success_probabilities
@@ -41,7 +39,9 @@ from oracles import (
     epsilon_f_kickback_approx,
     fidelity,
     rounds_required_simplified,
+    toffoli_closed_form,
     toffoli_sum_direct,
+    transform_cost,
 )
 
 

@@ -16,10 +16,15 @@ from fourierdistill import (
     StateVector,
     run_protocol_exact,
     to_fourier_basis,
-    transform_cost,
 )
 from fourierdistill.cli import main
-from oracles import counted_transforms, distill_k_reference, fidelity, qvr_state_reference
+from oracles import (
+    counted_transforms,
+    distill_k_reference,
+    fidelity,
+    qvr_state_reference,
+    transform_cost,
+)
 
 
 class TestQvrPhase:

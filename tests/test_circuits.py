@@ -19,7 +19,6 @@ from fourierdistill import (
     basis_images,
     build_adder_circuit,
     build_distillation_circuit,
-    circuit_to_text,
     clone_fourier_state,
     comparison_table,
     distill_pair,
@@ -28,7 +27,13 @@ from fourierdistill import (
     pure_fourier_state,
     to_fourier_basis,
 )
-from oracles import apply_permutation, build_constant_adder_circuit, fidelity, traced_peak
+from oracles import (
+    apply_permutation,
+    build_constant_adder_circuit,
+    circuit_to_text,
+    fidelity,
+    traced_peak,
+)
 
 
 def basis_state(num_qubits, index):

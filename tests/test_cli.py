@@ -625,6 +625,13 @@ class TestDenseCapacityAdvice:
         code, _, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
 
+    def test_unreadable_cap_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", "abc")
+        code, out, err = run_cli(capsys, "clone", "--n", "4")
+        assert (code, out) == (2, "")
+        assert err == ("invalid request: FOURIERDISTILL_AMP_CAP='abc' is not a whole "
+                       "number of qubits\n")
+
 
 class TestOutputHandling:
     def test_out_file(self, capsys, tmp_path):

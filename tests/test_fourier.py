@@ -9,19 +9,17 @@ from fourierdistill import (
     CapacityError,
     FourierAmplitudes,
     StateVector,
-    alias_fold,
     approx_initial_state,
     fidelity_threshold,
     from_fourier_basis,
     initial_state_weight,
     pure_fourier_state,
     qvr_phase,
-    series_coefficient,
     series_weight,
     to_fourier_basis,
 )
 from fourierdistill.fourier import log_fidelity_threshold, require_register_size, sin_pi_frac
-from oracles import dft_direct, fidelity
+from oracles import alias_fold, dft_direct, fidelity, series_coefficient
 
 
 class TestPureFourierState:

@@ -19,14 +19,18 @@ from fourierdistill import (
     t_sequence_cost,
     t_sequence_cost_bits,
     toffoli_capped,
-    toffoli_closed_form,
-    transform_cost,
 )
 from fourierdistill import resources
 from fourierdistill.cli import main
 from fourierdistill.distill import DEFAULT_PAD, DEFAULT_S0
 from fourierdistill.resources import MAX_TRIALS, round_success_probabilities
-from oracles import epsilon_f_kickback_approx, toffoli_sum_direct, traced_peak
+from oracles import (
+    epsilon_f_kickback_approx,
+    toffoli_closed_form,
+    toffoli_sum_direct,
+    traced_peak,
+    transform_cost,
+)
 
 
 REF_TRIALS = 10_000
