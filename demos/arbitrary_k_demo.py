@@ -26,7 +26,7 @@ result = distill_k(prep, rounds=3)
 for i, rec in enumerate(result.rounds, start=1):
     print(f"  round {i}: p_success={rec.p_success:.9f}  "
           f"fidelity={rec.fidelity:.12f}")
-print(f"  final error {result.final_error:.2e}")
+print(f"  final error {result.final.error:.2e}")
 cost = ResourceReport(result.schedule)
 print(f"  cost: {sum(cost.adders)} adders x {2 * n - 4} "
       f"Toffolis = {cost.toffoli_deterministic}")

@@ -25,7 +25,7 @@ result = run_protocol_exact(10)
 for i, (size, rec) in enumerate(zip(result.schedule.sizes, result.rounds), start=1):
     print(f"  round {i}: size={size:3d}  p_success={rec.p_success:.12f}  "
           f"error={rec.error:.3e}")
-print(f"  final error {result.final_error:.3e} vs target "
+print(f"  final error {result.final.error:.3e} vs target "
       f"{result.threshold:.3e} -> meets: {result.meets_threshold}")
 # the last round's output stays in the Fourier basis; one inverse FFT
 # rebuilds the register state

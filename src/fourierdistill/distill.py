@@ -372,6 +372,9 @@ def plan_schedule(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> Proto
         raise ValueError(f"--s0 {s0} is below 2: the approximate initial state needs 2 qubits")
     if pad < 0:
         raise ValueError(f"--pad {pad} is negative: the last round must reach the target")
+    if n + pad < 2:
+        raise ValueError(f"--n {n} with --pad {pad} makes a {n + pad}-qubit first round: "
+                         f"the approximate initial state needs 2 qubits")
     if n <= s0:
         return ProtocolSchedule(
             n, (min(s0, n + pad),),
@@ -408,10 +411,6 @@ class ProtocolResult:
     def meets_threshold(self) -> bool:
         """Judged in log space, which resolves errors below the smallest double."""
         return self.final.log_error <= self.log_threshold
-
-    @property
-    def final_error(self) -> float:
-        return self.final.error
 
     @property
     def final_log_error(self) -> float:
@@ -497,8 +496,6 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
     every index inside it, so the peak is about one vector of the final size.
     """
     schedule = plan_schedule(n, s0, pad)
-    if schedule.sizes[0] < 2:
-        raise ValueError("approximate initial state needs n >= 2")
     biggest = max(schedule.sizes)
     try:
         require_register_size(biggest)
@@ -533,9 +530,10 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
     on the harmonic budget and its prefix of round sizes, so a run resumes
     after the deepest prefix stored there, and leaves there only its rounds.
     """
+    if max_harmonics < 1:
+        raise ValueError(f"--max-harmonics {max_harmonics} is below 1: the sparse "
+                         f"engine keeps at least one harmonic")
     schedule = plan_schedule(n, s0, pad)
-    if schedule.sizes[0] < 2:
-        raise ValueError("initial spectrum needs n >= 2")
     keys = [(max_harmonics, schedule.sizes[:i]) for i in range(1, schedule.rounds + 1)]
     store = {} if reuse is None else reuse
     for key in store.keys() - set(keys):

@@ -95,10 +95,17 @@ def round_success_probabilities(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT
     return [rec.p_success for rec in result.rounds]
 
 
+def _check_adder_start(s0: int) -> None:
+    if s0 < 3:
+        raise ValueError(f"--s0 {s0} is below 3: the adder cost formula "
+                         f"needs registers of at least 3 qubits")
+
+
 def toffoli_capped(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> ResourceReport:
-    """Deterministic cost of the capped schedule for target n."""
+    """Deterministic cost of the capped schedule for target n >= 5 from s0 >= 3."""
+    _check_adder_start(s0)
     if n < 5:
-        raise ValueError("cost accounting starts at n = 5")
+        raise ValueError(f"--n {n} is below 5: cost accounting starts at n = 5")
     return ResourceReport(plan_schedule(n, s0, pad))
 
 
@@ -114,14 +121,18 @@ def expected_cost_recursion(n: int, s0: int = DEFAULT_S0,
 
 
 def _check_trials(trials: int, seed: int | None) -> None:
-    """Refuse a Monte Carlo request before any engine runs for it."""
-    if trials < 1:
-        raise ValueError("at least one trial is required")
+    """Refuse a Monte Carlo request before any engine runs; 0 trials asks for none."""
+    if trials < 0:
+        raise ValueError(f"--trials {trials} is negative: 0 turns the Monte Carlo "
+                         f"estimate off")
+    if seed is not None and seed < 0:
+        raise ValueError(f"--seed {seed} is negative: the random stream takes a "
+                         f"seed >= 0")
+    if trials and seed is None:
+        raise ValueError("--seed is required when --trials > 0")
     if trials > MAX_TRIALS:
         raise CapacityError(f"--trials {trials} exceeds the Monte Carlo limit of "
                             f"{MAX_TRIALS} trials per estimate")
-    if seed is None:
-        raise ValueError("a seed is required for the stochastic estimate")
 
 
 def expected_cost_monte_carlo(n: int, trials: int, seed: int,
@@ -140,6 +151,8 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
     deterministic count.
     """
     _check_trials(trials, seed)
+    if not trials:
+        raise ValueError("the sampled estimate needs at least one trial")
     schedule = plan_schedule(n, s0, pad)
     if len(probabilities) != schedule.rounds:
         raise ValueError(f"need {schedule.rounds} probabilities, got {len(probabilities)}")
@@ -160,13 +173,14 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
 def resource_reports(n_values, trials: int = 0, seed: int | None = None,
                      s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> list[ResourceReport]:
     """Deterministic report per n, plus Monte Carlo expected cost when trials
-    is not 0 (a negative count is refused).
+    is not 0.  s0, trials and seed are checked before any engine runs, also
+    for an empty sweep; the rules of one n are checked when the sweep reaches it.
 
     The engine runs of the sweep share one reuse store, so a round prefix
     common to several n runs once; every n gets the floats it gets alone.
     """
-    if trials:
-        _check_trials(trials, seed)
+    _check_adder_start(s0)
+    _check_trials(trials, seed)
     reports, reuse = [], {}
     for n in n_values:
         report = toffoli_capped(n, s0, pad)
@@ -234,16 +248,22 @@ class ComparisonRow:
 
 
 def comparison_table(p_values) -> list[ComparisonRow]:
-    """Comparison rows for each precision p in p_values (each p >= 2).
+    """Comparison rows for each p in the sequence p_values, all in 2..1022 and
+    checked before any row is built; a range's ends are read, not walked.
 
     A p-bit kickback rotation adds a known angle into a (p + 1)-qubit Fourier
     register.  The classical addend turns half the adder's Toffolis into
     Cliffords, leaving p - 1, and its p carries make 2p + 1 ancillas in all.
     """
+    ends = (p_values[0], p_values[-1]) if isinstance(p_values, range) and p_values else p_values
+    if ends and min(ends) < 2:
+        raise ValueError(f"--p-min {min(ends)} is below 2: kickback rotation needs "
+                         f"p >= 2 bits, got p={min(ends)}")
+    if ends and max(ends) > 1022:
+        raise ValueError(f"--p-max {max(ends)} is above 1022: eps_f ~ 2**-p must "
+                         f"stay a normal double")
     rows = []
     for p in p_values:
-        if p < 2:
-            raise ValueError(f"kickback rotation needs p >= 2 bits, got p={p}")
         eps = epsilon_f_kickback(p)
         rows.append(ComparisonRow(
             p=p,

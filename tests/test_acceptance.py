@@ -147,7 +147,7 @@ def test_criterion_08_cost_formulas_and_monte_carlo():
 
 def test_criterion_09_final_state_quality():
     exact10 = run_protocol_exact(10)
-    assert exact10.final_error <= math.sin(math.pi / 2 ** 10) ** 2
+    assert exact10.final.error <= math.sin(math.pi / 2 ** 10) ** 2
     for n in range(8, 17):
         e = run_protocol_exact(n)
         s = run_protocol_sparse(n)
@@ -156,7 +156,7 @@ def test_criterion_09_final_state_quality():
             assert abs(re.fidelity - rs.fidelity) < 1e-4
     big = run_protocol_sparse(100)
     assert big.final_log_error <= big.log_threshold
-    _report(9, f"exact n=10 error {exact10.final_error:.2e} meets sin^2(pi/2^10); "
+    _report(9, f"exact n=10 error {exact10.final.error:.2e} meets sin^2(pi/2^10); "
                f"engines agree on [8,16]; n=100 log2 error "
                f"{big.final_log_error / math.log(2):.1f} <= "
                f"{big.log_threshold / math.log(2):.1f}")

@@ -112,7 +112,7 @@ class TestDistillK:
         result = distill_k(prep, rounds=3)
         fids = [rec.fidelity for rec in result.rounds]
         assert all(b > a for a, b in zip([prep.fidelity] + fids, fids) if a < 1.0)
-        assert result.final_error < 1e-3
+        assert result.final.error < 1e-3
         assert ResourceReport(result.schedule).toffoli_deterministic == 7 * 12 == 84
 
     def test_round3_error_is_summed_off_target_weight(self):
@@ -136,8 +136,8 @@ class TestDistillK:
         # the QVR route and the doubling protocol both converge on index 1
         via_k = distill_k(prepare_approx_k(10, 1), rounds=3)
         via_protocol = run_protocol_exact(10)
-        assert via_k.final_error < 1e-3
-        assert via_protocol.final_error < 1e-3
+        assert via_k.final.error < 1e-3
+        assert via_protocol.final.error < 1e-3
         assert via_k.final.output.weights().argmax() == 1
         assert via_protocol.final.output.weights().argmax() == 1
 

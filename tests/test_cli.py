@@ -211,16 +211,14 @@ class TestDistillCommand:
         assert (code, out) == (2, "")
         assert stderr == f"invalid request: {err}\n"
 
-    @pytest.mark.parametrize("engine, err", [
-        ("exact", "approximate initial state needs n >= 2"),
-        ("sparse", "initial spectrum needs n >= 2"),
-    ])
-    def test_one_qubit_first_round_rejected(self, capsys, engine, err):
+    @pytest.mark.parametrize("engine", ["exact", "sparse"])
+    def test_one_qubit_first_round_rejected(self, capsys, engine):
         # --pad 0 caps the first round at n = 1 qubit, below the initial state
         code, out, stderr = run_cli(capsys, "distill", "--n", "1", "--pad", "0",
                                     "--engine", engine)
         assert (code, out) == (2, "")
-        assert stderr == f"invalid request: {err}\n"
+        assert stderr == ("invalid request: --n 1 with --pad 0 makes a 1-qubit first "
+                          "round: the approximate initial state needs 2 qubits\n")
 
     @pytest.mark.parametrize("n", [1075, 2000])
     def test_sparse_past_float_range_names_the_limit(self, capsys, n):
@@ -253,9 +251,20 @@ class TestSimulateCommand:
         assert obj["toffoli_circuit"] == 8
         assert obj["toffoli_formula"] == 6
 
-    def test_capacity_limit(self, capsys):
-        code, _, _ = run_cli(capsys, "simulate", "--n", "9")
-        assert code == 3
+    def test_capacity_limit(self, capsys, monkeypatch):
+        # two registers plus the ancilla: 2n + 1 qubits under the amplitude cap
+        monkeypatch.delenv("FOURIERDISTILL_AMP_CAP", raising=False)
+        code, out, err = run_cli(capsys, "simulate", "--n", "11")
+        assert (code, out) == (3, "")
+        assert err == ("capacity error: n=23 exceeds the amplitude-vector cap 22; "
+                       "raise FOURIERDISTILL_AMP_CAP\n")
+
+    def test_capacity_follows_the_cap_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", "16")
+        code, out, err = run_cli(capsys, "simulate", "--n", "8")
+        assert (code, out) == (3, "")
+        assert err == ("capacity error: n=17 exceeds the amplitude-vector cap 16; "
+                       "raise FOURIERDISTILL_AMP_CAP\n")
 
     @pytest.mark.parametrize("n", [1, 0, -1])
     def test_below_two_qubits_rejected(self, capsys, n):
@@ -335,7 +344,8 @@ class TestResourcesCommand:
                                  "--seed", "-1")
         assert code == 2
         assert out == ""
-        assert err == "invalid request: --seed must be non-negative\n"
+        assert err == ("invalid request: --seed -1 is negative: the random stream takes "
+                       "a seed >= 0\n")
 
     def test_trials_above_limit_is_capacity_error(self, capsys):
         (code, out, err), peak = traced_peak(
@@ -362,9 +372,9 @@ class TestResourcesCommand:
     @pytest.mark.parametrize("trials", [[], ["--trials", "5", "--seed", "1"]])
     def test_s0_below_adder_minimum_rejected(self, capsys, monkeypatch, trials):
         def refuse(*args, **kwargs):
-            raise AssertionError("built a report for an invalid --s0")
+            raise AssertionError("ran the engine for an invalid --s0")
 
-        monkeypatch.setattr(resources, "resource_reports", refuse)
+        monkeypatch.setattr(resources, "round_success_probabilities", refuse)
         code, out, err = run_cli(capsys, "resources", "--n-min", "5", "--n-max", "8",
                                  "--s0", "2", *trials)
         assert (code, out) == (2, "")
@@ -383,12 +393,13 @@ class TestResourcesCommand:
         assert err == ("invalid request: --pad -1 is negative: the last round must "
                        "reach the target\n")
 
-    @pytest.mark.parametrize("argv, flag", [(["--n-min", "3", "--n-max", "6"], "--n-min"),
-                                            (["--n", "3"], "--n")])
-    def test_target_below_five_names_the_flag(self, capsys, argv, flag):
+    # the first target of a sweep is named like a single one
+    @pytest.mark.parametrize("argv", [["--n-min", "3", "--n-max", "6"], ["--n", "3"]],
+                             ids=["n-min", "n"])
+    def test_target_below_five_names_the_flag(self, capsys, argv):
         code, out, err = run_cli(capsys, "resources", *argv)
         assert (code, out) == (2, "")
-        assert err == f"invalid request: {flag} 3 is below 5: cost accounting starts at n = 5\n"
+        assert err == "invalid request: --n 3 is below 5: cost accounting starts at n = 5\n"
         # an empty range has no target to reject
         code, out, _ = run_cli(capsys, "resources", "--n-min", "3", "--n-max", "2")
         assert (code, out.count("\n")) == (0, 1)
@@ -609,6 +620,67 @@ def test_register_size_below_minimum_names_the_flag(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"invalid request: {message}\n"
+
+
+#: One row per input rule the library owns: a direct call, the command line
+#: that reaches the same check, and the message both report.
+LIBRARY_RULES = {
+    "max-harmonics": (lambda: distill.run_protocol_sparse(10, max_harmonics=0),
+                      ["distill", "--n", "10", "--engine", "sparse", "--max-harmonics", "0"],
+                      "--max-harmonics 0 is below 1: the sparse engine keeps at least one "
+                      "harmonic"),
+    "trials-negative": (lambda: resources.resource_reports([10], trials=-5),
+                        ["resources", "--n", "10", "--trials", "-5"],
+                        "--trials -5 is negative: 0 turns the Monte Carlo estimate off"),
+    "seed-negative": (lambda: resources.resource_reports([10], trials=5, seed=-1),
+                      ["resources", "--n", "10", "--trials", "5", "--seed", "-1"],
+                      "--seed -1 is negative: the random stream takes a seed >= 0"),
+    "seed-negative-no-trials": (lambda: resources.resource_reports([10], seed=-1),
+                                ["resources", "--n", "10", "--seed", "-1"],
+                                "--seed -1 is negative: the random stream takes a seed >= 0"),
+    "seed-missing": (lambda: resources.resource_reports([10], trials=5),
+                     ["resources", "--n", "10", "--trials", "5"],
+                     "--seed is required when --trials > 0"),
+    "s0-adder": (lambda: resources.toffoli_capped(10, s0=2),
+                 ["resources", "--n", "10", "--s0", "2"],
+                 "--s0 2 is below 3: the adder cost formula needs registers of at least 3 qubits"),
+    "s0-adder-empty-sweep": (lambda: resources.resource_reports([], s0=2),
+                             ["resources", "--n-min", "5", "--n-max", "4", "--s0", "2"],
+                             "--s0 2 is below 3: the adder cost formula needs registers of "
+                             "at least 3 qubits"),
+    "n-below-five": (lambda: resources.toffoli_capped(4), ["resources", "--n", "4"],
+                     "--n 4 is below 5: cost accounting starts at n = 5"),
+    "p-below-two": (lambda: resources.comparison_table(range(1, 6)),
+                    ["compare", "--p-min", "1", "--p-max", "5"],
+                    "--p-min 1 is below 2: kickback rotation needs p >= 2 bits, got p=1"),
+    # the end of the range is read, not found by walking it
+    "p-above-1022": (lambda: resources.comparison_table(range(6, 10 ** 12 + 1)),
+                     ["compare", "--p-min", "6", "--p-max", str(10 ** 12)],
+                     f"--p-max {10 ** 12} is above 1022: eps_f ~ 2**-p must stay a normal "
+                     "double"),
+    "first-round-exact": (lambda: distill.run_protocol_exact(1, pad=0),
+                          ["distill", "--n", "1", "--pad", "0"],
+                          "--n 1 with --pad 0 makes a 1-qubit first round: the approximate "
+                          "initial state needs 2 qubits"),
+    "first-round-sparse": (lambda: distill.run_protocol_sparse(1, pad=0),
+                           ["distill", "--n", "1", "--pad", "0", "--engine", "sparse"],
+                           "--n 1 with --pad 0 makes a 1-qubit first round: the approximate "
+                           "initial state needs 2 qubits"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(LIBRARY_RULES))
+def test_library_rule_message_is_the_cli_message(capsys, monkeypatch, rule):
+    call, argv, message = LIBRARY_RULES[rule]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran the engine for a refused request")
+
+    monkeypatch.setattr(resources, "round_success_probabilities", refuse)
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+    assert run_cli(capsys, *argv) == (2, "", f"invalid request: {message}\n")
 
 
 class TestDenseCapacityAdvice:

@@ -26,7 +26,6 @@ from fourierdistill import (
     distill_k,
     distill_pair,
     from_fourier_basis,
-    initial_state_weight,
     plan_schedule,
     prepare_approx_k,
     pure_fourier_state,
@@ -548,6 +547,10 @@ class TestPlanSchedule:
         for s0 in range(2, 9):
             for pad in range(4):
                 for n in range(1, 300):
+                    if n + pad < 2:  # a 1-qubit first round has no initial state
+                        with pytest.raises(ValueError, match="1-qubit first round"):
+                            plan_schedule(n, s0, pad)
+                        continue
                     sched = plan_schedule(n, s0, pad)
                     assert sched.sizes[-1] >= n, (n, s0, pad)
                     assert sched.sizes[-1] <= max(s0, n + pad)
@@ -577,13 +580,13 @@ class TestRunProtocolExact:
         assert errors[1] == pytest.approx(1.658905e-4, rel=1e-5, abs=0.0)
         assert errors[2] == pytest.approx(2.576991e-8, rel=1e-5, abs=0.0)
         assert result.meets_threshold
-        assert result.final_error <= math.sin(math.pi / 2 ** 10) ** 2
+        assert result.final.error <= math.sin(math.pi / 2 ** 10) ** 2
 
     def test_final_error_is_off_target_weight(self):
         # 1 - fidelity keeps only about 8 digits of a 2.6e-8 error
         result = run_protocol_exact(10)
         weights = np.abs(result.final.output.coeffs) ** 2
-        assert result.final_error == pytest.approx(math.fsum(np.delete(weights, 1)),
+        assert result.final.error == pytest.approx(math.fsum(np.delete(weights, 1)),
                                                    rel=1e-12, abs=0.0)
 
     def test_round1_success_probability_anchor(self):
@@ -595,7 +598,7 @@ class TestRunProtocolExact:
         assert len(result.rounds) == 1
         assert result.rounds[0].fidelity == pytest.approx(0.984200243598, abs=1e-10)
         # one round misses the strict 5-bit threshold by a factor below 2
-        eps = result.final_error
+        eps = result.final.error
         assert eps == pytest.approx(1 / 81, rel=0.3, abs=0.0)
         assert eps <= 2 * result.threshold
         assert not result.meets_threshold
@@ -651,7 +654,7 @@ class TestRunProtocolExact:
         exact = run_protocol_exact(n)
         assert exact.schedule.sizes[-1] == exact.schedule.sizes[-2]
         sparse = run_protocol_sparse(n)
-        assert exact.final_error == pytest.approx(math.exp(sparse.final_log_error),
+        assert exact.final.error == pytest.approx(math.exp(sparse.final_log_error),
                                                   rel=1e-13, abs=0.0)
 
     def test_peak_memory_in_final_size_vectors(self):
@@ -707,7 +710,7 @@ class TestRunProtocolSparse:
     def test_n10_error_within_factor_two_of_suppression_law(self):
         result = run_protocol_sparse(10)
         law = 9.0 ** -(2 ** len(result.rounds))
-        assert law / 2 < result.final_error < law * 2
+        assert law / 2 < result.final.error < law * 2
 
     def test_late_truncation_raises_precision_warning(self):
         # a heavily truncated initial spectrum distilled for a single round
@@ -825,7 +828,8 @@ class TestProtocolInvariants:
     (lambda: ProtocolSchedule(5, ()), ValueError, "schedule needs at least one round"),
     (lambda: SparseSpectrum(0, {0: 0.0}), ValueError, "register size must be positive"),
     (lambda: SparseSpectrum(3, {}), ValueError, "needs at least one harmonic"),
-    (lambda: run_protocol_sparse(1, pad=0), ValueError, "initial spectrum needs n >= 2"),
+    (lambda: run_protocol_sparse(1, pad=0), ValueError,
+     "1-qubit first round: the approximate initial state needs 2 qubits"),
     (lambda: log_extension_kernel(4, 3, [1], np.arange(1)), ValueError,
      "fine register must be at least as large"),
     (lambda: sparse_extend(sparse_extend(sparse_start(), 4), 3), ValueError,

@@ -264,7 +264,7 @@ class TestExpectedCost:
         assert 70 <= mean <= 140
 
     def test_sweep_refuses_negative_trials(self):
-        with pytest.raises(ValueError, match="at least one trial"):
+        with pytest.raises(ValueError, match="--trials -1 is negative"):
             resource_reports([10], trials=-1, seed=1)
 
     def test_validation(self):
@@ -288,8 +288,10 @@ class TestKickbackCost:
         assert comparison_table([9])[0].kickback_ancillas == 19
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="p=1"):
-            comparison_table([1])
+        # a list is read whole, a range by its ends, whichever way it runs
+        for p_values in ([1], [5, 1, 6], range(9, 0, -2)):
+            with pytest.raises(ValueError, match="p=1"):
+                comparison_table(p_values)
 
 
 class TestEpsilonF:
