@@ -118,8 +118,9 @@ def _adder_check_summary(n: int) -> dict:
 
 
 def cmd_simulate(a: argparse.Namespace):
+    if a.n >= 2:  # a smaller n gets the preparation's own refusal below
+        fourier.require_register_size(2 * a.n + 1)  # two registers plus ancilla
     prep = circuits.approx_state_circuit(a.n)  # Clifford preparation from |0...0>
-    fourier.require_register_size(2 * a.n + 1)  # two registers plus ancilla
     zeros = fourier.StateVector(np.eye(1, 1 << a.n, dtype=complex)[0])
     inp = circuits.apply_circuit(prep, zeros).state.amps
     joint = np.kron(np.kron(inp, inp), np.array([1.0, 0.0]))

@@ -95,17 +95,30 @@ def round_success_probabilities(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT
     return [rec.p_success for rec in result.rounds]
 
 
-def _check_adder_start(s0: int) -> None:
+def _check_request(s0: int, n: int | None = None, trials: int = 0,
+                   seed: int | None = None) -> None:
+    """Refuse a cost request before any engine runs, in the CLI's flag order;
+    0 trials asks for no Monte Carlo estimate."""
+    if trials < 0:
+        raise ValueError(f"--trials {trials} is negative: 0 turns the Monte Carlo "
+                         f"estimate off")
+    if seed is not None and seed < 0:
+        raise ValueError(f"--seed {seed} is negative: the random stream takes a seed >= 0")
+    if trials and seed is None:
+        raise ValueError("--seed is required when --trials > 0")
     if s0 < 3:
         raise ValueError(f"--s0 {s0} is below 3: the adder cost formula "
                          f"needs registers of at least 3 qubits")
+    if n is not None and n < 5:
+        raise ValueError(f"--n {n} is below 5: cost accounting starts at n = 5")
+    if trials > MAX_TRIALS:
+        raise CapacityError(f"--trials {trials} exceeds the Monte Carlo limit of "
+                            f"{MAX_TRIALS} trials per estimate")
 
 
 def toffoli_capped(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> ResourceReport:
     """Deterministic cost of the capped schedule for target n >= 5 from s0 >= 3."""
-    _check_adder_start(s0)
-    if n < 5:
-        raise ValueError(f"--n {n} is below 5: cost accounting starts at n = 5")
+    _check_request(s0, n)
     return ResourceReport(plan_schedule(n, s0, pad))
 
 
@@ -118,21 +131,6 @@ def expected_cost_recursion(n: int, s0: int = DEFAULT_S0,
     for size, p in zip(schedule.sizes, probs):
         expected = (2.0 * expected + adder_toffoli_count(size)) / p
     return expected
-
-
-def _check_trials(trials: int, seed: int | None) -> None:
-    """Refuse a Monte Carlo request before any engine runs; 0 trials asks for none."""
-    if trials < 0:
-        raise ValueError(f"--trials {trials} is negative: 0 turns the Monte Carlo "
-                         f"estimate off")
-    if seed is not None and seed < 0:
-        raise ValueError(f"--seed {seed} is negative: the random stream takes a "
-                         f"seed >= 0")
-    if trials and seed is None:
-        raise ValueError("--seed is required when --trials > 0")
-    if trials > MAX_TRIALS:
-        raise CapacityError(f"--trials {trials} exceeds the Monte Carlo limit of "
-                            f"{MAX_TRIALS} trials per estimate")
 
 
 def expected_cost_monte_carlo(n: int, trials: int, seed: int,
@@ -150,7 +148,7 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
     :func:`round_success_probabilities`; forcing 1.0 everywhere recovers the
     deterministic count.
     """
-    _check_trials(trials, seed)
+    _check_request(s0, trials=trials, seed=seed)
     if not trials:
         raise ValueError("the sampled estimate needs at least one trial")
     schedule = plan_schedule(n, s0, pad)
@@ -173,16 +171,16 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
 def resource_reports(n_values, trials: int = 0, seed: int | None = None,
                      s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> list[ResourceReport]:
     """Deterministic report per n, plus Monte Carlo expected cost when trials
-    is not 0.  s0, trials and seed are checked before any engine runs, also
-    for an empty sweep; the rules of one n are checked when the sweep reaches it.
+    is not 0.  trials, seed, s0 and the first n are checked before any engine
+    runs, also for an empty sweep; a later n is checked when the sweep reaches it.
 
     The engine runs of the sweep share one reuse store, so a round prefix
     common to several n runs once; every n gets the floats it gets alone.
     """
-    _check_adder_start(s0)
-    _check_trials(trials, seed)
+    sweep = n_values if isinstance(n_values, range) else list(n_values)
+    _check_request(s0, sweep[0] if len(sweep) else None, trials, seed)
     reports, reuse = [], {}
-    for n in n_values:
+    for n in sweep:
         report = toffoli_capped(n, s0, pad)
         if trials:
             probs = round_success_probabilities(n, s0, pad, reuse)
@@ -248,13 +246,14 @@ class ComparisonRow:
 
 
 def comparison_table(p_values) -> list[ComparisonRow]:
-    """Comparison rows for each p in the sequence p_values, all in 2..1022 and
-    checked before any row is built; a range's ends are read, not walked.
+    """Comparison rows for each p in p_values, all in 2..1022 and checked
+    before any row is built; a range's ends are read, not walked.
 
     A p-bit kickback rotation adds a known angle into a (p + 1)-qubit Fourier
     register.  The classical addend turns half the adder's Toffolis into
     Cliffords, leaving p - 1, and its p carries make 2p + 1 ancillas in all.
     """
+    p_values = p_values if isinstance(p_values, range) else list(p_values)
     ends = (p_values[0], p_values[-1]) if isinstance(p_values, range) and p_values else p_values
     if ends and min(ends) < 2:
         raise ValueError(f"--p-min {min(ends)} is below 2: kickback rotation needs "

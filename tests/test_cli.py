@@ -266,6 +266,15 @@ class TestSimulateCommand:
         assert err == ("capacity error: n=17 exceeds the amplitude-vector cap 16; "
                        "raise FOURIERDISTILL_AMP_CAP\n")
 
+    def test_capacity_is_checked_before_any_circuit(self, capsys, monkeypatch):
+        # a huge --n is refused at once, before its gate lists are built
+        monkeypatch.delenv("FOURIERDISTILL_AMP_CAP", raising=False)
+        (code, out, err), peak = traced_peak(
+            lambda: run_cli(capsys, "simulate", "--n", str(10 ** 12)))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"capacity error: n={2 * 10 ** 12 + 1} exceeds")
+        assert peak < 1e6
+
     @pytest.mark.parametrize("n", [1, 0, -1])
     def test_below_two_qubits_rejected(self, capsys, n):
         # the preparation circuit names the limit before any vector is built
@@ -368,6 +377,31 @@ class TestResourcesCommand:
         assert (code, out) == (3, "")
         assert err == ("capacity error: --trials 100000000 exceeds the Monte Carlo "
                        "limit of 4194304 trials per estimate\n")
+
+    # with two faults at once the earlier flag of --trials, --seed, --s0, the
+    # first target, the trial limit and --pad is reported
+    @pytest.mark.parametrize("argv, code, line", [
+        (["--n", "3", "--trials", "100000000", "--seed", "1"], 2,
+         "invalid request: --n 3 is below 5: cost accounting starts at n = 5"),
+        (["--n", "10", "--pad", "-1", "--trials", "100000000", "--seed", "1"], 3,
+         "capacity error: --trials 100000000 exceeds the Monte Carlo limit of 4194304 "
+         "trials per estimate"),
+        (["--n", "10", "--trials", "-1", "--s0", "2"], 2,
+         "invalid request: --trials -1 is negative: 0 turns the Monte Carlo estimate off"),
+        (["--n", "10", "--s0", "2", "--seed", "-1"], 2,
+         "invalid request: --seed -1 is negative: the random stream takes a seed >= 0"),
+        (["--n", "3", "--s0", "2"], 2,
+         "invalid request: --s0 2 is below 3: the adder cost formula needs registers of "
+         "at least 3 qubits"),
+    ], ids=["n-before-limit", "limit-before-pad", "trials-before-s0", "seed-before-s0",
+            "s0-before-n"])
+    def test_first_fault_in_flag_order_is_reported(self, capsys, monkeypatch, argv,
+                                                   code, line):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the engine for a refused request")
+
+        monkeypatch.setattr(resources, "round_success_probabilities", refuse)
+        assert run_cli(capsys, "resources", *argv) == (code, "", line + "\n")
 
     @pytest.mark.parametrize("trials", [[], ["--trials", "5", "--seed", "1"]])
     def test_s0_below_adder_minimum_rejected(self, capsys, monkeypatch, trials):

@@ -288,10 +288,12 @@ class TestKickbackCost:
         assert comparison_table([9])[0].kickback_ancillas == 19
 
     def test_validation(self):
-        # a list is read whole, a range by its ends, whichever way it runs
-        for p_values in ([1], [5, 1, 6], range(9, 0, -2)):
+        # any other iterable is read whole, a range by its ends, whichever way it runs
+        for p_values in ([1], [5, 1, 6], range(9, 0, -2), np.array([5, 1]), iter([5, 1])):
             with pytest.raises(ValueError, match="p=1"):
                 comparison_table(p_values)
+        assert [r.p for r in comparison_table(p for p in (6, 7))] == [6, 7]
+        assert comparison_table(np.array([], dtype=int)) == []
 
 
 class TestEpsilonF:
