@@ -49,6 +49,6 @@ print(f"  output fidelity (predicted)  {predicted.fidelity:.12f}")
 print()
 print("Cloning: one adder copies a Fourier state (add into a blank |+>^n,")
 print("then X on every first-register qubit fixes the negated index):")
-clone = clone_fourier_state(pure_fourier_state(4, 3))
-print(f"  n=4, k=3: first register fidelity  {clone.fidelity:.12f}")
-print(f"            second register fidelity {clone.fidelity:.12f}")
+clone = clone_fourier_state(pure_fourier_state(4, 3), 3)
+print(f"  n=4, k=3: first register fidelity  {clone:.12f}")
+print(f"            second register fidelity {clone:.12f}")

@@ -10,7 +10,6 @@ from .arbitrary import (
 )
 from .circuits import (
     CircuitRun,
-    CloneResult,
     Gate,
     GateCircuit,
     RegisterLayout,

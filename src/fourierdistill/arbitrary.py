@@ -119,5 +119,4 @@ def distill_k(prep: PreparedKState, rounds: int) -> ProtocolResult:
             f"(default ceil(log2 n) + 2 = {default_truncate_bits(n)})")
     schedule = ProtocolSchedule(n, (n,) * rounds)
     coeffs = np.array(prep.coefficients.coeffs)
-    return ProtocolResult("exact", schedule,
-                          _exact_rounds(coeffs, len(coeffs), schedule.sizes, prep.k))
+    return ProtocolResult(schedule, _exact_rounds(coeffs, len(coeffs), schedule.sizes, prep.k))

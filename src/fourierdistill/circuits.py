@@ -283,15 +283,7 @@ def extract_register(run_state: StateVector, layout: RegisterLayout) -> StateVec
     return _adopt(StateVector, out / norm)
 
 
-@dataclass(frozen=True)
-class CloneResult:
-    """Cloned index and the fidelity toward it of each register and of the pair."""
-
-    k: int
-    fidelity: float
-
-
-def clone_fourier_state(source: StateVector, k: int | None = None) -> CloneResult:
+def clone_fourier_state(source: StateVector, k: int) -> float:
     """Copy a Fourier state with one adder: blank |+>^n, add, negate.
 
     The blank first register starts as the index-0 Fourier state; adding the
@@ -300,9 +292,6 @@ def clone_fourier_state(source: StateVector, k: int | None = None) -> CloneResul
     source sum_j c_j |f_j> becomes sum_j c_j exp(2 pi i j / N) |f_j>|f_j>, and
     the first register, the second and the pair each hold index k with
     probability |c_k|^2, the source's Fourier weight at k: 1 for a pure
-    Fourier-state source.  An explicit k is taken mod 2**n; by default k is
-    the source's dominant index.
+    Fourier-state source.  That weight is returned; k is taken mod 2**n.
     """
-    coeffs = to_fourier_basis(source).coeffs
-    k = int(np.argmax(np.abs(coeffs))) if k is None else k % source.dim
-    return CloneResult(k, float(np.abs(coeffs[k]) ** 2))
+    return float(np.abs(to_fourier_basis(source).coeffs[k % source.dim]) ** 2)

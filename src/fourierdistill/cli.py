@@ -93,7 +93,7 @@ def cmd_distill(a: argparse.Namespace):
     rounds = _rounds(result)
     payload = {
         "n": result.schedule.n_target,
-        "engine": result.engine,
+        "engine": a.engine,
         "sizes": list(result.schedule.sizes),
         "note": result.schedule.note,
         "rounds": rounds,
@@ -119,7 +119,14 @@ def _adder_check_summary(n: int) -> dict:
 
 def cmd_simulate(a: argparse.Namespace):
     if a.n >= 2:  # a smaller n gets the preparation's own refusal below
-        fourier.require_register_size(2 * a.n + 1)  # two registers plus ancilla
+        try:
+            fourier.require_register_size(2 * a.n + 1)
+        except CapacityError:
+            cap = fourier.amplitude_cap()
+            raise CapacityError(
+                f"--n {a.n} needs {2 * a.n + 1} qubits (two registers and the carry "
+                f"ancilla), above the amplitude-vector cap {cap}: the largest --n is "
+                f"{(cap - 1) // 2}; raise {fourier.AMPLITUDE_CAP_ENV}") from None
     prep = circuits.approx_state_circuit(a.n)  # Clifford preparation from |0...0>
     zeros = fourier.StateVector(np.eye(1, 1 << a.n, dtype=complex)[0])
     inp = circuits.apply_circuit(prep, zeros).state.amps
@@ -197,15 +204,15 @@ def cmd_arbitrary_k(a: argparse.Namespace):
 
 
 def cmd_clone(a: argparse.Namespace):
-    result = circuits.clone_fourier_state(fourier.pure_fourier_state(a.n, a.k), a.k)
-    # each register and the pair hold index k with the same probability
+    source = fourier.pure_fourier_state(a.n, a.k)
+    fidelity = circuits.clone_fourier_state(source, a.k)  # of each register and the pair
     payload = {
         "command": "clone",
         "n": a.n,
-        "k": result.k,
-        "fidelity_first": result.fidelity,
-        "fidelity_second": result.fidelity,
-        "joint_fidelity": result.fidelity,
+        "k": a.k % source.dim,
+        "fidelity_first": fidelity,
+        "fidelity_second": fidelity,
+        "joint_fidelity": fidelity,
         "adder_toffolis": resources.adder_toffoli_count(a.n) if a.n >= 3 else None,
     }
     columns = ("n", "k", "fidelity_first", "fidelity_second", "joint_fidelity")

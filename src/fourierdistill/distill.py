@@ -120,14 +120,14 @@ class SparseSpectrum:
     ``log_weights`` is a read-only float array of natural-log weights in
     descending order; ``indices`` holds the matching signed harmonic indices
     as exact (arbitrary-precision) ints.  The constructor takes a mapping
-    ``{index: log_weight}``; ties keep the mapping's order.  ``log_tail``
-    bounds the total mass of everything truncated away; it is transported
-    through every operation and never silently dropped.
+    ``{index: log_weight}`` of the whole mass; ties keep the mapping's order.
+    ``log_tail`` bounds the total mass of everything truncated away; the
+    engine's operations set it, transport it and never silently drop it.
     """
 
     __slots__ = ("n", "log_weights", "indices", "log_tail")
 
-    def __init__(self, n: int, log_weights: Mapping[int, float], log_tail: float = NEG_INF):
+    def __init__(self, n: int, log_weights: Mapping[int, float]):
         if n < 1:
             raise ValueError("register size must be positive")
         indices = [_signed_index(j, 1 << n) for j in log_weights]
@@ -135,7 +135,7 @@ class SparseSpectrum:
             raise ValueError("harmonic indices must be distinct modulo 2**n")
         lw = np.fromiter(log_weights.values(), float, len(indices))
         order = np.argsort(-lw, kind="stable")
-        self._fill(n, lw[order], tuple(indices[i] for i in order.tolist()), log_tail)
+        self._fill(n, lw[order], tuple(indices[i] for i in order.tolist()), NEG_INF)
 
     @classmethod
     def _ordered(cls, n: int, log_weights: np.ndarray, indices: Sequence[int],
@@ -149,7 +149,7 @@ class SparseSpectrum:
         if not indices:
             raise ValueError("sparse spectrum needs at least one harmonic")
         total = math.exp(_logsumexp(np.append(log_weights, log_tail)))
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"sparse spectrum mass must be 1, got {total!r}")
         log_weights.flags.writeable = False
         self.n = n
@@ -165,9 +165,8 @@ class SparseSpectrum:
         return len(self.indices)
 
 
-def distill_pair(a: FourierAmplitudes, a2: FourierAmplitudes,
-                 target_k: int = 1) -> DistillationOutcome:
-    """One distillation step for two inputs' Fourier coefficients.
+def distill_pair(a: FourierAmplitudes, a2: FourierAmplitudes) -> DistillationOutcome:
+    """One distillation step for two inputs' Fourier coefficients, toward index 1.
 
     The output coefficients are the pointwise product, scaled by one over
     the square root of the success probability, which is the overlap sum of
@@ -179,8 +178,7 @@ def distill_pair(a: FourierAmplitudes, a2: FourierAmplitudes,
     if a.n != a2.n:
         raise ValueError(f"register sizes differ: {a.n} vs {a2.n}")
     product = a.coeffs * a2.coeffs
-    outcome = _postselect(product, target_k % a.dim)
-    return replace(outcome, output=_adopt(FourierAmplitudes, product))
+    return replace(_postselect(product, 1), output=_adopt(FourierAmplitudes, product))
 
 
 def _postselect(product: np.ndarray, k: int) -> DistillationOutcome:
@@ -391,7 +389,6 @@ class ProtocolResult:
     """Full multi-round protocol outcome: one outcome per round of the
     schedule.  Only the last round keeps its output spectrum."""
 
-    engine: str
     schedule: ProtocolSchedule
     rounds: tuple[DistillationOutcome, ...]
 
@@ -508,7 +505,7 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
     # appended, so its coset starts as one coefficient on a 2-qubit register
     buf = np.zeros(1 << biggest, dtype=complex)
     buf[0] = 1
-    return ProtocolResult("exact", schedule, _exact_rounds(buf, 1, schedule.sizes, 1, stride=4))
+    return ProtocolResult(schedule, _exact_rounds(buf, 1, schedule.sizes, 1, stride=4))
 
 
 def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
@@ -558,4 +555,4 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
             PrecisionWarning,
             stacklevel=2,
         )
-    return ProtocolResult("sparse", schedule, tuple(rounds))
+    return ProtocolResult(schedule, tuple(rounds))

@@ -71,7 +71,7 @@ def _adopt(cls, arr: np.ndarray):
 def _check_unit_norm(arr: np.ndarray, message: str) -> None:
     _register_bits(len(arr))
     norm = float(np.vdot(arr, arr).real)  # sum |arr|^2 without a temporary
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
         raise ValueError(f"{message} = {norm!r}")
 
 

@@ -122,13 +122,12 @@ def toffoli_capped(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> Reso
     return ResourceReport(plan_schedule(n, s0, pad))
 
 
-def expected_cost_recursion(n: int, s0: int = DEFAULT_S0,
-                            pad: int = DEFAULT_PAD) -> float:
-    """Analytic expected Toffoli count under retry-the-subtree semantics."""
-    schedule = plan_schedule(n, s0, pad)
-    probs = round_success_probabilities(n, s0, pad)
+def expected_cost_recursion(n: int) -> float:
+    """Analytic expected Toffoli count of ``plan_schedule(n)`` under
+    retry-the-subtree semantics."""
+    probs = round_success_probabilities(n)
     expected = 0.0
-    for size, p in zip(schedule.sizes, probs):
+    for size, p in zip(plan_schedule(n).sizes, probs):
         expected = (2.0 * expected + adder_toffoli_count(size)) / p
     return expected
 

@@ -400,55 +400,49 @@ def gate_level_clone_fidelities(source, k):
 
 class TestClone:
     def test_pure_clone_n4_k3(self):
-        result = clone_fourier_state(pure_fourier_state(4, 3))
-        assert result.k == 3
-        assert result.fidelity >= 1 - 1e-9
+        assert clone_fourier_state(pure_fourier_state(4, 3), 3) >= 1 - 1e-9
 
     def test_index_zero_trivial(self):
-        result = clone_fourier_state(pure_fourier_state(3, 0))
-        assert result.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert clone_fourier_state(pure_fourier_state(3, 0), 0) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 7), (5, 12)])
     def test_pure_clone_general(self, n, k):
-        result = clone_fourier_state(pure_fourier_state(n, k))
-        assert result.k == k
-        assert result.fidelity >= 1 - 1e-9
+        assert clone_fourier_state(pure_fourier_state(n, k), k) >= 1 - 1e-9
 
     def test_approximate_input_reports_joint_overlap(self):
         # cloning cannot purify: every fidelity is the source's weight at k
         source = approx_initial_state(5)
         result = clone_fourier_state(source, k=1)
-        assert 0 < result.fidelity < 1
-        assert result.fidelity == to_fourier_basis(source).weights()[1]
-        assert result.fidelity == pytest.approx(fidelity(source, 5, 1), rel=1e-12, abs=0)
+        assert 0 < result < 1
+        assert result == to_fourier_basis(source).weights()[1]
+        assert result == pytest.approx(fidelity(source, 5, 1), rel=1e-12, abs=0)
 
     def test_peak_memory_in_joint_vectors(self):
         # no joint vector: the transformed source and its magnitudes
         source = pure_fourier_state(16, 1)
-        _, peak = traced_peak(lambda: clone_fourier_state(source))
+        _, peak = traced_peak(lambda: clone_fourier_state(source, 1))
         assert peak <= 2 * (16 << 16)  # one n-qubit vector is 2**16 complex values
 
     def test_matches_gate_level_route_n3(self):
         n = 3
         for k in range(1 << n):
             source = pure_fourier_state(n, k)
-            expected = clone_fourier_state(source, k).fidelity
+            expected = clone_fourier_state(source, k)
             for measured in gate_level_clone_fidelities(source, k):
                 assert measured == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_approximate_source_matches_gate_level_route(self, n):
         source = approx_initial_state(n)
-        expected = clone_fourier_state(source, 1).fidelity
+        expected = clone_fourier_state(source, 1)
         assert 0 < expected < 1
         for measured in gate_level_clone_fidelities(source, 1):
             assert measured == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("k, index", [(None, 5), (13, 5), (-3, 5), (2, 2)])
-    def test_index_defaults_to_dominant_and_reduces_mod_register(self, k, index):
+    @pytest.mark.parametrize("k, index", [(13, 5), (-3, 5), (2, 2)])
+    def test_index_reduces_mod_register(self, k, index):
         result = clone_fourier_state(pure_fourier_state(3, 5), k)
-        assert result.k == index
-        assert result.fidelity == pytest.approx(1.0 if index == 5 else 0.0, abs=1e-12)
+        assert result == pytest.approx(1.0 if index == 5 else 0.0, abs=1e-12)
 
 
 class TestCircuitText:

@@ -256,15 +256,19 @@ class TestSimulateCommand:
         monkeypatch.delenv("FOURIERDISTILL_AMP_CAP", raising=False)
         code, out, err = run_cli(capsys, "simulate", "--n", "11")
         assert (code, out) == (3, "")
-        assert err == ("capacity error: n=23 exceeds the amplitude-vector cap 22; "
+        assert err == ("capacity error: --n 11 needs 23 qubits (two registers and the carry "
+                       "ancilla), above the amplitude-vector cap 22: the largest --n is 10; "
                        "raise FOURIERDISTILL_AMP_CAP\n")
 
     def test_capacity_follows_the_cap_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", "16")
         code, out, err = run_cli(capsys, "simulate", "--n", "8")
         assert (code, out) == (3, "")
-        assert err == ("capacity error: n=17 exceeds the amplitude-vector cap 16; "
+        assert err == ("capacity error: --n 8 needs 17 qubits (two registers and the carry "
+                       "ancilla), above the amplitude-vector cap 16: the largest --n is 7; "
                        "raise FOURIERDISTILL_AMP_CAP\n")
+        code, _, err = run_cli(capsys, "simulate", "--n", "7")
+        assert (code, err) == (0, "")
 
     def test_capacity_is_checked_before_any_circuit(self, capsys, monkeypatch):
         # a huge --n is refused at once, before its gate lists are built
@@ -272,7 +276,7 @@ class TestSimulateCommand:
         (code, out, err), peak = traced_peak(
             lambda: run_cli(capsys, "simulate", "--n", str(10 ** 12)))
         assert (code, out) == (3, "")
-        assert err.startswith(f"capacity error: n={2 * 10 ** 12 + 1} exceeds")
+        assert err.startswith(f"capacity error: --n {10 ** 12} needs {2 * 10 ** 12 + 1} qubits")
         assert peak < 1e6
 
     @pytest.mark.parametrize("n", [1, 0, -1])

@@ -83,10 +83,10 @@ def sparse_start():
 
 class TestDistillPair:
     def test_two_deltas_at_target(self):
-        out = distill_pair(delta_coeffs(4, 3), delta_coeffs(4, 3), target_k=3)
+        out = distill_pair(delta_coeffs(4, 1), delta_coeffs(4, 1))
         assert out.p_success == pytest.approx(1.0, abs=1e-12)
         assert out.fidelity == pytest.approx(1.0, abs=1e-12)
-        assert out.output.weights()[3] == pytest.approx(1.0, abs=1e-12)
+        assert out.output.weights()[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_spectra_raise(self):
         with pytest.raises(DegenerateInputError):
@@ -150,7 +150,7 @@ class TestDistillPair:
         raw2 = rng.normal(size=N) + 1j * rng.normal(size=N)
         a = to_fourier_basis(StateVector(raw1 / np.linalg.norm(raw1)))
         a2 = to_fourier_basis(StateVector(raw2 / np.linalg.norm(raw2)))
-        out = distill_pair(a, a2, target_k=1)
+        out = distill_pair(a, a2)
         p_brute = sum(abs(a.coeffs[j]) ** 2 * abs(a2.coeffs[j]) ** 2 for j in range(N))
         assert out.p_success == pytest.approx(p_brute, rel=1e-12, abs=0.0)
         for j in range(N):
@@ -837,8 +837,17 @@ class TestProtocolInvariants:
     (lambda: sparse_symmetric_round(initial_sparse_spectrum(4), target_k=2),
      DegenerateInputError, "target harmonic 2 carries no weight"),
     (lambda: rounds_required(0), ValueError, "n must be positive"),
+    # NaN compares false with any tolerance, so the mass checks test "within"
+    (lambda: StateVector(np.array([math.nan, 0.0])), ValueError,
+     r"state not normalized: sum \|amps\|\^2 = nan"),
+    (lambda: FourierAmplitudes(np.array([0.0, math.nan])), ValueError,
+     "coefficients not normalized: sum = nan"),
+    (lambda: SparseSpectrum(2, {1: math.nan}), ValueError,
+     "sparse spectrum mass must be 1, got nan"),
 ], ids=["outcome-p", "empty-schedule", "sparse-n", "sparse-empty", "initial-n",
-        "kernel-shrink", "extend-shrink", "target-missing", "rounds-n"])
+        "kernel-shrink", "extend-shrink", "target-missing", "rounds-n",
+        "nan-state", "nan-coefficients", "nan-sparse"])
 def test_invalid_input_raises(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+

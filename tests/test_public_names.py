@@ -1,16 +1,23 @@
 """Every public name the package exports or defines at module level is used
 by the package or the benchmark, and so is every public field, property and
-method of an exported class.
+method of an exported class.  Every defaulted parameter of a public
+function, method or constructor is passed by one of their calls: a default
+that no caller overrides belongs in the body.
 
 The readers are the package's own modules (not ``__init__.py``, which only
 re-exports) and ``bench/*.py``: the names and attributes they read, plus the
 function names ``bench/traced_cli.py`` lists in ``TRACED`` as strings.  A
-demo is not a reader: a name that only demos and tests call is a test oracle
-and belongs in ``oracles.py``.
+parameter is passed by a call in those files that uses the callable's name,
+bare or as an attribute, and reaches the parameter's position or names it
+(``replace`` names a dataclass field).  A demo is not a reader or a caller:
+a name that only demos and tests call is a test oracle and belongs in
+``oracles.py``, and a parameter that only they pass goes.
 """
 import ast
 import dataclasses
+import importlib
 import inspect
+import math
 from pathlib import Path
 
 import fourierdistill
@@ -123,3 +130,71 @@ def test_readers_are_package_and_bench_not_demos():
              "circuit_to_text"}
     assert moved & (used | set(vars(fourierdistill))) == set()
     assert all(callable(getattr(oracles, name)) for name in moved)
+
+
+def _calls(paths) -> dict[str, list[tuple[float, set]]]:
+    """For each name called in the given files, bare or as an attribute, the
+    positional count and the keyword names of every call.
+
+    A ``*`` argument passes every position and a ``**`` argument every
+    keyword (its name is None).  ``replace(obj, field=...)`` sets dataclass
+    fields by keyword; its object is not a position of any constructor.
+    """
+    calls: dict[str, list[tuple[float, set]]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func).rpartition(".")[2]
+            positions = len(node.args)
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                positions = math.inf
+            if name == "replace":
+                positions = 0
+            calls.setdefault(name, []).append((positions, {kw.arg for kw in node.keywords}))
+    return calls
+
+
+def _defaulted_parameters():
+    """``module.callable.parameter``, the names a call uses, and the position
+    and parameter itself, for each defaulted parameter of a public function,
+    of a public method (its receiver not counted) and of a public class's
+    constructor, defined in a package module.  A dataclass field is also
+    passed by ``replace``."""
+    for path in SRC.glob("*.py"):
+        module = importlib.import_module(f"fourierdistill.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            targets = [(name, (name, "replace") if dataclasses.is_dataclass(obj) else (name,),
+                        obj, 0)]
+            if inspect.isclass(obj):
+                targets += [(f"{name}.{m}", (m,), f, 1) for m, f in vars(obj).items()
+                            if not m.startswith("_") and inspect.isfunction(f)]
+            for qualname, callers, fn, receiver in targets:
+                try:
+                    params = list(inspect.signature(fn).parameters.values())[receiver:]
+                except ValueError:  # no signature, as for an exception class
+                    continue
+                for position, param in enumerate(params):
+                    if param.default is not param.empty:
+                        yield f"{path.stem}.{qualname}.{param.name}", callers, position, param
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    calls = _calls([p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+                   + sorted(BENCH.glob("*.py")))
+    found, unpassed = set(), []
+    for qualname, callers, position, param in _defaulted_parameters():
+        found.add(qualname)
+        sites = [site for name in callers for site in calls.get(name, [])]
+        by_position = param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD)
+        by_keyword = param.kind is not param.POSITIONAL_ONLY
+        if not any((by_position and positions > position)
+                   or (by_keyword and keywords & {param.name, None})
+                   for positions, keywords in sites):
+            unpassed.append(qualname)
+    assert {"distill.run_protocol_sparse.advice", "distill.ProtocolSchedule.note",
+            "resources.ResourceReport.toffoli_expected_mean"} <= found
+    assert sorted(unpassed) == []
+
