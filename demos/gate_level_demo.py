@@ -10,12 +10,12 @@ import numpy as np
 from fourierdistill import (
     StateVector,
     apply_circuit,
-    approx_initial_state,
+    approx_state_circuit,
     build_distillation_circuit,
     clone_fourier_state,
-    distill_pair,
     extract_register,
     pure_fourier_state,
+    run_protocol_exact,
     to_fourier_basis,
 )
 
@@ -34,11 +34,12 @@ print("  ...")
 print()
 print("Running it on two approximate initial states, postselecting the")
 print("all-|+> verification outcome on the first register:")
-inp = approx_initial_state(n)
+zeros = StateVector(np.eye(1, 1 << n, dtype=complex)[0])
+inp = apply_circuit(approx_state_circuit(n), zeros).state  # H, Z and S from |0...0>
 joint = StateVector(np.kron(np.kron(inp.amps, inp.amps), [1.0, 0.0]))
 run = apply_circuit(circuit, joint, postselect={q: 0 for q in layout.first})
-coeffs = to_fourier_basis(inp)
-predicted = distill_pair(coeffs, coeffs)
+# the exact engine's one round at size n, as `fourierdistill simulate` predicts
+predicted = run_protocol_exact(n, s0=n, pad=0).final
 print(f"  circuit success probability  {run.probability:.12f}")
 print(f"  spectral prediction          {predicted.p_success:.12f}")
 

@@ -8,12 +8,23 @@ controls everything the distillation protocol can do.
 """
 import math
 
+import numpy as np
+
 from fourierdistill import (
-    approx_initial_state,
+    StateVector,
+    apply_circuit,
+    approx_state_circuit,
     initial_state_weight,
     series_weight,
     to_fourier_basis,
 )
+
+
+def approx_initial_state(n):
+    """The Clifford preparation (H everywhere, Z and S) run on |0...0>."""
+    zeros = StateVector(np.eye(1, 1 << n, dtype=complex)[0])
+    return apply_circuit(approx_state_circuit(n), zeros).state
+
 
 print("Harmonic weights of the four-step phase staircase")
 print("  (nonzero only at j = 1 mod 4, signed; decaying like 1/j^2)")

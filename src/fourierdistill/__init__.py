@@ -27,7 +27,6 @@ from .distill import (
     ProtocolResult,
     ProtocolSchedule,
     SparseSpectrum,
-    distill_pair,
     plan_schedule,
     rounds_required,
     run_protocol_exact,
@@ -40,7 +39,6 @@ from .fourier import (
     FourierAmplitudes,
     StateVector,
     amplitude_cap,
-    approx_initial_state,
     fidelity_threshold,
     from_fourier_basis,
     initial_state_weight,

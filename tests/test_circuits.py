@@ -14,21 +14,21 @@ from fourierdistill import (
     RegisterLayout,
     StateVector,
     apply_circuit,
-    approx_initial_state,
     approx_state_circuit,
     basis_images,
     build_adder_circuit,
     build_distillation_circuit,
     clone_fourier_state,
     comparison_table,
-    distill_pair,
     extract_register,
     modular_add_oracle,
     pure_fourier_state,
+    run_protocol_exact,
     to_fourier_basis,
 )
 from oracles import (
     apply_permutation,
+    approx_initial_state,
     build_constant_adder_circuit,
     circuit_to_text,
     fidelity,
@@ -287,8 +287,7 @@ class TestDistillationCircuit:
         circuit, layout = build_distillation_circuit(n)
         joint = StateVector(np.kron(np.kron(inp.amps, inp.amps), [1.0, 0.0]))
         run = apply_circuit(circuit, joint, postselect={q: 0 for q in layout.first})
-        coeffs = to_fourier_basis(inp)
-        predicted = distill_pair(coeffs, coeffs)
+        predicted = run_protocol_exact(n, s0=n, pad=0).final
         assert run.probability == pytest.approx(predicted.p_success, abs=1e-9)
         output = extract_register(run.state, layout)
         np.testing.assert_allclose(to_fourier_basis(output).weights(),

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface: schemas, determinism,
 exit codes."""
+import argparse
 import json
 import math
 import os
@@ -270,6 +271,19 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", "--n", "7")
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("cap, n, fits", [
+        (4, 2, "the cap fits no --n (the smallest, --n 2, needs 5 qubits)"),
+        (5, 3, "the largest --n is 2"),
+    ])
+    def test_capacity_names_an_n_that_runs(self, capsys, monkeypatch, cap, n, fits):
+        # below a cap of 5 not even --n 2 runs, so no largest --n is named
+        monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", str(cap))
+        code, out, err = run_cli(capsys, "simulate", "--n", str(n))
+        assert (code, out) == (3, "")
+        assert err == (f"capacity error: --n {n} needs {2 * n + 1} qubits (two registers and "
+                       f"the carry ancilla), above the amplitude-vector cap {cap}: {fits}; "
+                       f"raise FOURIERDISTILL_AMP_CAP\n")
+
     def test_capacity_is_checked_before_any_circuit(self, capsys, monkeypatch):
         # a huge --n is refused at once, before its gate lists are built
         monkeypatch.delenv("FOURIERDISTILL_AMP_CAP", raising=False)
@@ -285,6 +299,14 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", "--n", str(n))
         assert (code, out) == (2, "")
         assert "at least 2" in err
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_prediction_is_the_exact_engine(self, n):
+        # the circuit is checked against the engine that distill runs
+        payload, _, _ = cli.cmd_simulate(argparse.Namespace(n=n))
+        engine = distill.run_protocol_exact(n, s0=n, pad=0).final
+        assert (payload["p_predicted"], payload["fidelity_predicted"]) == (
+            engine.p_success, engine.fidelity)
 
     def test_n2_has_no_adder_formula(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--n", "2")

