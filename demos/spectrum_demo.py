@@ -23,7 +23,7 @@ from fourierdistill import (
 def approx_initial_state(n):
     """The Clifford preparation (H everywhere, Z and S) run on |0...0>."""
     zeros = StateVector(np.eye(1, 1 << n, dtype=complex)[0])
-    return apply_circuit(approx_state_circuit(n), zeros).state
+    return apply_circuit(approx_state_circuit(n), zeros)
 
 
 print("Harmonic weights of the four-step phase staircase")

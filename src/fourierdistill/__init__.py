@@ -9,7 +9,6 @@ from .arbitrary import (
     qvr_phase,
 )
 from .circuits import (
-    CircuitRun,
     Gate,
     GateCircuit,
     RegisterLayout,

@@ -30,6 +30,10 @@ from .fourier import (
     to_fourier_basis,
 )
 
+#: Most rounds of one distill_k run: the error reads 0.0 in double precision
+#: well before this many squarings.
+MAX_ROUNDS = 64
+
 
 def default_truncate_bits(n: int) -> int:
     """ceil(log2(n)) + 2: per-gate error O(1/n) with margin for n gates."""
@@ -109,6 +113,8 @@ def distill_k(prep: PreparedKState, rounds: int) -> ProtocolResult:
     """
     if rounds < 1:
         raise ValueError(f"--rounds {rounds} is below 1: distillation needs at least one round")
+    if rounds > MAX_ROUNDS:
+        raise CapacityError(f"--rounds {rounds} exceeds the limit of {MAX_ROUNDS} rounds")
     n = prep.coefficients.n
     dominant = int(np.argmax(np.abs(prep.coefficients.coeffs)))
     if dominant != prep.k:

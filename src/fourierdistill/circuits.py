@@ -2,9 +2,11 @@
 
 Circuits are flat gate lists over named qubit indices, applied to dense
 amplitude vectors (qubit 0 is the most significant index bit, matching the
-register convention of :mod:`fourierdistill.fourier`).  The only measurement
-primitive is a Z-basis measurement; measuring in the |+>/|-> basis is done
-as H followed by measurement.
+register convention of :mod:`fourierdistill.fourier`).  Every gate is
+unitary.  Postselection is a readout, not a gate: :func:`extract_register`
+projects every qubit outside the output register onto 0, so verifying the
+first register in the |+>/|-> basis is H on each of its qubits followed by
+that projection.
 
 X, CNOT and TOFFOLI are one rule, controlled X: flip the target where every
 control is 1.  On computational basis states such circuits are permutations,
@@ -35,7 +37,6 @@ GATE_ARITY = {
     "H": 1,
     "CNOT": 2,
     "TOFFOLI": 3,
-    "MEASURE_Z": 1,
 }
 
 #: Gates that flip their last qubit where all earlier qubits are 1.
@@ -98,14 +99,6 @@ class RegisterLayout:
             raise ValueError("register spans must be disjoint")
 
 
-@dataclass(frozen=True)
-class CircuitRun:
-    """Result of applying a circuit: postselected branch probability and state."""
-
-    probability: float
-    state: StateVector
-
-
 def modular_add_oracle(n: int) -> np.ndarray:
     """Basis permutation of |v>|w> -> |v>|w + v mod 2**n> on 2n qubits.
 
@@ -163,19 +156,15 @@ def build_adder_circuit(n: int) -> tuple[GateCircuit, RegisterLayout]:
 
 
 def build_distillation_circuit(n: int) -> tuple[GateCircuit, RegisterLayout]:
-    """Distillation step circuit: adder, then verify the first register.
+    """Distillation step circuit: the adder, then H on each first-register qubit.
 
-    The first register is added into the second, then each first-register
-    qubit gets H followed by a Z measurement.  All-zero outcomes project the
-    first register onto the index-0 Fourier state (postselection succeeds).
+    The first register is added into the second and rotated so that its
+    index-0 Fourier state reads as all zeros; :func:`extract_register` then
+    postselects that outcome.
     """
     adder, layout = build_adder_circuit(n)
-    gates = list(adder.gates)
-    for q in layout.first:
-        gates.append(Gate("H", (q,)))
-    for q in layout.first:
-        gates.append(Gate("MEASURE_Z", (q,)))
-    return GateCircuit(adder.num_qubits, tuple(gates)), layout
+    hadamards = tuple(Gate("H", (q,)) for q in layout.first)
+    return GateCircuit(adder.num_qubits, adder.gates + hadamards), layout
 
 
 def approx_state_circuit(n: int) -> GateCircuit:
@@ -199,20 +188,12 @@ def _slice(nq: int, assignments: dict[int, int]) -> tuple:
     return tuple(idx)
 
 
-def apply_circuit(circuit: GateCircuit, s: StateVector,
-                  postselect: dict[int, int] | None = None) -> CircuitRun:
-    """Apply a circuit to a state, tracking measurement branch probability.
-
-    Every measured qubit must be listed in ``postselect``; it is projected
-    onto the given bit, renormalizing and accumulating the branch
-    probability.  The input state is not modified.
-    """
+def apply_circuit(circuit: GateCircuit, s: StateVector) -> StateVector:
+    """Apply a circuit to a state; the input state is not modified."""
     if s.n != circuit.num_qubits:
         raise ValueError(f"state has {s.n} qubits, circuit needs {circuit.num_qubits}")
     nq = circuit.num_qubits
     psi = s.amps.astype(complex).reshape((2,) * nq)
-    postselect = postselect or {}
-    probability = 1.0
     for g in circuit.gates:
         name = g.name
         if name == "H":
@@ -226,23 +207,9 @@ def apply_circuit(circuit: GateCircuit, s: StateVector,
             on = dict.fromkeys(controls, 1)
             lo, hi = _slice(nq, {**on, t: 0}), _slice(nq, {**on, t: 1})
             psi[lo], psi[hi] = psi[hi], psi[lo].copy()
-        elif name in _PHASES:
+        else:
             psi[_slice(nq, {g.qubits[0]: 1})] *= _PHASES[name]
-        else:  # MEASURE_Z
-            q = g.qubits[0]
-            if q not in postselect:
-                raise ValueError(f"measured qubit {q} has no postselected bit")
-            bit = postselect[q]
-            if bit not in (0, 1):
-                raise ValueError(f"postselect bit for qubit {q} must be 0 or 1")
-            p_branch = float(np.sum(np.abs(psi[_slice(nq, {q: bit})]) ** 2))
-            if p_branch < 1e-300:
-                raise DegenerateInputError(
-                    f"postselected branch {bit} on qubit {q} has zero probability")
-            psi[_slice(nq, {q: 1 - bit})] = 0.0
-            psi /= math.sqrt(p_branch)
-            probability *= p_branch
-    return CircuitRun(probability, _adopt(StateVector, psi.ravel()))
+    return _adopt(StateVector, psi.ravel())
 
 
 def basis_images(circuit: GateCircuit, indices) -> np.ndarray:
@@ -268,19 +235,21 @@ def basis_images(circuit: GateCircuit, indices) -> np.ndarray:
     return images
 
 
-def extract_register(run_state: StateVector, layout: RegisterLayout) -> StateVector:
-    """Pull out the second-register state with every other qubit at 0.
+def extract_register(state: StateVector,
+                     layout: RegisterLayout) -> tuple[float, StateVector]:
+    """Postselect every qubit outside the second register at 0.
 
-    Valid once the first register has been measured as all zeros and the
-    ancilla restored, as after a successful distillation step.
+    Returns the branch probability and the normalized second register.  On a
+    distillation circuit this is the step's postselection: the adder restores
+    the ancilla, so the branch is the first register verified as index 0.
     """
-    nq = run_state.n
-    view = run_state.amps.reshape((2,) * nq)
+    nq = state.n
+    view = state.amps.reshape((2,) * nq)
     out = view[_slice(nq, {q: 0 for q in range(nq) if q not in layout.second})].ravel()
-    norm = math.sqrt(float(np.sum(np.abs(out) ** 2)))
-    if norm < 1e-150:
+    probability = float(np.sum(np.abs(out) ** 2))
+    if probability < 1e-300:
         raise DegenerateInputError("register extraction hit a zero branch")
-    return _adopt(StateVector, out / norm)
+    return probability, _adopt(StateVector, out / math.sqrt(probability))
 
 
 def clone_fourier_state(source: StateVector, k: int) -> float:

@@ -35,6 +35,9 @@ SCHEMA_VERSION = 1
 
 ROUND_COLUMNS = ("round", "size", "p_success", "fidelity", "error")
 
+#: Most rows of one spectrum request (about 4 s of series sums).
+MAX_SPECTRUM_ROWS = 1 << 20
+
 
 def _g(x: float) -> float:
     """Round-trip a float through 12 significant digits for stable output."""
@@ -72,6 +75,10 @@ def _rounds(result: distill.ProtocolResult) -> list[dict]:
 # Each command returns (JSON payload, CSV columns, CSV rows as dicts).
 
 def cmd_spectrum(a: argparse.Namespace):
+    if a.j_max - a.j_min >= MAX_SPECTRUM_ROWS:
+        raise CapacityError(f"--j-min {a.j_min} to --j-max {a.j_max} spans "
+                            f"{a.j_max - a.j_min + 1} rows, above the limit of "
+                            f"{MAX_SPECTRUM_ROWS} rows")
     rows = [
         {
             "j": j,
@@ -132,12 +139,11 @@ def cmd_simulate(a: argparse.Namespace):
                 f"raise {fourier.AMPLITUDE_CAP_ENV}") from None
     prep = circuits.approx_state_circuit(a.n)  # Clifford preparation from |0...0>
     zeros = fourier.StateVector(np.eye(1, 1 << a.n, dtype=complex)[0])
-    inp = circuits.apply_circuit(prep, zeros).state.amps
+    inp = circuits.apply_circuit(prep, zeros).amps
     joint = np.kron(np.kron(inp, inp), np.array([1.0, 0.0]))
     circuit, layout = circuits.build_distillation_circuit(a.n)
-    run = circuits.apply_circuit(circuit, fourier.StateVector(joint),
-                                 postselect={q: 0 for q in layout.first})
-    output = circuits.extract_register(run.state, layout)
+    final = circuits.apply_circuit(circuit, fourier.StateVector(joint))
+    p_circuit, output = circuits.extract_register(final, layout)
     circuit_weights = fourier.to_fourier_basis(output).weights()
     # plan_schedule's single-round case: one symmetric round at size n
     predicted = distill.run_protocol_exact(a.n, s0=a.n, pad=0).final
@@ -145,7 +151,7 @@ def cmd_simulate(a: argparse.Namespace):
     payload = {
         "command": "simulate",
         "n": a.n,
-        "p_circuit": run.probability,
+        "p_circuit": p_circuit,
         "p_predicted": predicted.p_success,
         "fidelity_circuit": float(circuit_weights[1]),
         "fidelity_predicted": predicted.fidelity,

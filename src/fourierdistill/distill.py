@@ -44,8 +44,10 @@ NEG_INF = float("-inf")
 #: Default harmonic budget of the sparse engine.
 DEFAULT_MAX_HARMONICS = 4096
 
-#: Default starting register size: one round of distillation is accurate to
-#: about five bits, so five-qubit inputs make full use of the first round.
+#: Largest harmonic budget: 2**20 harmonics take about 450 MB at n = 100.
+MAX_HARMONICS = 1 << 20
+
+#: Default starting register size; a target n <= s0 leaves a single round.
 DEFAULT_S0 = 5
 
 #: Default padding of the final register beyond the target precision,
@@ -342,8 +344,7 @@ def plan_schedule(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> Proto
 
     Sizes double from s0 because each round roughly doubles the number of
     accurate bits, for at least ``rounds_required(n)`` rounds and until the
-    last size reaches n.  For n <= s0 the first round already reaches target
-    precision, so the schedule is a single flagged round.
+    last size reaches n.  For n <= s0 the schedule is a single flagged round.
     """
     if n < 1:
         raise ValueError(f"--n {n} is below 1: the target needs at least one bit of precision")
@@ -357,7 +358,7 @@ def plan_schedule(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> Proto
     if n <= s0:
         return ProtocolSchedule(
             n, (min(s0, n + pad),),
-            note="single round: first round is already accurate to about five bits",
+            note="single round: n <= s0 leaves one round",
         )
     sizes = [s0]
     while len(sizes) < rounds_required(n) or sizes[-1] < n:
@@ -511,6 +512,9 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
     if max_harmonics < 1:
         raise ValueError(f"--max-harmonics {max_harmonics} is below 1: the sparse "
                          f"engine keeps at least one harmonic")
+    if max_harmonics > MAX_HARMONICS:
+        raise CapacityError(f"--max-harmonics {max_harmonics} exceeds the sparse "
+                            f"engine's limit of {MAX_HARMONICS} harmonics")
     schedule = plan_schedule(n, s0, pad)
     keys = [(max_harmonics, schedule.sizes[:i]) for i in range(1, schedule.rounds + 1)]
     store = {} if reuse is None else reuse

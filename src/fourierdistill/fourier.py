@@ -217,8 +217,10 @@ def initial_state_weight(n: int, j: int) -> float:
 def fidelity_threshold(n: int) -> float:
     """Error target sin^2(pi/2**n) for an n-qubit Fourier-state resource.
 
-    A register meeting this bound leaves rotation errors dominated by the
-    n-bit angle truncation rather than by state impurity.
+    It equals 2 cos^2(pi/2**(n+1)) * eps_f(n-1)**2, with eps_f(n-1)**2 the
+    infidelity of a kickback angle truncated to n - 1 bits
+    (:func:`fourierdistill.resources.epsilon_f_kickback`): at the bound the
+    state's impurity can be about twice that truncation's.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -59,6 +59,11 @@ class TestGateTypes:
         with pytest.raises(ValueError):
             Gate("CNOT", (1, 1))
 
+    def test_measurement_is_not_a_gate(self):
+        # circuits are unitary; extract_register owns postselection
+        with pytest.raises(ValueError, match="unknown gate 'MEASURE_Z'"):
+            Gate("MEASURE_Z", (0,))
+
     def test_out_of_range_qubit_rejected(self):
         with pytest.raises(ValueError):
             GateCircuit(2, (Gate("CNOT", (0, 2)),))
@@ -111,9 +116,9 @@ class TestAdderCircuit:
         for v in range(1 << n):
             for w in range(1 << n):
                 idx = joint_index(n, v, w)
-                run = apply_circuit(circuit, basis_state(2 * n + 1, idx << 1))
-                out = int(np.argmax(np.abs(run.state.amps)))
-                assert abs(run.state.amps[out] - 1.0) < 1e-10
+                amps = apply_circuit(circuit, basis_state(2 * n + 1, idx << 1)).amps
+                out = int(np.argmax(np.abs(amps)))
+                assert abs(amps[out] - 1.0) < 1e-10
                 assert out & 1 == 0  # ancilla restored to |0>
                 assert out >> 1 == perm[idx]
 
@@ -126,10 +131,10 @@ class TestAdderCircuit:
         rng = np.random.default_rng(99)
         raw = np.exp(2j * np.pi * rng.random(1 << (2 * n))) / math.sqrt(1 << (2 * n))
         joint = np.kron(raw, np.array([1.0, 0.0]))
-        run = apply_circuit(circuit, StateVector(joint))
+        out = apply_circuit(circuit, StateVector(joint))
         expected = np.empty_like(raw)
         expected[perm] = raw
-        np.testing.assert_allclose(run.state.amps,
+        np.testing.assert_allclose(out.amps,
                                    np.kron(expected, np.array([1.0, 0.0])), atol=1e-10)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -158,11 +163,11 @@ class TestAdderCircuit:
                     joint = np.kron(np.kron(pure_fourier_state(n, k).amps,
                                             pure_fourier_state(n, kp).amps),
                                     [1.0, 0.0])
-                    run = apply_circuit(circuit, StateVector(joint))
+                    out = apply_circuit(circuit, StateVector(joint))
                     expected = np.kron(np.kron(pure_fourier_state(n, (k - kp) % N).amps,
                                                pure_fourier_state(n, kp).amps),
                                        [1.0, 0.0])
-                    overlap = abs(np.vdot(expected, run.state.amps)) ** 2
+                    overlap = abs(np.vdot(expected, out.amps)) ** 2
                     assert overlap >= 1 - 1e-10
 
 
@@ -211,7 +216,7 @@ class TestBasisImages:
         basis_images(GateCircuit(2, (Gate("X", (1,)),)), indices)
         np.testing.assert_array_equal(indices, np.arange(4))
 
-    @pytest.mark.parametrize("name", ["H", "Z", "S", "MEASURE_Z"])
+    @pytest.mark.parametrize("name", ["H", "Z", "S"])
     def test_non_permutation_gates_rejected(self, name):
         circuit = GateCircuit(2, (Gate("X", (0,)), Gate(name, (1,))))
         with pytest.raises(ValueError, match=name):
@@ -232,10 +237,10 @@ class TestBasisImages:
         # which covers every basis state of the circuit
         dim = 1 << circuit.num_qubits
         amps = np.arange(1, dim + 1) / np.linalg.norm(np.arange(1, dim + 1))
-        run = apply_circuit(circuit, StateVector(amps))
+        out = apply_circuit(circuit, StateVector(amps))
         expected = np.empty(dim)
         expected[basis_images(circuit, np.arange(dim)).astype(np.intp)] = amps
-        np.testing.assert_array_equal(run.state.amps, expected)
+        np.testing.assert_array_equal(out.amps, expected)
 
 
 class TestConstantAdderCircuit:
@@ -273,23 +278,21 @@ class TestConstantAdderCircuit:
 
 class TestDistillationCircuit:
     def test_structure(self):
+        # the adder, then H on each first-register qubit; no measurement gates
         circuit, layout = build_distillation_circuit(5)
-        measured = [g.qubits[0] for g in circuit.gates if g.name == "MEASURE_Z"]
-        assert len(measured) == 5
-        assert set(measured) == set(layout.first)
-        # every measurement is preceded by an H on the same qubit
-        h_qubits = {g.qubits[0] for g in circuit.gates if g.name == "H"}
-        assert set(layout.first) <= h_qubits
+        adder, adder_layout = build_adder_circuit(5)
+        assert layout == adder_layout
+        assert circuit.num_qubits == adder.num_qubits
+        assert circuit.gates == adder.gates + tuple(Gate("H", (q,)) for q in layout.first)
 
     def test_matches_spectral_prediction_n5(self):
         n = 5
         inp = approx_initial_state(n)
         circuit, layout = build_distillation_circuit(n)
         joint = StateVector(np.kron(np.kron(inp.amps, inp.amps), [1.0, 0.0]))
-        run = apply_circuit(circuit, joint, postselect={q: 0 for q in layout.first})
+        probability, output = extract_register(apply_circuit(circuit, joint), layout)
         predicted = run_protocol_exact(n, s0=n, pad=0).final
-        assert run.probability == pytest.approx(predicted.p_success, abs=1e-9)
-        output = extract_register(run.state, layout)
+        assert probability == pytest.approx(predicted.p_success, abs=1e-9)
         np.testing.assert_allclose(to_fourier_basis(output).weights(),
                                    predicted.output.weights(), atol=1e-9)
 
@@ -298,25 +301,23 @@ class TestDistillationCircuit:
         gamma = pure_fourier_state(n, 1)
         circuit, layout = build_distillation_circuit(n)
         joint = StateVector(np.kron(np.kron(gamma.amps, gamma.amps), [1.0, 0.0]))
-        run = apply_circuit(circuit, joint, postselect={q: 0 for q in layout.first})
-        assert run.probability == pytest.approx(1.0, abs=1e-10)
-        output = extract_register(run.state, layout)
+        probability, output = extract_register(apply_circuit(circuit, joint), layout)
+        assert probability == pytest.approx(1.0, abs=1e-10)
         assert fidelity(output, n, 1) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestApplyCircuit:
     def test_double_hadamard_is_identity(self):
         circuit = GateCircuit(1, (Gate("H", (0,)), Gate("H", (0,))))
-        run = apply_circuit(circuit, basis_state(1, 0))
-        assert run.probability == 1.0
-        np.testing.assert_allclose(run.state.amps, [1, 0], atol=1e-12)
+        np.testing.assert_allclose(apply_circuit(circuit, basis_state(1, 0)).amps,
+                                   [1, 0], atol=1e-12)
 
     def test_toffoli_truth(self):
         circuit = GateCircuit(3, (Gate("TOFFOLI", (0, 1, 2)),))
-        run = apply_circuit(circuit, basis_state(3, 0b110))
-        assert int(np.argmax(np.abs(run.state.amps))) == 0b111
-        run = apply_circuit(circuit, basis_state(3, 0b100))
-        assert int(np.argmax(np.abs(run.state.amps))) == 0b100
+        out = apply_circuit(circuit, basis_state(3, 0b110))
+        assert int(np.argmax(np.abs(out.amps))) == 0b111
+        out = apply_circuit(circuit, basis_state(3, 0b100))
+        assert int(np.argmax(np.abs(out.amps))) == 0b100
 
     def test_unitary_part_preserves_norm(self):
         rng = np.random.default_rng(5)
@@ -331,8 +332,8 @@ class TestApplyCircuit:
                 gates.append(Gate(name, tuple(int(q) for q in qs)))
             raw = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
             s = StateVector(raw / np.linalg.norm(raw))
-            run = apply_circuit(GateCircuit(nq, tuple(gates)), s)
-            assert float(np.sum(np.abs(run.state.amps) ** 2)) == pytest.approx(1.0, abs=1e-10)
+            out = apply_circuit(GateCircuit(nq, tuple(gates)), s)
+            assert float(np.sum(np.abs(out.amps) ** 2)) == pytest.approx(1.0, abs=1e-10)
 
     def test_input_state_not_mutated(self):
         s = approx_initial_state(3)
@@ -340,28 +341,21 @@ class TestApplyCircuit:
         apply_circuit(GateCircuit(3, (Gate("X", (0,)), Gate("H", (1,)))), s)
         np.testing.assert_array_equal(s.amps, before)
 
-    def test_unlisted_measurement_rejected(self):
-        circuit = GateCircuit(1, (Gate("H", (0,)), Gate("MEASURE_Z", (0,))))
-        with pytest.raises(ValueError, match="qubit 0"):
-            apply_circuit(circuit, basis_state(1, 0))
-
     def test_postselected_entangled_pair(self):
-        circuit = GateCircuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)),
-                                  Gate("MEASURE_Z", (0,)), Gate("MEASURE_Z", (1,))))
-        # correlated branches: one half each, leaving the measured basis state
-        for bit in (0, 1):
-            run = apply_circuit(circuit, basis_state(2, 0), postselect={0: bit, 1: bit})
-            assert run.probability == pytest.approx(0.5, abs=1e-12)
-            assert abs(run.state.amps[3 * bit]) == pytest.approx(1.0, abs=1e-12)
-        # anti-correlated branches never occur
-        for bit in (0, 1):
-            with pytest.raises(DegenerateInputError):
-                apply_circuit(circuit, basis_state(2, 0), postselect={0: bit, 1: 1 - bit})
+        # extract_register postselects qubit 0 of a Bell pair at 0: the branch
+        # has probability 1/2 and leaves qubit 1 in |0>
+        bell = apply_circuit(GateCircuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)))),
+                             basis_state(2, 0))
+        probability, second = extract_register(
+            bell, RegisterLayout(range(0, 1), range(1, 2), range(0)))
+        assert probability == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_allclose(second.amps, [1, 0], atol=1e-12)
 
     def test_zero_probability_postselection(self):
-        circuit = GateCircuit(1, (Gate("MEASURE_Z", (0,)),))
+        # X leaves qubit 0 at 1, so the branch with it at 0 has no weight
+        flipped = apply_circuit(GateCircuit(2, (Gate("X", (0,)),)), basis_state(2, 0))
         with pytest.raises(DegenerateInputError):
-            apply_circuit(circuit, basis_state(1, 0), postselect={0: 1})
+            extract_register(flipped, RegisterLayout(range(0, 1), range(1, 2), range(0)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -371,8 +365,8 @@ class TestApplyCircuit:
 class TestCliffordPreparation:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_circuit_reproduces_initial_state(self, n):
-        run = apply_circuit(approx_state_circuit(n), basis_state(n, 0))
-        assert np.max(np.abs(run.state.amps - approx_initial_state(n).amps)) < 1e-12
+        out = apply_circuit(approx_state_circuit(n), basis_state(n, 0))
+        assert np.max(np.abs(out.amps - approx_initial_state(n).amps)) < 1e-12
 
     def test_only_clifford_gates(self):
         assert set(approx_state_circuit(6).counts) <= {"H", "S", "Z"}
@@ -387,10 +381,10 @@ def gate_level_clone_fidelities(source, k):
     circuit, layout = build_adder_circuit(n)
     blank = pure_fourier_state(n, 0)
     joint = StateVector(np.kron(np.kron(blank.amps, source.amps), [1.0, 0.0]))
-    run = apply_circuit(circuit, joint)
+    added = apply_circuit(circuit, joint)
     gates = tuple(Gate("X", (q,)) for q in layout.first)
-    flipped = apply_circuit(GateCircuit(2 * n + 1, gates), run.state)
-    matrix = flipped.state.amps.reshape(1 << n, 1 << n, 2)[:, :, 0]  # ancilla restored
+    flipped = apply_circuit(GateCircuit(2 * n + 1, gates), added)
+    matrix = flipped.amps.reshape(1 << n, 1 << n, 2)[:, :, 0]  # ancilla restored
     gamma = pure_fourier_state(n, k).amps.conj()
     return (float(np.sum(np.abs(gamma @ matrix) ** 2)),
             float(np.sum(np.abs(matrix @ gamma) ** 2)),
@@ -447,27 +441,24 @@ class TestClone:
 class TestCircuitText:
     def test_golden_format(self):
         circuit = GateCircuit(3, (Gate("H", (0,)), Gate("CNOT", (0, 1)),
-                                  Gate("TOFFOLI", (0, 1, 2)), Gate("MEASURE_Z", (0,))))
+                                  Gate("TOFFOLI", (0, 1, 2)), Gate("Z", (0,))))
         assert circuit_to_text(circuit) == (
             "QUBITS 3\n"
             "H 0\n"
             "CNOT 0 1\n"
             "TOFFOLI 0 1 2\n"
-            "MEASURE_Z 0\n"
+            "Z 0\n"
         )
 
 
 @pytest.mark.parametrize("call, error, fragment", [
     (lambda: modular_add_oracle(0), ValueError, "n must be positive"),
     (lambda: build_adder_circuit(0), ValueError, "n must be positive"),
-    (lambda: apply_circuit(GateCircuit(1, (Gate("MEASURE_Z", (0,)),)), basis_state(1, 0),
-                           postselect={0: 2}),
-     ValueError, "postselect bit for qubit 0 must be 0 or 1"),
     # the first register holds 1, so no branch has every other qubit at 0
     (lambda: extract_register(basis_state(3, 0b100),
                               RegisterLayout(range(0, 1), range(1, 2), range(2, 3))),
      DegenerateInputError, "register extraction hit a zero branch"),
-], ids=["oracle-n", "adder-n", "postselect-bit", "zero-branch"])
+], ids=["oracle-n", "adder-n", "zero-branch"])
 def test_invalid_input_raises(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()

@@ -13,7 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from fourierdistill import CapacityError, PrecisionWarning, cli, distill, fourier, resources
+from fourierdistill import (
+    CapacityError,
+    PrecisionWarning,
+    arbitrary,
+    cli,
+    distill,
+    fourier,
+    resources,
+)
 from fourierdistill.cli import ROUND_COLUMNS, _adder_check_summary, main
 from oracles import traced_peak
 
@@ -103,6 +111,21 @@ class TestSpectrumCommand:
         assert code == 0
         assert out.strip() == "j,series_weight,folded_weight"
 
+    def test_row_limit_is_capacity_error(self, capsys, monkeypatch):
+        (code, out, err), peak = traced_peak(
+            lambda: run_cli(capsys, "spectrum", "--n", "8",
+                            "--j-min", "-20000000", "--j-max", "20000000"))
+        assert (code, out) == (3, "")
+        assert err == ("capacity error: --j-min -20000000 to --j-max 20000000 spans "
+                       f"40000001 rows, above the limit of {cli.MAX_SPECTRUM_ROWS} rows\n")
+        assert peak < 50e6  # refused before any row exists
+        # the limit itself is a row count that still runs
+        monkeypatch.setattr(cli, "MAX_SPECTRUM_ROWS", 4)
+        code, out, _ = run_cli(capsys, "spectrum", "--n", "8", "--j-min", "0", "--j-max", "3")
+        assert (code, len(out.splitlines())) == (0, 5)
+        code, _, err = run_cli(capsys, "spectrum", "--n", "8", "--j-min", "0", "--j-max", "4")
+        assert code == 3 and "spans 5 rows" in err
+
 
 class TestDistillCommand:
     def test_exact_n10(self, capsys):
@@ -128,6 +151,15 @@ class TestDistillCommand:
         obj = json.loads(out)
         assert "single round" in obj["note"]
         assert len(obj["rounds"]) == 1
+
+    def test_single_round_note_leaves_the_verdict_to_meets_threshold(self, capsys):
+        # one round at the default s0 = 5 does not reach the 5-bit target
+        code, out, _ = run_cli(capsys, "distill", "--n", "5")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["note"] == "single round: n <= s0 leaves one round"
+        assert obj["final_log2_error"] > obj["log2_threshold"]
+        assert obj["meets_threshold"] is False
 
     @pytest.mark.parametrize("engine", ["exact", "sparse"])
     def test_small_start_reaches_the_threshold(self, capsys, engine):
@@ -200,6 +232,20 @@ class TestDistillCommand:
                        f"sparse engine keeps at least one harmonic\n")
         # the exact engine has no harmonic budget and ignores the option
         code, _, err = run_cli(capsys, "distill", "--n", "10", "--max-harmonics", budget)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("budget", [distill.MAX_HARMONICS + 1, 100_000_000])
+    def test_harmonic_budget_above_limit_is_capacity_error(self, capsys, budget):
+        (code, out, err), peak = traced_peak(
+            lambda: run_cli(capsys, "distill", "--n", "100", "--engine", "sparse",
+                            "--max-harmonics", str(budget)))
+        assert (code, out) == (3, "")
+        assert err == (f"capacity error: --max-harmonics {budget} exceeds the sparse "
+                       f"engine's limit of {distill.MAX_HARMONICS} harmonics\n")
+        assert peak < 50e6  # refused before any candidate buffer exists
+        # the limit itself runs, at a size whose spectrum never fills it
+        code, _, err = run_cli(capsys, "distill", "--n", "10", "--engine", "sparse",
+                               "--max-harmonics", str(distill.MAX_HARMONICS))
         assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("engine", ["exact", "sparse"])
@@ -615,6 +661,19 @@ class TestArbitraryKCommand:
                                  "--rounds", "0")
         assert (code, out) == (2, "")
         assert "--rounds 0" in err
+
+    def test_rounds_above_limit_is_capacity_error(self, capsys):
+        (code, out, err), peak = traced_peak(
+            lambda: run_cli(capsys, "arbitrary-k", "--n", "4", "--k", "1",
+                            "--rounds", "20000000"))
+        assert (code, out) == (3, "")
+        assert err == (f"capacity error: --rounds 20000000 exceeds the limit of "
+                       f"{arbitrary.MAX_ROUNDS} rounds\n")
+        assert peak < 50e6  # refused before the schedule is built
+        code, out, _ = run_cli(capsys, "arbitrary-k", "--n", "4", "--k", "1",
+                               "--rounds", str(arbitrary.MAX_ROUNDS))
+        assert code == 0
+        assert len(json.loads(out)["rounds"]) == arbitrary.MAX_ROUNDS
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_below_three_qubits_has_no_adder_cost(self, capsys, n):

@@ -9,6 +9,7 @@ from fourierdistill import (
     CapacityError,
     FourierAmplitudes,
     StateVector,
+    epsilon_f_kickback,
     fidelity_threshold,
     from_fourier_basis,
     initial_state_weight,
@@ -262,6 +263,13 @@ class TestFidelityThreshold:
         approx = (math.pi / 2 ** 10) ** 2
         assert thr == pytest.approx(9.41e-6, rel=1e-2, abs=0.0)
         assert abs(thr - approx) / approx < 0.01
+
+    def test_twice_the_kickback_truncation(self):
+        # sin^2(2x) = 2 cos^2(x) * (sqrt(2) sin(x))**2 at x = pi / 2**(n + 1)
+        for n in range(2, 60):
+            truncation = epsilon_f_kickback(n - 1) ** 2
+            assert fidelity_threshold(n) == pytest.approx(
+                2 * math.cos(math.pi / 2 ** (n + 1)) ** 2 * truncation, rel=1e-15, abs=0.0)
 
     def test_log_form_consistent(self):
         for n in (3, 10, 30, 50):
