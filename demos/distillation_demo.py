@@ -7,13 +7,17 @@ tracks only the heaviest harmonics in log space and reaches n = 100.
 """
 import math
 
+import numpy as np
+
 from fourierdistill import (
+    FourierAmplitudes,
     from_fourier_basis,
     plan_schedule,
     run_protocol_exact,
     run_protocol_sparse,
     to_fourier_basis,
 )
+from fourierdistill.distill import COSET_STRIDE
 
 print("Schedule for a 10-bit target: sizes double from 5, capped at n+2")
 sched = plan_schedule(10)
@@ -27,9 +31,13 @@ for i, (size, rec) in enumerate(zip(result.schedule.sizes, result.rounds), start
           f"error={rec.error:.3e}")
 print(f"  final error {result.final.error:.3e} vs target "
       f"{result.threshold:.3e} -> meets: {result.meets_threshold}")
-# the last round's output stays in the Fourier basis; one inverse FFT
-# rebuilds the register state
-state = from_fourier_basis(result.final.output)
+# the last round's output is its Fourier coefficients on the coset
+# j = 1 (mod 4), the only indices with weight; spread back to every index,
+# one inverse FFT rebuilds the register state
+coset = result.final.output
+coeffs = np.zeros(COSET_STRIDE * len(coset), dtype=complex)
+coeffs[1::COSET_STRIDE] = coset
+state = from_fourier_basis(FourierAmplitudes(coeffs))
 print(f"  output register: {state.n} qubits, "
       f"dominant Fourier index {to_fourier_basis(state).weights().argmax()}")
 

@@ -26,8 +26,9 @@ from .fourier import (
     FourierAmplitudes,
     StateVector,
     _adopt,
+    _index_blocks,
+    _unitary_fft,
     require_register_size,
-    to_fourier_basis,
 )
 
 #: Most rounds of one distill_k run: the error reads 0.0 in double precision
@@ -60,16 +61,18 @@ def qvr_phase(s: StateVector, bit: int, truncate_bits: int) -> StateVector:
     t = min(truncate_bits, s.n)  # t >= n is already exact
     # the phase takes 2**t values: look them up instead of an exp per amplitude
     table = np.exp(2j * np.pi * np.arange(1 << t) / (1 << t))
-    # top t bits of (y * 2**bit) mod N, as one shift and mask in place
-    q = np.arange(s.dim, dtype=np.int64)
     shift = s.n - t - bit
-    if shift >= 0:
-        q >>= shift
-    else:
-        q <<= -shift
-    q &= (1 << t) - 1
-    phases = np.take(table, q, mode="wrap")
-    return _adopt(StateVector, np.multiply(s.amps, phases, out=phases))
+    amps = np.empty(s.dim, dtype=complex)
+    for part, q in _index_blocks(s.dim):
+        # top t bits of (y * 2**bit) mod N, as one shift and mask in place
+        if shift >= 0:
+            q >>= shift
+        else:
+            q <<= -shift
+        q &= (1 << t) - 1
+        phases = np.take(table, q, mode="wrap", out=amps[part])
+        np.multiply(s.amps[part], phases, out=phases)
+    return _adopt(StateVector, amps)
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,9 @@ def prepare_approx_k(n: int, k: int, truncate_bits: int | None = None) -> Prepar
     for b in range(n):
         if (k >> b) & 1:
             state = qvr_phase(state, b, t)
-    return PreparedKState(to_fourier_basis(state), k, t)
+    amps = state.amps  # the package alone holds it, so it transforms in place
+    amps.flags.writeable = True
+    return PreparedKState(_adopt(FourierAmplitudes, _unitary_fft(amps)), k, t)
 
 
 def distill_k(prep: PreparedKState, rounds: int) -> ProtocolResult:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DegenerateInputError
-from .fourier import StateVector, _adopt, require_register_size, to_fourier_basis
+from .fourier import StateVector, _adopt, _index_blocks, require_register_size
 
 GATE_ARITY = {
     "X": 1,
@@ -262,5 +262,15 @@ def clone_fourier_state(source: StateVector, k: int) -> float:
     the first register, the second and the pair each hold index k with
     probability |c_k|^2, the source's Fourier weight at k: 1 for a pure
     Fourier-state source.  That weight is returned; k is taken mod 2**n.
+    It is |<f_k|s>|^2, summed in blocks: the phase index k y mod N is exact
+    in int64 (a product past 2**63 wraps, which keeps its low n bits).
     """
-    return float(np.abs(to_fourier_basis(source).coeffs[k % source.dim]) ** 2)
+    N = source.dim
+    k %= N
+    overlap = 0j
+    for part, ky in _index_blocks(N):
+        ky *= k
+        ky &= N - 1
+        phase = ky * (-2j * np.pi / N)
+        overlap += np.dot(np.exp(phase, out=phase), source.amps[part])
+    return float(abs(overlap) ** 2 / N)

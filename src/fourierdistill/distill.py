@@ -31,8 +31,6 @@ import numpy as np
 
 from .errors import CapacityError, DegenerateInputError, PrecisionWarning
 from .fourier import (
-    FourierAmplitudes,
-    _adopt,
     _unitary_fft,
     fidelity_threshold,
     log_fidelity_threshold,
@@ -53,6 +51,10 @@ DEFAULT_S0 = 5
 #: Default padding of the final register beyond the target precision,
 #: compensating for truncated intermediate registers.
 DEFAULT_PAD = 2
+
+#: Stride of the Fourier-index coset that :func:`run_protocol_exact` runs on:
+#: the approximate initial state has weight only at j = 1 (mod 4).
+COSET_STRIDE = 4
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -76,7 +78,9 @@ class DistillationOutcome:
     """Result of one postselected distillation step."""
 
     p_success: float
-    output: object  # FourierAmplitudes, SparseSpectrum, or None
+    # SparseSpectrum; the exact engine's read-only np.ndarray c[k % stride::stride]
+    # of the Fourier coefficients, k the target; or None
+    output: object
     fidelity: float
     error: float
     log_error: float = NEG_INF  # natural log; resolves errors below float eps
@@ -369,7 +373,12 @@ def plan_schedule(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> Proto
 @dataclass(frozen=True)
 class ProtocolResult:
     """Full multi-round protocol outcome: one outcome per round of the
-    schedule.  Only the last round keeps its output spectrum."""
+    schedule.  Only the last round keeps its output spectrum: a
+    ``SparseSpectrum`` from the sparse engine, and from the exact engine the
+    read-only Fourier coefficients of one coset, c[k % stride::stride] of
+    the last round's register, with stride ``COSET_STRIDE`` and k = 1 for
+    :func:`run_protocol_exact`, and stride 1 (every coefficient) for
+    ``distill_k``.  Every coefficient off that coset is zero."""
 
     schedule: ProtocolSchedule
     rounds: tuple[DistillationOutcome, ...]
@@ -416,21 +425,6 @@ def _extend_coset(buf: np.ndarray, length: int, size: int, stride: int, r: int) 
     return _unitary_fft(grown)
 
 
-def _spread_coset(buf: np.ndarray, length: int, stride: int, r: int) -> None:
-    """Move the coset in ``buf[:length]`` to ``buf[r::stride]``, zeros elsewhere.
-
-    Blocks of 2**14 move back to front: each is copied, its destination span
-    zeroed, then written with the stride.  No destination index is below
-    its source, so no entry is overwritten before it is read.
-    """
-    block = 1 << 14
-    for hi in range(length, 0, -block):
-        lo = max(hi - block, 0)
-        part = buf[lo:hi].copy()
-        buf[lo * stride:hi * stride] = 0
-        buf[lo * stride + r:hi * stride:stride] = part
-
-
 def _exact_rounds(buf: np.ndarray, length: int, sizes: Sequence[int], k: int,
                   stride: int = 1) -> tuple[DistillationOutcome, ...]:
     """Symmetric rounds toward index k on dense coefficients, one per size.
@@ -438,12 +432,13 @@ def _exact_rounds(buf: np.ndarray, length: int, sizes: Sequence[int], k: int,
     Squaring keeps the Fourier weight on the coset j = k (mod stride), and so
     does appending |+> qubits while stride divides the register's dimension,
     so the rounds run on that coset alone, as a prefix of ``buf``: a buffer
-    the loop takes over, with one entry per Fourier index of the last
-    round's register.  ``buf[:length]`` holds the first round's input
+    the loop takes over, with at least the 2**size / stride entries of the
+    last round's coset.  ``buf[:length]`` holds the first round's input
     c[k % stride::stride], of a register with stride * length amplitudes.
     Each round squares the coset in place and postselects; only a round
     larger than the one before grows it, by transforms (:func:`_extend_coset`).
-    The last round's output then spreads in place, and ``buf`` becomes it.
+    The last round's output is that coset, c[k % stride::stride] of its
+    register, frozen in place as the prefix of ``buf``.
     """
     r = k % stride
     coset = buf[:length]
@@ -453,9 +448,8 @@ def _exact_rounds(buf: np.ndarray, length: int, sizes: Sequence[int], k: int,
             coset = _extend_coset(buf, len(coset), size, stride, r)
         coset *= coset
         rounds.append(_postselect(coset, k // stride))
-    if stride > 1:
-        _spread_coset(buf, len(coset), stride, r)
-    rounds[-1] = replace(rounds[-1], output=_adopt(FourierAmplitudes, buf))
+    coset.flags.writeable = False
+    rounds[-1] = replace(rounds[-1], output=coset)
     return tuple(rounds)
 
 
@@ -469,10 +463,12 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
     probability recorded) with register extension between rounds.
 
     The initial state's Fourier weight, and so every round's, lies on the
-    indices j = 1 (mod 4), and the rounds run on that quarter of each
-    vector.  They run in one zero-filled buffer of the final size, whose
-    pages stay untouched until written; the last round's output spreads to
-    every index inside it, so the peak is about one vector of the final size.
+    indices j = 1 (mod ``COSET_STRIDE``), and the rounds run on that quarter
+    of each vector, in one zero-filled buffer of the final coset's length
+    whose pages stay untouched until written.  The final output is that
+    buffer: c[1::COSET_STRIDE] of the last round's register, 2**(size - 2)
+    coefficients; the other three quarters are zero and are not stored.  So
+    the peak is one final coset plus the FFT's scratch.
     """
     schedule = plan_schedule(n, s0, pad)
     biggest = max(schedule.sizes)
@@ -485,9 +481,10 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
         ) from None
     # the initial state is the 2-qubit index-1 Fourier state with |+> qubits
     # appended, so its coset starts as one coefficient on a 2-qubit register
-    buf = np.zeros(1 << biggest, dtype=complex)
+    buf = np.zeros((1 << biggest) // COSET_STRIDE, dtype=complex)
     buf[0] = 1
-    return ProtocolResult(schedule, _exact_rounds(buf, 1, schedule.sizes, 1, stride=4))
+    return ProtocolResult(schedule, _exact_rounds(buf, 1, schedule.sizes, 1,
+                                                  stride=COSET_STRIDE))
 
 
 def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,

@@ -28,7 +28,6 @@ AMPLITUDE_CAP_ENV = "FOURIERDISTILL_AMP_CAP"
 
 NORM_TOL = 1e-10
 
-
 def amplitude_cap() -> int:
     """Current cap on n for dense amplitude vectors."""
     raw = os.environ.get(AMPLITUDE_CAP_ENV)
@@ -49,6 +48,15 @@ def require_register_size(n: int) -> None:
         raise CapacityError(
             f"n={n} exceeds the amplitude-vector cap {limit}; raise {AMPLITUDE_CAP_ENV}"
         )
+
+
+def _index_blocks(N: int):
+    """``(slice, indices)`` over the basis indices 0..N-1 in blocks of 2**14,
+    so that a formula evaluated over the indices builds no full-length
+    temporary."""
+    for lo in range(0, N, 1 << 14):
+        hi = min(lo + (1 << 14), N)
+        yield slice(lo, hi), np.arange(lo, hi)
 
 
 def _register_bits(length: int) -> int:
@@ -137,8 +145,10 @@ def pure_fourier_state(n: int, k: int) -> StateVector:
     N = 1 << n
     if not 0 <= k < N:
         k %= N
-    y = np.arange(N)
-    return _adopt(StateVector, np.exp(2j * np.pi * k * y / N) / math.sqrt(N))
+    amps = np.empty(N, dtype=complex)
+    for part, y in _index_blocks(N):
+        amps[part] = np.exp(2j * np.pi * k * y / N) / math.sqrt(N)
+    return _adopt(StateVector, amps)
 
 
 def to_fourier_basis(s: StateVector) -> FourierAmplitudes:

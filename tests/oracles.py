@@ -18,7 +18,7 @@ from fourierdistill import (
     from_fourier_basis,
     plan_schedule,
 )
-from fourierdistill import distill, fourier
+from fourierdistill import arbitrary, distill, fourier
 from fourierdistill.distill import DEFAULT_MAX_HARMONICS, NEG_INF, _signed_index
 
 
@@ -55,10 +55,20 @@ def fidelity(s: StateVector, n: int, k: int) -> float:
     return float(abs(overlap) ** 2)
 
 
+def spread_coset(coset: np.ndarray, stride: int = distill.COSET_STRIDE,
+                 r: int = 1) -> FourierAmplitudes:
+    """Full-length Fourier coefficients of an exact-engine output: the coset
+    c[r::stride] in place, zeros elsewhere.  The defaults are
+    ``run_protocol_exact``'s coset; ``distill_k``'s is stride 1, r = 0."""
+    coeffs = np.zeros(stride * len(coset), dtype=complex)
+    coeffs[r::stride] = coset
+    return FourierAmplitudes(coeffs)
+
+
 def output_state(result) -> StateVector:
     """Final register state of an exact-engine protocol run, rebuilt from the
     last round's Fourier coefficients."""
-    return from_fourier_basis(result.final.output)
+    return from_fourier_basis(spread_coset(result.final.output))
 
 
 def initial_sparse_spectrum(n: int, max_harmonics: int = DEFAULT_MAX_HARMONICS) -> SparseSpectrum:
@@ -171,7 +181,7 @@ def counted_transforms(monkeypatch) -> list[tuple[int, bool]]:
         calls.append((len(buf), inverse))
         return transform(buf, inverse)
 
-    for module in (fourier, distill):
+    for module in (fourier, distill, arbitrary):
         monkeypatch.setattr(module, "_unitary_fft", counted)
     return calls
 

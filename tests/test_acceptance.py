@@ -39,6 +39,7 @@ from oracles import (
     epsilon_f_kickback_approx,
     fidelity,
     rounds_required_simplified,
+    spread_coset,
     toffoli_closed_form,
     toffoli_sum_direct,
     transform_cost,
@@ -98,7 +99,8 @@ def test_criterion_05_gate_level_matches_spectral():
     p_circuit, output = extract_register(apply_circuit(circuit, joint), layout)
     predicted = run_protocol_exact(n, s0=n, pad=0).final
     assert abs(p_circuit - predicted.p_success) < 1e-9
-    diff = np.max(np.abs(to_fourier_basis(output).weights() - predicted.output.weights()))
+    diff = np.max(np.abs(to_fourier_basis(output).weights()
+                         - spread_coset(predicted.output).weights()))
     assert diff < 1e-9
     _report(5, f"distillation circuit at n=5 reproduces spectral step "
                f"(p diff {abs(p_circuit - predicted.p_success):.1e}, "

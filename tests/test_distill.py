@@ -39,7 +39,6 @@ from fourierdistill.distill import (
     _exact_rounds,
     _extend_coset,
     _signed_index,
-    _spread_coset,
     log_extension_kernel,
 )
 from oracles import (
@@ -55,6 +54,7 @@ from oracles import (
     sparse_extend_reference,
     sparse_weight,
     sparse_weights,
+    spread_coset,
     squared_weights,
     traced_peak,
 )
@@ -94,7 +94,7 @@ class TestDistillPair:
         out, = _exact_rounds(np.array(delta_coeffs(4, 1).coeffs), 16, (4,), 1)
         assert out.p_success == pytest.approx(1.0, abs=1e-12)
         assert out.fidelity == pytest.approx(1.0, abs=1e-12)
-        assert out.output.weights()[1] == pytest.approx(1.0, abs=1e-12)
+        assert abs(out.output[1]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_success_probability_converges_to_two_thirds(self):
         # Sum over odd m of 1/m^4 = pi^4/96 makes the limit exactly 2/3
@@ -115,7 +115,7 @@ class TestDistillPair:
         out_amp = one_round(6)
         p_w, weights_w = squared_weights(initial_coeffs(6).weights())
         assert out_amp.p_success == pytest.approx(p_w, rel=1e-12, abs=0.0)
-        np.testing.assert_allclose(out_amp.output.weights(), weights_w,
+        np.testing.assert_allclose(spread_coset(out_amp.output).weights(), weights_w,
                                    rtol=0.0, atol=1e-12)
 
     def test_step_is_one_exact_engine_round(self):
@@ -135,9 +135,9 @@ class TestDistillPair:
 def after_rounds(n, r):
     """Weights after r symmetric rounds at fixed register size n, on the
     exact engine's coset from its 2-qubit start."""
-    buf = np.zeros(1 << n, dtype=complex)
+    buf = np.zeros(1 << (n - 2), dtype=complex)
     buf[0] = 1
-    return _exact_rounds(buf, 1, (n,) * r, 1, stride=4)[-1].output.weights()
+    return spread_coset(_exact_rounds(buf, 1, (n,) * r, 1, stride=4)[-1].output).weights()
 
 
 class TestRepeatedSymmetric:
@@ -219,19 +219,21 @@ class TestExtendCoset:
 
 
 class TestSpreadCoset:
+    """The oracle that spreads an exact-engine coset back to every index,
+    through which the full-length comparisons read the engine's output."""
+
     @pytest.mark.parametrize("r", range(4))
     @pytest.mark.parametrize("length", [1, 1 << 13, 1 << 14, 1 << 15])
     def test_matches_a_strided_copy(self, r, length):
-        # lengths below, at and above the 2**14 block; distinct nonzero
-        # entries, and a nonzero tail that the spread must clear
+        # distinct nonzero entries, normalized, a coset of length 1 included
         stride = 4
         rng = np.random.default_rng(length + r)
-        buf = rng.standard_normal(stride * length) + 1j * rng.standard_normal(stride * length)
-        coset = buf[:length].copy()
-        _spread_coset(buf, length, stride, r)
-        full = np.zeros(stride * length, dtype=complex)
-        full[r::stride] = coset
-        assert buf.tobytes() == full.tobytes()
+        coset = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        coset /= np.linalg.norm(coset)
+        coeffs = spread_coset(coset, stride, r).coeffs
+        assert len(coeffs) == stride * length
+        assert coeffs[r::stride].tobytes() == coset.tobytes()
+        assert not np.delete(coeffs, np.s_[r::stride]).any()
 
 
 class TestExtensionKernel:
@@ -317,7 +319,7 @@ class TestSparseSpectrum:
         dense = one_round(8)
         assert out.p_success == pytest.approx(dense.p_success, abs=1e-12)
         assert out.fidelity == pytest.approx(dense.fidelity, abs=1e-12)
-        dense_weights = dense.output.weights()
+        dense_weights = spread_coset(dense.output).weights()
         for j, w in sparse_weights(out.output).items():
             assert w == pytest.approx(dense_weights[j % 256], rel=1e-9, abs=1e-15)
 
@@ -557,7 +559,7 @@ class TestRunProtocolExact:
     def test_final_error_is_off_target_weight(self):
         # 1 - fidelity keeps only about 8 digits of a 2.6e-8 error
         result = run_protocol_exact(10)
-        weights = np.abs(result.final.output.coeffs) ** 2
+        weights = spread_coset(result.final.output).weights()
         assert result.final.error == pytest.approx(math.fsum(np.delete(weights, 1)),
                                                    rel=1e-12, abs=0.0)
 
@@ -600,10 +602,13 @@ class TestRunProtocolExact:
         for r, (_, *expected) in zip(result.rounds, rounds):
             assert (r.p_success, r.fidelity, r.error, r.log_error) == pytest.approx(
                 tuple(expected), rel=1e-13, abs=0.0)
-        # each squaring doubles a coefficient's relative rounding error
+        # each squaring doubles a coefficient's relative rounding error; the
+        # engine keeps the coset j = 1 (mod 4), and the oracle's full vector
+        # holds no weight off it
         eps = np.finfo(float).eps
-        np.testing.assert_allclose(result.final.output.coeffs, output,
+        np.testing.assert_allclose(result.final.output, output[1::4],
                                    rtol=0.0, atol=eps * 2 ** result.schedule.rounds)
+        assert np.abs(np.delete(output, np.s_[1::4])).max() <= 1e-15
 
     @pytest.mark.parametrize("n, transforms", [
         (18, [(1, True), (1 << 3, False), (1 << 3, True), (1 << 8, False), (1 << 8, True),
@@ -630,10 +635,25 @@ class TestRunProtocolExact:
                                                   rel=1e-13, abs=0.0)
 
     def test_peak_memory_in_final_size_vectors(self):
+        # one final coset, a quarter vector, and the postselection's weights;
+        # tracemalloc does not see pocketfft's scratch
         result, peak = traced_peak(lambda: run_protocol_exact(16))
         vector = 16 << max(result.schedule.sizes)  # bytes of one complex vector
         assert max(result.schedule.sizes) == 18
-        assert peak <= 1.5 * vector
+        assert peak <= 0.75 * vector
+
+    @pytest.mark.parametrize("n, s0, pad", [(2, 2, 0), (5, 5, 0), (10, 5, 2), (13, 3, 1)])
+    def test_output_is_the_targets_coset(self, n, s0, pad):
+        # c[1::4] of the last round's register, read-only, and nothing else
+        result = run_protocol_exact(n, s0=s0, pad=pad)
+        output = result.final.output
+        assert isinstance(output, np.ndarray) and not output.flags.writeable
+        assert len(output) == 1 << (result.schedule.sizes[-1] - 2)
+        assert abs(output[0]) ** 2 == result.final.fidelity
+        # distill_k's register never grows and its coset is every index
+        prep = prepare_approx_k(n, 3)
+        output = distill_k(prep, rounds=2).final.output
+        assert len(output) == 1 << n and not output.flags.writeable
 
 
 class TestProtocolResult:
@@ -767,7 +787,7 @@ class TestProtocolInvariants:
 
     def test_dominance_ordering_preserved(self):
         w = initial_coeffs(8).weights()
-        out = one_round(8).output.weights()
+        out = spread_coset(one_round(8).output).weights()
         order_in = np.argsort(w)
         order_out = np.argsort(out[order_in])
         assert (np.diff(out[order_in]) >= -1e-18).all()
@@ -775,7 +795,7 @@ class TestProtocolInvariants:
 
     def test_sideband_ratio_squares_exactly(self):
         w = initial_coeffs(10).weights()
-        out = one_round(10).output.weights()
+        out = spread_coset(one_round(10).output).weights()
         N = 1 << 10
         ratio_in = w[N - 3] / w[1]
         ratio_out = out[N - 3] / out[1]
