@@ -6,7 +6,6 @@ from .arbitrary import (
     default_truncate_bits,
     distill_k,
     prepare_approx_k,
-    qvr_phase,
 )
 from .circuits import (
     Gate,

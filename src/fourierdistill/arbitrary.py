@@ -24,7 +24,6 @@ from .distill import ProtocolResult, ProtocolSchedule, _exact_rounds
 from .errors import CapacityError, DegenerateInputError
 from .fourier import (
     FourierAmplitudes,
-    StateVector,
     _adopt,
     _index_blocks,
     _unitary_fft,
@@ -43,38 +42,6 @@ def default_truncate_bits(n: int) -> int:
     return max(1, math.ceil(math.log2(n))) + 2
 
 
-def qvr_phase(s: StateVector, bit: int, truncate_bits: int) -> StateVector:
-    """Apply the quantized diagonal phase exp(2*pi*i * y * 2**bit / N).
-
-    The phase fraction is truncated (floored) to ``truncate_bits`` bits,
-    matching kickback against a fundamental Fourier state shortened to that
-    many qubits; truncating to at least n bits reproduces the exact phase,
-    which shifts every Fourier index by 2**bit.
-    """
-    if not 0 <= bit < s.n:
-        raise ValueError(f"bit {bit} out of range for an {s.n}-qubit register")
-    if truncate_bits < 1:
-        raise ValueError("truncate_bits must be positive")
-    if 2 * s.n > 62:
-        # y shifted left by up to n - 1 bits must fit in int64
-        raise CapacityError("quantized phase arithmetic supports n <= 31")
-    t = min(truncate_bits, s.n)  # t >= n is already exact
-    # the phase takes 2**t values: look them up instead of an exp per amplitude
-    table = np.exp(2j * np.pi * np.arange(1 << t) / (1 << t))
-    shift = s.n - t - bit
-    amps = np.empty(s.dim, dtype=complex)
-    for part, q in _index_blocks(s.dim):
-        # top t bits of (y * 2**bit) mod N, as one shift and mask in place
-        if shift >= 0:
-            q >>= shift
-        else:
-            q <<= -shift
-        q &= (1 << t) - 1
-        phases = np.take(table, q, mode="wrap", out=amps[part])
-        np.multiply(s.amps[part], phases, out=phases)
-    return _adopt(StateVector, amps)
-
-
 @dataclass(frozen=True)
 class PreparedKState:
     """Fourier coefficients of the QVR-prepared approximation of the index-k state."""
@@ -90,19 +57,35 @@ class PreparedKState:
 
 
 def prepare_approx_k(n: int, k: int, truncate_bits: int | None = None) -> PreparedKState:
-    """Build the approximate index-k state by QVR over the set bits of k."""
+    """Build the approximate index-k state by QVR over the set bits of k.
+
+    Set bit b applies the phase exp(2*pi*i * y * 2**b / N), its fraction
+    floored to ``truncate_bits`` bits as kickback against a fundamental
+    Fourier state of that many qubits (n or more bits are exact), looked up
+    in a table of its 2**t values.  One pass over blocks of 2**14 indices
+    starts each block at 1/sqrt(N) and multiplies in the set bits' phases
+    in bit order; the array is then transformed in place.
+    """
     require_register_size(n)
     t = default_truncate_bits(n) if truncate_bits is None else truncate_bits
     if t < 1:
         raise ValueError(f"--truncate-bits {t} is below 1: each QVR phase keeps at least one bit")
     k %= 1 << n
     N = 1 << n
-    state = _adopt(StateVector, np.full(N, 1.0 / math.sqrt(N), dtype=complex))  # |+>^n
-    for b in range(n):
-        if (k >> b) & 1:
-            state = qvr_phase(state, b, t)
-    amps = state.amps  # the package alone holds it, so it transforms in place
-    amps.flags.writeable = True
+    kept = min(t, n)  # t >= n is already exact
+    table = np.exp(2j * np.pi * np.arange(1 << kept) / (1 << kept))
+    bits = [b for b in range(n) if (k >> b) & 1]
+    amps = np.empty(N, dtype=complex)
+    for part, y in _index_blocks(N):
+        block = amps[part]
+        block.fill(1.0 / math.sqrt(N))  # |+>^n
+        q, phases = np.empty_like(y), np.empty_like(block)
+        for b in bits:
+            # the top t bits of (y * 2**b) mod N index the table
+            np.left_shift(y, b, out=q)
+            q &= N - 1
+            q >>= n - kept
+            block *= table.take(q, mode="wrap", out=phases)
     return PreparedKState(_adopt(FourierAmplitudes, _unitary_fft(amps)), k, t)
 
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import CapacityError, DegenerateInputError, PrecisionWarning
 from .fourier import (
+    _BLOCK,
     _unitary_fft,
     fidelity_threshold,
     log_fidelity_threshold,
@@ -173,13 +174,19 @@ def _postselect(product: np.ndarray, k: int) -> DistillationOutcome:
     """Postselection on the squared coefficients of one normalized state,
     normalized in the product's own buffer; the outcome has no output, so
     the caller decides what the buffer becomes.  p = sum |c_j|**4 is at
-    least 1/N by Cauchy-Schwarz, so it never vanishes."""
-    weights = np.abs(product)
-    weights *= weights
-    p = float(weights.sum())
-    # summed directly: 1 - fidelity cancels once the error nears float epsilon
-    err = float(weights[:k].sum() + weights[k + 1:].sum()) / p
-    del weights  # frees |product|**2 before the output is built
+    least 1/N by Cauchy-Schwarz, so it never vanishes.  The weights are
+    built in blocks of 2**14, and p and the off-target sum add the block
+    partials exactly (math.fsum): one block gives numpy's own sums."""
+    parts = []
+    for lo in range(0, len(product), _BLOCK):
+        weights = np.abs(product[lo:lo + _BLOCK])
+        weights *= weights
+        # summed directly (1 - fidelity cancels near float epsilon); with k
+        # outside the block, i lies past it and every weight counts
+        i = k - lo if k >= lo else _BLOCK
+        parts.append((weights.sum(), weights[:i].sum() + weights[i + 1:].sum()))
+    p = math.fsum(part for part, _ in parts)
+    err = math.fsum(off for _, off in parts) / p
     product /= math.sqrt(p)
     fid = float(abs(product[k]) ** 2)
     return DistillationOutcome(p, None, fid, err, math.log(err) if err > 0 else NEG_INF)
@@ -414,15 +421,19 @@ def _extend_coset(buf: np.ndarray, length: int, size: int, stride: int, r: int) 
     sqrt(2**d) at u * 2**d + l, one outer product, and a unitary transform
     of length 2**size / stride gives the new coset.  With r = 0 the twiddle
     row is constant and this is the plain |+> append.  The coset is read
-    from ``buf[:length]`` and grown into the longer prefix it returns.
+    from ``buf[:length]`` and grown into the longer prefix it returns; the
+    outer product is written from the top in blocks that first copy their
+    rows of h, so the peak is one final coset plus blocks of 2**14 points.
     """
     grow = (1 << size) // (stride * length)
     twiddle = np.exp(np.arange(grow) * (-2j * np.pi * r / (1 << size)))
     twiddle /= math.sqrt(grow)
     h = _unitary_fft(buf[:length], inverse=True)
-    grown = buf[:length * grow]
-    np.multiply.outer(h, twiddle, out=grown.reshape(length, grow))
-    return _unitary_fft(grown)
+    grown = buf[:length * grow].reshape(length, grow)
+    step = max(1, _BLOCK // grow)
+    for lo in reversed(range(0, length, step)):
+        np.multiply.outer(h[lo:lo + step].copy(), twiddle, out=grown[lo:lo + step])
+    return _unitary_fft(buf[:length * grow])
 
 
 def _exact_rounds(buf: np.ndarray, length: int, sizes: Sequence[int], k: int,
@@ -468,7 +479,7 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
     whose pages stay untouched until written.  The final output is that
     buffer: c[1::COSET_STRIDE] of the last round's register, 2**(size - 2)
     coefficients; the other three quarters are zero and are not stored.  So
-    the peak is one final coset plus the FFT's scratch.
+    the peak is one final coset plus blocks of 2**14 points.
     """
     schedule = plan_schedule(n, s0, pad)
     biggest = max(schedule.sizes)

@@ -28,6 +28,9 @@ AMPLITUDE_CAP_ENV = "FOURIERDISTILL_AMP_CAP"
 
 NORM_TOL = 1e-10
 
+#: Points per block (256 kB of complex values) of the package's blocked loops.
+_BLOCK = 1 << 14
+
 def amplitude_cap() -> int:
     """Current cap on n for dense amplitude vectors."""
     raw = os.environ.get(AMPLITUDE_CAP_ENV)
@@ -51,11 +54,11 @@ def require_register_size(n: int) -> None:
 
 
 def _index_blocks(N: int):
-    """``(slice, indices)`` over the basis indices 0..N-1 in blocks of 2**14,
-    so that a formula evaluated over the indices builds no full-length
-    temporary."""
-    for lo in range(0, N, 1 << 14):
-        hi = min(lo + (1 << 14), N)
+    """``(slice, indices)`` over the basis indices 0..N-1 in blocks of
+    ``_BLOCK``, so that a formula evaluated over the indices builds no
+    full-length temporary."""
+    for lo in range(0, N, _BLOCK):
+        hi = min(lo + _BLOCK, N)
         yield slice(lo, hi), np.arange(lo, hi)
 
 
@@ -168,17 +171,71 @@ def from_fourier_basis(a: FourierAmplitudes) -> StateVector:
 def _unitary_fft(buf: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Unitary FFT of a writable complex array, in place; returns ``buf``.
 
-    ``np.fft.fft(a, out=a)`` gives the bits of ``np.fft.fft(a)`` without a
-    second vector, and the scaling is the same division (or product) as the
-    out-of-place ``fft(a) / sqrt(N)`` and ``ifft(a) * sqrt(N)``.
+    Up to ``_BLOCK`` points it is one ``np.fft.fft(a, out=a)``, the bits of
+    ``np.fft.fft(a)``.  Longer, where pocketfft would hold two more vectors
+    of scratch, it is a four-step FFT on ``buf`` as an R x C matrix (R =
+    2**(m // 2), C = N / R): length-R transforms down the columns, twiddles
+    w**(k1 n2), length-C transforms along the rows and a transpose, each in
+    blocks, rounding like one pocketfft call.  The scaling is that of
+    ``fft(a) / sqrt(N)`` and ``ifft(a) * sqrt(N)``, and the peak is ``buf``
+    plus blocks of 2**14 points.
     """
-    if inverse:
-        np.fft.ifft(buf, out=buf)
-        buf *= math.sqrt(len(buf))
+    N = len(buf)
+    transform = np.fft.ifft if inverse else np.fft.fft
+    if N <= _BLOCK:
+        transform(buf, out=buf)
     else:
-        np.fft.fft(buf, out=buf)
-        buf /= math.sqrt(len(buf))
+        m = N.bit_length() - 1
+        R, C = 1 << (m // 2), 1 << (m - m // 2)
+        grid = buf.reshape(R, C)
+        step = max(1, _BLOCK // R)
+        for lo in range(0, C, step):
+            transform(grid[:, lo:lo + step], axis=0, out=grid[:, lo:lo + step])
+        # w**e = coarse[e // C] * fine[e % C], the exponent e = k1 n2 < N exact
+        sign = (2j if inverse else -2j) * math.pi / N
+        fine = np.exp(sign * np.arange(C))
+        coarse = np.exp(sign * (C * np.arange(R)))
+        step = max(1, _BLOCK // C)
+        for lo in range(0, R, step):
+            rows = grid[lo:lo + step]
+            e = np.multiply.outer(np.arange(lo, lo + len(rows)), np.arange(C))
+            rows *= coarse[e >> (m - m // 2)]
+            rows *= fine[e & (C - 1)]
+            transform(rows, axis=1, out=rows)
+        _transpose(buf, R, C)
+    if inverse:
+        buf *= math.sqrt(N)
+    else:
+        buf /= math.sqrt(N)
     return buf
+
+
+def _transpose(buf: np.ndarray, R: int, C: int) -> None:
+    """Rewrite the R x C row-major matrix in ``buf`` as its transpose, in
+    place, for C = R or 2R.  For C = 2R, row half 2 k1 + s moves to s R + k1
+    by following cycles with one half held, making two R x R squares; each
+    square then swaps its tiles of at most ``_BLOCK`` points in pairs."""
+    if C != R:
+        halves = buf.reshape(2 * R, R)
+        done = bytearray(2 * R)
+        for start in range(1, 2 * R - 1):
+            if done[start]:
+                continue
+            pos, held = start, halves[start].copy()
+            while not done[pos]:
+                done[pos] = 1
+                src = 2 * pos if pos < R else 2 * (pos - R) + 1
+                halves[pos] = held if src == start else halves[src]
+                pos = src
+    side = min(R, math.isqrt(_BLOCK))
+    for lo in range(0, len(buf), R * R):
+        square = buf[lo:lo + R * R].reshape(R, R)
+        for i in range(0, R, side):
+            for j in range(i, R, side):
+                upper, lower = square[i:i + side, j:j + side], square[j:j + side, i:i + side]
+                held = upper.copy()
+                upper[...] = lower.T
+                lower[...] = held.T
 
 
 def series_weight(j: int) -> float:

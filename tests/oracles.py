@@ -236,6 +236,37 @@ def sparse_extend_reference(sp: SparseSpectrum, n_new: int,
                                    _logsumexp_reference(np.concatenate(tail_parts)))
 
 
+def qvr_phase(s: StateVector, bit: int, truncate_bits: int) -> StateVector:
+    """Apply the quantized diagonal phase exp(2*pi*i * y * 2**bit / N).
+
+    The phase fraction is truncated (floored) to ``truncate_bits`` bits, and
+    looked up in a table of its 2**t values, one bit per call: chained over
+    the set bits of k from |+>^n, it is the state ``prepare_approx_k``
+    builds in one pass.
+    """
+    if not 0 <= bit < s.n:
+        raise ValueError(f"bit {bit} out of range for an {s.n}-qubit register")
+    if truncate_bits < 1:
+        raise ValueError("truncate_bits must be positive")
+    if 2 * s.n > 62:
+        # y shifted left by up to n - 1 bits must fit in int64
+        raise CapacityError("quantized phase arithmetic supports n <= 31")
+    t = min(truncate_bits, s.n)  # t >= n is already exact
+    table = np.exp(2j * np.pi * np.arange(1 << t) / (1 << t))
+    shift = s.n - t - bit
+    amps = np.empty(s.dim, dtype=complex)
+    for part, q in fourier._index_blocks(s.dim):
+        # top t bits of (y * 2**bit) mod N, as one shift and mask in place
+        if shift >= 0:
+            q >>= shift
+        else:
+            q <<= -shift
+        q &= (1 << t) - 1
+        phases = np.take(table, q, mode="wrap", out=amps[part])
+        np.multiply(s.amps[part], phases, out=phases)
+    return StateVector(amps)
+
+
 def qvr_state_reference(n: int, k: int, truncate_bits: int) -> np.ndarray:
     """Amplitudes of the QVR-prepared index-k state, each phase evaluated by
     ``np.exp`` per amplitude from |+>^n."""

@@ -11,7 +11,6 @@ from fourierdistill import (
     distill_k,
     prepare_approx_k,
     pure_fourier_state,
-    qvr_phase,
     ResourceReport,
     StateVector,
     run_protocol_exact,
@@ -22,6 +21,7 @@ from oracles import (
     counted_transforms,
     distill_k_reference,
     fidelity,
+    qvr_phase,
     qvr_state_reference,
     spread_coset,
     transform_cost,
@@ -208,6 +208,21 @@ class TestBitIdentity:
         prep = prepare_approx_k(n, k)
         direct = StateVector(qvr_state_reference(n, k, prep.truncate_bits))
         assert prep.fidelity == pytest.approx(fidelity(direct, n, k), rel=1e-14, abs=0.0)
+
+    def test_one_pass_matches_chained_phases(self):
+        # the transform of qvr_phase chained over k's set bits from |+>^n
+        for n in range(1, 11):
+            for t in sorted({1, default_truncate_bits(n), n + 1}):
+                # states[k] chains the phases of k's set bits, lowest first
+                states = [pure_fourier_state(n, 0)]
+                for k in range(1, 1 << n):
+                    top = k.bit_length() - 1
+                    states.append(qvr_phase(states[k - (1 << top)], top, t))
+                for k, state in enumerate(states):
+                    coeffs = prepare_approx_k(n, k, t).coefficients.coeffs
+                    # to_fourier_basis up to 2**14 points: one pocketfft call
+                    expected = np.fft.fft(state.amps) / math.sqrt(1 << n)
+                    assert np.array_equal(coeffs, expected), (n, k, t)
 
     def test_phase_lookup_matches_exp_per_amplitude(self):
         for n in range(1, 9):

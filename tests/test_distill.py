@@ -34,10 +34,12 @@ from fourierdistill import (
     sparse_symmetric_round,
     to_fourier_basis,
 )
+from fourierdistill import fourier
 from fourierdistill.cli import main
 from fourierdistill.distill import (
     _exact_rounds,
     _extend_coset,
+    _postselect,
     _signed_index,
     log_extension_kernel,
 )
@@ -207,6 +209,20 @@ class TestExtendCoset:
         np.testing.assert_allclose(grown, full[1::4], rtol=0.0, atol=1e-15)
         # the other three quarters hold no weight
         assert np.abs(np.delete(full, np.s_[1::4])).max() <= 1e-15
+
+    def test_blocked_outer_product_matches_one_outer_product(self):
+        # 2**12 coefficients grown 16-fold fill four blocks, each writing over
+        # entries of h that the blocks above it have already read
+        rng = np.random.default_rng(12)
+        coset = rng.normal(size=1 << 12) + 1j * rng.normal(size=1 << 12)
+        buf = np.zeros(1 << 16, dtype=complex)
+        buf[:len(coset)] = coset
+        grown = _extend_coset(buf, len(coset), 18, 4, 1)
+        twiddle = np.exp(np.arange(16) * (-2j * np.pi / (1 << 18)))
+        twiddle /= math.sqrt(16)
+        h = fourier._unitary_fft(coset.copy(), inverse=True)
+        expected = fourier._unitary_fft(np.multiply.outer(h, twiddle).ravel())
+        assert np.array_equal(grown, expected)
 
     def test_stride_one_is_the_plus_append(self):
         coeffs = initial_coeffs(4).coeffs
@@ -465,6 +481,36 @@ class TestSparseExtendBitIdentity:
                              sparse_extend_reference(sp, 8, budget))
 
 
+class TestPostselect:
+    @staticmethod
+    def _coefficients(m: int) -> np.ndarray:
+        c = np.random.default_rng(m).random(2 << m).view(complex)
+        return c / np.linalg.norm(c)
+
+    def test_one_block_is_the_unblocked_sum(self):
+        # up to 2**14 weights the sums are numpy's own, bit for bit
+        for m in (1, 5, 14):
+            c = self._coefficients(m)
+            for k in {0, 3 % (1 << m), (1 << m) - 1}:
+                outcome = _postselect(c * c, k)
+                expected, _ = _amplitude_round(c, k)
+                assert (outcome.p_success, outcome.fidelity, outcome.error,
+                        outcome.log_error) == expected
+
+    @pytest.mark.parametrize("m, ks", [
+        (16, (0, (1 << 14) - 1, 1 << 14, (1 << 16) - 1)),
+        (20, (1 << 14, (1 << 20) - 1)),
+    ])
+    def test_block_partials_match_the_unblocked_sum(self, m, ks):
+        # k in the first, the last and a middle block, and at a block's edges
+        c = self._coefficients(m)
+        for k in ks:
+            outcome = _postselect(c * c, k)
+            expected, _ = _amplitude_round(c, k)
+            assert (outcome.p_success, outcome.fidelity, outcome.error) == pytest.approx(
+                expected[:3], rel=1e-15, abs=0.0)
+
+
 class TestRounds:
     def test_reference_targets(self):
         assert rounds_required(10) == 3
@@ -635,12 +681,13 @@ class TestRunProtocolExact:
                                                   rel=1e-13, abs=0.0)
 
     def test_peak_memory_in_final_size_vectors(self):
-        # one final coset, a quarter vector, and the postselection's weights;
-        # tracemalloc does not see pocketfft's scratch
+        # one final coset, a quarter vector, plus blocks of 2**14 points: the
+        # postselection's weights and the extension's outer product are built
+        # in blocks too
         result, peak = traced_peak(lambda: run_protocol_exact(16))
         vector = 16 << max(result.schedule.sizes)  # bytes of one complex vector
         assert max(result.schedule.sizes) == 18
-        assert peak <= 0.75 * vector
+        assert peak <= 0.5 * vector
 
     @pytest.mark.parametrize("n, s0, pad", [(2, 2, 0), (5, 5, 0), (10, 5, 2), (13, 3, 1)])
     def test_output_is_the_targets_coset(self, n, s0, pad):

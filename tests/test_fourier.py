@@ -14,12 +14,24 @@ from fourierdistill import (
     from_fourier_basis,
     initial_state_weight,
     pure_fourier_state,
-    qvr_phase,
     series_weight,
     to_fourier_basis,
 )
-from fourierdistill.fourier import log_fidelity_threshold, require_register_size, sin_pi_frac
-from oracles import alias_fold, approx_initial_state, dft_direct, fidelity, series_coefficient
+from fourierdistill.fourier import (
+    _unitary_fft,
+    log_fidelity_threshold,
+    require_register_size,
+    sin_pi_frac,
+)
+from oracles import (
+    alias_fold,
+    approx_initial_state,
+    dft_direct,
+    fidelity,
+    qvr_phase,
+    series_coefficient,
+    traced_peak,
+)
 
 
 class TestPureFourierState:
@@ -143,6 +155,45 @@ class TestBasisConversion:
     def test_direct_transform_capped(self):
         with pytest.raises(CapacityError):
             dft_direct(pure_fourier_state(11, 0))
+
+
+class TestBlockedTransform:
+    """Above 2**14 points ``_unitary_fft`` is a blocked four-step FFT; up to
+    there it is one pocketfft call."""
+
+    @pytest.mark.parametrize("m", range(1, 22))
+    def test_matches_numpy_within_rounding(self, m):
+        # odd m exercises the R x 2R transpose, even m the square one
+        N = 1 << m
+        x = np.random.default_rng(m).random(2 * N).view(complex)
+        reference = np.fft.fft(x)
+        reference /= math.sqrt(N)
+        tol = 1e-14 * np.abs(reference).max()
+        # ifft(x)[j] = fft(x)[-j] / N, so the inverse needs no second reference
+        buf = _unitary_fft(x.copy(), inverse=True)
+        assert abs(buf[0] - reference[0]) <= tol
+        assert np.abs(buf[1:] - reference[:0:-1]).max(initial=0.0) <= tol
+        # inverse then forward returns x, which is numpy's forward transform
+        # of the inverse to within rounding
+        _unitary_fft(buf)
+        buf -= x
+        assert np.abs(buf).max() <= 1e-14 * np.abs(x).max()
+
+    def test_one_pocketfft_call_up_to_the_block(self):
+        rng = np.random.default_rng(14)
+        for m in range(1, 15):
+            N = 1 << m
+            x = rng.normal(size=N) + 1j * rng.normal(size=N)
+            assert np.array_equal(_unitary_fft(x.copy()), np.fft.fft(x) / math.sqrt(N))
+            assert np.array_equal(_unitary_fft(x.copy(), inverse=True),
+                                  np.fft.ifft(x) * math.sqrt(N))
+
+    def test_blocked_transform_holds_no_long_temporary(self):
+        # pocketfft's scratch is not traced; what is traced stays block-sized
+        buf = np.ones(1 << 20, dtype=complex)
+        _, peak = traced_peak(lambda: _unitary_fft(buf))
+        assert peak <= 1 << 20
+        assert buf[0] == 1 << 10 and np.abs(buf[1:]).max() < 1e-9
 
 
 class TestSeriesCoefficients:

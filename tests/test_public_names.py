@@ -134,7 +134,7 @@ def test_readers_are_package_and_bench_not_demos():
     defined = {q.partition(".")[2] for q in _module_level_public_names()}
     read = _used_names(_reader_files()) | defined | set(vars(fourierdistill))
     moved = {"alias_fold", "series_coefficient", "toffoli_closed_form", "transform_cost",
-             "circuit_to_text", "approx_initial_state", "distill_pair"}
+             "circuit_to_text", "approx_initial_state", "distill_pair", "qvr_phase"}
     assert moved & read == set()
     # the formulas among them live in oracles.py
     assert all(callable(getattr(oracles, name)) for name in moved - {"distill_pair"})
