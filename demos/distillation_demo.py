@@ -31,10 +31,10 @@ for i, (size, rec) in enumerate(zip(result.schedule.sizes, result.rounds), start
           f"error={rec.error:.3e}")
 print(f"  final error {result.final.error:.3e} vs target "
       f"{result.threshold:.3e} -> meets: {result.meets_threshold}")
-# the last round's output is its Fourier coefficients on the coset
+# the run's output is the last round's Fourier coefficients on the coset
 # j = 1 (mod 4), the only indices with weight; spread back to every index,
 # one inverse FFT rebuilds the register state
-coset = result.final.output
+coset = result.output
 coeffs = np.zeros(COSET_STRIDE * len(coset), dtype=complex)
 coeffs[1::COSET_STRIDE] = coset
 state = from_fourier_basis(FourierAmplitudes(coeffs))
@@ -54,7 +54,7 @@ for size, rec in zip(big.schedule.sizes, big.rounds):
           f"log2(error)={log2_err:9.2f}")
 print(f"  final log2 error  {big.final_log_error / math.log(2):8.2f}")
 print(f"  target log2 bound {big.log_threshold / math.log(2):8.2f}")
-print(f"  truncation tail bound stays {math.exp(big.final.output.log_tail):.1e}")
+print(f"  truncation tail bound stays {math.exp(big.output.log_tail):.1e}")
 
 print()
 print("Cross-check: both engines on the same 12-bit run")

@@ -5,7 +5,6 @@ from .arbitrary import (
     PreparedKState,
     default_truncate_bits,
     distill_k,
-    prepare_approx_k,
 )
 from .circuits import (
     Gate,

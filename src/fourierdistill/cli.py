@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from . import circuits, distill, fourier, resources
-from .arbitrary import distill_k, prepare_approx_k
+from .arbitrary import distill_k
 from .errors import CapacityError, PrecisionWarning
 
 #: Version tag carried by every JSON payload; CSV headers are pinned by
@@ -147,7 +147,7 @@ def cmd_simulate(a: argparse.Namespace):
     circuit_weights = fourier.to_fourier_basis(output).weights()
     # plan_schedule's single-round case: one symmetric round at size n, whose
     # output is the coset j = 1 (mod COSET_STRIDE); every weight off it is 0
-    predicted = distill.run_protocol_exact(a.n, s0=a.n, pad=0).final
+    predicted = distill.run_protocol_exact(a.n, s0=a.n, pad=0)
     coset = np.s_[1::distill.COSET_STRIDE]
     diff = float(max(np.max(np.abs(circuit_weights[coset] - np.abs(predicted.output) ** 2)),
                      np.max(np.delete(circuit_weights, coset))))
@@ -155,9 +155,9 @@ def cmd_simulate(a: argparse.Namespace):
         "command": "simulate",
         "n": a.n,
         "p_circuit": p_circuit,
-        "p_predicted": predicted.p_success,
+        "p_predicted": predicted.final.p_success,
         "fidelity_circuit": float(circuit_weights[1]),
-        "fidelity_predicted": predicted.fidelity,
+        "fidelity_predicted": predicted.final.fidelity,
         "max_weight_diff": diff,
         "toffoli_circuit": circuit.toffoli_count,
         "toffoli_formula": resources.adder_toffoli_count(a.n) if a.n >= 3 else None,
@@ -195,8 +195,7 @@ def cmd_compare(a: argparse.Namespace):
 
 
 def cmd_arbitrary_k(a: argparse.Namespace):
-    prep = prepare_approx_k(a.n, a.k, a.truncate_bits)
-    result = distill_k(prep, a.rounds)
+    prep, result = distill_k(a.n, a.k, a.rounds, a.truncate_bits)
     # the adder cost formula starts at 3 qubits, as in simulate and clone
     cost = resources.ResourceReport(result.schedule) if a.n >= 3 else None
     rounds = _rounds(result)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,15 +76,12 @@ def _signed_index(j: int, N: int) -> int:
 
 @dataclass(frozen=True)
 class DistillationOutcome:
-    """Result of one postselected distillation step."""
+    """Numbers of one postselected distillation round."""
 
     p_success: float
-    # SparseSpectrum; the exact engine's read-only np.ndarray c[k % stride::stride]
-    # of the Fourier coefficients, k the target; or None
-    output: object
     fidelity: float
     error: float
-    log_error: float = NEG_INF  # natural log; resolves errors below float eps
+    log_error: float  # natural log; resolves errors below float eps
 
     def __post_init__(self):
         if not 0.0 < self.p_success <= 1.0 + 1e-12:
@@ -172,8 +169,7 @@ class SparseSpectrum:
 
 def _postselect(product: np.ndarray, k: int) -> DistillationOutcome:
     """Postselection on the squared coefficients of one normalized state,
-    normalized in the product's own buffer; the outcome has no output, so
-    the caller decides what the buffer becomes.  p = sum |c_j|**4 is at
+    normalized in the product's own buffer.  p = sum |c_j|**4 is at
     least 1/N by Cauchy-Schwarz, so it never vanishes.  The weights are
     built in blocks of 2**14, and p and the off-target sum add the block
     partials exactly (math.fsum): one block gives numpy's own sums."""
@@ -189,7 +185,7 @@ def _postselect(product: np.ndarray, k: int) -> DistillationOutcome:
     err = math.fsum(off for _, off in parts) / p
     product /= math.sqrt(p)
     fid = float(abs(product[k]) ** 2)
-    return DistillationOutcome(p, None, fid, err, math.log(err) if err > 0 else NEG_INF)
+    return DistillationOutcome(p, fid, err, math.log(err) if err > 0 else NEG_INF)
 
 
 def log_extension_kernel(n_coarse: int, n_fine: int, indices: Sequence[int],
@@ -302,9 +298,9 @@ def sparse_extend(sp: SparseSpectrum, n_new: int,
     return SparseSpectrum._ordered(n_new, log_weights, indices, log_tail)
 
 
-def sparse_symmetric_round(sp: SparseSpectrum) -> DistillationOutcome:
+def sparse_symmetric_round(sp: SparseSpectrum) -> tuple[DistillationOutcome, SparseSpectrum]:
     """Symmetric distillation step toward index 1 on a sparse spectrum, fully
-    in log space.
+    in log space: the round's numbers and its output spectrum.
 
     The unknown tail squares through the step as well (sum of squares of the
     truncated weights is at most the square of their sum), so the tail bound
@@ -322,13 +318,13 @@ def sparse_symmetric_round(sp: SparseSpectrum) -> DistillationOutcome:
     except ValueError:
         raise DegenerateInputError("target harmonic 1 carries no weight") from None
     log_error = _logsumexp(np.append(np.delete(out_lw, pos), out_tail))
-    return DistillationOutcome(
+    outcome = DistillationOutcome(
         p_success=math.exp(log_p),
-        output=SparseSpectrum._ordered(sp.n, out_lw, sp.indices, out_tail),
         fidelity=math.exp(out_lw[pos]),
         error=math.exp(log_error) if log_error != NEG_INF else 0.0,
         log_error=log_error,
     )
+    return outcome, SparseSpectrum._ordered(sp.n, out_lw, sp.indices, out_tail)
 
 
 def rounds_required(n: int) -> int:
@@ -380,7 +376,7 @@ def plan_schedule(n: int, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> Proto
 @dataclass(frozen=True)
 class ProtocolResult:
     """Full multi-round protocol outcome: one outcome per round of the
-    schedule.  Only the last round keeps its output spectrum: a
+    schedule, and the run's output, the last round's state.  That is a
     ``SparseSpectrum`` from the sparse engine, and from the exact engine the
     read-only Fourier coefficients of one coset, c[k % stride::stride] of
     the last round's register, with stride ``COSET_STRIDE`` and k = 1 for
@@ -389,6 +385,7 @@ class ProtocolResult:
 
     schedule: ProtocolSchedule
     rounds: tuple[DistillationOutcome, ...]
+    output: object  # SparseSpectrum, or the exact engine's np.ndarray coset
 
     @property
     def final(self) -> DistillationOutcome:
@@ -423,21 +420,30 @@ def _extend_coset(buf: np.ndarray, length: int, size: int, stride: int, r: int) 
     row is constant and this is the plain |+> append.  The coset is read
     from ``buf[:length]`` and grown into the longer prefix it returns; the
     outer product is written from the top in blocks that first copy their
-    rows of h, so the peak is one final coset plus blocks of 2**14 points.
+    rows of h, with the twiddle row in pieces of at most 2**14 columns (per
+    row when longer), so the peak is one final coset plus blocks of 2**14.
     """
     grow = (1 << size) // (stride * length)
-    twiddle = np.exp(np.arange(grow) * (-2j * np.pi * r / (1 << size)))
-    twiddle /= math.sqrt(grow)
+    width = min(grow, _BLOCK)
     h = _unitary_fft(buf[:length], inverse=True)
     grown = buf[:length * grow].reshape(length, grow)
     step = max(1, _BLOCK // grow)
+    twiddle = None
     for lo in reversed(range(0, length, step)):
-        np.multiply.outer(h[lo:lo + step].copy(), twiddle, out=grown[lo:lo + step])
+        rows = h[lo:lo + step].copy()
+        for col in range(0, grow, width):
+            if twiddle is None or width < grow:
+                twiddle = np.arange(col, col + width, dtype=complex)
+                twiddle *= -2j * np.pi * r / (1 << size)
+                np.exp(twiddle, out=twiddle)
+                twiddle /= math.sqrt(grow)
+            np.multiply.outer(rows, twiddle, out=grown[lo:lo + step, col:col + width])
+    del twiddle  # the transform holds blocks of its own
     return _unitary_fft(buf[:length * grow])
 
 
 def _exact_rounds(buf: np.ndarray, length: int, sizes: Sequence[int], k: int,
-                  stride: int = 1) -> tuple[DistillationOutcome, ...]:
+                  stride: int = 1) -> tuple[tuple[DistillationOutcome, ...], np.ndarray]:
     """Symmetric rounds toward index k on dense coefficients, one per size.
 
     Squaring keeps the Fourier weight on the coset j = k (mod stride), and so
@@ -448,8 +454,8 @@ def _exact_rounds(buf: np.ndarray, length: int, sizes: Sequence[int], k: int,
     c[k % stride::stride], of a register with stride * length amplitudes.
     Each round squares the coset in place and postselects; only a round
     larger than the one before grows it, by transforms (:func:`_extend_coset`).
-    The last round's output is that coset, c[k % stride::stride] of its
-    register, frozen in place as the prefix of ``buf``.
+    Returns the outcomes and the last round's output: that coset, c[k %
+    stride::stride] of its register, frozen in place as the prefix of ``buf``.
     """
     r = k % stride
     coset = buf[:length]
@@ -460,8 +466,7 @@ def _exact_rounds(buf: np.ndarray, length: int, sizes: Sequence[int], k: int,
         coset *= coset
         rounds.append(_postselect(coset, k // stride))
     coset.flags.writeable = False
-    rounds[-1] = replace(rounds[-1], output=coset)
-    return tuple(rounds)
+    return tuple(rounds), coset
 
 
 def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
@@ -494,8 +499,8 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
     # appended, so its coset starts as one coefficient on a 2-qubit register
     buf = np.zeros((1 << biggest) // COSET_STRIDE, dtype=complex)
     buf[0] = 1
-    return ProtocolResult(schedule, _exact_rounds(buf, 1, schedule.sizes, 1,
-                                                  stride=COSET_STRIDE))
+    return ProtocolResult(schedule, *_exact_rounds(buf, 1, schedule.sizes, 1,
+                                                   stride=COSET_STRIDE))
 
 
 def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
@@ -515,7 +520,8 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
 
     ``reuse`` is a caller-owned store for sweeps over n: a round depends only
     on the harmonic budget and its prefix of round sizes, so a run resumes
-    after the deepest prefix stored there, and leaves there only its rounds.
+    after the deepest prefix stored there, and leaves there only its rounds,
+    each as its outcome and output spectrum.
     """
     if max_harmonics < 1:
         raise ValueError(f"--max-harmonics {max_harmonics} is below 1: the sparse "
@@ -528,19 +534,15 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
     store = {} if reuse is None else reuse
     for key in store.keys() - set(keys):
         del store[key]
-    rounds, outcome = [], None
+    rounds, sp = [], SparseSpectrum(2, {1: 0.0})
     for size, key in zip(schedule.sizes, keys):
         if key in store:
-            outcome = store[key]
+            outcome, sp = store[key]
         else:
-            sp = outcome.output if outcome else SparseSpectrum(2, {1: 0.0})
-            sp = sparse_extend(sp, size, max_harmonics)
-            outcome = sparse_symmetric_round(sp)
+            outcome, sp = sparse_symmetric_round(sparse_extend(sp, size, max_harmonics))
             if reuse is not None:
-                reuse[key] = outcome
-        rounds.append(replace(outcome, output=None))
-    rounds[-1] = outcome  # only the last round keeps its output
-    sp = outcome.output
+                reuse[key] = outcome, sp
+        rounds.append(outcome)
     if sp.log_tail > log_fidelity_threshold(n) + math.log(1e-3):
         warnings.warn(
             f"truncation tail bound exp({sp.log_tail:.2f}) is not negligible "
@@ -548,4 +550,4 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
             PrecisionWarning,
             stacklevel=2,
         )
-    return ProtocolResult(schedule, tuple(rounds))
+    return ProtocolResult(schedule, tuple(rounds), sp)

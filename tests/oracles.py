@@ -68,7 +68,7 @@ def spread_coset(coset: np.ndarray, stride: int = distill.COSET_STRIDE,
 def output_state(result) -> StateVector:
     """Final register state of an exact-engine protocol run, rebuilt from the
     last round's Fourier coefficients."""
-    return from_fourier_basis(spread_coset(result.final.output))
+    return from_fourier_basis(spread_coset(result.output))
 
 
 def initial_sparse_spectrum(n: int, max_harmonics: int = DEFAULT_MAX_HARMONICS) -> SparseSpectrum:
@@ -241,8 +241,8 @@ def qvr_phase(s: StateVector, bit: int, truncate_bits: int) -> StateVector:
 
     The phase fraction is truncated (floored) to ``truncate_bits`` bits, and
     looked up in a table of its 2**t values, one bit per call: chained over
-    the set bits of k from |+>^n, it is the state ``prepare_approx_k``
-    builds in one pass.
+    the set bits of k from |+>^n, it is the state ``distill_k`` builds in
+    one pass (``arbitrary._qvr_coefficients``).
     """
     if not 0 <= bit < s.n:
         raise ValueError(f"bit {bit} out of range for an {s.n}-qubit register")

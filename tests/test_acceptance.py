@@ -21,7 +21,6 @@ from fourierdistill import (
     extract_register,
     modular_add_oracle,
     plan_schedule,
-    prepare_approx_k,
     pure_fourier_state,
     rounds_required,
     run_protocol_exact,
@@ -97,13 +96,13 @@ def test_criterion_05_gate_level_matches_spectral():
     circuit, layout = build_distillation_circuit(n)
     joint = StateVector(np.kron(np.kron(inp.amps, inp.amps), [1.0, 0.0]))
     p_circuit, output = extract_register(apply_circuit(circuit, joint), layout)
-    predicted = run_protocol_exact(n, s0=n, pad=0).final
-    assert abs(p_circuit - predicted.p_success) < 1e-9
+    predicted = run_protocol_exact(n, s0=n, pad=0)
+    assert abs(p_circuit - predicted.final.p_success) < 1e-9
     diff = np.max(np.abs(to_fourier_basis(output).weights()
                          - spread_coset(predicted.output).weights()))
     assert diff < 1e-9
     _report(5, f"distillation circuit at n=5 reproduces spectral step "
-               f"(p diff {abs(p_circuit - predicted.p_success):.1e}, "
+               f"(p diff {abs(p_circuit - predicted.final.p_success):.1e}, "
                f"weights diff {diff:.1e})")
 
 
@@ -111,7 +110,7 @@ def test_criterion_06_error_suppression_law():
     # three rounds at fixed size 16 on the exact engine, from its 2-qubit start
     buf = np.zeros(1 << 16, dtype=complex)
     buf[0] = 1
-    for r, rec in enumerate(_exact_rounds(buf, 1, (16,) * 3, 1, stride=4), start=1):
+    for r, rec in enumerate(_exact_rounds(buf, 1, (16,) * 3, 1, stride=4)[0], start=1):
         eps = rec.error
         law = 9.0 ** -(2 ** r)
         assert law / 2 < eps < law * 2, f"r={r}: {eps} vs {law}"
@@ -182,9 +181,8 @@ def test_criterion_11_rotation_comparison():
 
 
 def test_criterion_12_arbitrary_index():
-    prep = prepare_approx_k(8, 5, 5)
+    prep, result = distill_k(8, 5, 3, 5)
     assert prep.fidelity > 0.5
-    result = distill_k(prep, rounds=3)
     fids = [prep.fidelity] + [rec.fidelity for rec in result.rounds]
     for a, b in zip(fids, fids[1:]):
         if a < 1.0:

@@ -6,17 +6,15 @@ import pytest
 
 from fourierdistill import (
     DegenerateInputError,
-    FourierAmplitudes,
     default_truncate_bits,
     distill_k,
-    prepare_approx_k,
     pure_fourier_state,
     ResourceReport,
     StateVector,
     run_protocol_exact,
     to_fourier_basis,
 )
-from fourierdistill.cli import main
+from fourierdistill.arbitrary import _qvr_coefficients
 from oracles import (
     counted_transforms,
     distill_k_reference,
@@ -24,6 +22,7 @@ from oracles import (
     qvr_phase,
     qvr_state_reference,
     spread_coset,
+    traced_peak,
     transform_cost,
 )
 
@@ -71,46 +70,46 @@ class TestQvrPhase:
 
 class TestPrepareApproxK:
     def test_k_zero_is_exact(self):
-        prep = prepare_approx_k(8, 0, 5)
+        prep, _ = distill_k(8, 0, 1, 5)
         assert prep.fidelity == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(prep.coefficients.coeffs,
+        np.testing.assert_allclose(_qvr_coefficients(8, 0, 5),
                                    to_fourier_basis(pure_fourier_state(8, 0)).coeffs, atol=1e-13)
 
     def test_reference_case_n8_k5(self):
-        prep = prepare_approx_k(8, 5, 5)
+        prep, _ = distill_k(8, 5, 1, 5)
         assert prep.fidelity > 0.5
         assert prep.fidelity == pytest.approx(0.993242621294, abs=1e-9)
 
     def test_full_precision_is_exact_for_k1(self):
-        prep = prepare_approx_k(8, 1, truncate_bits=8)
+        prep, _ = distill_k(8, 1, 1, truncate_bits=8)
         assert prep.fidelity == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
     def test_default_truncation_exceeds_half_fidelity(self, n):
         for k in (1, n - 1, (1 << n) - 1, (1 << (n - 1)) + 3):
-            prep = prepare_approx_k(n, k)
+            prep, _ = distill_k(n, k, 1)
             assert prep.fidelity > 0.5
 
     def test_k_reduced_mod_dimension(self):
-        prep = prepare_approx_k(3, 9)
+        prep, result = distill_k(3, 9, 2)
         assert prep.k == 1
-        np.testing.assert_array_equal(prep.coefficients.coeffs,
-                                      prepare_approx_k(3, 1).coefficients.coeffs)
+        expected_prep, expected = distill_k(3, 1, 2)
+        assert (prep, result.rounds) == (expected_prep, expected.rounds)
+        np.testing.assert_array_equal(result.output, expected.output)
 
     def test_default_truncate_bits(self):
         assert default_truncate_bits(8) == 5
         assert default_truncate_bits(100) == 9
 
     def test_default_truncate_bits_needs_a_register(self):
-        # prepare_approx_k checks the register size first, so only a direct call gets here
+        # distill_k checks the register size first, so only a direct call gets here
         with pytest.raises(ValueError, match="n must be positive"):
             default_truncate_bits(0)
 
 
 class TestDistillK:
     def test_reference_run_n8_k5(self):
-        prep = prepare_approx_k(8, 5, 5)
-        result = distill_k(prep, rounds=3)
+        prep, result = distill_k(8, 5, 3, 5)
         fids = [rec.fidelity for rec in result.rounds]
         assert all(b > a for a, b in zip([prep.fidelity] + fids, fids) if a < 1.0)
         assert result.final.error < 1e-3
@@ -119,39 +118,36 @@ class TestDistillK:
     def test_round3_error_is_summed_off_target_weight(self):
         # three symmetric rounds raise every weight to the 8th power; the
         # error (4e-20) is far below the float resolution of 1 - fidelity
-        prep = prepare_approx_k(8, 5)
-        result = distill_k(prep, rounds=3)
-        w8 = prep.coefficients.weights() ** 8
+        _, result = distill_k(8, 5, 3)
+        w8 = (np.abs(_qvr_coefficients(8, 5, default_truncate_bits(8))) ** 2) ** 8
         expected = math.fsum(np.delete(w8, 5)) / math.fsum(w8)
         assert result.final.error > 0
         assert result.final.error == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert result.final.log_error == pytest.approx(math.log(expected), rel=1e-12, abs=0.0)
 
     def test_monotone_strict_until_saturation(self):
-        prep = prepare_approx_k(8, 5, truncate_bits=4)
-        result = distill_k(prep, rounds=2)
+        prep, result = distill_k(8, 5, 2, truncate_bits=4)
         f1, f2 = result.rounds[0].fidelity, result.rounds[1].fidelity
         assert prep.fidelity < f1 < f2 < 1.0 + 1e-12
 
     def test_fundamental_index_cross_check(self):
         # the QVR route and the doubling protocol both converge on index 1
-        via_k = distill_k(prepare_approx_k(10, 1), rounds=3)
+        _, via_k = distill_k(10, 1, 3)
         via_protocol = run_protocol_exact(10)
         assert via_k.final.error < 1e-3
         assert via_protocol.final.error < 1e-3
-        assert np.abs(via_k.final.output).argmax() == 1
-        assert spread_coset(via_protocol.final.output).weights().argmax() == 1
+        assert np.abs(via_k.output).argmax() == 1
+        assert spread_coset(via_protocol.output).weights().argmax() == 1
 
     def test_wrong_dominant_index_detected(self):
         # 1-bit quantization leaves the dominant weight at index 3, not 5
         with pytest.raises(DegenerateInputError):
-            distill_k(prepare_approx_k(8, 5, truncate_bits=1), rounds=3)
+            distill_k(8, 5, 3, truncate_bits=1)
 
     def test_cost_accounting_exact(self):
         # the tree of R full-width rounds holds 2**R - 1 adders of 2n - 4 Toffolis
-        prep = prepare_approx_k(6, 3)
         for rounds in (1, 2, 4):
-            result = distill_k(prep, rounds=rounds)
+            _, result = distill_k(6, 3, rounds)
             assert result.schedule.sizes == (6,) * rounds
             assert len(result.rounds) == rounds
             cost = ResourceReport(result.schedule)
@@ -159,43 +155,40 @@ class TestDistillK:
             assert cost.toffoli_deterministic == ((1 << rounds) - 1) * (2 * 6 - 4)
 
     def test_prepared_state_is_left_unchanged(self):
-        prep = prepare_approx_k(8, 5)
-        before = np.array(prep.coefficients.coeffs)
-        distill_k(prep, rounds=3)
-        assert np.array_equal(prep.coefficients.coeffs, before)
+        # each run prepares its own buffer: two runs from the same (n, k, t)
+        # give identical results
+        first_prep, first = distill_k(8, 5, 3)
+        second_prep, second = distill_k(8, 5, 3)
+        assert first_prep == second_prep
+        assert first.rounds == second.rounds
+        assert np.array_equal(first.output, second.output)
+        assert first.output is not second.output
 
     def test_one_transform(self, monkeypatch):
         # the QVR state is transformed once; full-width rounds stay in the
         # Fourier basis
         calls = counted_transforms(monkeypatch)
-        distill_k(prepare_approx_k(12, 2731), rounds=3)
+        distill_k(12, 2731, 3)
         assert calls == [(1 << 12, False)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            distill_k(prepare_approx_k(8, 5), rounds=0)
+            distill_k(8, 5, 0)
 
-    def test_cli_run_builds_no_weight_array(self, monkeypatch, capsys):
+    def test_cli_run_builds_no_weight_array(self):
         # the initial fidelity and the dominance check read the coefficients
-        # directly, so arbitrary-k squares no 2**n weight array
-        calls = []
-        weights = FourierAmplitudes.weights
-
-        def counted(self):
-            calls.append(self.dim)
-            return weights(self)
-
-        monkeypatch.setattr(FourierAmplitudes, "weights", counted)
-        assert main(["arbitrary-k", "--n", "8", "--k", "5"]) == 0
-        capsys.readouterr()
-        assert calls == []
+        # in blocks, and the rounds square the prepared buffer itself: one
+        # 2**n vector plus blocks of 2**14 points (1.29 vectors measured; a
+        # 2**n array of moduli would add 0.5, a copy of the buffer 1)
+        distill_k(18, 2731, 3)  # numpy's first FFT allocates caches
+        _, peak = traced_peak(lambda: distill_k(18, 2731, 3))
+        assert peak <= 1.35 * (16 << 18)
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("n,k", [(8, 5), (12, 2731)])
     def test_distill_k_matches_direct_form(self, n, k):
-        prep = prepare_approx_k(n, k)
-        result = distill_k(prep, rounds=3)
+        prep, result = distill_k(n, k, 3)
         initial, trace = distill_k_reference(n, k, rounds=3)
         assert prep.fidelity == initial
         assert [(r.p_success, r.fidelity, r.error, r.log_error)
@@ -205,7 +198,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("n,k", [(8, 5), (12, 2731), (20, 292252)])
     def test_initial_fidelity_matches_direct_overlap(self, n, k):
         # arbitrary-k reports this prepared fidelity as its initial_fidelity
-        prep = prepare_approx_k(n, k)
+        prep, _ = distill_k(n, k, 1)
         direct = StateVector(qvr_state_reference(n, k, prep.truncate_bits))
         assert prep.fidelity == pytest.approx(fidelity(direct, n, k), rel=1e-14, abs=0.0)
 
@@ -219,7 +212,7 @@ class TestBitIdentity:
                     top = k.bit_length() - 1
                     states.append(qvr_phase(states[k - (1 << top)], top, t))
                 for k, state in enumerate(states):
-                    coeffs = prepare_approx_k(n, k, t).coefficients.coeffs
+                    coeffs = _qvr_coefficients(n, k, t)
                     # to_fourier_basis up to 2**14 points: one pocketfft call
                     expected = np.fft.fft(state.amps) / math.sqrt(1 << n)
                     assert np.array_equal(coeffs, expected), (n, k, t)

@@ -292,8 +292,8 @@ class TestDistillationCircuit:
         circuit, layout = build_distillation_circuit(n)
         joint = StateVector(np.kron(np.kron(inp.amps, inp.amps), [1.0, 0.0]))
         probability, output = extract_register(apply_circuit(circuit, joint), layout)
-        predicted = run_protocol_exact(n, s0=n, pad=0).final
-        assert probability == pytest.approx(predicted.p_success, abs=1e-9)
+        predicted = run_protocol_exact(n, s0=n, pad=0)
+        assert probability == pytest.approx(predicted.final.p_success, abs=1e-9)
         np.testing.assert_allclose(to_fourier_basis(output).weights(),
                                    spread_coset(predicted.output).weights(), atol=1e-9)
 

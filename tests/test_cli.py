@@ -195,21 +195,22 @@ class TestDistillCommand:
     def test_exact_n20_peak_rss(self):
         # tracemalloc misses what numpy's C code allocates, so read each
         # child's own peak through wait4, above a child that only imports the CLI
+        # the three children run at once: each one's ru_maxrss is its own
         script = textwrap.dedent("""
             import json, os, subprocess, sys
-            def peak_mb(*argv):
-                proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL)
+            cli = ["-m", "fourierdistill.cli"]
+            children = [subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL)
+                        for argv in (["-c", "import fourierdistill.cli"],
+                                     [*cli, "distill", "--n", "20", "--engine", "exact"],
+                                     [*cli, "arbitrary-k", "--n", "20", "--k", "292252"])]
+            peaks = []
+            for proc in children:
                 _, status, usage = os.wait4(proc.pid, 0)
                 proc.returncode = os.waitstatus_to_exitcode(status)
                 if proc.returncode:
-                    sys.exit(f"{argv} exited with {proc.returncode}")
-                return usage.ru_maxrss / 1024
-            cli = ["-m", "fourierdistill.cli"]
-            print(json.dumps([
-                peak_mb("-c", "import fourierdistill.cli"),
-                peak_mb(*cli, "distill", "--n", "20", "--engine", "exact"),
-                peak_mb(*cli, "arbitrary-k", "--n", "20", "--k", "292252"),
-            ]))
+                    sys.exit(f"{proc.args} exited with {proc.returncode}")
+                peaks.append(usage.ru_maxrss / 1024)
+            print(json.dumps(peaks))
         """)
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
         env.pop(fourier.AMPLITUDE_CAP_ENV, None)
@@ -219,9 +220,9 @@ class TestDistillCommand:
         # one final coset of 2**20 coefficients (16 MB) plus blocks of 2**14
         # points: +18 MB measured
         assert exact - imported <= 26
-        # the 2**20-point state, built in one pass and transformed in place,
-        # and its copy for the rounds: +34 MB measured
-        assert arbitrary - imported <= 40
+        # the 2**20-point state, built in one pass, transformed in place and
+        # squared in place by the rounds: +18 MB measured
+        assert arbitrary - imported <= 26
 
     def test_capacity_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "distill", "--n", "40", "--engine", "exact")
@@ -806,6 +807,19 @@ LIBRARY_RULES = {
                            ["distill", "--n", "1", "--pad", "0", "--engine", "sparse"],
                            "--n 1 with --pad 0 makes a 1-qubit first round: the approximate "
                            "initial state needs 2 qubits"),
+    # distill_k checks n, then --truncate-bits, then --rounds
+    "truncate-bits-zero": (lambda: arbitrary.distill_k(8, 5, 3, 0),
+                           ["arbitrary-k", "--n", "8", "--k", "5", "--truncate-bits", "0"],
+                           "--truncate-bits 0 is below 1: each QVR phase keeps at least one "
+                           "bit"),
+    "rounds-zero": (lambda: arbitrary.distill_k(8, 5, 0),
+                    ["arbitrary-k", "--n", "8", "--k", "5", "--rounds", "0"],
+                    "--rounds 0 is below 1: distillation needs at least one round"),
+    "truncate-bits-before-rounds": (lambda: arbitrary.distill_k(8, 5, 0, 0),
+                                    ["arbitrary-k", "--n", "8", "--k", "5",
+                                     "--truncate-bits", "0", "--rounds", "0"],
+                                    "--truncate-bits 0 is below 1: each QVR phase keeps at "
+                                    "least one bit"),
 }
 
 

@@ -4,6 +4,7 @@ Expected values marked "frozen" were computed with an independent dense
 oracle (direct amplitude construction, numpy FFT, literal tensor products)
 before this module existed.
 """
+import dataclasses
 import json
 import math
 
@@ -25,7 +26,6 @@ from fourierdistill import (
     distill_k,
     from_fourier_basis,
     plan_schedule,
-    prepare_approx_k,
     pure_fourier_state,
     rounds_required,
     run_protocol_exact,
@@ -79,9 +79,10 @@ def initial_coeffs(n):
 
 
 def one_round(n):
-    """The exact engine's one symmetric round at size n, from its 2-qubit
-    start: plan_schedule's single-round case, as ``simulate`` predicts."""
-    return run_protocol_exact(n, s0=n, pad=0).final
+    """The exact engine's run of one symmetric round at size n, from its
+    2-qubit start: plan_schedule's single-round case, as ``simulate``
+    predicts."""
+    return run_protocol_exact(n, s0=n, pad=0)
 
 
 def sparse_start():
@@ -93,15 +94,15 @@ class TestDistillPair:
     """One distillation step, as the exact engine runs it."""
 
     def test_two_deltas_at_target(self):
-        out, = _exact_rounds(np.array(delta_coeffs(4, 1).coeffs), 16, (4,), 1)
+        (out,), output = _exact_rounds(np.array(delta_coeffs(4, 1).coeffs), 16, (4,), 1)
         assert out.p_success == pytest.approx(1.0, abs=1e-12)
         assert out.fidelity == pytest.approx(1.0, abs=1e-12)
-        assert abs(out.output[1]) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert abs(output[1]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_success_probability_converges_to_two_thirds(self):
         # Sum over odd m of 1/m^4 = pi^4/96 makes the limit exactly 2/3
-        p12 = one_round(12).p_success
-        p16 = one_round(16).p_success
+        p12 = one_round(12).final.p_success
+        p16 = one_round(16).final.p_success
         assert p12 == pytest.approx(2 / 3, abs=4e-7)
         assert p16 == pytest.approx(2 / 3, abs=2e-9)
         assert abs(p16 - 2 / 3) < abs(p12 - 2 / 3)
@@ -109,14 +110,14 @@ class TestDistillPair:
     def test_symmetric_fidelity_converges_to_limit(self):
         # |c_1|^4 / (2/3) = 96/pi^4
         limit = 96 / math.pi ** 4
-        out = one_round(16)
+        out = one_round(16).final
         assert out.fidelity == pytest.approx(limit, abs=1e-9)
         assert out.fidelity <= 0.986
 
     def test_amplitude_route_matches_weight_route(self):
         out_amp = one_round(6)
         p_w, weights_w = squared_weights(initial_coeffs(6).weights())
-        assert out_amp.p_success == pytest.approx(p_w, rel=1e-12, abs=0.0)
+        assert out_amp.final.p_success == pytest.approx(p_w, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(spread_coset(out_amp.output).weights(), weights_w,
                                    rtol=0.0, atol=1e-12)
 
@@ -124,13 +125,13 @@ class TestDistillPair:
         # the full-length round (distill_k's route) is the direct form of one
         # step: both square the same coefficients and sum the same weights
         coeffs = initial_coeffs(8).coeffs
-        engine, = _exact_rounds(np.array(coeffs), 1 << 8, (8,), 1)
+        (engine,), _ = _exact_rounds(np.array(coeffs), 1 << 8, (8,), 1)
         (p, fid, err, log_err), _ = _amplitude_round(coeffs, 1)
         assert (p, fid, err, log_err) == (
             engine.p_success, engine.fidelity, engine.error, engine.log_error)
 
     def test_error_complements_fidelity(self):
-        out = one_round(8)
+        out = one_round(8).final
         assert out.error + out.fidelity == pytest.approx(1.0, abs=1e-12)
 
 
@@ -139,7 +140,7 @@ def after_rounds(n, r):
     exact engine's coset from its 2-qubit start."""
     buf = np.zeros(1 << (n - 2), dtype=complex)
     buf[0] = 1
-    return spread_coset(_exact_rounds(buf, 1, (n,) * r, 1, stride=4)[-1].output).weights()
+    return spread_coset(_exact_rounds(buf, 1, (n,) * r, 1, stride=4)[1]).weights()
 
 
 class TestRepeatedSymmetric:
@@ -220,6 +221,19 @@ class TestExtendCoset:
         grown = _extend_coset(buf, len(coset), 18, 4, 1)
         twiddle = np.exp(np.arange(16) * (-2j * np.pi / (1 << 18)))
         twiddle /= math.sqrt(16)
+        h = fourier._unitary_fft(coset.copy(), inverse=True)
+        expected = fourier._unitary_fft(np.multiply.outer(h, twiddle).ravel())
+        assert np.array_equal(grown, expected)
+
+    def test_long_twiddle_row_matches_one_outer_product(self):
+        # growth by 2**15 builds each row's twiddle in two pieces of 2**14
+        # columns, with the same np.exp per element as one full-length row
+        coset = np.array([0.6, 0.8j])
+        buf = np.zeros(1 << 16, dtype=complex)
+        buf[:2] = coset
+        grown = _extend_coset(buf, 2, 18, 4, 1)
+        twiddle = np.exp(np.arange(1 << 15) * (-2j * np.pi / (1 << 18)))
+        twiddle /= math.sqrt(1 << 15)
         h = fourier._unitary_fft(coset.copy(), inverse=True)
         expected = fourier._unitary_fft(np.multiply.outer(h, twiddle).ravel())
         assert np.array_equal(grown, expected)
@@ -331,12 +345,12 @@ class TestSparseSpectrum:
 
     def test_sparse_round_matches_dense(self):
         sp = initial_sparse_spectrum(8)
-        out = sparse_symmetric_round(sp)
+        out, spectrum = sparse_symmetric_round(sp)
         dense = one_round(8)
-        assert out.p_success == pytest.approx(dense.p_success, abs=1e-12)
-        assert out.fidelity == pytest.approx(dense.fidelity, abs=1e-12)
+        assert out.p_success == pytest.approx(dense.final.p_success, abs=1e-12)
+        assert out.fidelity == pytest.approx(dense.final.fidelity, abs=1e-12)
         dense_weights = spread_coset(dense.output).weights()
-        for j, w in sparse_weights(out.output).items():
+        for j, w in sparse_weights(spectrum).items():
             assert w == pytest.approx(dense_weights[j % 256], rel=1e-9, abs=1e-15)
 
     def test_sparse_extend_matches_dense_route(self):
@@ -464,7 +478,7 @@ class TestSparseExtendBitIdentity:
         for size in plan_schedule(300).sizes:
             out = sparse_extend(sp, size, budget)
             assert_same_spectrum(out, sparse_extend_reference(sp, size, budget))
-            sp = sparse_symmetric_round(out).output
+            _, sp = sparse_symmetric_round(out)
 
     # the class of j = 0 is the only source of -inf candidates: with a cut
     # (budget 3), without one (100), and beside class remainders (4 -> 10)
@@ -605,7 +619,7 @@ class TestRunProtocolExact:
     def test_final_error_is_off_target_weight(self):
         # 1 - fidelity keeps only about 8 digits of a 2.6e-8 error
         result = run_protocol_exact(10)
-        weights = spread_coset(result.final.output).weights()
+        weights = spread_coset(result.output).weights()
         assert result.final.error == pytest.approx(math.fsum(np.delete(weights, 1)),
                                                    rel=1e-12, abs=0.0)
 
@@ -652,7 +666,7 @@ class TestRunProtocolExact:
         # engine keeps the coset j = 1 (mod 4), and the oracle's full vector
         # holds no weight off it
         eps = np.finfo(float).eps
-        np.testing.assert_allclose(result.final.output, output[1::4],
+        np.testing.assert_allclose(result.output, output[1::4],
                                    rtol=0.0, atol=eps * 2 ** result.schedule.rounds)
         assert np.abs(np.delete(output, np.s_[1::4])).max() <= 1e-15
 
@@ -689,33 +703,46 @@ class TestRunProtocolExact:
         assert max(result.schedule.sizes) == 18
         assert peak <= 0.5 * vector
 
+    def test_growth_from_the_start_holds_one_coset(self):
+        # one 18-qubit round grows the 2-qubit start 2**16-fold: one coset of
+        # 2**16 coefficients plus the twiddle row's pieces of 2**14 points and
+        # the transform's blocks (1.64 cosets measured; a full-length twiddle
+        # row took 3.0)
+        run_protocol_exact(18, s0=18, pad=0)  # numpy's first FFT allocates caches
+        _, peak = traced_peak(lambda: run_protocol_exact(18, s0=18, pad=0))
+        assert peak <= 1.75 * (16 << 16)
+
     @pytest.mark.parametrize("n, s0, pad", [(2, 2, 0), (5, 5, 0), (10, 5, 2), (13, 3, 1)])
     def test_output_is_the_targets_coset(self, n, s0, pad):
         # c[1::4] of the last round's register, read-only, and nothing else
         result = run_protocol_exact(n, s0=s0, pad=pad)
-        output = result.final.output
+        output = result.output
         assert isinstance(output, np.ndarray) and not output.flags.writeable
         assert len(output) == 1 << (result.schedule.sizes[-1] - 2)
         assert abs(output[0]) ** 2 == result.final.fidelity
         # distill_k's register never grows and its coset is every index
-        prep = prepare_approx_k(n, 3)
-        output = distill_k(prep, rounds=2).final.output
+        output = distill_k(n, 3, 2)[1].output
         assert len(output) == 1 << n and not output.flags.writeable
 
 
 class TestProtocolResult:
     def test_only_the_last_round_keeps_its_output(self):
+        # a round holds only its numbers; the run holds the last round's output
         store = {}
         runs = [run_protocol_exact(10), run_protocol_sparse(10),
                 run_protocol_sparse(10, reuse=store), run_protocol_sparse(12, reuse=store),
-                distill_k(prepare_approx_k(6, 3), rounds=3)]
+                distill_k(6, 3, 3)[1]]
+        assert [f.name for f in dataclasses.fields(DistillationOutcome)] == [
+            "p_success", "fidelity", "error", "log_error"]
         for result in runs:
             assert len(result.rounds) == result.schedule.rounds > 1
-            assert all(r.output is None for r in result.rounds[:-1])
             assert result.final is result.rounds[-1]
-            assert result.final.output is not None
-        # the reuse store keeps whole outcomes, so a resumed run extends them
-        assert all(outcome.output is not None for outcome in store.values())
+            assert result.output is not None
+        # the reuse store keeps each round's outcome with its output spectrum,
+        # so a resumed run extends them
+        assert all(isinstance(outcome, DistillationOutcome) and isinstance(sp, SparseSpectrum)
+                   for outcome, sp in store.values())
+        assert store[(4096, plan_schedule(12).sizes)][1] is runs[3].output
 
 
 class TestRunProtocolSparse:
@@ -737,7 +764,7 @@ class TestRunProtocolSparse:
         # around 9^(-2^6) by the suppression law, in log2 terms
         log2_err = result.final_log_error / math.log(2)
         assert -210 < log2_err < -195
-        assert result.final.output.log_tail < result.final_log_error
+        assert result.output.log_tail < result.final_log_error
 
     def test_error_squaring_in_log_space(self):
         # each round at most doubles log-error plus one bit of slack
@@ -812,7 +839,7 @@ class TestDeepSparseRuns:
                                                                      abs=0.0)
         assert [rec.p_success for rec in result.rounds] == pytest.approx(p_success, rel=1e-12,
                                                                          abs=0.0)
-        assert run_protocol_sparse(n).final.output.indices == result.final.output.indices
+        assert run_protocol_sparse(n).output.indices == result.output.indices
 
 
 class TestProtocolInvariants:
@@ -854,13 +881,13 @@ class TestProtocolInvariants:
         assert float(np.sum(np.abs(output_state(result).amps) ** 2)) == pytest.approx(
             1.0, abs=1e-9)
         sparse = run_protocol_sparse(n)
-        sp = sparse.final.output
+        sp = sparse.output
         total = sum(sparse_weights(sp).values()) + math.exp(sp.log_tail)
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("call, error, fragment", [
-    (lambda: DistillationOutcome(1.5, None, 1.0, 0.0), ValueError,
+    (lambda: DistillationOutcome(1.5, 1.0, 0.0, -math.inf), ValueError,
      "success probability out of range: 1.5"),
     (lambda: ProtocolSchedule(5, ()), ValueError, "schedule needs at least one round"),
     (lambda: SparseSpectrum(0, {0: 0.0}), ValueError, "register size must be positive"),
