@@ -46,7 +46,7 @@ predicted = run_protocol_exact(n, s0=n, pad=0).final
 print(f"  circuit success probability  {p_circuit:.12f}")
 print(f"  spectral prediction          {predicted.p_success:.12f}")
 
-print(f"  output fidelity (circuit)    {to_fourier_basis(output).weights()[1]:.12f}")
+print(f"  output fidelity (circuit)    {abs(to_fourier_basis(output)[1]) ** 2:.12f}")
 print(f"  output fidelity (predicted)  {predicted.fidelity:.12f}")
 
 print()

@@ -41,7 +41,7 @@ print(f"ratio, exactly 1/9           = {series_weight(-3) / series_weight(1):.12
 print()
 print("Folding the series onto an 8-qubit register (aliasing), as printed by")
 print("`fourierdistill spectrum --n 8`, next to the register's own weights:")
-direct = to_fourier_basis(approx_initial_state(8)).weights()
+direct = np.abs(to_fourier_basis(approx_initial_state(8))) ** 2
 print("     j  series_weight  folded_weight  register weight")
 for j in (1, -3, 5):
     print(f"  {j:+4d}  {series_weight(j):13.6f}  {initial_state_weight(8, j):13.6f}"
@@ -50,6 +50,6 @@ for j in (1, -3, 5):
 print()
 print("Fidelity of the approximate state with the ideal Fourier state:")
 for n in (4, 6, 8, 12, 16):
-    f = to_fourier_basis(approx_initial_state(n)).weights()[1]
+    f = abs(to_fourier_basis(approx_initial_state(n))[1]) ** 2
     print(f"  n={n:2d}: {f:.9f}")
 print(f"  limit 8/pi^2 = {8 / math.pi ** 2:.9f}; never below 0.81")

@@ -33,11 +33,9 @@ from .distill import (
 )
 from .errors import CapacityError, DegenerateInputError, PrecisionWarning
 from .fourier import (
-    FourierAmplitudes,
     StateVector,
     amplitude_cap,
     fidelity_threshold,
-    from_fourier_basis,
     initial_state_weight,
     pure_fourier_state,
     series_weight,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DegenerateInputError
-from .fourier import StateVector, _adopt, _index_blocks, require_register_size
+from .fourier import StateVector, _index_blocks, require_register_size
 
 GATE_ARITY = {
     "X": 1,
@@ -209,7 +209,7 @@ def apply_circuit(circuit: GateCircuit, s: StateVector) -> StateVector:
             psi[lo], psi[hi] = psi[hi], psi[lo].copy()
         else:
             psi[_slice(nq, {g.qubits[0]: 1})] *= _PHASES[name]
-    return _adopt(StateVector, psi.ravel())
+    return StateVector._adopt(psi.ravel())
 
 
 def basis_images(circuit: GateCircuit, indices) -> np.ndarray:
@@ -249,7 +249,7 @@ def extract_register(state: StateVector,
     probability = float(np.sum(np.abs(out) ** 2))
     if probability < 1e-300:
         raise DegenerateInputError("register extraction hit a zero branch")
-    return probability, _adopt(StateVector, out / math.sqrt(probability))
+    return probability, StateVector._adopt(out / math.sqrt(probability))
 
 
 def clone_fourier_state(source: StateVector, k: int) -> float:

@@ -144,7 +144,7 @@ def cmd_simulate(a: argparse.Namespace):
     circuit, layout = circuits.build_distillation_circuit(a.n)
     final = circuits.apply_circuit(circuit, fourier.StateVector(joint))
     p_circuit, output = circuits.extract_register(final, layout)
-    circuit_weights = fourier.to_fourier_basis(output).weights()
+    circuit_weights = np.abs(fourier.to_fourier_basis(output)) ** 2
     # plan_schedule's single-round case: one symmetric round at size n, whose
     # output is the coset j = 1 (mod COSET_STRIDE); every weight off it is 0
     predicted = distill.run_protocol_exact(a.n, s0=a.n, pad=0)

@@ -159,10 +159,6 @@ class SparseSpectrum:
         self.indices = indices
         self.log_tail = log_tail
 
-    @property
-    def dim(self):
-        return 1 << self.n
-
     def __len__(self):
         return len(self.indices)
 

@@ -62,36 +62,6 @@ def _index_blocks(N: int):
         yield slice(lo, hi), np.arange(lo, hi)
 
 
-def _register_bits(length: int) -> int:
-    n = length.bit_length() - 1
-    if length != 1 << n or n < 1:
-        raise ValueError(f"array length {length} is not 2**n for n >= 1")
-    return n
-
-
-def _adopt(cls, arr: np.ndarray):
-    """``cls`` around an array the package has just built and holds alone.
-
-    The array is validated and frozen in place. The public constructors copy
-    instead, because their caller may still hold the array.
-    """
-    obj = object.__new__(cls)
-    obj._seal(arr)
-    return obj
-
-
-def _check_unit_norm(arr: np.ndarray, message: str) -> None:
-    _register_bits(len(arr))
-    norm = float(np.vdot(arr, arr).real)  # sum |arr|^2 without a temporary
-    if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
-        raise ValueError(f"{message} = {norm!r}")
-
-
-def _freeze(obj, name: str, arr: np.ndarray) -> None:
-    arr.flags.writeable = False
-    object.__setattr__(obj, name, arr)
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Complex amplitudes over the computational basis of an n-qubit register."""
@@ -101,9 +71,26 @@ class StateVector:
     def __post_init__(self):
         self._seal(np.array(self.amps, dtype=complex))
 
+    @classmethod
+    def _adopt(cls, amps: np.ndarray) -> StateVector:
+        """A state around an array the package has just built and holds alone.
+
+        The array is validated and frozen in place.  The public constructor
+        copies instead, because its caller may still hold the array.
+        """
+        s = object.__new__(cls)
+        s._seal(amps)
+        return s
+
     def _seal(self, amps: np.ndarray) -> None:
-        _check_unit_norm(amps, "state not normalized: sum |amps|^2")
-        _freeze(self, "amps", amps)
+        N = len(amps)
+        if N < 2 or N & (N - 1):
+            raise ValueError(f"array length {N} is not 2**n for n >= 1")
+        norm = float(np.vdot(amps, amps).real)  # sum |amps|^2 without a temporary
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
+            raise ValueError(f"state not normalized: sum |amps|^2 = {norm!r}")
+        amps.flags.writeable = False
+        object.__setattr__(self, "amps", amps)
 
     @property
     def n(self) -> int:
@@ -112,34 +99,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return len(self.amps)
-
-
-@dataclass(frozen=True)
-class FourierAmplitudes:
-    """Complex coefficients of a state expanded over Fourier states j = 0..N-1."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self._seal(np.array(self.coeffs, dtype=complex))
-
-    def _seal(self, coeffs: np.ndarray) -> None:
-        _check_unit_norm(coeffs, "coefficients not normalized: sum")
-        _freeze(self, "coeffs", coeffs)
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs).bit_length() - 1
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
-    def weights(self) -> np.ndarray:
-        """Weights |coeffs|^2 over Fourier indices j = 0..N-1, as a new array."""
-        weights = np.abs(self.coeffs)
-        weights *= weights
-        return weights
 
 
 def pure_fourier_state(n: int, k: int) -> StateVector:
@@ -151,21 +110,19 @@ def pure_fourier_state(n: int, k: int) -> StateVector:
     amps = np.empty(N, dtype=complex)
     for part, y in _index_blocks(N):
         amps[part] = np.exp(2j * np.pi * k * y / N) / math.sqrt(N)
-    return _adopt(StateVector, amps)
+    return StateVector._adopt(amps)
 
 
-def to_fourier_basis(s: StateVector) -> FourierAmplitudes:
+def to_fourier_basis(s: StateVector) -> np.ndarray:
     """Expand a state over the orthonormal Fourier-state basis.
 
     coeffs[j] = <fourier_j | s>, i.e. the forward transform with negative
-    exponent, computed by FFT into one new array.
+    exponent, computed by FFT into one new read-only array: the form of the
+    exact engine's output.
     """
-    return _adopt(FourierAmplitudes, _unitary_fft(np.array(s.amps)))
-
-
-def from_fourier_basis(a: FourierAmplitudes) -> StateVector:
-    """Exact inverse of :func:`to_fourier_basis`."""
-    return _adopt(StateVector, _unitary_fft(np.array(a.coeffs), inverse=True))
+    coeffs = _unitary_fft(np.array(s.amps))
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def _unitary_fft(buf: np.ndarray, inverse: bool = False) -> np.ndarray:

@@ -8,14 +8,12 @@ import numpy as np
 
 from fourierdistill import (
     CapacityError,
-    FourierAmplitudes,
     Gate,
     GateCircuit,
     RegisterLayout,
     SparseSpectrum,
     StateVector,
     default_truncate_bits,
-    from_fourier_basis,
     plan_schedule,
 )
 from fourierdistill import arbitrary, distill, fourier
@@ -31,7 +29,14 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def dft_direct(s: StateVector) -> FourierAmplitudes:
+def from_fourier_basis(coeffs: np.ndarray) -> StateVector:
+    """Exact inverse of :func:`fourierdistill.to_fourier_basis`: the state
+    sum_j coeffs[j] |fourier_j>, by one inverse FFT."""
+    return StateVector._adopt(fourier._unitary_fft(np.array(coeffs, dtype=complex),
+                                                   inverse=True))
+
+
+def dft_direct(s: StateVector) -> np.ndarray:
     """O(N^2) transform kept as an independent cross-check for the FFT path.
 
     Capped at n = 10; use :func:`fourierdistill.to_fourier_basis` for real work.
@@ -41,7 +46,7 @@ def dft_direct(s: StateVector) -> FourierAmplitudes:
     N = s.dim
     jy = np.outer(np.arange(N), np.arange(N))
     w = np.exp(-2j * np.pi * jy / N) / math.sqrt(N)
-    return FourierAmplitudes(w @ s.amps)
+    return w @ s.amps
 
 
 def fidelity(s: StateVector, n: int, k: int) -> float:
@@ -56,13 +61,13 @@ def fidelity(s: StateVector, n: int, k: int) -> float:
 
 
 def spread_coset(coset: np.ndarray, stride: int = distill.COSET_STRIDE,
-                 r: int = 1) -> FourierAmplitudes:
+                 r: int = 1) -> np.ndarray:
     """Full-length Fourier coefficients of an exact-engine output: the coset
     c[r::stride] in place, zeros elsewhere.  The defaults are
     ``run_protocol_exact``'s coset; ``distill_k``'s is stride 1, r = 0."""
     coeffs = np.zeros(stride * len(coset), dtype=complex)
     coeffs[r::stride] = coset
-    return FourierAmplitudes(coeffs)
+    return coeffs
 
 
 def output_state(result) -> StateVector:
@@ -92,7 +97,7 @@ def initial_sparse_spectrum(n: int, max_harmonics: int = DEFAULT_MAX_HARMONICS) 
 def sparse_weight(sp: SparseSpectrum, j: int) -> float:
     """Weight of harmonic j (taken mod 2**n) in a sparse spectrum; 0 if not kept."""
     try:
-        pos = sp.indices.index(_signed_index(j, sp.dim))
+        pos = sp.indices.index(_signed_index(j, 1 << sp.n))
     except ValueError:
         return 0.0
     return math.exp(sp.log_weights[pos])
@@ -316,7 +321,7 @@ def series_coefficient(j: int) -> complex:
     return (2 - 2j) / (math.pi * j)
 
 
-def alias_fold(n: int, series: Callable[[int], complex], j_max: int) -> tuple[FourierAmplitudes, float]:
+def alias_fold(n: int, series: Callable[[int], complex], j_max: int) -> tuple[np.ndarray, float]:
     """Fold a Fourier series onto the N-point discrete spectrum.
 
     Discrete sampling aliases harmonic N*x + j onto index j, so the discrete
@@ -350,7 +355,7 @@ def alias_fold(n: int, series: Callable[[int], complex], j_max: int) -> tuple[Fo
     norm = math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
     if norm < 1e-150:
         raise ValueError("series is zero on the truncation window")
-    return FourierAmplitudes(coeffs / norm), tail
+    return coeffs / norm, tail
 
 
 def toffoli_closed_form(R: int, s: int) -> int:

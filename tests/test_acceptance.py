@@ -98,8 +98,8 @@ def test_criterion_05_gate_level_matches_spectral():
     p_circuit, output = extract_register(apply_circuit(circuit, joint), layout)
     predicted = run_protocol_exact(n, s0=n, pad=0)
     assert abs(p_circuit - predicted.final.p_success) < 1e-9
-    diff = np.max(np.abs(to_fourier_basis(output).weights()
-                         - spread_coset(predicted.output).weights()))
+    diff = np.max(np.abs(np.abs(to_fourier_basis(output)) ** 2
+                         - np.abs(spread_coset(predicted.output)) ** 2))
     assert diff < 1e-9
     _report(5, f"distillation circuit at n=5 reproduces spectral step "
                f"(p diff {abs(p_circuit - predicted.final.p_success):.1e}, "

@@ -294,8 +294,8 @@ class TestDistillationCircuit:
         probability, output = extract_register(apply_circuit(circuit, joint), layout)
         predicted = run_protocol_exact(n, s0=n, pad=0)
         assert probability == pytest.approx(predicted.final.p_success, abs=1e-9)
-        np.testing.assert_allclose(to_fourier_basis(output).weights(),
-                                   spread_coset(predicted.output).weights(), atol=1e-9)
+        np.testing.assert_allclose(np.abs(to_fourier_basis(output)) ** 2,
+                                   np.abs(spread_coset(predicted.output)) ** 2, atol=1e-9)
 
     def test_pure_inputs_always_postselect(self):
         n = 4
@@ -410,7 +410,7 @@ class TestClone:
         assert 0 < result < 1
         # summed directly, not transformed: within 1.2e-15 of the FFT's weight
         # for n = 2..18, here 1 ulp
-        assert result == pytest.approx(to_fourier_basis(source).weights()[1], rel=1e-15, abs=0)
+        assert result == pytest.approx(abs(to_fourier_basis(source)[1]) ** 2, rel=1e-15, abs=0)
         assert result == pytest.approx(fidelity(source, 5, 1), rel=1e-12, abs=0)
 
     def test_peak_memory_in_joint_vectors(self):

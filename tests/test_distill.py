@@ -18,13 +18,11 @@ from fourierdistill import (
     CapacityError,
     DegenerateInputError,
     DistillationOutcome,
-    FourierAmplitudes,
     PrecisionWarning,
     ProtocolSchedule,
     SparseSpectrum,
     StateVector,
     distill_k,
-    from_fourier_basis,
     plan_schedule,
     pure_fourier_state,
     rounds_required,
@@ -50,6 +48,7 @@ from oracles import (
     exact_protocol_reference,
     extend_register,
     fidelity,
+    from_fourier_basis,
     initial_sparse_spectrum,
     output_state,
     rounds_required_simplified,
@@ -70,7 +69,7 @@ def kernel_weights(n_coarse, n_fine, j, m):
 def delta_coeffs(n, k):
     c = np.zeros(1 << n, dtype=complex)
     c[k % (1 << n)] = 1.0
-    return FourierAmplitudes(c)
+    return c
 
 
 def initial_coeffs(n):
@@ -94,7 +93,7 @@ class TestDistillPair:
     """One distillation step, as the exact engine runs it."""
 
     def test_two_deltas_at_target(self):
-        (out,), output = _exact_rounds(np.array(delta_coeffs(4, 1).coeffs), 16, (4,), 1)
+        (out,), output = _exact_rounds(delta_coeffs(4, 1), 16, (4,), 1)
         assert out.p_success == pytest.approx(1.0, abs=1e-12)
         assert out.fidelity == pytest.approx(1.0, abs=1e-12)
         assert abs(output[1]) ** 2 == pytest.approx(1.0, abs=1e-12)
@@ -116,15 +115,15 @@ class TestDistillPair:
 
     def test_amplitude_route_matches_weight_route(self):
         out_amp = one_round(6)
-        p_w, weights_w = squared_weights(initial_coeffs(6).weights())
+        p_w, weights_w = squared_weights(np.abs(initial_coeffs(6)) ** 2)
         assert out_amp.final.p_success == pytest.approx(p_w, rel=1e-12, abs=0.0)
-        np.testing.assert_allclose(spread_coset(out_amp.output).weights(), weights_w,
+        np.testing.assert_allclose(np.abs(spread_coset(out_amp.output)) ** 2, weights_w,
                                    rtol=0.0, atol=1e-12)
 
     def test_step_is_one_exact_engine_round(self):
         # the full-length round (distill_k's route) is the direct form of one
         # step: both square the same coefficients and sum the same weights
-        coeffs = initial_coeffs(8).coeffs
+        coeffs = initial_coeffs(8)
         (engine,), _ = _exact_rounds(np.array(coeffs), 1 << 8, (8,), 1)
         (p, fid, err, log_err), _ = _amplitude_round(coeffs, 1)
         assert (p, fid, err, log_err) == (
@@ -140,13 +139,13 @@ def after_rounds(n, r):
     exact engine's coset from its 2-qubit start."""
     buf = np.zeros(1 << (n - 2), dtype=complex)
     buf[0] = 1
-    return spread_coset(_exact_rounds(buf, 1, (n,) * r, 1, stride=4)[1]).weights()
+    return np.abs(spread_coset(_exact_rounds(buf, 1, (n,) * r, 1, stride=4)[1])) ** 2
 
 
 class TestRepeatedSymmetric:
     def test_single_round_agrees_with_step(self):
         # r rounds raise every weight to the power 2**r, then renormalize
-        w = initial_coeffs(8).weights()
+        w = np.abs(initial_coeffs(8)) ** 2
         for r in (1, 2, 3):
             power = w ** (2 ** r)
             np.testing.assert_allclose(after_rounds(8, r), power / power.sum(),
@@ -201,8 +200,8 @@ class TestExtendCoset:
         # c[1::4] of the approximate initial state, then grown by d qubits,
         # against the literal extension transformed at full length
         state = approx_initial_state(n)
-        coset = to_fourier_basis(state).coeffs[1::4]
-        full = to_fourier_basis(extend_register(state, n + d)).coeffs
+        coset = to_fourier_basis(state)[1::4]
+        full = to_fourier_basis(extend_register(state, n + d))
         buf = np.zeros(len(full), dtype=complex)
         buf[:len(coset)] = coset
         grown = _extend_coset(buf, len(coset), n + d, 4, 1)
@@ -239,12 +238,12 @@ class TestExtendCoset:
         assert np.array_equal(grown, expected)
 
     def test_stride_one_is_the_plus_append(self):
-        coeffs = initial_coeffs(4).coeffs
+        coeffs = initial_coeffs(4)
         buf = np.zeros(1 << 7, dtype=complex)
         buf[:len(coeffs)] = coeffs
         grown = _extend_coset(buf, len(coeffs), 7, 1, 0)
         assert grown.base is buf and len(grown) == len(buf)
-        full = to_fourier_basis(extend_register(approx_initial_state(4), 7)).coeffs
+        full = to_fourier_basis(extend_register(approx_initial_state(4), 7))
         np.testing.assert_allclose(grown, full, rtol=0.0, atol=1e-15)
 
 
@@ -260,7 +259,7 @@ class TestSpreadCoset:
         rng = np.random.default_rng(length + r)
         coset = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         coset /= np.linalg.norm(coset)
-        coeffs = spread_coset(coset, stride, r).coeffs
+        coeffs = spread_coset(coset, stride, r)
         assert len(coeffs) == stride * length
         assert coeffs[r::stride].tobytes() == coset.tobytes()
         assert not np.delete(coeffs, np.s_[r::stride]).any()
@@ -271,7 +270,7 @@ class TestExtensionKernel:
     def test_matches_dense_extension_spectrum(self, j):
         # acceptance oracle for the kernel: DFT of the literally extended state
         s, n_new = 5, 10
-        dense = to_fourier_basis(extend_register(pure_fourier_state(s, j), n_new)).weights()
+        dense = np.abs(to_fourier_basis(extend_register(pure_fourier_state(s, j), n_new))) ** 2
         Nf = 1 << n_new
         offsets = np.arange(-16, 16)
         for m, kernel in zip(offsets, kernel_weights(s, n_new, j, offsets)):
@@ -298,7 +297,7 @@ class TestExtensionKernel:
 class TestSparseSpectrum:
     def test_initial_matches_dense_weights(self):
         sp = sparse_extend(sparse_start(), 6)
-        dense = initial_coeffs(6).weights()
+        dense = np.abs(initial_coeffs(6)) ** 2
         assert len(sp) == 16
         for j, w in sparse_weights(sp).items():
             assert w == pytest.approx(dense[j % 64], rel=1e-12, abs=0.0)
@@ -349,14 +348,14 @@ class TestSparseSpectrum:
         dense = one_round(8)
         assert out.p_success == pytest.approx(dense.final.p_success, abs=1e-12)
         assert out.fidelity == pytest.approx(dense.final.fidelity, abs=1e-12)
-        dense_weights = spread_coset(dense.output).weights()
+        dense_weights = np.abs(spread_coset(dense.output)) ** 2
         for j, w in sparse_weights(spectrum).items():
             assert w == pytest.approx(dense_weights[j % 256], rel=1e-9, abs=1e-15)
 
     def test_sparse_extend_matches_dense_route(self):
         # per-weight cross-validation at (5 -> 10), the kernel's oracle
         sp = sparse_extend(initial_sparse_spectrum(5), 10)
-        dense = to_fourier_basis(extend_register(approx_initial_state(5), 10)).weights()
+        dense = np.abs(to_fourier_basis(extend_register(approx_initial_state(5), 10))) ** 2
         for j in range(1 << 10):
             assert sparse_weight(sp, j) == pytest.approx(dense[j], abs=1e-6)
         assert math.exp(sp.log_tail) < 1e-12
@@ -422,12 +421,11 @@ class TestSparseTailBound:
         sp, n_new, budget = inputs
         out = sparse_extend(sp, n_new, max_harmonics=budget)
         assert_same_spectrum(out, sparse_extend_reference(sp, n_new, budget))
-        N, Nf = sp.dim, 1 << n_new
+        N, Nf = 1 << sp.n, 1 << n_new
         coeffs = np.zeros(N)
         for j, w in sparse_weights(sp).items():
             coeffs[j % N] = math.sqrt(w)
-        dense = to_fourier_basis(extend_register(from_fourier_basis(FourierAmplitudes(coeffs)),
-                                                 n_new)).weights()
+        dense = np.abs(to_fourier_basis(extend_register(from_fourier_basis(coeffs), n_new))) ** 2
         for j, w in sparse_weights(out).items():
             assert w == pytest.approx(dense[j % Nf], rel=1e-9, abs=0.0)
         # the mass really missing lies in the input's classes, off the kept
@@ -619,7 +617,7 @@ class TestRunProtocolExact:
     def test_final_error_is_off_target_weight(self):
         # 1 - fidelity keeps only about 8 digits of a 2.6e-8 error
         result = run_protocol_exact(10)
-        weights = spread_coset(result.output).weights()
+        weights = np.abs(spread_coset(result.output)) ** 2
         assert result.final.error == pytest.approx(math.fsum(np.delete(weights, 1)),
                                                    rel=1e-12, abs=0.0)
 
@@ -860,16 +858,16 @@ class TestProtocolInvariants:
                 assert f_next > f_prev
 
     def test_dominance_ordering_preserved(self):
-        w = initial_coeffs(8).weights()
-        out = spread_coset(one_round(8).output).weights()
+        w = np.abs(initial_coeffs(8)) ** 2
+        out = np.abs(spread_coset(one_round(8).output)) ** 2
         order_in = np.argsort(w)
         order_out = np.argsort(out[order_in])
         assert (np.diff(out[order_in]) >= -1e-18).all()
         assert (order_out == np.arange(len(order_out))).all()
 
     def test_sideband_ratio_squares_exactly(self):
-        w = initial_coeffs(10).weights()
-        out = spread_coset(one_round(10).output).weights()
+        w = np.abs(initial_coeffs(10)) ** 2
+        out = np.abs(spread_coset(one_round(10).output)) ** 2
         N = 1 << 10
         ratio_in = w[N - 3] / w[1]
         ratio_out = out[N - 3] / out[1]
@@ -904,13 +902,11 @@ class TestProtocolInvariants:
     # NaN compares false with any tolerance, so the mass checks test "within"
     (lambda: StateVector(np.array([math.nan, 0.0])), ValueError,
      r"state not normalized: sum \|amps\|\^2 = nan"),
-    (lambda: FourierAmplitudes(np.array([0.0, math.nan])), ValueError,
-     "coefficients not normalized: sum = nan"),
     (lambda: SparseSpectrum(2, {1: math.nan}), ValueError,
      "sparse spectrum mass must be 1, got nan"),
 ], ids=["outcome-p", "empty-schedule", "sparse-n", "sparse-empty", "initial-n",
         "kernel-shrink", "extend-shrink", "target-missing", "rounds-n",
-        "nan-state", "nan-coefficients", "nan-sparse"])
+        "nan-state", "nan-sparse"])
 def test_invalid_input_raises(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()

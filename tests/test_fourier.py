@@ -7,11 +7,9 @@ import pytest
 
 from fourierdistill import (
     CapacityError,
-    FourierAmplitudes,
     StateVector,
     epsilon_f_kickback,
     fidelity_threshold,
-    from_fourier_basis,
     initial_state_weight,
     pure_fourier_state,
     series_weight,
@@ -28,8 +26,10 @@ from oracles import (
     approx_initial_state,
     dft_direct,
     fidelity,
+    from_fourier_basis,
     qvr_phase,
     series_coefficient,
+    spread_coset,
     traced_peak,
 )
 
@@ -109,19 +109,19 @@ class TestApproxInitialState:
 
 class TestBasisConversion:
     def test_pure_state_gives_delta_spectrum(self):
-        coeffs = to_fourier_basis(pure_fourier_state(4, 7)).coeffs
+        coeffs = to_fourier_basis(pure_fourier_state(4, 7))
         expected = np.zeros(16)
         expected[7] = 1.0
         np.testing.assert_allclose(np.abs(coeffs), expected, atol=1e-12)
 
     def test_initial_state_weights_n8(self):
-        w = to_fourier_basis(approx_initial_state(8)).weights()
+        w = np.abs(to_fourier_basis(approx_initial_state(8))) ** 2
         assert w[1] == pytest.approx(0.810610160468, abs=1e-9)
         assert w[256 - 3] == pytest.approx(0.090103975485, abs=1e-9)
 
     @pytest.mark.parametrize("n", range(4, 17))
     def test_weights_vanish_off_support(self, n):
-        w = to_fourier_basis(approx_initial_state(n)).weights()
+        w = np.abs(to_fourier_basis(approx_initial_state(n))) ** 2
         off = [j for j in range(1 << n) if j % 4 != 1]
         assert np.max(w[off]) < 1e-12
 
@@ -137,11 +137,11 @@ class TestBasisConversion:
     def test_inverse_of_delta_is_pure_state(self):
         delta = np.zeros(32, complex)
         delta[0] = 1.0
-        np.testing.assert_allclose(from_fourier_basis(FourierAmplitudes(delta)).amps,
+        np.testing.assert_allclose(from_fourier_basis(delta).amps,
                                    np.full(32, 1 / math.sqrt(32)), atol=1e-13)
         delta = np.zeros(32, complex)
         delta[5] = 1.0
-        np.testing.assert_allclose(from_fourier_basis(FourierAmplitudes(delta)).amps,
+        np.testing.assert_allclose(from_fourier_basis(delta).amps,
                                    pure_fourier_state(5, 5).amps, atol=1e-13)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -149,8 +149,15 @@ class TestBasisConversion:
         rng = np.random.default_rng(7 + n)
         raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         s = StateVector(raw / np.linalg.norm(raw))
-        np.testing.assert_allclose(to_fourier_basis(s).coeffs,
-                                   dft_direct(s).coeffs, atol=1e-10)
+        np.testing.assert_allclose(to_fourier_basis(s), dft_direct(s), atol=1e-10)
+
+    def test_oracles_return_plain_arrays(self):
+        # the same form as to_fourier_basis and the exact engine's output
+        folded, _ = alias_fold(4, series_coefficient, 64)
+        for coeffs in (dft_direct(approx_initial_state(4)), spread_coset(np.ones(4) / 2),
+                       folded):
+            assert type(coeffs) is np.ndarray and coeffs.dtype == complex
+            assert coeffs.shape == (16,)
 
     def test_direct_transform_capped(self):
         with pytest.raises(CapacityError):
@@ -242,8 +249,8 @@ class TestAliasFold:
         # quartering with every added qubit pair.
         N = 1 << n
         folded, tail = staircase_fold(n)
-        direct = to_fourier_basis(approx_initial_state(n)).weights()
-        diff = np.max(np.abs(folded.weights() - direct))
+        direct = np.abs(to_fourier_basis(approx_initial_state(n))) ** 2
+        diff = np.max(np.abs(np.abs(folded) ** 2 - direct))
         assert diff < 2.5 / N
         assert diff > 0.5 / N  # the convention gap is real, not a tolerance slack
         assert 0 <= tail < 1e-3
@@ -254,14 +261,14 @@ class TestAliasFold:
         n, N = 8, 256
         folded, _ = staircase_fold(n)
         for signed_j in (1, 5, -3, -7):
-            ratio = folded.coeffs[signed_j % N] / folded.coeffs[1]
+            ratio = folded[signed_j % N] / folded[1]
             exact = math.tan(math.pi / N) / math.tan(math.pi * signed_j / N)
             assert ratio.imag == pytest.approx(0.0, abs=1e-9)
             assert ratio.real == pytest.approx(exact, abs=1e-4)
 
     def test_delta_series(self):
         folded, tail = alias_fold(6, lambda j: 1.0 if j == 1 else 0.0, 64)
-        assert folded.weights()[1] == pytest.approx(1.0, abs=1e-12)
+        assert abs(folded[1]) ** 2 == pytest.approx(1.0, abs=1e-12)
         assert tail == pytest.approx(0.0, abs=1e-12)
 
     def test_fold_arithmetic_brute_force(self):
@@ -276,7 +283,7 @@ class TestAliasFold:
                     for x in range(-(j_max // 16) - 1, j_max // 16 + 2)
                     if abs(16 * x + j) <= j_max)) ** 2
             for j in range(16)))
-        assert folded.coeffs[13] == pytest.approx(expected / norm, abs=1e-12)
+        assert folded[13] == pytest.approx(expected / norm, abs=1e-12)
         # the in-window harmonic at +13 measurably shifts the class total
         # away from the dominant -3 term (they carry opposite signs)
         assert abs(expected - series_coefficient(-3)) > abs(series_coefficient(13)) / 2
@@ -334,7 +341,7 @@ class TestFidelityThreshold:
 class TestClosedFormWeights:
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_matches_dft(self, n):
-        w = to_fourier_basis(approx_initial_state(n)).weights()
+        w = np.abs(to_fourier_basis(approx_initial_state(n))) ** 2
         for j in range(1 << n):
             assert initial_state_weight(n, j) == pytest.approx(w[j], abs=1e-12)
 
@@ -366,30 +373,26 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError):
             s.amps[0] = 0.0
 
-    @pytest.mark.parametrize("cls,field,dtype,value", [
-        (StateVector, "amps", complex, 0.5),
-        (FourierAmplitudes, "coeffs", complex, 0.5),
-    ])
-    def test_constructor_does_not_alias_the_callers_array(self, cls, field, dtype, value):
-        mine = np.full(4, value, dtype=dtype)
-        obj = cls(mine)
+    def test_constructor_does_not_alias_the_callers_array(self):
+        mine = np.full(4, 0.5, dtype=complex)
+        stored = StateVector(mine).amps
         mine[0] = 0.0
-        stored = getattr(obj, field)
-        assert np.array_equal(stored, np.full(4, value))
+        assert np.array_equal(stored, np.full(4, 0.5))
         assert mine.flags.writeable
         assert not stored.flags.writeable
         with pytest.raises(ValueError):
             stored[0] = 0.0
 
-    def test_weights_are_a_new_writable_array(self):
-        a = to_fourier_basis(approx_initial_state(4))
-        coeffs = a.coeffs.copy()
-        w = a.weights()
-        assert w.dtype == float and w.flags.writeable
-        assert np.array_equal(w, np.abs(coeffs) ** 2)
-        w[:] = -1.0
-        assert np.array_equal(a.coeffs, coeffs)
-        assert np.array_equal(a.weights(), np.abs(coeffs) ** 2)
+    def test_to_fourier_basis_returns_a_new_read_only_array(self):
+        s = approx_initial_state(4)
+        amps = s.amps.copy()
+        coeffs = to_fourier_basis(s)
+        assert isinstance(coeffs, np.ndarray) and coeffs.dtype == complex
+        assert not np.shares_memory(coeffs, s.amps)
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0] = 0.0
+        assert np.array_equal(s.amps, amps)
 
     def test_amplitude_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", "4")

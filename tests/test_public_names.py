@@ -126,18 +126,26 @@ def test_every_module_level_public_name_has_a_reader():
 
 def test_readers_are_package_and_bench_not_demos():
     used = _package_and_bench_uses()
-    # read outside the package only by TRACED and by bench/make_reference.py
-    assert {"from_fourier_basis", "expected_cost_recursion"} <= used
+    # read outside the package only by bench/make_reference.py
+    assert "expected_cost_recursion" in used
     # Names that only demos and tests called are gone: no reader file reads
-    # them and no package module defines them.  TRACED may still list one;
-    # its metrics then read zero.
+    # them and no package module defines them.  TRACED may still list one
+    # (it lists from_fourier_basis); its metrics then read zero.
     defined = {q.partition(".")[2] for q in _module_level_public_names()}
     read = _used_names(_reader_files()) | defined | set(vars(fourierdistill))
     moved = {"alias_fold", "series_coefficient", "toffoli_closed_form", "transform_cost",
-             "circuit_to_text", "approx_initial_state", "distill_pair", "qvr_phase"}
+             "circuit_to_text", "approx_initial_state", "distill_pair", "qvr_phase",
+             "from_fourier_basis"}
     assert moved & read == set()
     # the formulas among them live in oracles.py
     assert all(callable(getattr(oracles, name)) for name in moved - {"distill_pair"})
+
+
+def test_dense_fourier_coefficients_are_plain_arrays():
+    # to_fourier_basis and the exact engine hand out read-only ndarrays;
+    # StateVector is the one dense value type
+    assert not hasattr(fourierdistill, "FourierAmplitudes")
+    assert [p.name for p in SRC.glob("*.py") if "FourierAmplitudes" in p.read_text()] == []
 
 
 def _calls(paths) -> dict[str, list[tuple[float, set]]]:
