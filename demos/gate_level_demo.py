@@ -22,7 +22,7 @@ from fourierdistill import (
 )
 
 n = 5
-circuit, layout = build_distillation_circuit(n)
+circuit, second = build_distillation_circuit(n)
 print(f"Distillation circuit on two {n}-qubit registers plus one carry ancilla:")
 print(f"  gate counts: {circuit.counts}")
 print(f"  Toffolis as built: {circuit.toffoli_count} "
@@ -40,7 +40,7 @@ zeros = StateVector(np.eye(1, 1 << n, dtype=complex)[0])
 inp = apply_circuit(approx_state_circuit(n), zeros)  # H, Z and S from |0...0>
 joint = StateVector(np.kron(np.kron(inp.amps, inp.amps), [1.0, 0.0]))
 # the first register reads all zeros exactly when it verifies as index 0
-p_circuit, output = extract_register(apply_circuit(circuit, joint), layout)
+p_circuit, output = extract_register(apply_circuit(circuit, joint), second)
 # the exact engine's one round at size n, as `fourierdistill simulate` predicts
 predicted = run_protocol_exact(n, s0=n, pad=0).final
 print(f"  circuit success probability  {p_circuit:.12f}")

@@ -9,7 +9,6 @@ from .arbitrary import (
 from .circuits import (
     Gate,
     GateCircuit,
-    RegisterLayout,
     apply_circuit,
     approx_state_circuit,
     basis_images,

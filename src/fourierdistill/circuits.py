@@ -15,9 +15,9 @@ which :func:`basis_images` evaluates classically on integer indices.
 The modular adder comes in two forms: a basis-state permutation oracle
 (ground truth) and a ripple-carry decomposition into CNOT and Toffoli gates
 using one carry ancilla.  The decomposition restores the ancilla and matches
-the oracle on every basis state; its Toffoli count (2n - 2) is reported as
-built and may differ from the 2n - 4 figure the resource model uses for
-published adder constructions.
+the oracle on every basis state; its Toffoli count, 2n - 2 for n >= 3 (1 at
+n = 2, none at n = 1), is reported as built and may differ from the 2n - 4
+figure the resource model uses for published adder constructions.
 """
 from __future__ import annotations
 
@@ -84,21 +84,6 @@ class GateCircuit:
         return self.counts.get("TOFFOLI", 0)
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Named qubit spans of a two-register circuit."""
-
-    first: range
-    second: range
-    ancilla: range
-
-    def __post_init__(self):
-        spans = [set(self.first), set(self.second), set(self.ancilla)]
-        total = sum(len(s) for s in spans)
-        if len(set().union(*spans)) != total:
-            raise ValueError("register spans must be disjoint")
-
-
 def modular_add_oracle(n: int) -> np.ndarray:
     """Basis permutation of |v>|w> -> |v>|w + v mod 2**n> on 2n qubits.
 
@@ -114,17 +99,18 @@ def modular_add_oracle(n: int) -> np.ndarray:
     return (v * N + (v + w) % N).ravel()
 
 
-def build_adder_circuit(n: int) -> tuple[GateCircuit, RegisterLayout]:
+def build_adder_circuit(n: int) -> tuple[GateCircuit, range]:
     """In-place ripple-carry adder: second register += first, mod 2**n.
 
     Layout: first register on qubits [0, n), second on [n, 2n), one carry
     ancilla at 2n (returned to |0>).  Registers are most-significant-first;
     the carry chain runs from the least significant bits.  The top carry is
     never produced, so the most significant position needs only CNOTs.
+    Returns the circuit and the qubits of the register it writes,
+    range(n, 2n), for :func:`extract_register`.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    layout = RegisterLayout(range(0, n), range(n, 2 * n), range(2 * n, 2 * n + 1))
     qv = lambda i: n - 1 - i        # bit i (LSB = 0) of the first register
     qw = lambda i: 2 * n - 1 - i    # bit i of the second register
     anc = 2 * n
@@ -152,19 +138,19 @@ def build_adder_circuit(n: int) -> tuple[GateCircuit, RegisterLayout]:
             gates.append(Gate("TOFFOLI", (c, b, a)))
             gates.append(Gate("CNOT", (a, c)))
             gates.append(Gate("CNOT", (c, b)))
-    return GateCircuit(2 * n + 1, tuple(gates)), layout
+    return GateCircuit(2 * n + 1, tuple(gates)), range(n, 2 * n)
 
 
-def build_distillation_circuit(n: int) -> tuple[GateCircuit, RegisterLayout]:
+def build_distillation_circuit(n: int) -> tuple[GateCircuit, range]:
     """Distillation step circuit: the adder, then H on each first-register qubit.
 
     The first register is added into the second and rotated so that its
     index-0 Fourier state reads as all zeros; :func:`extract_register` then
-    postselects that outcome.
+    postselects that outcome on the returned second register.
     """
-    adder, layout = build_adder_circuit(n)
-    hadamards = tuple(Gate("H", (q,)) for q in layout.first)
-    return GateCircuit(adder.num_qubits, adder.gates + hadamards), layout
+    adder, second = build_adder_circuit(n)
+    hadamards = tuple(Gate("H", (q,)) for q in range(n))
+    return GateCircuit(adder.num_qubits, adder.gates + hadamards), second
 
 
 def approx_state_circuit(n: int) -> GateCircuit:
@@ -193,7 +179,7 @@ def apply_circuit(circuit: GateCircuit, s: StateVector) -> StateVector:
     if s.n != circuit.num_qubits:
         raise ValueError(f"state has {s.n} qubits, circuit needs {circuit.num_qubits}")
     nq = circuit.num_qubits
-    psi = s.amps.astype(complex).reshape((2,) * nq)
+    psi = s.amps.copy().reshape((2,) * nq)
     for g in circuit.gates:
         name = g.name
         if name == "H":
@@ -235,17 +221,16 @@ def basis_images(circuit: GateCircuit, indices) -> np.ndarray:
     return images
 
 
-def extract_register(state: StateVector,
-                     layout: RegisterLayout) -> tuple[float, StateVector]:
-    """Postselect every qubit outside the second register at 0.
+def extract_register(state: StateVector, register: range) -> tuple[float, StateVector]:
+    """Postselect every qubit outside ``register`` at 0.
 
-    Returns the branch probability and the normalized second register.  On a
+    Returns the branch probability and the normalized register.  On a
     distillation circuit this is the step's postselection: the adder restores
     the ancilla, so the branch is the first register verified as index 0.
     """
     nq = state.n
     view = state.amps.reshape((2,) * nq)
-    out = view[_slice(nq, {q: 0 for q in range(nq) if q not in layout.second})].ravel()
+    out = view[_slice(nq, {q: 0 for q in range(nq) if q not in register})].ravel()
     probability = float(np.sum(np.abs(out) ** 2))
     if probability < 1e-300:
         raise DegenerateInputError("register extraction hit a zero branch")

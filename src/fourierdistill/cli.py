@@ -141,9 +141,9 @@ def cmd_simulate(a: argparse.Namespace):
     zeros = fourier.StateVector(np.eye(1, 1 << a.n, dtype=complex)[0])
     inp = circuits.apply_circuit(prep, zeros).amps
     joint = np.kron(np.kron(inp, inp), np.array([1.0, 0.0]))
-    circuit, layout = circuits.build_distillation_circuit(a.n)
+    circuit, second = circuits.build_distillation_circuit(a.n)
     final = circuits.apply_circuit(circuit, fourier.StateVector(joint))
-    p_circuit, output = circuits.extract_register(final, layout)
+    p_circuit, output = circuits.extract_register(final, second)
     circuit_weights = np.abs(fourier.to_fourier_basis(output)) ** 2
     # plan_schedule's single-round case: one symmetric round at size n, whose
     # output is the coset j = 1 (mod COSET_STRIDE); every weight off it is 0
@@ -169,7 +169,6 @@ def cmd_simulate(a: argparse.Namespace):
 
 
 def cmd_resources(a: argparse.Namespace):
-    n_values = [a.n] if a.n is not None else range(a.n_min, a.n_max + 1)
     rows = [
         {
             "n": report.schedule.n_target,
@@ -179,7 +178,8 @@ def cmd_resources(a: argparse.Namespace):
             "rounds": report.rounds,
             "width": report.width_qubits,
         }
-        for report in resources.resource_reports(n_values, a.trials, a.seed, a.s0, a.pad)
+        for report in resources.resource_reports(range(a.n_min, a.n_max + 1), a.trials,
+                                                 a.seed, a.s0, a.pad)
     ]
     payload = {"command": "resources", "trials": a.trials, "seed": a.seed, "rows": rows}
     columns = ("n", "toffoli_deterministic", "toffoli_expected_mean",
@@ -275,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "json")
 
     p = sub.add_parser("resources", help="Toffoli costs per target precision")
-    p.add_argument("--n", type=int, default=None, help="single target n")
     p.add_argument("--n-min", type=int, default=5)
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--trials", type=int, default=0,

@@ -301,12 +301,12 @@ def sparse_symmetric_round(sp: SparseSpectrum) -> tuple[DistillationOutcome, Spa
     The unknown tail squares through the step as well (sum of squares of the
     truncated weights is at most the square of their sum), so the tail bound
     remains valid after postselection.  Squaring keeps the weight order.
+    A spectrum's H weights and tail have mass 1, so p = sum w**2 + tail**2
+    is at least 1/(H + 1) by Cauchy-Schwarz and never vanishes.
     """
     doubled = 2.0 * sp.log_weights
     tail2 = 2.0 * sp.log_tail
     log_p = _logsumexp(np.append(doubled, tail2))
-    if log_p == NEG_INF:
-        raise DegenerateInputError("spectrum mass vanished; cannot postselect")
     out_lw = doubled - log_p
     out_tail = tail2 - log_p
     try:

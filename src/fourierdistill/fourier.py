@@ -105,8 +105,7 @@ def pure_fourier_state(n: int, k: int) -> StateVector:
     """The n-qubit Fourier state with index k (k taken mod 2**n)."""
     require_register_size(n)
     N = 1 << n
-    if not 0 <= k < N:
-        k %= N
+    k %= N
     amps = np.empty(N, dtype=complex)
     for part, y in _index_blocks(N):
         amps[part] = np.exp(2j * np.pi * k * y / N) / math.sqrt(N)
@@ -204,17 +203,6 @@ def series_weight(j: int) -> float:
     return 8.0 / (math.pi * j) ** 2
 
 
-def sin_pi_frac(j: int, N: int) -> float:
-    """|sin(pi * j / N)| for integer j, exact under the mod-N fold.
-
-    Reduces j mod N to the half-period first so that huge or negative j
-    (arbitrary-precision ints) lose no precision in the float division.
-    """
-    m = j % N
-    m = min(m, N - m)
-    return math.sin(math.pi * (m / N))
-
-
 def initial_state_weight(n: int, j: int) -> float:
     """Exact Fourier weight of the approximate initial state at index j.
 
@@ -232,7 +220,7 @@ def initial_state_weight(n: int, j: int) -> float:
     m = min(j % N, -j % N)
     try:
         # for m / N < 2**-1000 (it may underflow) the sine is its argument
-        x = math.pi * m if m < N >> 1000 else math.ldexp(sin_pi_frac(m, N), n)
+        x = math.pi * m if m < N >> 1000 else math.ldexp(math.sin(math.pi * (m / N)), n)
         return 8.0 / x ** 2
     except OverflowError:  # x = N sin(pi m / N) >= 2**512
         return 0.0

@@ -42,6 +42,9 @@ PROBABILITY_HARMONICS = 512
 #: of this length at once (about 230 MB at the limit).
 MAX_TRIALS = 1 << 22
 
+#: Most targets of one sweep (about 3 s and 175 MB of schedule arithmetic).
+MAX_TARGETS = 1 << 17
+
 
 def adder_toffoli_count(size: int) -> int:
     """Published Toffoli cost 2s - 4 of one in-place adder on s-qubit registers."""
@@ -110,7 +113,7 @@ def _check_request(s0: int, n: int | None = None, trials: int = 0,
         raise ValueError(f"--s0 {s0} is below 3: the adder cost formula "
                          f"needs registers of at least 3 qubits")
     if n is not None and n < 5:
-        raise ValueError(f"--n {n} is below 5: cost accounting starts at n = 5")
+        raise ValueError(f"--n-min {n} is below 5: cost accounting starts at n = 5")
     if trials > MAX_TRIALS:
         raise CapacityError(f"--trials {trials} exceeds the Monte Carlo limit of "
                             f"{MAX_TRIALS} trials per estimate")
@@ -170,14 +173,18 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
 def resource_reports(n_values, trials: int = 0, seed: int | None = None,
                      s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD) -> list[ResourceReport]:
     """Deterministic report per n, plus Monte Carlo expected cost when trials
-    is not 0.  trials, seed, s0 and the first n are checked before any engine
-    runs, also for an empty sweep; a later n is checked when the sweep reaches it.
+    is not 0.  trials, seed, s0, the first n and the sweep's length are
+    checked before any engine runs, also for an empty sweep; a later n is
+    checked when the sweep reaches it.
 
     The engine runs of the sweep share one reuse store, so a round prefix
     common to several n runs once; every n gets the floats it gets alone.
     """
     sweep = n_values if isinstance(n_values, range) else list(n_values)
     _check_request(s0, sweep[0] if len(sweep) else None, trials, seed)
+    if len(sweep) > MAX_TARGETS:
+        raise CapacityError(f"--n-min {sweep[0]} to --n-max {sweep[-1]} spans {len(sweep)} "
+                            f"targets, above the limit of {MAX_TARGETS} targets")
     reports, reuse = [], {}
     for n in sweep:
         report = toffoli_capped(n, s0, pad)

@@ -10,7 +10,6 @@ from fourierdistill import (
     CapacityError,
     Gate,
     GateCircuit,
-    RegisterLayout,
     SparseSpectrum,
     StateVector,
     default_truncate_bits,
@@ -309,6 +308,28 @@ def rounds_required_simplified(n: int) -> int:
     return math.ceil(math.log2(0.63 * n - 1.04))
 
 
+def predicted_log_error(sizes) -> float:
+    """Closed-form natural-log error of a schedule: the j = -3 sideband alone.
+
+    rho(s) = ln(sin^2(pi/2**s) / sin^2(3 pi/2**s)) is the log ratio
+    w_-3 / w_1 of the s-qubit initial spectrum.  Extending from s to s'
+    re-aliases it by rho(s') - rho(s), and a round doubles it, so with the
+    2-qubit start (rho(2) = 0) L_r = 2 (L_(r-1) + rho(s_r) - rho(s_(r-1)))
+    and the error after the last round is about exp(L_R).  It is a model,
+    not a bound: it leaves out every other sideband.
+    """
+    def rho(s):
+        x = math.ldexp(math.pi, -s)
+        return 2.0 * math.log(math.sin(x) / math.sin(3.0 * x))
+
+    log_ratio = previous = 0.0
+    for s in sizes:
+        current = rho(s)
+        log_ratio = 2.0 * (log_ratio + current - previous)
+        previous = current
+    return log_ratio
+
+
 def series_coefficient(j: int) -> complex:
     """Fourier-series coefficient of the two-bit staircase phase function.
 
@@ -409,7 +430,7 @@ def circuit_to_text(circuit: GateCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_constant_adder_circuit(n: int, addend: int) -> tuple[GateCircuit, RegisterLayout]:
+def build_constant_adder_circuit(n: int, addend: int) -> GateCircuit:
     """Known-addend adder: register += addend mod 2**n, n - 2 Toffolis.
 
     With one addend classical, half the Toffolis of the in-place adder
@@ -427,7 +448,6 @@ def build_constant_adder_circuit(n: int, addend: int) -> tuple[GateCircuit, Regi
     if n < 3:
         raise ValueError("constant adder needs n >= 3")
     addend %= 1 << n
-    layout = RegisterLayout(range(0, n), range(n, n), range(n, 2 * n - 1))
     qw = lambda i: n - 1 - i          # register bit i (LSB = 0)
     qc = lambda i: n + i - 1          # carry into position i, for i >= 1
     bit = lambda i: (addend >> i) & 1
@@ -446,4 +466,4 @@ def build_constant_adder_circuit(n: int, addend: int) -> tuple[GateCircuit, Regi
             gates.append(Gate("X", (qw(i),)))
         if i >= 1:
             gates.append(Gate("CNOT", (qc(i), qw(i))))
-    return GateCircuit(2 * n - 1, tuple(gates)), layout
+    return GateCircuit(2 * n - 1, tuple(gates))

@@ -93,9 +93,9 @@ def test_criterion_04_adder_action_n3_all_pairs():
 def test_criterion_05_gate_level_matches_spectral():
     n = 5
     inp = approx_initial_state(n)
-    circuit, layout = build_distillation_circuit(n)
+    circuit, second = build_distillation_circuit(n)
     joint = StateVector(np.kron(np.kron(inp.amps, inp.amps), [1.0, 0.0]))
-    p_circuit, output = extract_register(apply_circuit(circuit, joint), layout)
+    p_circuit, output = extract_register(apply_circuit(circuit, joint), second)
     predicted = run_protocol_exact(n, s0=n, pad=0)
     assert abs(p_circuit - predicted.final.p_success) < 1e-9
     diff = np.max(np.abs(np.abs(to_fourier_basis(output)) ** 2

@@ -11,7 +11,6 @@ from fourierdistill import (
     DegenerateInputError,
     Gate,
     GateCircuit,
-    RegisterLayout,
     StateVector,
     apply_circuit,
     approx_state_circuit,
@@ -74,10 +73,6 @@ class TestGateTypes:
         counts = circuit.counts
         assert counts["TOFFOLI"] == circuit.toffoli_count == 2 * 4 - 2
         assert sum(counts.values()) == len(circuit.gates)
-
-    def test_layout_disjointness(self):
-        with pytest.raises(ValueError):
-            RegisterLayout(range(0, 3), range(2, 5), range(5, 6))
 
 
 class TestModularAddOracle:
@@ -253,7 +248,7 @@ class TestConstantAdderCircuit:
         N = 1 << n
         w = np.arange(N, dtype=np.uint64)
         for addend in range(N):
-            circuit, _ = build_constant_adder_circuit(n, addend)
+            circuit = build_constant_adder_circuit(n, addend)
             # register bits occupy the top n positions; carries start at 0
             images = basis_images(circuit, w << np.uint64(n - 1))
             # carries are left dirty, so only the register bits are compared
@@ -262,13 +257,13 @@ class TestConstantAdderCircuit:
     def test_short_circuit_toffoli_count(self):
         # half the in-place adder's Toffolis drop when one addend is classical
         for n in (3, 5, 9):
-            circuit, _ = build_constant_adder_circuit(n, 3)
+            circuit = build_constant_adder_circuit(n, 3)
             assert circuit.toffoli_count == n - 2
 
     @pytest.mark.filterwarnings("ignore:T-sequence cost model is out of regime")
     def test_kickback_cost_witness(self):
         for row in comparison_table(range(2, 65)):
-            circuit, _ = build_constant_adder_circuit(row.p + 1, row.p)
+            circuit = build_constant_adder_circuit(row.p + 1, row.p)
             assert circuit.toffoli_count == row.kickback_toffolis, row.p
             assert circuit.num_qubits == row.kickback_ancillas, row.p
 
@@ -280,18 +275,18 @@ class TestConstantAdderCircuit:
 class TestDistillationCircuit:
     def test_structure(self):
         # the adder, then H on each first-register qubit; no measurement gates
-        circuit, layout = build_distillation_circuit(5)
-        adder, adder_layout = build_adder_circuit(5)
-        assert layout == adder_layout
+        circuit, second = build_distillation_circuit(5)
+        adder, written = build_adder_circuit(5)
+        assert second == written == range(5, 10)
         assert circuit.num_qubits == adder.num_qubits
-        assert circuit.gates == adder.gates + tuple(Gate("H", (q,)) for q in layout.first)
+        assert circuit.gates == adder.gates + tuple(Gate("H", (q,)) for q in range(5))
 
     def test_matches_spectral_prediction_n5(self):
         n = 5
         inp = approx_initial_state(n)
-        circuit, layout = build_distillation_circuit(n)
+        circuit, second = build_distillation_circuit(n)
         joint = StateVector(np.kron(np.kron(inp.amps, inp.amps), [1.0, 0.0]))
-        probability, output = extract_register(apply_circuit(circuit, joint), layout)
+        probability, output = extract_register(apply_circuit(circuit, joint), second)
         predicted = run_protocol_exact(n, s0=n, pad=0)
         assert probability == pytest.approx(predicted.final.p_success, abs=1e-9)
         np.testing.assert_allclose(np.abs(to_fourier_basis(output)) ** 2,
@@ -300,9 +295,9 @@ class TestDistillationCircuit:
     def test_pure_inputs_always_postselect(self):
         n = 4
         gamma = pure_fourier_state(n, 1)
-        circuit, layout = build_distillation_circuit(n)
+        circuit, second = build_distillation_circuit(n)
         joint = StateVector(np.kron(np.kron(gamma.amps, gamma.amps), [1.0, 0.0]))
-        probability, output = extract_register(apply_circuit(circuit, joint), layout)
+        probability, output = extract_register(apply_circuit(circuit, joint), second)
         assert probability == pytest.approx(1.0, abs=1e-10)
         assert fidelity(output, n, 1) == pytest.approx(1.0, abs=1e-10)
 
@@ -347,8 +342,7 @@ class TestApplyCircuit:
         # has probability 1/2 and leaves qubit 1 in |0>
         bell = apply_circuit(GateCircuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)))),
                              basis_state(2, 0))
-        probability, second = extract_register(
-            bell, RegisterLayout(range(0, 1), range(1, 2), range(0)))
+        probability, second = extract_register(bell, range(1, 2))
         assert probability == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(second.amps, [1, 0], atol=1e-12)
 
@@ -356,7 +350,7 @@ class TestApplyCircuit:
         # X leaves qubit 0 at 1, so the branch with it at 0 has no weight
         flipped = apply_circuit(GateCircuit(2, (Gate("X", (0,)),)), basis_state(2, 0))
         with pytest.raises(DegenerateInputError):
-            extract_register(flipped, RegisterLayout(range(0, 1), range(1, 2), range(0)))
+            extract_register(flipped, range(1, 2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -379,11 +373,11 @@ def gate_level_clone_fidelities(source, k):
     the source (second) and the ancilla |0>, then X on every first-register
     qubit."""
     n = source.n
-    circuit, layout = build_adder_circuit(n)
+    circuit, _ = build_adder_circuit(n)
     blank = pure_fourier_state(n, 0)
     joint = StateVector(np.kron(np.kron(blank.amps, source.amps), [1.0, 0.0]))
     added = apply_circuit(circuit, joint)
-    gates = tuple(Gate("X", (q,)) for q in layout.first)
+    gates = tuple(Gate("X", (q,)) for q in range(n))
     flipped = apply_circuit(GateCircuit(2 * n + 1, gates), added)
     matrix = flipped.amps.reshape(1 << n, 1 << n, 2)[:, :, 0]  # ancilla restored
     gamma = pure_fourier_state(n, k).amps.conj()
@@ -458,8 +452,7 @@ class TestCircuitText:
     (lambda: modular_add_oracle(0), ValueError, "n must be positive"),
     (lambda: build_adder_circuit(0), ValueError, "n must be positive"),
     # the first register holds 1, so no branch has every other qubit at 0
-    (lambda: extract_register(basis_state(3, 0b100),
-                              RegisterLayout(range(0, 1), range(1, 2), range(2, 3))),
+    (lambda: extract_register(basis_state(3, 0b100), range(1, 2)),
      DegenerateInputError, "register extraction hit a zero branch"),
 ], ids=["oracle-n", "adder-n", "zero-branch"])
 def test_invalid_input_raises(call, error, fragment):

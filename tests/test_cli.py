@@ -404,7 +404,7 @@ class TestSimulateCommand:
 
 class TestResourcesCommand:
     def test_deterministic_only_columns(self, capsys):
-        code, out, _ = run_cli(capsys, "resources", "--n", "10")
+        code, out, _ = run_cli(capsys, "resources", "--n-min", "10", "--n-max", "10")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == ("n,toffoli_deterministic,toffoli_expected_mean,"
@@ -413,38 +413,40 @@ class TestResourcesCommand:
 
     def test_small_start_prices_a_round_at_the_target(self, capsys):
         # sizes (3, 6, 12, 15): 8, 4, 2 and 1 adders of 2, 8, 20 and 26 Toffolis
-        code, out, _ = run_cli(capsys, "resources", "--n", "13", "--s0", "3")
+        code, out, _ = run_cli(capsys, "resources", "--n-min", "13", "--n-max", "13", "--s0", "3")
         assert code == 0
         assert out.strip().splitlines()[1] == "13,114,,,4,30"
 
     def test_expected_cost_window(self, capsys):
-        code, out, _ = run_cli(capsys, "resources", "--n", "10",
+        code, out, _ = run_cli(capsys, "resources", "--n-min", "10", "--n-max", "10",
                                "--trials", "2000", "--seed", "9")
         assert code == 0
         mean = float(out.strip().splitlines()[1].split(",")[2])
         assert 70 <= mean <= 140
 
     def test_seed_required_for_trials(self, capsys):
-        code, _, err = run_cli(capsys, "resources", "--n", "10", "--trials", "10")
+        code, _, err = run_cli(capsys, "resources", "--n-min", "10", "--n-max", "10",
+                               "--trials", "10")
         assert code == 2
         assert "seed" in err
 
     def test_fixed_seed_reproducible(self, capsys):
-        _, out1, _ = run_cli(capsys, "resources", "--n", "8",
+        _, out1, _ = run_cli(capsys, "resources", "--n-min", "8", "--n-max", "8",
                              "--trials", "300", "--seed", "4")
-        _, out2, _ = run_cli(capsys, "resources", "--n", "8",
+        _, out2, _ = run_cli(capsys, "resources", "--n-min", "8", "--n-max", "8",
                              "--trials", "300", "--seed", "4")
         assert out1 == out2
 
     def test_negative_trials_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "resources", "--n", "10", "--trials", "-5")
+        code, out, err = run_cli(capsys, "resources", "--n-min", "10", "--n-max", "10",
+                                 "--trials", "-5")
         assert code == 2
         assert out == ""
         assert "invalid request" in err and "--trials" in err
 
     def test_negative_seed_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "resources", "--n", "10", "--trials", "5",
-                                 "--seed", "-1")
+        code, out, err = run_cli(capsys, "resources", "--n-min", "10", "--n-max", "10",
+                                 "--trials", "5", "--seed", "-1")
         assert code == 2
         assert out == ""
         assert err == ("invalid request: --seed -1 is negative: the random stream takes "
@@ -452,7 +454,7 @@ class TestResourcesCommand:
 
     def test_trials_above_limit_is_capacity_error(self, capsys):
         (code, out, err), peak = traced_peak(
-            lambda: run_cli(capsys, "resources", "--n", "10",
+            lambda: run_cli(capsys, "resources", "--n-min", "10", "--n-max", "10",
                             "--trials", "100000000", "--seed", "1"))
         assert code == 3
         assert out == ""
@@ -466,29 +468,62 @@ class TestResourcesCommand:
             raise AssertionError("ran the engine for a refused --trials")
 
         monkeypatch.setattr(resources, "round_success_probabilities", refuse)
-        code, out, err = run_cli(capsys, "resources", "--n", "1100",
+        code, out, err = run_cli(capsys, "resources", "--n-min", "1100", "--n-max", "1100",
                                  "--trials", "100000000", "--seed", "1")
         assert (code, out) == (3, "")
         assert err == ("capacity error: --trials 100000000 exceeds the Monte Carlo "
                        "limit of 4194304 trials per estimate\n")
 
+    def test_sweep_above_limit_is_capacity_error(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("priced a target of a refused sweep")
+
+        monkeypatch.setattr(resources, "toffoli_capped", refuse)
+        n_max = 5 + resources.MAX_TARGETS
+        (code, out, err), peak = traced_peak(
+            lambda: run_cli(capsys, "resources", "--n-min", "5", "--n-max", str(n_max)))
+        assert (code, out) == (3, "")
+        assert err == (f"capacity error: --n-min 5 to --n-max {n_max} spans "
+                       f"{resources.MAX_TARGETS + 1} targets, above the limit of "
+                       f"{resources.MAX_TARGETS} targets\n")
+        assert peak < 1e6  # refused before the range is walked
+
+    def test_sweep_at_limit_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(resources, "toffoli_capped", lambda n, s0, pad: n)
+        sweep = range(5, 5 + resources.MAX_TARGETS)
+        assert resources.resource_reports(sweep) == list(sweep)
+
+    def test_single_target_flag_is_gone(self, capsys):
+        # one target is --n-min N --n-max N; a bare --n matches both flags
+        with pytest.raises(SystemExit) as exc:
+            main(["resources", "--n", "10"])
+        assert exc.value.code == 2
+        assert "ambiguous option: --n could match --n-min, --n-max" in capsys.readouterr().err
+
     # with two faults at once the earlier flag of --trials, --seed, --s0, the
-    # first target, the trial limit and --pad is reported
+    # first target, the trial limit, the sweep limit and --pad is reported
     @pytest.mark.parametrize("argv, code, line", [
-        (["--n", "3", "--trials", "100000000", "--seed", "1"], 2,
-         "invalid request: --n 3 is below 5: cost accounting starts at n = 5"),
-        (["--n", "10", "--pad", "-1", "--trials", "100000000", "--seed", "1"], 3,
+        (["--n-min", "3", "--n-max", "3", "--trials", "100000000", "--seed", "1"], 2,
+         "invalid request: --n-min 3 is below 5: cost accounting starts at n = 5"),
+        (["--n-min", "10", "--n-max", "10", "--pad", "-1", "--trials", "100000000",
+          "--seed", "1"], 3,
          "capacity error: --trials 100000000 exceeds the Monte Carlo limit of 4194304 "
          "trials per estimate"),
-        (["--n", "10", "--trials", "-1", "--s0", "2"], 2,
+        (["--n-min", "10", "--n-max", "10", "--trials", "-1", "--s0", "2"], 2,
          "invalid request: --trials -1 is negative: 0 turns the Monte Carlo estimate off"),
-        (["--n", "10", "--s0", "2", "--seed", "-1"], 2,
+        (["--n-min", "10", "--n-max", "10", "--s0", "2", "--seed", "-1"], 2,
          "invalid request: --seed -1 is negative: the random stream takes a seed >= 0"),
-        (["--n", "3", "--s0", "2"], 2,
+        (["--n-min", "3", "--n-max", "3", "--s0", "2"], 2,
          "invalid request: --s0 2 is below 3: the adder cost formula needs registers of "
          "at least 3 qubits"),
+        (["--n-min", "5", "--n-max", "1000000000", "--trials", "100000000", "--seed", "1"], 3,
+         "capacity error: --trials 100000000 exceeds the Monte Carlo limit of 4194304 "
+         "trials per estimate"),
+        (["--n-min", "5", "--n-max", "1000000000", "--pad", "-1"], 3,
+         "capacity error: --n-min 5 to --n-max 1000000000 spans 999999996 targets, above "
+         "the limit of 131072 targets"),
     ], ids=["n-before-limit", "limit-before-pad", "trials-before-s0", "seed-before-s0",
-            "s0-before-n"])
+            "s0-before-n", "trial-limit-before-sweep-limit", "sweep-limit-before-pad"])
     def test_first_fault_in_flag_order_is_reported(self, capsys, monkeypatch, argv,
                                                    code, line):
         def refuse(*args, **kwargs):
@@ -521,13 +556,15 @@ class TestResourcesCommand:
         assert err == ("invalid request: --pad -1 is negative: the last round must "
                        "reach the target\n")
 
-    # the first target of a sweep is named like a single one
-    @pytest.mark.parametrize("argv", [["--n-min", "3", "--n-max", "6"], ["--n", "3"]],
+    # a sweep of one target names its first target like a longer sweep
+    @pytest.mark.parametrize("argv", [["--n-min", "3", "--n-max", "6"],
+                                      ["--n-min", "3", "--n-max", "3"]],
                              ids=["n-min", "n"])
     def test_target_below_five_names_the_flag(self, capsys, argv):
         code, out, err = run_cli(capsys, "resources", *argv)
         assert (code, out) == (2, "")
-        assert err == "invalid request: --n 3 is below 5: cost accounting starts at n = 5\n"
+        assert err == ("invalid request: --n-min 3 is below 5: cost accounting starts "
+                       "at n = 5\n")
         # an empty range has no target to reject
         code, out, _ = run_cli(capsys, "resources", "--n-min", "3", "--n-max", "2")
         assert (code, out.count("\n")) == (0, 1)
@@ -552,7 +589,7 @@ class TestResourcesCommand:
         # the reuse store is pruned to the last run's rounds after every n, so
         # the sweep peaks near one engine run; unpruned it is about 2.8x
         # untraced, so first-call allocations are not counted below
-        main(["resources", "--n", "100", "--trials", "1", "--seed", "1"])
+        main(["resources", "--n-min", "100", "--n-max", "100", "--trials", "1", "--seed", "1"])
         _, one = traced_peak(lambda: resources.round_success_probabilities(100))
         _, sweep = traced_peak(lambda: main(["resources", "--n-min", "60", "--n-max", "100",
                                              "--trials", "1", "--seed", "1"]))
@@ -771,26 +808,28 @@ LIBRARY_RULES = {
                       "--max-harmonics 0 is below 1: the sparse engine keeps at least one "
                       "harmonic"),
     "trials-negative": (lambda: resources.resource_reports([10], trials=-5),
-                        ["resources", "--n", "10", "--trials", "-5"],
+                        ["resources", "--n-min", "10", "--n-max", "10", "--trials", "-5"],
                         "--trials -5 is negative: 0 turns the Monte Carlo estimate off"),
     "seed-negative": (lambda: resources.resource_reports([10], trials=5, seed=-1),
-                      ["resources", "--n", "10", "--trials", "5", "--seed", "-1"],
+                      ["resources", "--n-min", "10", "--n-max", "10", "--trials", "5",
+                       "--seed", "-1"],
                       "--seed -1 is negative: the random stream takes a seed >= 0"),
     "seed-negative-no-trials": (lambda: resources.resource_reports([10], seed=-1),
-                                ["resources", "--n", "10", "--seed", "-1"],
+                                ["resources", "--n-min", "10", "--n-max", "10", "--seed", "-1"],
                                 "--seed -1 is negative: the random stream takes a seed >= 0"),
     "seed-missing": (lambda: resources.resource_reports([10], trials=5),
-                     ["resources", "--n", "10", "--trials", "5"],
+                     ["resources", "--n-min", "10", "--n-max", "10", "--trials", "5"],
                      "--seed is required when --trials > 0"),
     "s0-adder": (lambda: resources.toffoli_capped(10, s0=2),
-                 ["resources", "--n", "10", "--s0", "2"],
+                 ["resources", "--n-min", "10", "--n-max", "10", "--s0", "2"],
                  "--s0 2 is below 3: the adder cost formula needs registers of at least 3 qubits"),
     "s0-adder-empty-sweep": (lambda: resources.resource_reports([], s0=2),
                              ["resources", "--n-min", "5", "--n-max", "4", "--s0", "2"],
                              "--s0 2 is below 3: the adder cost formula needs registers of "
                              "at least 3 qubits"),
-    "n-below-five": (lambda: resources.toffoli_capped(4), ["resources", "--n", "4"],
-                     "--n 4 is below 5: cost accounting starts at n = 5"),
+    "n-below-five": (lambda: resources.toffoli_capped(4),
+                     ["resources", "--n-min", "4", "--n-max", "4"],
+                     "--n-min 4 is below 5: cost accounting starts at n = 5"),
     "p-below-two": (lambda: resources.comparison_table(range(1, 6)),
                     ["compare", "--p-min", "1", "--p-max", "5"],
                     "--p-min 1 is below 2: kickback rotation needs p >= 2 bits, got p=1"),

@@ -1,4 +1,4 @@
-"""Smoke test: every script in demos/ runs to completion."""
+"""Every script in demos/ runs to completion and prints its golden stdout."""
 import runpy
 import sys
 from pathlib import Path
@@ -7,6 +7,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 DEMOS = sorted((TESTS.parent / "demos").glob("*.py"))
+GOLDEN = TESTS / "golden" / "demos"
 
 
 def test_demos_found():
@@ -19,4 +20,4 @@ def test_demo_runs(path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "path", [p for p in sys.path if Path(p).resolve() != TESTS])
     monkeypatch.delitem(sys.modules, "oracles", raising=False)
     runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out.strip()
+    assert capsys.readouterr().out == (GOLDEN / f"{path.stem}.txt").read_text()

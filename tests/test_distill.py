@@ -51,6 +51,7 @@ from oracles import (
     from_fourier_basis,
     initial_sparse_spectrum,
     output_state,
+    predicted_log_error,
     rounds_required_simplified,
     sparse_extend_reference,
     sparse_weight,
@@ -598,6 +599,38 @@ class TestPlanSchedule:
             ProtocolSchedule(n_target=10, sizes=(5, 4))
         with pytest.raises(ValueError, match="below the target"):
             ProtocolSchedule(n_target=10, sizes=(5, 9))
+
+
+class TestPredictedLogError:
+    def test_model_is_slightly_optimistic_against_the_exact_engine(self):
+        # 240 schedules; the model leaves out sidebands, so it never lies
+        # above the engine, and it is at most 0.61 bits below (n = 5, s0 = 4)
+        gaps = []
+        for n in range(5, 17):
+            for s0 in range(4, 9):
+                for pad in range(4):
+                    result = run_protocol_exact(n, s0=s0, pad=pad)
+                    gaps.append((result.final_log_error
+                                 - predicted_log_error(result.schedule.sizes)) / math.log(2))
+        assert len(gaps) == 240
+        assert 0.0 <= min(gaps) and max(gaps) <= 0.7
+
+    @pytest.mark.filterwarnings("error")
+    def test_model_misses_the_threshold_where_the_sparse_engine_does(self):
+        # an independent witness of the default schedule's threshold misses
+        # (n = 27 and 103 today); on this range the model is 0 to 0.05 bits
+        # below the engine
+        reuse, engine_misses, model_misses = {}, set(), set()
+        for n in range(6, 121):
+            result = run_protocol_sparse(n, max_harmonics=512, reuse=reuse)
+            predicted = predicted_log_error(result.schedule.sizes)
+            gap = (result.final_log_error - predicted) / math.log(2)
+            assert -1e-9 <= gap <= 0.06, n
+            if not result.meets_threshold:
+                engine_misses.add(n)
+            if predicted > result.log_threshold:
+                model_misses.add(n)
+        assert model_misses == engine_misses
 
 
 class TestRunProtocolExact:

@@ -19,7 +19,6 @@ from fourierdistill.fourier import (
     _unitary_fft,
     log_fidelity_threshold,
     require_register_size,
-    sin_pi_frac,
 )
 from oracles import (
     alias_fold,
@@ -351,12 +350,6 @@ class TestClosedFormWeights:
         # approaches the series weight for astronomically large registers
         assert initial_state_weight(100, -3) == pytest.approx(series_weight(-3), rel=1e-10,
                                                               abs=0.0)
-
-    def test_sin_pi_frac_handles_big_negative_index(self):
-        N = 1 << 100
-        assert sin_pi_frac(-3, N) == pytest.approx(math.sin(math.pi * 3 / N), rel=1e-12,
-                                                   abs=0.0)
-        assert sin_pi_frac(5, N) == pytest.approx(math.sin(math.pi * 5 / N), rel=1e-12, abs=0.0)
 
 
 class TestValidationAndSerialization:

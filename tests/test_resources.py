@@ -208,6 +208,18 @@ class TestExpectedCost:
         assert abs(vec_mean - ref_mean) <= 4 * math.sqrt(var * both)
         assert abs(vec_var - ref_var) <= 4 * math.sqrt(var_spread * both)
 
+    @pytest.mark.parametrize("n", [5, 10, 39, 100])
+    def test_engine_probabilities_give_the_analytic_moments(self, n):
+        probs = round_success_probabilities(n)
+        costs = [adder_toffoli_count(s) for s in plan_schedule(n).sizes]
+        mean, var = _analytic_moments(costs, probs)
+        assert mean == pytest.approx(expected_cost_recursion(n), rel=1e-12, abs=0.0)
+        trials = 2 ** 18
+        sampled_mean, sampled_std = expected_cost_monte_carlo(n, trials, 7,
+                                                              probabilities=probs)
+        assert abs(sampled_mean - mean) <= 4 * math.sqrt(var / trials)
+        assert sampled_std == pytest.approx(math.sqrt(var), rel=0.01, abs=0.0)
+
     def test_std_is_the_sample_std(self):
         # two trials with spread: mean -/+ std/sqrt(2) are the two sampled
         # costs, which holds for ddof=1 only
@@ -382,7 +394,7 @@ class TestComparisonTable:
         ]
 
     def test_resources_rows_shape(self, capsys):
-        assert main(["resources", "--n", "10", "--trials", "0"]) == 0
+        assert main(["resources", "--n-min", "10", "--n-max", "10", "--trials", "0"]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert rows[1].startswith("10,76,,,3,24")
 
