@@ -43,7 +43,7 @@ NEG_INF = float("-inf")
 #: Default harmonic budget of the sparse engine.
 DEFAULT_MAX_HARMONICS = 4096
 
-#: Largest harmonic budget: 2**20 harmonics take about 450 MB at n = 100.
+#: Largest harmonic budget: 2**20 harmonics take about 300 MB at n = 100.
 MAX_HARMONICS = 1 << 20
 
 #: Default starting register size; a target n <= s0 leaves a single round.
@@ -59,13 +59,23 @@ COSET_STRIDE = 4
 
 
 def _logsumexp(values: np.ndarray) -> float:
-    """log(sum(exp(values))) of a float array; -inf entries add nothing."""
+    """log(sum(exp(values))) of a float array, which it overwrites; -inf
+    entries add nothing."""
     top = values.max(initial=NEG_INF)
     if top == NEG_INF:
         return NEG_INF
-    shifted = values - top
-    np.exp(shifted, out=shifted)
-    return float(top + math.log(shifted.sum()))
+    values -= top
+    np.exp(values, out=values)
+    return float(top + math.log(values.sum()))
+
+
+def _kth_largest(values: np.ndarray, k: int) -> float:
+    """k-th largest entry of a float array, which it reorders; -inf when
+    there are fewer than k."""
+    if len(values) < k:
+        return NEG_INF
+    values.partition(len(values) - k)
+    return values[len(values) - k]
 
 
 def _signed_index(j: int, N: int) -> int:
@@ -185,7 +195,7 @@ def _postselect(product: np.ndarray, k: int) -> DistillationOutcome:
 
 
 def log_extension_kernel(n_coarse: int, n_fine: int, indices: Sequence[int],
-                         m: np.ndarray) -> np.ndarray:
+                         m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Log weights the |+>-append step sends along each coarse harmonic's class.
 
     Appending d = n_fine - n_coarse qubits turns coarse harmonic j into a
@@ -197,18 +207,20 @@ def log_extension_kernel(n_coarse: int, n_fine: int, indices: Sequence[int],
     Returns the natural log of these weights (-inf where a weight is zero)
     with one row per coarse index in ``indices`` (signed, |j| <= 2**n_coarse / 2,
     so no sine argument cancels) and one column per member offset in ``m``
-    (|m| < 2**d).  Classes of distinct coarse harmonics are disjoint, so
-    weights map independently of coefficient phases.
+    (|m| < 2**d), written into ``out`` when given.  Classes of distinct coarse
+    harmonics are disjoint, so weights map independently of coefficient phases.
     """
     if n_fine < n_coarse:
         raise ValueError("fine register must be at least as large as the coarse one")
     d = n_fine - n_coarse
     Ns = 1 << n_coarse
-    f = np.array([j / Ns for j in indices], dtype=float)[:, None]
+    f = np.fromiter((j / Ns for j in indices), float, len(indices))[:, None]
     dc = f[:, 0] == 0.0
-    f = f[~dc]
+    # the class of j = 0 is written last; f = 1/2 stands in for it, and its
+    # sines are no smaller than any other class's
+    f[dc] = 0.5
     # one buffer carries log|sin(pi (f + m) / 2**d)| through the ufunc chain
-    den = np.add(f, m)
+    den = np.add(f, m, out=out)
     np.multiply(np.pi, den, out=den)
     np.ldexp(den, -d, out=den)
     np.sin(den, out=den)
@@ -223,13 +235,9 @@ def log_extension_kernel(n_coarse: int, n_fine: int, indices: Sequence[int],
     num = np.log(np.sin(np.pi * np.abs(f)))
     np.subtract(num - d * math.log(2.0), den, out=den)
     np.multiply(2.0, den, out=den)
-    if not dc.any():
-        return den
-    out = np.empty((len(dc), len(m)))
     # the class of j = 0 keeps all its mass at index 0
-    out[dc] = np.where(m == 0, 0.0, NEG_INF)
-    out[~dc] = den
-    return out
+    den[dc] = np.where(m == 0, 0.0, NEG_INF)
+    return den
 
 
 def sparse_extend(sp: SparseSpectrum, n_new: int,
@@ -242,6 +250,11 @@ def sparse_extend(sp: SparseSpectrum, n_new: int,
     remainder is bounded into the tail (kernel lobes decay as 1/m^2).  The
     result is then pruned to the ``max_harmonics`` heaviest entries, pruned
     mass joining the tail; ties keep class-then-member order.
+
+    One candidate-sized buffer carries the step: the kernel's log weights,
+    then the candidates', then the tail's terms, right-aligned, for the
+    log-sum-exp; other arrays hold blocks of 2**14, the kept harmonics or,
+    for the cut, the candidates at or above a lower bound on it.
     """
     if n_new < sp.n:
         raise ValueError(f"cannot shrink register from {sp.n} to {n_new}")
@@ -252,42 +265,57 @@ def sparse_extend(sp: SparseSpectrum, n_new: int,
     budget = max(16, (4 * max_harmonics) // len(sp))
     span = min(members, budget)
     half = span // 2
-    # One buffer holds the kernel's log-weights, then the candidates'.
-    candidates = log_extension_kernel(sp.n, n_new, sp.indices,
-                                      np.arange(-half, span - half))
-    tail_parts = [np.array([sp.log_tail])]
+    size = len(sp) * span
+    # the tail holds at most 1 + len(sp) + size - max_harmonics terms
+    buf = np.empty(size + max(0, 1 + len(sp) - max_harmonics))
+    flat = buf[:size]
+    # float member offsets: the kernel's first ufunc then casts no int array
+    m = np.arange(-half, span - half, dtype=float)
+    candidates = log_extension_kernel(sp.n, n_new, sp.indices, m, out=flat.reshape(len(sp), span))
+    log_rem = np.empty(0)
     if members > budget:
         # Unenumerated class remainder: the kernel sums to 1 over the whole
         # class, so the deficit is exact when float-resolvable; below
         # resolution, fall back to the 1/m^2 lobe-decay bound.
-        kernel = np.exp(candidates)
-        deficit = 1.0 - kernel.sum(axis=1)
-        rem = np.where(deficit > 1e-13, deficit, (kernel[:, 0] + kernel[:, -1]) * half)
-        del kernel
+        rem = np.empty(len(sp))
+        step = max(1, _BLOCK // span)
+        for lo in range(0, len(sp), step):
+            kernel = np.exp(candidates[lo:lo + step])
+            deficit = 1.0 - kernel.sum(axis=1)
+            rem[lo:lo + step] = np.where(deficit > 1e-13, deficit,
+                                         (kernel[:, 0] + kernel[:, -1]) * half)
         has_rem = rem > 0.0
-        tail_parts.append(sp.log_weights[has_rem] + np.log(rem[has_rem]))
+        log_rem = sp.log_weights[has_rem] + np.log(rem[has_rem])
+        del kernel, deficit, rem, has_rem
     np.add(sp.log_weights[:, None], candidates, out=candidates)
-    candidates = candidates.ravel()
-    # -inf candidates (only a j = 0 class has them) are neither kept nor tail
-    live = candidates != NEG_INF
-    # the max_harmonics heaviest; ties at the cut go to the earliest enumerated
-    if np.count_nonzero(live) > max_harmonics:
-        # -inf sorts first, so this is the cut among the live candidates
-        cut = np.partition(candidates, len(candidates) - max_harmonics)[-max_harmonics]
-        chosen = candidates > cut
-        ties = np.flatnonzero(candidates == cut)
-        chosen[ties[:max_harmonics - np.count_nonzero(chosen)]] = True
-    else:
-        chosen = live
-    kept = np.flatnonzero(chosen)
-    kept = kept[np.argsort(-candidates[kept], kind="stable")]
-    log_weights = candidates[kept]
-    tail_parts.append(candidates[live & ~chosen])
-    # free each candidate-sized array before the next one is built
-    del candidates, live, chosen
-    tail = np.concatenate(tail_parts)
-    del tail_parts
-    log_tail = _logsumexp(tail)
+    # the max_harmonics heaviest; ties at the cut go to the earliest enumerated.
+    # The first 2 * max_harmonics candidates, the heaviest classes', bound the
+    # cut from below, so only the candidates at or above that bound take part
+    # in finding it; -inf candidates (only a j = 0 class has them) are neither
+    # kept nor tail, and the cut is -inf when at most max_harmonics are finite.
+    lower = _kth_largest(flat[:2 * max_harmonics].copy(), max_harmonics)
+    cut = _kth_largest(flat[flat >= lower] if lower > NEG_INF else flat[flat > NEG_INF],
+                       max_harmonics)
+    kept = np.flatnonzero(flat > cut)
+    if cut > NEG_INF:
+        ties = np.flatnonzero(flat == cut)[:max_harmonics - len(kept)]
+        kept = np.concatenate((kept, ties))
+    kept = kept[np.argsort(-flat[kept], kind="stable")]
+    log_weights = flat[kept]
+    # what stays finite is the dropped candidates: right-align them, last
+    # block first, after the carried tail and the class remainders
+    flat[kept] = NEG_INF
+    end = len(buf)
+    for lo in reversed(range(0, size, _BLOCK)):
+        block = flat[lo:lo + _BLOCK]
+        dropped = block[block > NEG_INF]
+        buf[end - len(dropped):end] = dropped
+        end -= len(dropped)
+    start = end - 1 - len(log_rem)
+    buf[start] = sp.log_tail
+    buf[start + 1:end] = log_rem
+    log_tail = _logsumexp(buf[start:])
+    del buf, candidates, flat, block, dropped  # the buffer goes before the index phase
     row, col = np.divmod(kept, span)
     indices = [_signed_index(sp.indices[c] + Ns * (k - half), Nf)
                for c, k in zip(row.tolist(), col.tolist())]
