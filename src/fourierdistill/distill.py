@@ -24,18 +24,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateInputError, PrecisionWarning
+from .errors import CapacityError, PrecisionWarning
 from .fourier import (
     _BLOCK,
     _unitary_fft,
+    amplitude_cap,
     fidelity_threshold,
     log_fidelity_threshold,
-    require_register_size,
 )
 
 NEG_INF = float("-inf")
@@ -43,7 +43,7 @@ NEG_INF = float("-inf")
 #: Default harmonic budget of the sparse engine.
 DEFAULT_MAX_HARMONICS = 4096
 
-#: Largest harmonic budget: 2**20 harmonics take about 300 MB at n = 100.
+#: Largest harmonic budget: 2**20 harmonics take about 270 MB at n = 100.
 MAX_HARMONICS = 1 << 20
 
 #: Default starting register size; a target n <= s0 leaves a single round.
@@ -131,43 +131,32 @@ class SparseSpectrum:
 
     ``log_weights`` is a read-only float array of natural-log weights in
     descending order; ``indices`` holds the matching signed harmonic indices
-    as exact (arbitrary-precision) ints.  The constructor takes a mapping
-    ``{index: log_weight}`` of the whole mass; ties keep the mapping's order.
-    ``log_tail`` bounds the total mass of everything truncated away; the
-    engine's operations set it, transport it and never silently drop it.
+    as exact (arbitrary-precision) ints.  ``log_tail`` bounds the total mass
+    of everything truncated away; the engine's operations set it, transport
+    it and never silently drop it.  Only the engine builds spectra, through
+    ``_ordered``, from its 2-qubit start: index 1 is that start's one
+    harmonic, the heaviest member of its class at every extension, and
+    squaring keeps the order, so index 1 always comes first.
     """
 
     __slots__ = ("n", "log_weights", "indices", "log_tail")
-
-    def __init__(self, n: int, log_weights: Mapping[int, float]):
-        if n < 1:
-            raise ValueError("register size must be positive")
-        indices = [_signed_index(j, 1 << n) for j in log_weights]
-        if len(set(indices)) != len(indices):
-            raise ValueError("harmonic indices must be distinct modulo 2**n")
-        lw = np.fromiter(log_weights.values(), float, len(indices))
-        order = np.argsort(-lw, kind="stable")
-        self._fill(n, lw[order], tuple(indices[i] for i in order.tolist()), NEG_INF)
 
     @classmethod
     def _ordered(cls, n: int, log_weights: np.ndarray, indices: Sequence[int],
                  log_tail: float) -> SparseSpectrum:
         """Spectrum from arrays already in descending-weight order."""
-        sp = cls.__new__(cls)
-        sp._fill(n, log_weights, tuple(indices), log_tail)
-        return sp
-
-    def _fill(self, n, log_weights, indices, log_tail):
         if not indices:
             raise ValueError("sparse spectrum needs at least one harmonic")
         total = math.exp(_logsumexp(np.append(log_weights, log_tail)))
         if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"sparse spectrum mass must be 1, got {total!r}")
         log_weights.flags.writeable = False
-        self.n = n
-        self.log_weights = log_weights
-        self.indices = indices
-        self.log_tail = log_tail
+        sp = cls.__new__(cls)
+        sp.n = n
+        sp.log_weights = log_weights
+        sp.indices = tuple(indices)
+        sp.log_tail = log_tail
+        return sp
 
     def __len__(self):
         return len(self.indices)
@@ -316,9 +305,8 @@ def sparse_extend(sp: SparseSpectrum, n_new: int,
     buf[start + 1:end] = log_rem
     log_tail = _logsumexp(buf[start:])
     del buf, candidates, flat, block, dropped  # the buffer goes before the index phase
-    row, col = np.divmod(kept, span)
-    indices = [_signed_index(sp.indices[c] + Ns * (k - half), Nf)
-               for c, k in zip(row.tolist(), col.tolist())]
+    indices = [_signed_index(sp.indices[c // span] + Ns * (c % span - half), Nf)
+               for c in kept.tolist()]
     return SparseSpectrum._ordered(n_new, log_weights, indices, log_tail)
 
 
@@ -328,7 +316,8 @@ def sparse_symmetric_round(sp: SparseSpectrum) -> tuple[DistillationOutcome, Spa
 
     The unknown tail squares through the step as well (sum of squares of the
     truncated weights is at most the square of their sum), so the tail bound
-    remains valid after postselection.  Squaring keeps the weight order.
+    remains valid after postselection.  Squaring keeps the weight order,
+    and index 1 is every spectrum's first harmonic (see ``SparseSpectrum``).
     A spectrum's H weights and tail have mass 1, so p = sum w**2 + tail**2
     is at least 1/(H + 1) by Cauchy-Schwarz and never vanishes.
     """
@@ -337,14 +326,10 @@ def sparse_symmetric_round(sp: SparseSpectrum) -> tuple[DistillationOutcome, Spa
     log_p = _logsumexp(np.append(doubled, tail2))
     out_lw = doubled - log_p
     out_tail = tail2 - log_p
-    try:
-        pos = sp.indices.index(1)
-    except ValueError:
-        raise DegenerateInputError("target harmonic 1 carries no weight") from None
-    log_error = _logsumexp(np.append(np.delete(out_lw, pos), out_tail))
+    log_error = _logsumexp(np.append(out_lw[1:], out_tail))
     outcome = DistillationOutcome(
         p_success=math.exp(log_p),
-        fidelity=math.exp(out_lw[pos]),
+        fidelity=math.exp(out_lw[0]),
         error=math.exp(log_error) if log_error != NEG_INF else 0.0,
         log_error=log_error,
     )
@@ -508,17 +493,17 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
     whose pages stay untouched until written.  The final output is that
     buffer: c[1::COSET_STRIDE] of the last round's register, 2**(size - 2)
     coefficients; the other three quarters are zero and are not stored.  So
-    the peak is one final coset plus blocks of 2**14 points.
+    the peak is one final coset plus blocks of 2**14 points, and the
+    amplitude cap counts that coset's coefficients, not the register's.
     """
     schedule = plan_schedule(n, s0, pad)
     biggest = max(schedule.sizes)
-    try:
-        require_register_size(biggest)
-    except CapacityError:
+    coset, cap = biggest - (COSET_STRIDE.bit_length() - 1), amplitude_cap()
+    if coset > cap:
         raise CapacityError(
-            f"schedule for n={n} needs {biggest}-qubit amplitude vectors; "
-            f"use --engine sparse"
-        ) from None
+            f"schedule for n={n} stores 2**{coset} coefficients, one coset of its "
+            f"{biggest}-qubit register, above the amplitude-vector cap 2**{cap}; "
+            f"use --engine sparse")
     # the initial state is the 2-qubit index-1 Fourier state with |+> qubits
     # appended, so its coset starts as one coefficient on a 2-qubit register
     buf = np.zeros((1 << biggest) // COSET_STRIDE, dtype=complex)
@@ -558,7 +543,7 @@ def run_protocol_sparse(n: int, *, s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD,
     store = {} if reuse is None else reuse
     for key in store.keys() - set(keys):
         del store[key]
-    rounds, sp = [], SparseSpectrum(2, {1: 0.0})
+    rounds, sp = [], SparseSpectrum._ordered(2, np.zeros(1), (1,), NEG_INF)
     for size, key in zip(schedule.sizes, keys):
         if key in store:
             outcome, sp = store[key]

@@ -2,6 +2,7 @@
 computes by faster routes, and circuits that witness the figures it states."""
 import math
 import tracemalloc
+from collections.abc import Mapping
 from typing import Callable
 
 import numpy as np
@@ -91,6 +92,18 @@ def initial_sparse_spectrum(n: int, max_harmonics: int = DEFAULT_MAX_HARMONICS) 
     tail = max(0.0, 1.0 - np.exp(lw).sum()) if count < (1 << n) // 4 else 0.0
     indices = np.where(odd % 4 == 1, odd, -odd).tolist()
     return SparseSpectrum._ordered(n, lw, indices, math.log(tail) if tail > 0 else NEG_INF)
+
+
+def sparse_spectrum(n: int, log_weights: Mapping[int, float]) -> SparseSpectrum:
+    """Spectrum of an n-qubit register from a mapping ``{index: log_weight}``
+    of its whole mass: indices taken mod 2**n, heaviest first, ties in the
+    mapping's order."""
+    indices = [_signed_index(j, 1 << n) for j in log_weights]
+    if len(set(indices)) != len(indices):
+        raise ValueError("harmonic indices must be distinct modulo 2**n")
+    lw = np.fromiter(log_weights.values(), float, len(indices))
+    order = np.argsort(-lw, kind="stable")
+    return SparseSpectrum._ordered(n, lw[order], [indices[i] for i in order.tolist()], NEG_INF)
 
 
 def sparse_weight(sp: SparseSpectrum, j: int) -> float:

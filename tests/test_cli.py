@@ -227,10 +227,22 @@ class TestDistillCommand:
     def test_capacity_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "distill", "--n", "40", "--engine", "exact")
         assert code == 3
-        assert err == ("capacity error: schedule for n=40 needs 42-qubit amplitude "
-                       "vectors; use --engine sparse\n")
+        assert err == ("capacity error: schedule for n=40 stores 2**40 coefficients, one "
+                       "coset of its 42-qubit register, above the amplitude-vector cap "
+                       "2**22; use --engine sparse\n")
         code, _, err = run_cli(capsys, "distill", "--n", "40", "--engine", "sparse")
         assert (code, err) == (0, "")
+
+    def test_cap_counts_the_exact_engines_coset(self, capsys, monkeypatch):
+        # n = 21 needs 23-qubit registers, of which the engine stores the
+        # 21-qubit coset; n = 23 stores 2**23 coefficients, above the cap
+        monkeypatch.delenv("FOURIERDISTILL_AMP_CAP", raising=False)
+        code, out, err = run_cli(capsys, "distill", "--n", "21", "--engine", "exact")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["meets_threshold"] is True
+        code, _, err = run_cli(capsys, "distill", "--n", "23", "--engine", "exact")
+        assert code == 3
+        assert "2**23 coefficients" in err and err.endswith("; use --engine sparse\n")
 
     def test_sparse_beyond_double_exponent_range(self, capsys):
         # 2**1030 does not fit a double; the threshold underflows to 0
