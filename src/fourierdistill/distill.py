@@ -134,9 +134,9 @@ class SparseSpectrum:
     as exact (arbitrary-precision) ints.  ``log_tail`` bounds the total mass
     of everything truncated away; the engine's operations set it, transport
     it and never silently drop it.  Only the engine builds spectra, through
-    ``_ordered``, from its 2-qubit start: index 1 is that start's one
-    harmonic, the heaviest member of its class at every extension, and
-    squaring keeps the order, so index 1 always comes first.
+    ``_ordered``, from its 2-qubit start of index 1, so index 1 comes first
+    and every index is 1 (mod 4): extension keeps each index's class mod 2**n,
+    n >= 2, with the index its heaviest member, and squaring keeps the order.
     """
 
     __slots__ = ("n", "log_weights", "indices", "log_tail")
@@ -193,10 +193,10 @@ def log_extension_kernel(n_coarse: int, n_fine: int, indices: Sequence[int],
 
         sin^2(pi j / 2**n_coarse) / (4**d * sin^2(pi (j / 2**n_coarse + m) / 2**d)).
 
-    Returns the natural log of these weights (-inf where a weight is zero)
-    with one row per coarse index in ``indices`` (signed, |j| <= 2**n_coarse / 2,
-    so no sine argument cancels) and one column per member offset in ``m``
-    (|m| < 2**d), written into ``out`` when given.  Classes of distinct coarse
+    Returns the natural log of these weights, all finite, with one row per
+    coarse index in ``indices`` (nonzero and signed, |j| <= 2**n_coarse / 2, so
+    no sine argument cancels) and one column per member offset in ``m`` (|m| <
+    2**d), written into ``out`` when given.  Classes of distinct coarse
     harmonics are disjoint, so weights map independently of coefficient phases.
     """
     if n_fine < n_coarse:
@@ -204,17 +204,13 @@ def log_extension_kernel(n_coarse: int, n_fine: int, indices: Sequence[int],
     d = n_fine - n_coarse
     Ns = 1 << n_coarse
     f = np.fromiter((j / Ns for j in indices), float, len(indices))[:, None]
-    dc = f[:, 0] == 0.0
-    # the class of j = 0 is written last; f = 1/2 stands in for it, and its
-    # sines are no smaller than any other class's
-    f[dc] = 0.5
     # one buffer carries log|sin(pi (f + m) / 2**d)| through the ufunc chain
     den = np.add(f, m, out=out)
     np.multiply(np.pi, den, out=den)
     np.ldexp(den, -d, out=den)
     np.sin(den, out=den)
     np.abs(den, out=den)
-    # off DC the sine argument is nonzero, so a zero sine is float underflow
+    # for nonzero j the sine argument is nonzero, so a zero sine is float underflow
     if den.min(initial=1.0) == 0.0:
         raise ValueError(
             f"{n_fine}-qubit register is past the sparse engine's size limit: "
@@ -224,8 +220,6 @@ def log_extension_kernel(n_coarse: int, n_fine: int, indices: Sequence[int],
     num = np.log(np.sin(np.pi * np.abs(f)))
     np.subtract(num - d * math.log(2.0), den, out=den)
     np.multiply(2.0, den, out=den)
-    # the class of j = 0 keeps all its mass at index 0
-    den[dc] = np.where(m == 0, 0.0, NEG_INF)
     return den
 
 
@@ -280,15 +274,12 @@ def sparse_extend(sp: SparseSpectrum, n_new: int,
     # the max_harmonics heaviest; ties at the cut go to the earliest enumerated.
     # The first 2 * max_harmonics candidates, the heaviest classes', bound the
     # cut from below, so only the candidates at or above that bound take part
-    # in finding it; -inf candidates (only a j = 0 class has them) are neither
-    # kept nor tail, and the cut is -inf when at most max_harmonics are finite.
+    # in finding it; the cut is -inf when there are at most max_harmonics.
     lower = _kth_largest(flat[:2 * max_harmonics].copy(), max_harmonics)
-    cut = _kth_largest(flat[flat >= lower] if lower > NEG_INF else flat[flat > NEG_INF],
-                       max_harmonics)
+    cut = _kth_largest(flat[flat >= lower], max_harmonics)
     kept = np.flatnonzero(flat > cut)
-    if cut > NEG_INF:
-        ties = np.flatnonzero(flat == cut)[:max_harmonics - len(kept)]
-        kept = np.concatenate((kept, ties))
+    ties = np.flatnonzero(flat == cut)[:max_harmonics - len(kept)]
+    kept = np.concatenate((kept, ties))
     kept = kept[np.argsort(-flat[kept], kind="stable")]
     log_weights = flat[kept]
     # what stays finite is the dropped candidates: right-align them, last

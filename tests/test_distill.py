@@ -269,7 +269,7 @@ class TestSpreadCoset:
 
 
 class TestExtensionKernel:
-    @pytest.mark.parametrize("j", [0, 1, -3, 5, 11])
+    @pytest.mark.parametrize("j", [1, -3, 5, 11])
     def test_matches_dense_extension_spectrum(self, j):
         # acceptance oracle for the kernel: DFT of the literally extended state
         s, n_new = 5, 10
@@ -282,13 +282,15 @@ class TestExtensionKernel:
 
     def test_class_weights_sum_to_one(self):
         s, n_new = 4, 9
-        for j in (0, 1, -3, 7):
+        for j in (1, -3, 7):
             total = sum(kernel_weights(s, n_new, j, np.arange(1 << (n_new - s))))
             assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_index_zero_extends_exactly(self):
-        # fine indices 0, 32 and 64 of the class of j = 0
-        assert kernel_weights(5, 12, 0, [0, 1, 2]).tolist() == [1.0, 0.0, 0.0]
+    def test_underflowed_coarse_frequency_is_past_the_size_limit(self):
+        # j / 2**1100 underflows to 0.0: the kernel refuses it rather than
+        # weigh nonzero harmonics as a class of j = 0
+        with pytest.raises(ValueError, match="past the sparse engine's size limit"):
+            log_extension_kernel(1100, 1101, [1, 3], np.arange(-1.0, 1.0))
 
     def test_dominant_member_is_original_index(self):
         offsets = np.arange(-16, 16)
@@ -374,22 +376,6 @@ class TestSparseSpectrum:
             assert sparse_weight(sp, j) == pytest.approx(dense[j], abs=1e-6)
         assert math.exp(sp.log_tail) < 1e-12
 
-    def test_sparse_extend_delta_at_zero(self):
-        sp = sparse_spectrum(5, {0: 0.0})
-        out = sparse_extend(sp, 9)
-        assert sparse_weight(out, 0) == pytest.approx(1.0, abs=1e-12)
-        assert len(out) == 1
-
-    def test_sparse_extend_index_zero_among_incomplete_classes(self):
-        # the class of j = 0 stays a single harmonic while the others are truncated
-        sp = sparse_spectrum(5, {0: math.log(0.5), 1: math.log(0.5)})
-        out = sparse_extend(sp, 15, max_harmonics=8)
-        assert sparse_weight(out, 0) == 0.5
-        assert out.indices.count(0) == 1
-        assert 0.0 < math.exp(out.log_tail) < 0.5
-        total = sum(sparse_weights(out).values()) + math.exp(out.log_tail)
-        assert total == pytest.approx(1.0, abs=1e-9)
-
     def test_sparse_extend_delta_at_one(self):
         out = sparse_extend(sparse_spectrum(5, {1: 0.0}), 10)
         assert out.indices[0] == 1
@@ -417,11 +403,12 @@ class TestSparseSpectrum:
 
 @st.composite
 def sparse_extension_inputs(draw):
-    """A complete spectrum on n0 <= 6 qubits, a target size and a budget."""
+    """A complete spectrum of nonzero indices on n0 <= 6 qubits, a target size
+    and a budget."""
     n0 = draw(st.integers(1, 6))
     N = 1 << n0
-    support = draw(st.lists(st.integers(-(N // 2) + 1, N // 2), min_size=1,
-                            max_size=min(N, 16), unique=True))
+    support = draw(st.lists(st.integers(-(N // 2) + 1, N // 2).filter(bool), min_size=1,
+                            max_size=min(N - 1, 16), unique=True))
     raw = draw(st.lists(st.floats(0.1, 1.0), min_size=len(support), max_size=len(support)))
     total = sum(raw)
     sp = sparse_spectrum(n0, {j: math.log(w / total) for j, w in zip(support, raw)})
@@ -442,10 +429,9 @@ class TestSparseTailBound:
         dense = np.abs(to_fourier_basis(extend_register(from_fourier_basis(coeffs), n_new))) ** 2
         for j, w in sparse_weights(out).items():
             assert w == pytest.approx(dense[j % Nf], rel=1e-9, abs=0.0)
-        # the mass really missing lies in the input's classes, off the kept
-        # set; the class of j = 0 has no mass off index 0
+        # the mass really missing lies in the input's classes, off the kept set
         fine = np.arange(Nf)
-        in_class = np.isin(fine % N, [j % N for j in sp.indices]) & ((fine % N != 0) | (fine == 0))
+        in_class = np.isin(fine % N, [j % N for j in sp.indices])
         kept = np.zeros(Nf, dtype=bool)
         kept[[j % Nf for j in out.indices]] = True
         missing = dense[in_class & ~kept].sum()
@@ -492,14 +478,6 @@ class TestSparseExtendBitIdentity:
             assert_same_spectrum(out, sparse_extend_reference(sp, size, budget))
             _, sp = sparse_symmetric_round(out)
 
-    # the class of j = 0 is the only source of -inf candidates: with a cut
-    # (budget 3), without one (100), and beside class remainders (4 -> 10)
-    @pytest.mark.parametrize("n_new, budget", [(6, 3), (6, 100), (10, 5)])
-    def test_index_zero_class(self, n_new, budget):
-        sp = sparse_spectrum(4, {0: math.log(0.5), 1: math.log(0.25), 3: math.log(0.25)})
-        assert_same_spectrum(sparse_extend(sp, n_new, budget),
-                             sparse_extend_reference(sp, n_new, budget))
-
     @pytest.mark.parametrize("budget", [3, 4])
     def test_weight_tie_at_the_cut(self, budget):
         sp = sparse_spectrum(4, {1: math.log(0.5), -1: math.log(0.5)})
@@ -509,17 +487,15 @@ class TestSparseExtendBitIdentity:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_random_small_spectra(self, data):
-        # weights of a few values, so that mirrored harmonics tie, also at the
-        # cut; a j = 0 class or none; whole classes (2**d members) or partial
-        # ones; budgets from 1 to past the candidate count, so that the first
-        # 2 * budget candidates can hold fewer than budget finite ones and every
-        # finite candidate can take part in the cut
+        # nonzero indices with weights of a few values, so that mirrored
+        # harmonics tie, also at the cut; whole classes (2**d members) or
+        # partial ones; budgets from 1 to past the candidate count, so that the
+        # first 2 * budget candidates can hold fewer than budget and every
+        # candidate can take part in the cut
         n0 = data.draw(st.integers(1, 5))
         N = 1 << n0
         support = data.draw(st.lists(st.integers(-(N // 2) + 1, N // 2).filter(bool),
-                                     max_size=N - 1, unique=True))
-        if data.draw(st.booleans()) or not support:
-            support.insert(data.draw(st.integers(0, len(support))), 0)
+                                     min_size=1, max_size=N - 1, unique=True))
         raw = data.draw(st.lists(st.sampled_from([1, 2, 4]), min_size=len(support),
                                  max_size=len(support)))
         sp = sparse_spectrum(n0, {j: math.log(w / sum(raw)) for j, w in zip(support, raw)})
@@ -838,6 +814,19 @@ class TestRunProtocolSparse:
         # true agreement is far tighter than the contract tolerances
         assert sparse.rounds[-1].p_success == pytest.approx(
             exact.rounds[-1].p_success, abs=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::fourierdistill.PrecisionWarning")
+    @pytest.mark.parametrize("s0, pad", [(2, 0), (3, 1), (5, 2), (8, 3)])
+    @pytest.mark.parametrize("budget", [1, 16, 4096])
+    def test_every_round_holds_odd_harmonics_index_one_first(self, s0, pad, budget):
+        # the reuse store keeps every round's output spectrum of the last run
+        store = {}
+        for n in (5, 12, 37, 100, 300):
+            run_protocol_sparse(n, s0=s0, pad=pad, max_harmonics=budget, reuse=store)
+            assert len(store) == plan_schedule(n, s0, pad).rounds
+            for _, sp in store.values():
+                assert sp.indices[0] == 1
+                assert all(j % 4 == 1 for j in sp.indices)
 
     def test_n100_log_space_result(self):
         result = run_protocol_sparse(100)
