@@ -126,23 +126,21 @@ def _adder_check_summary(n: int) -> dict:
 
 def cmd_simulate(a: argparse.Namespace):
     if a.n >= 2:  # a smaller n gets the preparation's own refusal below
-        try:
-            fourier.require_register_size(2 * a.n + 1)
-        except CapacityError:
-            cap = fourier.amplitude_cap()
+        cap = fourier.amplitude_cap()
+        if 2 * a.n + 1 > cap:
             largest = (cap - 1) // 2
             fits = (f"the largest --n is {largest}" if largest >= 2 else
                     "the cap fits no --n (the smallest, --n 2, needs 5 qubits)")
             raise CapacityError(
                 f"--n {a.n} needs {2 * a.n + 1} qubits (two registers and the carry "
                 f"ancilla), above the amplitude-vector cap {cap}: {fits}; "
-                f"raise {fourier.AMPLITUDE_CAP_ENV}") from None
+                f"raise {fourier.AMPLITUDE_CAP_ENV}")
     prep = circuits.approx_state_circuit(a.n)  # Clifford preparation from |0...0>
-    zeros = fourier.StateVector(np.eye(1, 1 << a.n, dtype=complex)[0])
+    zeros = fourier.StateVector._adopt(np.eye(1, 1 << a.n, dtype=complex)[0])
     inp = circuits.apply_circuit(prep, zeros).amps
     joint = np.kron(np.kron(inp, inp), np.array([1.0, 0.0]))
     circuit, second = circuits.build_distillation_circuit(a.n)
-    final = circuits.apply_circuit(circuit, fourier.StateVector(joint))
+    final = circuits.apply_circuit(circuit, fourier.StateVector._adopt(joint))
     p_circuit, output = circuits.extract_register(final, second)
     circuit_weights = np.abs(fourier.to_fourier_basis(output)) ** 2
     # plan_schedule's single-round case: one symmetric round at size n, whose

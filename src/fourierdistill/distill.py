@@ -321,7 +321,7 @@ def sparse_symmetric_round(sp: SparseSpectrum) -> tuple[DistillationOutcome, Spa
     outcome = DistillationOutcome(
         p_success=math.exp(log_p),
         fidelity=math.exp(out_lw[0]),
-        error=math.exp(log_error) if log_error != NEG_INF else 0.0,
+        error=math.exp(log_error),
         log_error=log_error,
     )
     return outcome, SparseSpectrum._ordered(sp.n, out_lw, sp.indices, out_tail)
@@ -420,23 +420,21 @@ def _extend_coset(buf: np.ndarray, length: int, size: int, stride: int, r: int) 
     row is constant and this is the plain |+> append.  The coset is read
     from ``buf[:length]`` and grown into the longer prefix it returns; the
     outer product is written from the top in blocks that first copy their
-    rows of h, with the twiddle row in pieces of at most 2**14 columns (per
-    row when longer), so the peak is one final coset plus blocks of 2**14.
+    rows of h, each piece of at most 2**14 columns of the twiddle row built
+    where it is used, so the peak is one final coset plus blocks of 2**14.
     """
     grow = (1 << size) // (stride * length)
     width = min(grow, _BLOCK)
     h = _unitary_fft(buf[:length], inverse=True)
     grown = buf[:length * grow].reshape(length, grow)
     step = max(1, _BLOCK // grow)
-    twiddle = None
     for lo in reversed(range(0, length, step)):
         rows = h[lo:lo + step].copy()
         for col in range(0, grow, width):
-            if twiddle is None or width < grow:
-                twiddle = np.arange(col, col + width, dtype=complex)
-                twiddle *= -2j * np.pi * r / (1 << size)
-                np.exp(twiddle, out=twiddle)
-                twiddle /= math.sqrt(grow)
+            twiddle = np.arange(col, col + width, dtype=complex)
+            twiddle *= -2j * np.pi * r / (1 << size)
+            np.exp(twiddle, out=twiddle)
+            twiddle /= math.sqrt(grow)
             np.multiply.outer(rows, twiddle, out=grown[lo:lo + step, col:col + width])
     del twiddle  # the transform holds blocks of its own
     return _unitary_fft(buf[:length * grow])

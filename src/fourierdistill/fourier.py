@@ -130,11 +130,11 @@ def _unitary_fft(buf: np.ndarray, inverse: bool = False) -> np.ndarray:
     Up to ``_BLOCK`` points it is one ``np.fft.fft(a, out=a)``, the bits of
     ``np.fft.fft(a)``.  Longer, where pocketfft would hold two more vectors
     of scratch, it is a four-step FFT on ``buf`` as an R x C matrix (R =
-    2**(m // 2), C = N / R): length-R transforms down the columns, twiddles
-    w**(k1 n2), length-C transforms along the rows and a transpose, each in
-    blocks, rounding like one pocketfft call.  The scaling is that of
-    ``fft(a) / sqrt(N)`` and ``ifft(a) * sqrt(N)``, and the peak is ``buf``
-    plus blocks of 2**14 points.
+    2**(m // 2), C = N / R): one numpy call transforms the columns in place,
+    twiddles w**(k1 n2) follow in blocks that bound their int64 exponents and
+    gathered factors, one call transforms the rows and a blocked transpose
+    ends it, rounding like one pocketfft call.  Scaled as ``fft(a) / sqrt(N)``
+    and ``ifft(a) * sqrt(N)``, it peaks at ``buf`` plus blocks of 2**14 points.
     """
     N = len(buf)
     transform = np.fft.ifft if inverse else np.fft.fft
@@ -144,9 +144,7 @@ def _unitary_fft(buf: np.ndarray, inverse: bool = False) -> np.ndarray:
         m = N.bit_length() - 1
         R, C = 1 << (m // 2), 1 << (m - m // 2)
         grid = buf.reshape(R, C)
-        step = max(1, _BLOCK // R)
-        for lo in range(0, C, step):
-            transform(grid[:, lo:lo + step], axis=0, out=grid[:, lo:lo + step])
+        transform(grid, axis=0, out=grid)
         # w**e = coarse[e // C] * fine[e % C], the exponent e = k1 n2 < N exact
         sign = (2j if inverse else -2j) * math.pi / N
         fine = np.exp(sign * np.arange(C))
@@ -157,7 +155,7 @@ def _unitary_fft(buf: np.ndarray, inverse: bool = False) -> np.ndarray:
             e = np.multiply.outer(np.arange(lo, lo + len(rows)), np.arange(C))
             rows *= coarse[e >> (m - m // 2)]
             rows *= fine[e & (C - 1)]
-            transform(rows, axis=1, out=rows)
+        transform(grid, axis=1, out=grid)
         _transpose(buf, R, C)
     if inverse:
         buf *= math.sqrt(N)

@@ -195,14 +195,15 @@ class TestDistillCommand:
     def test_exact_n20_peak_rss(self):
         # tracemalloc misses what numpy's C code allocates, so read each
         # child's own peak through wait4, above a child that only imports the CLI
-        # the three children run at once: each one's ru_maxrss is its own
+        # the four children run at once: each one's ru_maxrss is its own
         script = textwrap.dedent("""
             import json, os, subprocess, sys
             cli = ["-m", "fourierdistill.cli"]
             children = [subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL)
                         for argv in (["-c", "import fourierdistill.cli"],
                                      [*cli, "distill", "--n", "20", "--engine", "exact"],
-                                     [*cli, "arbitrary-k", "--n", "20", "--k", "292252"])]
+                                     [*cli, "arbitrary-k", "--n", "20", "--k", "292252"],
+                                     [*cli, "distill", "--n", "21", "--engine", "exact"])]
             peaks = []
             for proc in children:
                 _, status, usage = os.wait4(proc.pid, 0)
@@ -216,13 +217,18 @@ class TestDistillCommand:
         env.pop(fourier.AMPLITUDE_CAP_ENV, None)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, timeout=120, check=True)
-        imported, exact, arbitrary = json.loads(proc.stdout)
+        imported, exact, arbitrary, rectangular = json.loads(proc.stdout)
         # one final coset of 2**20 coefficients (16 MB) plus blocks of 2**14
         # points: +18 MB measured
         assert exact - imported <= 26
         # the 2**20-point state, built in one pass, transformed in place and
         # squared in place by the rounds: +18 MB measured
         assert arbitrary - imported <= 26
+        # a 2**21-point coset, whose transform is R x 2R and whose transpose
+        # follows cycles: one 32 MB coset plus blocks, +34.6 MB measured; the
+        # only check on the whole-grid transform stages that pocketfft's
+        # buffers, unseen by tracemalloc, leave there
+        assert rectangular - imported <= 42
 
     def test_capacity_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "distill", "--n", "40", "--engine", "exact")
@@ -372,6 +378,14 @@ class TestSimulateCommand:
         assert (code, out) == (3, "")
         assert err.startswith(f"capacity error: --n {10 ** 12} needs {2 * 10 ** 12 + 1} qubits")
         assert peak < 1e6
+
+    def test_joint_vector_is_not_copied(self):
+        # the joint register state is built once and adopted, not copied into
+        # a StateVector; the warm-up call leaves one-off caches out of the peak
+        cli.cmd_simulate(argparse.Namespace(n=8))
+        _, peak = traced_peak(lambda: cli.cmd_simulate(argparse.Namespace(n=8)))
+        joint = 16 * (1 << 17)  # 2n + 1 = 17 qubits of complex amplitudes
+        assert peak <= 3.5 * joint  # 3.07 measured, 4.07 with the copies
 
     @pytest.mark.parametrize("n", [1, 0, -1])
     def test_below_two_qubits_rejected(self, capsys, n):
