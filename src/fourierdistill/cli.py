@@ -329,7 +329,7 @@ def main(argv=None) -> int:
             text = "\n".join([",".join(columns)]
                              + [",".join(_cell(row[c]) for c in columns) for row in rows])
         _emit(text, args.out)
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -234,10 +234,11 @@ def sparse_extend(sp: SparseSpectrum, n_new: int,
     result is then pruned to the ``max_harmonics`` heaviest entries, pruned
     mass joining the tail; ties keep class-then-member order.
 
-    One candidate-sized buffer carries the step: the kernel's log weights,
-    then the candidates', then the tail's terms, right-aligned, for the
-    log-sum-exp; other arrays hold blocks of 2**14, the kept harmonics or,
-    for the cut, the candidates at or above a lower bound on it.
+    One buffer of exactly the candidates carries the step: the kernel's log
+    weights, then the candidates', then the pruned ones'; the tail is the
+    log-sum-exp of three parts, the carried tail, the class remainders and
+    the pruned mass.  Other arrays hold blocks of 2**14, the kept harmonics
+    or, for the cut, the candidates at or above a lower bound on it.
     """
     if n_new < sp.n:
         raise ValueError(f"cannot shrink register from {sp.n} to {n_new}")
@@ -248,14 +249,11 @@ def sparse_extend(sp: SparseSpectrum, n_new: int,
     budget = max(16, (4 * max_harmonics) // len(sp))
     span = min(members, budget)
     half = span // 2
-    size = len(sp) * span
-    # the tail holds at most 1 + len(sp) + size - max_harmonics terms
-    buf = np.empty(size + max(0, 1 + len(sp) - max_harmonics))
-    flat = buf[:size]
+    flat = np.empty(len(sp) * span)
     # float member offsets: the kernel's first ufunc then casts no int array
     m = np.arange(-half, span - half, dtype=float)
     candidates = log_extension_kernel(sp.n, n_new, sp.indices, m, out=flat.reshape(len(sp), span))
-    log_rem = np.empty(0)
+    log_rem = NEG_INF
     if members > budget:
         # Unenumerated class remainder: the kernel sums to 1 over the whole
         # class, so the deficit is exact when float-resolvable; below
@@ -268,7 +266,7 @@ def sparse_extend(sp: SparseSpectrum, n_new: int,
             rem[lo:lo + step] = np.where(deficit > 1e-13, deficit,
                                          (kernel[:, 0] + kernel[:, -1]) * half)
         has_rem = rem > 0.0
-        log_rem = sp.log_weights[has_rem] + np.log(rem[has_rem])
+        log_rem = _logsumexp(sp.log_weights[has_rem] + np.log(rem[has_rem]))
         del kernel, deficit, rem, has_rem
     np.add(sp.log_weights[:, None], candidates, out=candidates)
     # the max_harmonics heaviest; ties at the cut go to the earliest enumerated.
@@ -282,20 +280,11 @@ def sparse_extend(sp: SparseSpectrum, n_new: int,
     kept = np.concatenate((kept, ties))
     kept = kept[np.argsort(-flat[kept], kind="stable")]
     log_weights = flat[kept]
-    # what stays finite is the dropped candidates: right-align them, last
-    # block first, after the carried tail and the class remainders
+    # what stays finite is the pruned mass
     flat[kept] = NEG_INF
-    end = len(buf)
-    for lo in reversed(range(0, size, _BLOCK)):
-        block = flat[lo:lo + _BLOCK]
-        dropped = block[block > NEG_INF]
-        buf[end - len(dropped):end] = dropped
-        end -= len(dropped)
-    start = end - 1 - len(log_rem)
-    buf[start] = sp.log_tail
-    buf[start + 1:end] = log_rem
-    log_tail = _logsumexp(buf[start:])
-    del buf, candidates, flat, block, dropped  # the buffer goes before the index phase
+    pruned = _logsumexp(flat)
+    log_tail = _logsumexp(np.array([sp.log_tail, log_rem, pruned]))
+    del candidates, flat  # the buffer goes before the index phase
     indices = [_signed_index(sp.indices[c // span] + Ns * (c % span - half), Nf)
                for c in kept.tolist()]
     return SparseSpectrum._ordered(n_new, log_weights, indices, log_tail)

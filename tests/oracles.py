@@ -13,8 +13,13 @@ from fourierdistill import (
     GateCircuit,
     SparseSpectrum,
     StateVector,
+    apply_circuit,
+    approx_state_circuit,
+    build_distillation_circuit,
     default_truncate_bits,
+    extract_register,
     plan_schedule,
+    to_fourier_basis,
 )
 from fourierdistill import arbitrary, distill, fourier
 from fourierdistill.distill import DEFAULT_MAX_HARMONICS, NEG_INF, _signed_index
@@ -188,6 +193,33 @@ def exact_protocol_reference(n: int, s0: int = 5, pad: int = 2) -> tuple[list[tu
     return rounds, coeffs
 
 
+def gate_level_protocol(n: int, s0: int = 5, pad: int = 2) -> tuple[list[tuple], np.ndarray]:
+    """Per-round (size, p_success) of the protocol run gate by gate, and the
+    final register's Fourier weights.
+
+    The first register is ``approx_state_circuit`` applied to |0...0>.  Before
+    each larger round, fresh |0> qubits join on the least significant side
+    and each takes an H; each round then takes two copies and the carry
+    ancilla through ``build_distillation_circuit`` and postselects with
+    ``extract_register``.
+    """
+    sizes = plan_schedule(n, s0, pad).sizes
+    zeros = StateVector(np.eye(1, 1 << sizes[0], dtype=complex)[0])
+    state = apply_circuit(approx_state_circuit(sizes[0]), zeros)
+    rounds = []
+    for size in sizes:
+        if size > state.n:
+            fresh = np.eye(1, 1 << (size - state.n))[0]
+            hadamards = tuple(Gate("H", (q,)) for q in range(state.n, size))
+            state = apply_circuit(GateCircuit(size, hadamards),
+                                  StateVector(np.kron(state.amps, fresh)))
+        circuit, second = build_distillation_circuit(size)
+        joint = StateVector(np.kron(np.kron(state.amps, state.amps), [1.0, 0.0]))
+        p, state = extract_register(apply_circuit(circuit, joint), second)
+        rounds.append((size, p))
+    return rounds, np.abs(to_fourier_basis(state)) ** 2
+
+
 def counted_transforms(monkeypatch) -> list[tuple[int, bool]]:
     """Patch the package's unitary FFT in every module that calls it; each
     transform appends (length, inverse) to the returned list."""
@@ -213,8 +245,9 @@ def _logsumexp_reference(values: np.ndarray) -> float:
 def sparse_extend_reference(sp: SparseSpectrum, n_new: int,
                             max_harmonics: int) -> SparseSpectrum:
     """``sparse_extend`` in its direct form: the zero-order-hold kernel and the
-    candidates as separate whole arrays, selection over a copy of the finite
-    candidates, and the tail bound over a concatenated copy."""
+    candidates as separate whole arrays, selection over a copy of the
+    candidates, and the tail bound as the log-sum-exp of three parts, the
+    carried tail, the class remainders and the pruned mass."""
     Ns, Nf = 1 << sp.n, 1 << n_new
     d = n_new - sp.n
     members = 1 << d
@@ -223,34 +256,29 @@ def sparse_extend_reference(sp: SparseSpectrum, n_new: int,
     half = span // 2
     m = np.arange(-half, span - half)
     f = np.array([j / Ns for j in sp.indices], dtype=float)[:, None]
-    dc = f[:, 0] == 0.0
-    lk = np.empty((len(f), len(m)))
-    lk[dc] = np.where(m == 0, 0.0, -math.inf)
-    f = f[~dc]
     num = np.log(np.sin(np.pi * np.abs(f)))
     den = np.log(np.abs(np.sin(np.ldexp(np.pi * (f + m), -d))))
-    lk[~dc] = 2.0 * ((num - d * math.log(2.0)) - den)
-    tail_parts = [np.array([sp.log_tail])]
+    lk = 2.0 * ((num - d * math.log(2.0)) - den)
+    log_rem = -math.inf
     if members > budget:
         kernel = np.exp(lk)
         deficit = 1.0 - kernel.sum(axis=1)
         rem = np.where(deficit > 1e-13, deficit, (kernel[:, 0] + kernel[:, -1]) * half)
         has_rem = rem > 0.0
-        tail_parts.append(sp.log_weights[has_rem] + np.log(rem[has_rem]))
+        log_rem = _logsumexp_reference(sp.log_weights[has_rem] + np.log(rem[has_rem]))
     candidates = (sp.log_weights[:, None] + lk).ravel()
-    (live,) = np.nonzero(candidates != -math.inf)
-    vals = candidates[live]
-    surplus = len(vals) - max_harmonics
-    cut = np.partition(vals, surplus)[surplus] if surplus > 0 else -math.inf
-    chosen = vals > cut
-    chosen[np.flatnonzero(vals == cut)[:max_harmonics - np.count_nonzero(chosen)]] = True
-    kept = live[chosen][np.argsort(-vals[chosen], kind="stable")]
-    tail_parts.append(vals[~chosen])
+    surplus = len(candidates) - max_harmonics
+    cut = np.partition(candidates, surplus)[surplus] if surplus > 0 else -math.inf
+    chosen = candidates > cut
+    chosen[np.flatnonzero(candidates == cut)[:max_harmonics - np.count_nonzero(chosen)]] = True
+    kept = np.flatnonzero(chosen)
+    kept = kept[np.argsort(-candidates[kept], kind="stable")]
+    pruned = _logsumexp_reference(np.where(chosen, -math.inf, candidates))
     row, col = np.divmod(kept, span)
     indices = [_signed_index(sp.indices[c] + Ns * (k - half), Nf)
                for c, k in zip(row.tolist(), col.tolist())]
-    return SparseSpectrum._ordered(n_new, candidates[kept], indices,
-                                   _logsumexp_reference(np.concatenate(tail_parts)))
+    log_tail = _logsumexp_reference(np.array([sp.log_tail, log_rem, pruned]))
+    return SparseSpectrum._ordered(n_new, candidates[kept], indices, log_tail)
 
 
 def qvr_phase(s: StateVector, bit: int, truncate_bits: int) -> StateVector:

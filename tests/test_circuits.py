@@ -31,6 +31,7 @@ from oracles import (
     build_constant_adder_circuit,
     circuit_to_text,
     fidelity,
+    gate_level_protocol,
     spread_coset,
     traced_peak,
 )
@@ -300,6 +301,25 @@ class TestDistillationCircuit:
         probability, output = extract_register(apply_circuit(circuit, joint), second)
         assert probability == pytest.approx(1.0, abs=1e-10)
         assert fidelity(output, n, 1) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestGateLevelProtocol:
+    """Every round at gate level, register extension included, against the
+    exact engine."""
+
+    @pytest.mark.parametrize("n, s0, pad", [(6, 5, 2), (7, 5, 2), (6, 3, 0), (7, 4, 1),
+                                            (8, 3, 1)])
+    def test_matches_the_exact_engine(self, n, s0, pad):
+        rounds, weights = gate_level_protocol(n, s0, pad)
+        result = run_protocol_exact(n, s0=s0, pad=pad)
+        assert [size for size, _ in rounds] == list(result.schedule.sizes)
+        for (_, p), outcome in zip(rounds, result.rounds):
+            assert p == pytest.approx(outcome.p_success, rel=1e-13, abs=0.0)
+        np.testing.assert_allclose(weights[1::4], np.abs(result.output) ** 2, rtol=0, atol=1e-15)
+        assert np.delete(weights, np.s_[1::4]).max() <= 1e-15
+        # the error as the off-target sum; 1 - fidelity would lose digits
+        assert np.delete(weights, 1).sum() == pytest.approx(result.final.error, rel=1e-12,
+                                                            abs=0.0)
 
 
 class TestApplyCircuit:

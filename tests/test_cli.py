@@ -239,6 +239,15 @@ class TestDistillCommand:
         code, _, err = run_cli(capsys, "distill", "--n", "40", "--engine", "sparse")
         assert (code, err) == (0, "")
 
+    def test_refused_allocation_exit_code(self, capsys, monkeypatch):
+        # past the cap check, a 16 PiB coset (beyond any address space) is
+        # refused by numpy at once: one line and exit 3, not a traceback
+        monkeypatch.setenv("FOURIERDISTILL_AMP_CAP", "60")
+        code, out, err = run_cli(capsys, "distill", "--n", "50")
+        assert (code, out) == (3, "")
+        assert err.startswith("capacity error: Unable to allocate 16.0 PiB")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_cap_counts_the_exact_engines_coset(self, capsys, monkeypatch):
         # n = 21 needs 23-qubit registers, of which the engine stores the
         # 21-qubit coset; n = 23 stores 2**23 coefficients, above the cap
