@@ -43,7 +43,7 @@ NEG_INF = float("-inf")
 #: Default harmonic budget of the sparse engine.
 DEFAULT_MAX_HARMONICS = 4096
 
-#: Largest harmonic budget: 2**20 harmonics take about 270 MB at n = 100.
+#: Largest harmonic budget: 2**20 harmonics take about 260 MB and 3 s at n = 100.
 MAX_HARMONICS = 1 << 20
 
 #: Default starting register size; a target n <= s0 leaves a single round.
@@ -76,12 +76,6 @@ def _kth_largest(values: np.ndarray, k: int) -> float:
         return NEG_INF
     values.partition(len(values) - k)
     return values[len(values) - k]
-
-
-def _signed_index(j: int, N: int) -> int:
-    """Canonical signed harmonic index in (-N/2, N/2]."""
-    m = j % N
-    return m - N if m > N // 2 else m
 
 
 @dataclass(frozen=True)
@@ -244,7 +238,7 @@ def sparse_extend(sp: SparseSpectrum, n_new: int,
         raise ValueError(f"cannot shrink register from {sp.n} to {n_new}")
     if n_new == sp.n:
         return sp
-    Ns, Nf = 1 << sp.n, 1 << n_new
+    Ns = 1 << sp.n
     members = 1 << (n_new - sp.n)
     budget = max(16, (4 * max_harmonics) // len(sp))
     span = min(members, budget)
@@ -285,8 +279,20 @@ def sparse_extend(sp: SparseSpectrum, n_new: int,
     pruned = _logsumexp(flat)
     log_tail = _logsumexp(np.array([sp.log_tail, log_rem, pruned]))
     del candidates, flat  # the buffer goes before the index phase
-    indices = [_signed_index(sp.indices[c // span] + Ns * (c % span - half), Nf)
-               for c in kept.tolist()]
+    rows = kept // span
+    cols = np.subtract(kept, rows * span, out=kept)
+    used = np.zeros(span)  # float marks bound the kept columns (int min/max pages in code)
+    used[cols] = 1.0
+    lo, hi = np.flatnonzero(used)[[0, -1]].tolist()
+    shifts = [Ns * (c - half) for c in range(lo, hi + 1)]  # member m of class j: j + Ns * m
+    if span == members and lo == 0:  # m = -half of a negative j wraps to +half
+        cols += len(shifts) * np.fromiter((j < 0 for j in sp.indices), np.int64, len(sp))[rows]
+        shifts += [Ns * half] + shifts[1:]
+    indices = np.array(sp.indices, dtype=object)[rows]
+    del rows
+    indices += np.array(shifts, dtype=object)[cols - lo]
+    del kept, cols, shifts, used
+    indices = indices.tolist()  # the object array goes before the tuple is built
     return SparseSpectrum._ordered(n_new, log_weights, indices, log_tail)
 
 

@@ -22,7 +22,7 @@ from fourierdistill import (
     to_fourier_basis,
 )
 from fourierdistill import arbitrary, distill, fourier
-from fourierdistill.distill import DEFAULT_MAX_HARMONICS, NEG_INF, _signed_index
+from fourierdistill.distill import DEFAULT_MAX_HARMONICS, NEG_INF
 
 
 def traced_peak(fn):
@@ -97,6 +97,12 @@ def initial_sparse_spectrum(n: int, max_harmonics: int = DEFAULT_MAX_HARMONICS) 
     tail = max(0.0, 1.0 - np.exp(lw).sum()) if count < (1 << n) // 4 else 0.0
     indices = np.where(odd % 4 == 1, odd, -odd).tolist()
     return SparseSpectrum._ordered(n, lw, indices, math.log(tail) if tail > 0 else NEG_INF)
+
+
+def _signed_index(j: int, N: int) -> int:
+    """Canonical signed harmonic index in (-N/2, N/2]."""
+    m = j % N
+    return m - N if m > N // 2 else m
 
 
 def sparse_spectrum(n: int, log_weights: Mapping[int, float]) -> SparseSpectrum:

@@ -39,11 +39,11 @@ from fourierdistill.distill import (
     _exact_rounds,
     _extend_coset,
     _postselect,
-    _signed_index,
     log_extension_kernel,
 )
 from oracles import (
     _amplitude_round,
+    _signed_index,
     approx_initial_state,
     counted_transforms,
     exact_protocol_reference,
@@ -503,6 +503,36 @@ class TestSparseExtendBitIdentity:
         budget = data.draw(st.integers(1, (len(sp) << d) + 2) | st.integers(1, 4))
         assert_same_spectrum(sparse_extend(sp, n0 + d, budget),
                              sparse_extend_reference(sp, n0 + d, budget))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n0,support", [
+        (5, (1, -3, 5, -7, 9, -11, 13, -15)),  # every index 1 (mod 4)
+        (4, (-7, 3, -1, 8, -2)),  # any residue, the most negative index included
+    ])
+    def test_whole_class_wraps_into_the_signed_range(self, n0, support, d):
+        # with 2**d <= 16 members every class is enumerated, and the member
+        # m = -2**(d-1) of a negative j lies past -2**(n-1): it wraps to
+        # j + 2**(n0+d-1), which a budget of every candidate keeps
+        raw = np.arange(len(support), 0, -1, dtype=float)
+        sp = sparse_spectrum(n0, dict(zip(support, np.log(raw / raw.sum()).tolist())))
+        n = n0 + d
+        for budget in (3, len(sp) << d):
+            out = sparse_extend(sp, n, budget)
+            assert_same_spectrum(out, sparse_extend_reference(sp, n, budget))
+            assert all(-(1 << (n - 1)) < j <= 1 << (n - 1) for j in out.indices)
+            if all(j % 4 == 1 for j in support):
+                assert all(j % 4 == 1 for j in out.indices)
+        assert {j + (1 << (n - 1)) for j in support if j < 0} <= set(out.indices)
+
+    def test_indices_past_float_range(self):
+        # 2 -> 1020 -> 1030 -> 1040: indices of more than 1024 bits, which
+        # float(j) cannot hold, take the exact int route
+        sp = sparse_start()
+        for size, budget in [(1020, 16), (1030, 4096), (1040, 4096)]:
+            out = sparse_extend(sp, size, budget)
+            assert_same_spectrum(out, sparse_extend_reference(sp, size, budget))
+            sp = out
+        assert max(abs(j) for j in sp.indices).bit_length() > 1024
 
 
 class TestPostselect:
