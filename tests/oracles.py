@@ -248,23 +248,34 @@ def _logsumexp_reference(values: np.ndarray) -> float:
     return float(top + math.log(np.exp(values - top).sum()))
 
 
-def sparse_extend_reference(sp: SparseSpectrum, n_new: int,
-                            max_harmonics: int) -> SparseSpectrum:
+def log_extension_kernel_reference(n_coarse: int, n_fine: int, indices, m) -> np.ndarray:
+    """``log_extension_kernel`` with each coarse frequency an exact int
+    division j / 2**n_coarse, whole-array temporaries and no ``out``."""
+    d = n_fine - n_coarse
+    f = np.array([j / (1 << n_coarse) for j in indices], dtype=float)[:, None]
+    num = np.log(np.sin(np.pi * np.abs(f)))
+    den = np.log(np.abs(np.sin(np.ldexp(np.pi * (f + m), -d))))
+    return 2.0 * ((num - d * math.log(2.0)) - den)
+
+
+def sparse_extend_reference(sp: SparseSpectrum, n_new: int, max_harmonics: int,
+                            blocked: bool = True) -> SparseSpectrum:
     """``sparse_extend`` in its direct form: the zero-order-hold kernel and the
     candidates as separate whole arrays, selection over a copy of the
     candidates, and the tail bound as the log-sum-exp of three parts, the
-    carried tail, the class remainders and the pruned mass."""
+    carried tail, the class remainders and the pruned mass.
+
+    The pruned mass is summed in the engine's grouping: one part per block of
+    rows for the candidates below the lower bound on the cut (the
+    ``max_harmonics``-th largest of the first ``2 * max_harmonics``), and one
+    for the candidates at or above it that are not kept.  With ``blocked``
+    false it is one sum over every pruned candidate instead."""
     Ns, Nf = 1 << sp.n, 1 << n_new
-    d = n_new - sp.n
-    members = 1 << d
+    members = 1 << (n_new - sp.n)
     budget = max(16, (4 * max_harmonics) // len(sp))
     span = min(members, budget)
     half = span // 2
-    m = np.arange(-half, span - half)
-    f = np.array([j / Ns for j in sp.indices], dtype=float)[:, None]
-    num = np.log(np.sin(np.pi * np.abs(f)))
-    den = np.log(np.abs(np.sin(np.ldexp(np.pi * (f + m), -d))))
-    lk = 2.0 * ((num - d * math.log(2.0)) - den)
+    lk = log_extension_kernel_reference(sp.n, n_new, sp.indices, np.arange(-half, span - half))
     log_rem = -math.inf
     if members > budget:
         kernel = np.exp(lk)
@@ -279,7 +290,19 @@ def sparse_extend_reference(sp: SparseSpectrum, n_new: int,
     chosen[np.flatnonzero(candidates == cut)[:max_harmonics - np.count_nonzero(chosen)]] = True
     kept = np.flatnonzero(chosen)
     kept = kept[np.argsort(-candidates[kept], kind="stable")]
-    pruned = _logsumexp_reference(np.where(chosen, -math.inf, candidates))
+    dropped = np.where(chosen, -math.inf, candidates)
+    if not blocked:
+        pruned = _logsumexp_reference(dropped)
+    else:
+        size = min(len(sp), -(-max(2 * max_harmonics, distill._EXTEND_BLOCK) // span)) * span
+        head = np.sort(candidates[:2 * max_harmonics])
+        lower = head[-max_harmonics] if len(head) >= max_harmonics else -math.inf
+        survive = candidates >= lower
+        below = np.where(survive, -math.inf, candidates)
+        parts = [_logsumexp_reference(below[lo:lo + size])
+                 for lo in range(0, len(candidates), size)]
+        parts.append(_logsumexp_reference(dropped[survive]))
+        pruned = _logsumexp_reference(np.array(parts))
     row, col = np.divmod(kept, span)
     indices = [_signed_index(sp.indices[c] + Ns * (k - half), Nf)
                for c, k in zip(row.tolist(), col.tolist())]
