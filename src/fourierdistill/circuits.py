@@ -195,7 +195,7 @@ def apply_circuit(circuit: GateCircuit, s: StateVector) -> StateVector:
             psi[lo], psi[hi] = psi[hi], psi[lo].copy()
         else:
             psi[_slice(nq, {g.qubits[0]: 1})] *= _PHASES[name]
-    return StateVector._adopt(psi.ravel())
+    return StateVector(psi.ravel())
 
 
 def basis_images(circuit: GateCircuit, indices) -> np.ndarray:
@@ -234,7 +234,7 @@ def extract_register(state: StateVector, register: range) -> tuple[float, StateV
     probability = float(np.sum(np.abs(out) ** 2))
     if probability < 1e-300:
         raise DegenerateInputError("register extraction hit a zero branch")
-    return probability, StateVector._adopt(out / math.sqrt(probability))
+    return probability, StateVector(out / math.sqrt(probability))
 
 
 def clone_fourier_state(source: StateVector, k: int) -> float:

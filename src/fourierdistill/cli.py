@@ -136,11 +136,11 @@ def cmd_simulate(a: argparse.Namespace):
                 f"ancilla), above the amplitude-vector cap {cap}: {fits}; "
                 f"raise {fourier.AMPLITUDE_CAP_ENV}")
     prep = circuits.approx_state_circuit(a.n)  # Clifford preparation from |0...0>
-    zeros = fourier.StateVector._adopt(np.eye(1, 1 << a.n, dtype=complex)[0])
+    zeros = fourier.StateVector(np.eye(1, 1 << a.n, dtype=complex)[0])
     inp = circuits.apply_circuit(prep, zeros).amps
     joint = np.kron(np.kron(inp, inp), np.array([1.0, 0.0]))
     circuit, second = circuits.build_distillation_circuit(a.n)
-    final = circuits.apply_circuit(circuit, fourier.StateVector._adopt(joint))
+    final = circuits.apply_circuit(circuit, fourier.StateVector(joint))
     p_circuit, output = circuits.extract_register(final, second)
     circuit_weights = np.abs(fourier.to_fourier_basis(output)) ** 2
     # plan_schedule's single-round case: one symmetric round at size n, whose

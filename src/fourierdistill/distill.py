@@ -372,6 +372,8 @@ def rounds_required(n: int) -> int:
         raise ValueError("n must be positive")
     if n < 5:
         return 1
+    if n > 1 << 1000:  # 2.0 * n overflows from 2**1023; log2(pi) is below rounding here
+        return math.ceil(math.log2(n) + 1 - math.log2(math.log2(9.0)))
     arg = (2.0 * n - 2.0 * math.log2(math.pi)) / math.log2(9.0)
     return max(1, math.ceil(math.log2(arg)))
 

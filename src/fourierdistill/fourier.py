@@ -64,25 +64,17 @@ def _index_blocks(N: int):
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitudes over the computational basis of an n-qubit register."""
+    """Complex amplitudes over the computational basis of an n-qubit register.
+
+    The constructor adopts the array it is given: ``np.asarray`` leaves a
+    complex ndarray uncopied, and the length and norm checks pass before it
+    is frozen in place.  A caller who still writes to the array passes a copy.
+    """
 
     amps: np.ndarray
 
     def __post_init__(self):
-        self._seal(np.array(self.amps, dtype=complex))
-
-    @classmethod
-    def _adopt(cls, amps: np.ndarray) -> StateVector:
-        """A state around an array the package has just built and holds alone.
-
-        The array is validated and frozen in place.  The public constructor
-        copies instead, because its caller may still hold the array.
-        """
-        s = object.__new__(cls)
-        s._seal(amps)
-        return s
-
-    def _seal(self, amps: np.ndarray) -> None:
+        amps = np.asarray(self.amps, dtype=complex)
         N = len(amps)
         if N < 2 or N & (N - 1):
             raise ValueError(f"array length {N} is not 2**n for n >= 1")
@@ -109,7 +101,7 @@ def pure_fourier_state(n: int, k: int) -> StateVector:
     amps = np.empty(N, dtype=complex)
     for part, y in _index_blocks(N):
         amps[part] = np.exp(2j * np.pi * k * y / N) / math.sqrt(N)
-    return StateVector._adopt(amps)
+    return StateVector(amps)
 
 
 def to_fourier_basis(s: StateVector) -> np.ndarray:
@@ -195,10 +187,13 @@ def _transpose(buf: np.ndarray, R: int, C: int) -> None:
 def series_weight(j: int) -> float:
     """Weight of harmonic j in the Fourier series of the two-bit staircase
     phase function: 8/(pi*j)^2 for j = 1 (mod 4), signed j included, and
-    zero elsewhere (j = 0 too)."""
+    zero elsewhere (j = 0 too).  Weights past float range come out as 0."""
     if j % 4 != 1:
         return 0.0
-    return 8.0 / (math.pi * j) ** 2
+    try:
+        return 8.0 / (math.pi * j) ** 2
+    except OverflowError:  # pi * |j| >= 2**512, or j itself past float range
+        return 0.0
 
 
 def initial_state_weight(n: int, j: int) -> float:
@@ -206,7 +201,8 @@ def initial_state_weight(n: int, j: int) -> float:
 
     Closed form of the fully aliased series sum: 8 / (N*sin(pi*j/N))**2 for
     j = 1 (mod 4) and zero elsewhere.  Valid for signed j and for any n (N
-    never becomes a float); approaches series_weight(j) as n grows.  Weights
+    never becomes a float); approaches series_weight(j) as n grows, and is
+    series_weight(j) once |j| < 2**(n-1001), without building N.  Weights
     below 2**-1021 come out as 0.
     """
     if n < 2:
@@ -214,6 +210,8 @@ def initial_state_weight(n: int, j: int) -> float:
                          f"at least 2 qubits")
     if j % 4 != 1:
         return 0.0
+    if n > abs(j).bit_length() + 1000:  # m = |j| < N >> 1000 below
+        return series_weight(j)
     N = 1 << n
     m = min(j % N, -j % N)
     try:

@@ -5,6 +5,7 @@ import tracemalloc
 from collections.abc import Mapping
 from typing import Callable
 
+import mpmath
 import numpy as np
 
 from fourierdistill import (
@@ -37,8 +38,8 @@ def traced_peak(fn):
 def from_fourier_basis(coeffs: np.ndarray) -> StateVector:
     """Exact inverse of :func:`fourierdistill.to_fourier_basis`: the state
     sum_j coeffs[j] |fourier_j>, by one inverse FFT."""
-    return StateVector._adopt(fourier._unitary_fft(np.array(coeffs, dtype=complex),
-                                                   inverse=True))
+    return StateVector(fourier._unitary_fft(np.array(coeffs, dtype=complex),
+                                            inverse=True))
 
 
 def dft_direct(s: StateVector) -> np.ndarray:
@@ -308,6 +309,62 @@ def sparse_extend_reference(sp: SparseSpectrum, n_new: int, max_harmonics: int,
                for c, k in zip(row.tolist(), col.tolist())]
     log_tail = _logsumexp_reference(np.array([sp.log_tail, log_rem, pruned]))
     return SparseSpectrum._ordered(n_new, candidates[kept], indices, log_tail)
+
+
+def _sparse_extend_mp(spectrum: list, tail, n: int, n_new: int, max_harmonics: int):
+    """One ``sparse_extend`` on ``(index, weight)`` pairs in descending weight
+    order, with linear mpmath weights: every enumerated member of every class
+    is a candidate, the unenumerated class remainder joins the tail, and of
+    the candidates (stably sorted, so ties keep class-then-member order) the
+    ``max_harmonics`` heaviest are kept and the rest join the tail."""
+    Ns, Nf, d = 1 << n, 1 << n_new, n_new - n
+    members = 1 << d
+    span = min(members, max(16, (4 * max_harmonics) // len(spectrum)))
+    half = span // 2
+    offsets = range(-half, span - half)
+    candidates = []
+    for j, w in spectrum:
+        f = mpmath.mpf(j) / Ns
+        num = mpmath.sin(mpmath.pi * f) ** 2 / mpmath.mpf(4) ** d
+        kernel = [num / mpmath.sin(mpmath.ldexp(mpmath.pi * (f + m), -d)) ** 2
+                  for m in offsets]
+        if members > span:
+            # the engine's rule: the deficit where float resolves it, else
+            # the 1/m**2 lobe-decay bound
+            deficit = 1 - mpmath.fsum(kernel)
+            tail += w * (deficit if deficit > 1e-13 else (kernel[0] + kernel[-1]) * half)
+        # member m of class j is j + Ns * m, as a signed index of the fine register
+        candidates += [(w * k, (j + Ns * m + Nf // 2) % Nf - Nf // 2)
+                       for k, m in zip(kernel, offsets)]
+    candidates.sort(key=lambda c: -c[0])
+    tail += mpmath.fsum(w for w, _ in candidates[max_harmonics:])
+    return [(j, w) for w, j in candidates[:max_harmonics]], tail
+
+
+def sparse_protocol_mp(n: int, max_harmonics: int, dps: int) -> list[tuple]:
+    """The sparse engine's protocol in mpmath at ``dps`` digits:
+    ``(p_success, log_error, log_tail)`` of each round of ``plan_schedule(n)``,
+    as mpf with natural logs, the tail that of the round's output.
+
+    Each round extends as :func:`_sparse_extend_mp` (``sparse_extend``'s
+    budget, span, cut and tail) and squares as ``sparse_symmetric_round``
+    does: weights and tail squared, p their sum, everything divided by p, and
+    the error every weight off index 1 plus the tail.  Weights are linear,
+    so nothing cancels at float precision; the truncation is the engine's,
+    so this checks the engine's arithmetic, not its truncation.
+    """
+    with mpmath.workdps(dps):
+        spectrum, tail, size = [(1, mpmath.mpf(1))], mpmath.mpf(0), 2
+        rounds = []
+        for new in plan_schedule(n).sizes:
+            if new > size:
+                spectrum, tail = _sparse_extend_mp(spectrum, tail, size, new, max_harmonics)
+                size = new
+            p = mpmath.fsum(w ** 2 for _, w in spectrum) + tail ** 2
+            spectrum, tail = [(j, w ** 2 / p) for j, w in spectrum], tail ** 2 / p
+            error = mpmath.fsum(w for j, w in spectrum if j != 1) + tail
+            rounds.append((p, mpmath.log(error), mpmath.log(tail)))
+    return rounds
 
 
 def qvr_phase(s: StateVector, bit: int, truncate_bits: int) -> StateVector:

@@ -105,6 +105,24 @@ class TestSpectrumCommand:
         assert code == 0
         assert out.splitlines()[1] == "1,0.810569469139,0.810569469139"
 
+    @pytest.mark.parametrize("j", [2 ** 600 + 1, 2 ** 1024 + 1])
+    def test_harmonic_past_float_range(self, capsys, j):
+        # the series weight leaves float range; the 8-qubit fold brings j back to 1
+        code, out, err = run_cli(capsys, "spectrum", "--n", "8",
+                                 "--j-min", str(j), "--j-max", str(j))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"{j},0,0.810610160468"
+
+    @pytest.mark.parametrize("n", [10 ** 11, 10 ** 400])
+    def test_register_whose_dimension_is_never_built(self, capsys, n):
+        # 2**n is a 12.5 GB int at 10**11 and past Python's ints at 10**400
+        code, out, err = run_cli(capsys, "spectrum", "--n", str(n))
+        assert (code, err) == (0, "")
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert len(rows) == 31
+        assert all(series == folded for _, series, folded in rows)
+        assert dict((j, s) for j, s, _ in rows)["1"] == "0.810569469139"
+
     def test_empty_range_header_only(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--n", "6",
                                "--j-min", "5", "--j-max", "4")
@@ -324,6 +342,17 @@ class TestDistillCommand:
         assert "size limit" in err and "underflows" in err
         assert "nan" not in err and "warning" not in err
 
+    @pytest.mark.parametrize("n", [2 ** 1023, 2 ** 1100])
+    def test_target_past_float_range_ends_at_each_engines_limit(self, capsys, n):
+        # 2.0 * n overflows from 2**1023; the round count does not need it
+        code, out, err = run_cli(capsys, "distill", "--n", str(n), "--engine", "exact")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"capacity error: schedule for n={n} stores 2**{n} ")
+        assert err.count("\n") == 1 and err.endswith("; use --engine sparse\n")
+        code, out, err = run_cli(capsys, "distill", "--n", str(n), "--engine", "sparse")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "sparse engine's size limit" in err
+
     def test_strict_escalates_precision_warning(self, capsys):
         code, _, err = run_cli(capsys, "distill", "--n", "21", "--engine", "sparse",
                                "--s0", "21", "--max-harmonics", "4", "--strict")
@@ -445,6 +474,15 @@ class TestResourcesCommand:
         assert lines[0] == ("n,toffoli_deterministic,toffoli_expected_mean,"
                             "toffoli_expected_std,rounds,width")
         assert lines[1] == "10,76,,,3,24"
+
+    @pytest.mark.parametrize("n", [2 ** 1023, 2 ** 1100])
+    def test_target_past_float_range(self, capsys, n):
+        code, out, err = run_cli(capsys, "resources", "--n-min", str(n), "--n-max", str(n))
+        assert (code, err) == (0, "")
+        report = resources.toffoli_capped(n)
+        assert report.rounds == distill.rounds_required(n) == n.bit_length() - 1
+        assert out.splitlines()[1] == (f"{n},{report.toffoli_deterministic},,,"
+                                       f"{report.rounds},{report.width_qubits}")
 
     def test_small_start_prices_a_round_at_the_target(self, capsys):
         # sizes (3, 6, 12, 15): 8, 4, 2 and 1 adders of 2, 8, 20 and 26 Toffolis

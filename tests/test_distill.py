@@ -58,6 +58,7 @@ from oracles import (
     predicted_log_error,
     rounds_required_simplified,
     sparse_extend_reference,
+    sparse_protocol_mp,
     sparse_spectrum,
     sparse_weight,
     sparse_weights,
@@ -623,6 +624,21 @@ class TestRounds:
         assert rounds_required(4) == 1
         assert rounds_required(2) == 1
 
+    def test_targets_past_float_range(self):
+        # above 2**1000 R = ceil(log2(n) + 1 - log2(log2 9)) on the exact int,
+        # which matches the float form wherever 2.0 * n still fits a double
+        def float_form(n):
+            return math.ceil(math.log2((2.0 * n - 2.0 * math.log2(math.pi)) / math.log2(9.0)))
+        for e in (1000, 1010, 1021, 1022):
+            # log2(n) + 1 - log2(log2 9) crosses e + 1 between 1.5 and 1.6 * 2**e
+            for n, rounds in (((1 << e) + 1, e), (3 << (e - 1), e), ((8 << e) // 5, e + 1)):
+                assert rounds_required(n) == float_form(n) == rounds
+        with pytest.raises(OverflowError):
+            float_form(1 << 1023)
+        assert rounds_required(1 << 1023) == 1023
+        assert rounds_required(1 << 1100) == 1100
+        assert rounds_required(10 ** 400) == math.ceil(400 * math.log2(10))
+
     def test_simplified_agreement_except_ceiling_boundary(self):
         mismatches = []
         for n in range(6, 101):
@@ -993,6 +1009,29 @@ class TestDeepSparseRuns:
         assert run_protocol_sparse(n).output.indices == result.output.indices
         # the target comes first, which sparse_symmetric_round relies on
         assert result.output.indices[0] == 1
+
+    def test_matches_a_50_digit_port_at_n100(self):
+        # the same budget, span, cut and tail in mpmath: the engine's float
+        # arithmetic (p to 3.6e-15, the last log error to 4.4e-16 measured)
+        result = run_protocol_sparse(100, max_harmonics=64)
+        reference = sparse_protocol_mp(100, 64, 50)
+        assert len(result.rounds) == len(reference) == 6
+        for outcome, (p, _, _) in zip(result.rounds, reference):
+            assert outcome.p_success == pytest.approx(float(p), rel=1e-13, abs=0.0)
+        assert result.final_log_error == pytest.approx(float(reference[-1][1]), rel=1e-12,
+                                                       abs=0.0)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 3: at the 20 -> 40 extension the float "
+                              "deficit 1 - sum(kernel), 2.3e-13, is 0.3% below the "
+                              "class remainder")
+    def test_tail_bound_covers_the_50_digit_port_at_n100(self):
+        store = {}
+        run_protocol_sparse(100, max_harmonics=64, reuse=store)
+        tails = [sp.log_tail for _, sp in store.values()]
+        reference = sparse_protocol_mp(100, 64, 50)
+        for tail, (_, _, log_tail) in zip(tails, reference):
+            assert tail >= log_tail
 
 
 class TestProtocolInvariants:

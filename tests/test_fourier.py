@@ -351,6 +351,27 @@ class TestClosedFormWeights:
         assert initial_state_weight(100, -3) == pytest.approx(series_weight(-3), rel=1e-10,
                                                               abs=0.0)
 
+    def test_weights_past_float_range_are_zero(self):
+        # (pi*j)**2 overflows from |j| ~ 2**511, and float(j) itself from 2**1024
+        for j in (2 ** 600 + 1, 2 ** 1024 + 1, 1 - 2 ** 1100):
+            assert series_weight(j) == 0.0
+            assert initial_state_weight(5000, j) == 0.0  # the series weight, unbuilt N
+        # N sin(pi m/N) = pi * 2**601 overflows when squared
+        assert initial_state_weight(1200, 2 ** 600 + 1) == 0.0
+        # a small register folds j back into float range
+        assert initial_state_weight(8, 2 ** 600 + 1) == initial_state_weight(8, 1)
+
+    def test_huge_register_is_the_series_weight_without_building_2_to_the_n(self):
+        # 1 << 10**400 raises OverflowError and 1 << 10**11 is a 12.5 GB int
+        for n in (10 ** 11, 10 ** 400):
+            for j in (-3, 1, 5, 2 ** 600 + 1):
+                assert initial_state_weight(n, j) == series_weight(j)
+        # either side of the shortcut's threshold n = bit_length(|j|) + 1000
+        for j in (1, -3, 2 ** 40 + 1, -(2 ** 300) + 1):
+            bound = abs(j).bit_length() + 1000
+            assert initial_state_weight(bound, j) == initial_state_weight(bound + 1, j) \
+                == series_weight(j)
+
 
 class TestValidationAndSerialization:
     def test_state_requires_normalization(self):
@@ -367,14 +388,25 @@ class TestValidationAndSerialization:
             s.amps[0] = 0.0
 
     def test_constructor_does_not_alias_the_callers_array(self):
-        mine = np.full(4, 0.5, dtype=complex)
-        stored = StateVector(mine).amps
-        mine[0] = 0.0
-        assert np.array_equal(stored, np.full(4, 0.5))
-        assert mine.flags.writeable
-        assert not stored.flags.writeable
+        # a complex ndarray is adopted and frozen in place ...
+        arr = np.full(4, 0.5, dtype=complex)
+        assert StateVector(arr).amps is arr
+        assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            stored[0] = 0.0
+            arr[0] = 0.0
+        # ... anything else is converted, leaving the caller's object alone ...
+        for given in ([0.5] * 4, np.full(4, 0.5)):
+            stored = StateVector(given).amps
+            assert stored is not given and stored.dtype == complex
+            assert np.array_equal(stored, np.full(4, 0.5))
+            assert not stored.flags.writeable
+        assert given.flags.writeable
+        # ... so a caller who keeps writing to an array passes a copy
+        mine = np.full(4, 0.5, dtype=complex)
+        stored = StateVector(mine.copy()).amps
+        mine[0] = 0.0
+        assert mine.flags.writeable
+        assert np.array_equal(stored, np.full(4, 0.5))
 
     def test_to_fourier_basis_returns_a_new_read_only_array(self):
         s = approx_initial_state(4)

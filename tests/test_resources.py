@@ -330,6 +330,15 @@ class TestEpsilonF:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] > 0
 
+    def test_precision_range_is_one_to_1022(self):
+        # at both ends eps_f ~ 2**-p is still a normal double
+        assert epsilon_f_kickback(1) == pytest.approx(math.sqrt(2.0) * math.sin(math.pi / 8),
+                                                      rel=1e-15, abs=0.0)
+        assert epsilon_f_kickback(1022) >= 2.0 ** -1022
+        for p in (0, 1023):
+            with pytest.raises(ValueError, match=rf"p must lie in 1\.\.1022 .*got {p}$"):
+                epsilon_f_kickback(p)
+
 
 class TestTSequenceCost:
     def test_bit_form_at_p10(self):
