@@ -13,13 +13,15 @@ Retry overhead: a failed step discards its two input states, so its whole
 feeding subtree is rebuilt.  The expected cost then follows the recursion
 E_r = (2 E_(r-1) + A_r) / p_r, which is exposed analytically and sampled by
 a seeded Monte Carlo that draws the attempt count of each round for all
-trials at once.  Only these two read the per-round success probabilities p_r,
+trials at once, inverting uniforms through negative-binomial CDF tables.
+Only these two read the per-round success probabilities p_r,
 from one sparse-engine run per n; :func:`resource_reports` sweeps n with one
 reuse store for those runs, so a round prefix common to several n runs once.
 """
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass, replace
 
@@ -44,6 +46,11 @@ MAX_TRIALS = 1 << 22
 
 #: Most targets of one sweep (about 3 s and 175 MB of schedule arithmetic).
 MAX_TARGETS = 1 << 17
+
+#: A table of retry counts in :func:`_retries` holds at most this many cells
+#: (8 MB of keys; the engine's probabilities need at most about 31,000 at
+#: ``MAX_TRIALS``) and leaves a mass below exp(_TAIL) = 2**-60 past its end.
+_TABLE_CELLS, _TAIL = 1 << 20, -60.0 * math.log(2.0)
 
 
 def adder_toffoli_count(size: int) -> int:
@@ -135,6 +142,43 @@ def expected_cost_recursion(n: int) -> float:
     return expected
 
 
+def _retries(needed: np.ndarray, p: float, stream: random.Random, r: int) -> np.ndarray:
+    """NB(needed, p) failures at 0 < p < 1: per trial, the smallest x with
+    u < CDF(x) for a 53-bit uniform u, by one search of the keys row * 2**53
+    + u in a table of row * 2**53 + ceil(2**53 CDF_k(x)), one row per k in
+    needed, which keeps every bit of u.  NB(k, p) grows with k, and past
+    its mode the pmf ratio t = (k + x) q / (x + 1) falls, so the mass past x
+    is at most pmf(x) t / (1 - t): the largest k ends every row where that
+    is below 2**-60.  The last column is forced to 2**53, so every u lands
+    in its row; keys of 2**11 rows would pass 2**64.
+    """
+    kmin, kmax = int(needed.min()), int(needed.max())
+    rows, q = kmax - kmin + 1, 1.0 - p
+    log_pmf, x = kmax * math.log(p), 0
+    while x * rows < _TABLE_CELLS:
+        t = (kmax + x) * q / (x + 1)
+        if t < 1.0 and log_pmf + math.log(t / (1.0 - t)) < _TAIL:
+            break
+        log_pmf, x = log_pmf + math.log(t), x + 1
+    if rows * (x + 1) > _TABLE_CELLS or rows >= 1 << 11:
+        raise ValueError(f"--trials: round {r} success probability {p} needs a table "
+                         f"of retry counts past {_TABLE_CELLS} cells or 2047 rows")
+    ks, xs = np.arange(kmin, kmax + 1.0)[:, None], np.arange(float(x))
+    cdf = np.empty((rows, x + 1))
+    cdf[:, :1] = ks * math.log(p)
+    np.cumsum(np.log((ks + xs) * q / (xs + 1)), axis=1, out=cdf[:, 1:])
+    cdf[:, 1:] += cdf[:, :1]
+    np.cumsum(np.exp(cdf, out=cdf), axis=1, out=cdf)
+    table = np.ceil(np.minimum(cdf, 1.0, out=cdf) * 2.0 ** 53).astype(np.uint64)
+    table[:, -1] = 1 << 53
+    table += np.arange(rows, dtype=np.uint64)[:, None] << 53
+    keys = (needed - kmin).view(np.uint64)
+    keys <<= 53
+    keys |= np.frombuffer(stream.randbytes(8 * len(needed)), "<u8") >> 11
+    x = np.searchsorted(table.ravel(), keys, side="right")
+    return np.remainder(x, table.shape[1], out=x)
+
+
 def expected_cost_monte_carlo(n: int, trials: int, seed: int,
                               s0: int = DEFAULT_S0, pad: int = DEFAULT_PAD, *,
                               probabilities: list[float]) -> tuple[float, float]:
@@ -144,11 +188,12 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
     attempts at the top round are Geometric(p_R), and each attempt at round r
     needs two successes from round r-1: N_(r-1) = 2 N_r + NB(2 N_r, p_(r-1)).
     The cost of a trial is sum_r N_r * A_r.  All trials are drawn together,
-    level by level, from one stream seeded by ``seed``; the same (n, trials,
-    seed, s0, pad, probabilities) always gives the same (mean, std).
+    level by level, from one ``random.Random(seed)`` stream; the same (n,
+    trials, seed, s0, pad, probabilities) always gives the same (mean, std).
     ``probabilities`` are the per-round success probabilities, usually
     :func:`round_success_probabilities`; forcing 1.0 everywhere recovers the
-    deterministic count.
+    deterministic count.  A round whose retry table would pass its size
+    limit, or whose int64 counts could wrap, is refused.
     """
     _check_request(s0, trials=trials, seed=seed)
     if not trials:
@@ -159,12 +204,18 @@ def expected_cost_monte_carlo(n: int, trials: int, seed: int,
     for r, p in enumerate(probabilities, start=1):
         if not 0.0 < p <= 1.0 + 1e-12:
             raise ValueError(f"round {r} success probability {p} is outside (0, 1]")
-    rng = np.random.default_rng(seed)
+    stream = random.Random(seed)
     needed = np.ones(trials, dtype=np.int64)
     samples = np.zeros(trials, dtype=np.int64)
-    for size, p in zip(reversed(schedule.sizes), reversed(probabilities)):
-        attempts = needed + rng.negative_binomial(needed, min(p, 1.0))
-        samples += attempts * adder_toffoli_count(size)
+    worst = 0
+    for r in range(schedule.rounds, 0, -1):
+        p, cost = min(probabilities[r - 1], 1.0), adder_toffoli_count(schedule.sizes[r - 1])
+        attempts = needed if p == 1.0 else needed + _retries(needed, p, stream, r)
+        worst += int(attempts.max()) * cost
+        if worst >> 62:
+            raise ValueError(f"round {r} success probability {p}: a trial's Toffoli "
+                             f"count could pass 2**62")
+        samples += attempts * cost
         needed = 2 * attempts
     std = float(samples.std(ddof=1)) if trials > 1 else 0.0
     return float(samples.mean()), std

@@ -443,11 +443,12 @@ def predicted_log_error(sizes) -> float:
     re-aliases it by rho(s') - rho(s), and a round doubles it, so with the
     2-qubit start (rho(2) = 0) L_r = 2 (L_(r-1) + rho(s_r) - rho(s_(r-1)))
     and the error after the last round is about exp(L_R).  It is a model,
-    not a bound: it leaves out every other sideband.
+    not a bound: it leaves out every other sideband.  Since sin 3x =
+    sin x (3 - 4 sin^2 x), rho(s) = -2 ln(3 - 4 sin^2(pi/2**s)), which tends
+    to -2 ln 3 where the quotient of sines is 0/0 (from s = 1077).
     """
     def rho(s):
-        x = math.ldexp(math.pi, -s)
-        return 2.0 * math.log(math.sin(x) / math.sin(3.0 * x))
+        return -2.0 * math.log(3.0 - 4.0 * math.sin(math.ldexp(math.pi, -s)) ** 2)
 
     log_ratio = previous = 0.0
     for s in sizes:

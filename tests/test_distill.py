@@ -738,6 +738,22 @@ class TestPredictedLogError:
                 model_misses.add(n)
         assert model_misses == engine_misses
 
+    def test_sideband_ratio_past_the_float_range_of_pi_over_2_to_the_s(self):
+        # one round doubles rho(s), which tends to -2 ln 3: subnormal at
+        # s = 1075 and 1076, and past them pi/2**s is 0, where sin(x) / sin(3x)
+        # is 0/0
+        for s in (1075, 1076, 1077, 1100, 2000, 10 ** 6):
+            assert predicted_log_error([s]) == pytest.approx(-4.0 * math.log(3.0),
+                                                             rel=1e-15, abs=0.0)
+        with pytest.raises(ZeroDivisionError):
+            math.sin(math.ldexp(math.pi, -1077)) / math.sin(3.0 * math.ldexp(math.pi, -1077))
+
+    def test_sideband_ratio_is_the_quotient_of_sines_to_one_ulp(self):
+        for s in range(3, 1001):
+            x = math.ldexp(math.pi, -s)
+            quotient = 4.0 * math.log(math.sin(x) / math.sin(3.0 * x))
+            assert abs(predicted_log_error([s]) - quotient) <= math.ulp(quotient), s
+
     ITEM_3 = pytest.mark.xfail(strict=True, raises=AssertionError,
                                reason="ROADMAP item 3: from n = 388 the kernel's rounding "
                                       "moves mass into the tail")

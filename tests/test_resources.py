@@ -1,6 +1,13 @@
 """Tests for cost formulas, Monte Carlo retry overhead, and the rotation
 cost comparison."""
 import math
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -23,7 +30,7 @@ from fourierdistill import (
 from fourierdistill import resources
 from fourierdistill.cli import main
 from fourierdistill.distill import DEFAULT_PAD, DEFAULT_S0
-from fourierdistill.resources import MAX_TRIALS, round_success_probabilities
+from fourierdistill.resources import MAX_TRIALS, _retries, round_success_probabilities
 from oracles import (
     epsilon_f_kickback_approx,
     toffoli_closed_form,
@@ -287,6 +294,111 @@ class TestExpectedCost:
             expected_cost_monte_carlo(10, trials=10, seed=None, probabilities=probs)
         with pytest.raises(ValueError):
             expected_cost_monte_carlo(10, trials=10, seed=1, probabilities=[1.0])
+
+
+def _nb_pmf(k, p, x):
+    """P(X = x) for X ~ NB(k, p), the failures before the k-th success."""
+    return math.comb(k + x - 1, x) * p ** k * (1.0 - p) ** x
+
+
+class _Uniforms:
+    """A stream whose bytes are all ``byte``: 0xff makes each 53-bit
+    uniform 1 - 2**-53, 0x00 makes it 0."""
+
+    def __init__(self, byte):
+        self.byte = byte
+
+    def randbytes(self, n):
+        return bytes([self.byte]) * n
+
+
+class TestRetryDraws:
+    """``resources._retries``: NB(k, p) failures by inverting 53-bit uniforms."""
+
+    @pytest.mark.parametrize("k, p, seed", [(1, 0.5, 1), (7, 0.672, 2), (64, 0.963, 3)])
+    def test_chi_square_against_the_exact_pmf(self, k, p, seed):
+        trials = 1 << 20
+        counts = np.bincount(_retries(np.full(trials, k), p, random.Random(seed), 1))
+        # one cell per x while trials * pmf(x) >= 5 (every mode here has
+        # x = 0 at or above it), then one cell for the rest
+        expected = []
+        while trials * _nb_pmf(k, p, len(expected)) >= 5:
+            expected.append(trials * _nb_pmf(k, p, len(expected)))
+        observed = [*counts[:len(expected)], counts[len(expected):].sum()]
+        expected.append(trials - sum(expected))
+        chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+        # the 0.999 quantile of chi-square on dof degrees (Wilson-Hilferty)
+        dof, z = len(expected) - 1, NormalDist().inv_cdf(0.999)
+        assert chi2 < dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
+
+    def test_each_row_draws_what_it_draws_alone(self):
+        # a trial's uniform is its own 8 bytes of the stream, and its row of
+        # the table is the same floats whatever rows sit beside it
+        trials = 1 << 14
+        needed = 1 + np.arange(trials) * 7919 % 97
+        together = _retries(needed, 0.672, random.Random(5), 1)
+        for k in range(1, 98):
+            alone = _retries(np.full(trials, k), 0.672, random.Random(5), 1)
+            assert np.array_equal(together[needed == k], alone[needed == k]), k
+
+    def test_probability_next_to_one_draws_only_zeros(self):
+        needed = 1 + np.arange(1 << 20) % 1000
+        assert not _retries(needed, 1.0 - 1e-13, random.Random(6), 1).any()
+
+    def test_largest_uniform_lands_inside_its_row(self):
+        needed = np.array([9, 3, 9, 5, 3])
+        assert not _retries(needed, 0.6, _Uniforms(0x00), 1).any()
+        draws = _retries(needed, 0.6, _Uniforms(0xff), 1)
+        # deep in each row's tail, where its float CDF rounds to 1 or at
+        # the forced last column; spilling into the next row would read 0
+        for k, x in zip(needed, draws):
+            assert 0.0 < sum(_nb_pmf(int(k), 0.6, y) for y in range(x + 1, x + 500)) < 2.0 ** -50
+
+    def test_level_at_one_builds_no_table(self, monkeypatch):
+        rounds = []
+
+        def spy(needed, p, stream, r):
+            rounds.append(r)
+            return _retries(needed, p, stream, r)
+
+        monkeypatch.setattr(resources, "_retries", spy)
+        expected_cost_monte_carlo(10, trials=64, seed=1, probabilities=[0.9, 1.0, 1.0 + 1e-13])
+        assert rounds == [1]
+
+    @pytest.mark.parametrize("p, r", [(0.5, 2), (0.001, 5)])
+    def test_table_past_its_limit_is_refused(self, p, r):
+        # [0.5] * 6 at 2**16 trials would need one 1.1e8-cell table (0.9 GB)
+        def refused():
+            message = f"--trials: round {r} success probability {p} needs a table"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                expected_cost_monte_carlo(100, 1 << 16, 3, probabilities=[p] * 6)
+
+        _, peak = traced_peak(refused)
+        assert peak < 40e6
+
+    def test_table_past_the_key_width_is_refused(self):
+        # keys row * 2**53 + u of 2**11 rows would pass 2**64, however few
+        # columns the rows have
+        assert not _retries(np.arange(1, 2048), 1.0 - 1e-15, random.Random(7), 4).any()
+        with pytest.raises(ValueError, match="round 4 success probability"):
+            _retries(np.arange(1, 2049), 1.0 - 1e-15, random.Random(7), 4)
+
+    def test_counts_that_could_wrap_are_refused(self):
+        n = 2 ** 61
+        with pytest.raises(ValueError, match=r"round 61 .* could pass 2\*\*62"):
+            expected_cost_monte_carlo(n, 4, 1, probabilities=[1.0] * plan_schedule(n).rounds)
+
+    def test_sampler_leaves_numpy_random_unimported(self):
+        script = ("import sys\n"
+                  "from fourierdistill.cli import main\n"
+                  "code = main(['resources', '--n-min', '5', '--n-max', '100',\n"
+                  "             '--trials', '250', '--seed', '3'])\n"
+                  "sys.exit(code or ' '.join(m for m in sys.modules\n"
+                  "                          if m.startswith('numpy.random')) or None)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", script], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestKickbackCost:
