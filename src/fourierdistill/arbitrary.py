@@ -23,7 +23,7 @@ import numpy as np
 
 from .distill import ProtocolResult, ProtocolSchedule, _exact_rounds
 from .errors import CapacityError, DegenerateInputError
-from .fourier import _BLOCK, _index_blocks, _unitary_fft, require_register_size
+from .fourier import _BLOCK, _unitary_fft, require_register_size
 
 #: Most rounds of one distill_k run: the error reads 0.0 in double precision
 #: well before this many squarings.
@@ -55,25 +55,30 @@ def _qvr_coefficients(n: int, k: int, t: int) -> np.ndarray:
     Set bit b applies the phase exp(2*pi*i * y * 2**b / N), its fraction
     floored to ``t`` bits as kickback against a fundamental Fourier state of
     that many qubits (n or more bits are exact), looked up in a table of its
-    2**t values.  One pass over blocks of 2**14 indices starts each block at
-    1/sqrt(N) and multiplies in the set bits' phases in bit order; the array
-    is then transformed in place.
+    2**t values.  One pass over blocks of ``_BLOCK`` indices starts each
+    block at 1/sqrt(N) and multiplies in the set bits' phases in bit order,
+    through one index block, advanced in place, and one scratch each for the
+    table positions and the looked-up phases; these go before the array is
+    transformed in place.
     """
     N = 1 << n
     kept = min(t, n)  # t >= n is already exact
     table = np.exp(2j * np.pi * np.arange(1 << kept) / (1 << kept))
     bits = [b for b in range(n) if (k >> b) & 1]
     amps = np.empty(N, dtype=complex)
-    for part, y in _index_blocks(N):
-        block = amps[part]
+    y = np.arange(min(N, _BLOCK))
+    q, phases = np.empty_like(y), np.empty(len(y), dtype=complex)
+    for lo in range(0, N, len(y)):
+        block = amps[lo:lo + len(y)]
         block.fill(1.0 / math.sqrt(N))  # |+>^n
-        q, phases = np.empty_like(y), np.empty_like(block)
         for b in bits:
             # the top t bits of (y * 2**b) mod N index the table
             np.left_shift(y, b, out=q)
             q &= N - 1
             q >>= n - kept
             block *= table.take(q, mode="wrap", out=phases)
+        y += len(y)
+    del y, q, phases, block
     return _unitary_fft(amps)
 
 

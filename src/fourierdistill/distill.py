@@ -32,6 +32,7 @@ import numpy as np
 from .errors import CapacityError, PrecisionWarning
 from .fourier import (
     _BLOCK,
+    _TILE,
     _unitary_fft,
     amplitude_cap,
     fidelity_threshold,
@@ -170,11 +171,14 @@ def _postselect(product: np.ndarray, k: int) -> DistillationOutcome:
     """Postselection on the squared coefficients of one normalized state,
     normalized in the product's own buffer.  p = sum |c_j|**4 is at
     least 1/N by Cauchy-Schwarz, so it never vanishes.  The weights are
-    built in blocks of 2**14, and p and the off-target sum add the block
-    partials exactly (math.fsum): one block gives numpy's own sums."""
+    built in blocks of ``_BLOCK`` in one buffer, and p and the off-target
+    sum add the block partials exactly (math.fsum): one block gives numpy's
+    own sums."""
     parts = []
+    scratch = np.empty(min(len(product), _BLOCK))
     for lo in range(0, len(product), _BLOCK):
-        weights = np.abs(product[lo:lo + _BLOCK])
+        block = product[lo:lo + _BLOCK]
+        weights = np.abs(block, out=scratch[:len(block)])
         weights *= weights
         # summed directly (1 - fidelity cancels near float epsilon); with k
         # outside the block, i lies past it and every weight counts
@@ -451,24 +455,34 @@ def _extend_coset(buf: np.ndarray, length: int, size: int, stride: int, r: int) 
     of length 2**size / stride gives the new coset.  With r = 0 the twiddle
     row is constant and this is the plain |+> append.  The coset is read
     from ``buf[:length]`` and grown into the longer prefix it returns; the
-    outer product is written from the top in blocks that first copy their
-    rows of h, each piece of at most 2**14 columns of the twiddle row built
-    where it is used, so the peak is one final coset plus blocks of 2**14.
+    outer product is written from the top in blocks of at most ``_TILE``
+    points, as the product of two scratch tiles: one holds the block's rows
+    of h, copied first, and one the twiddle row repeated, built in pieces of
+    at most ``_TILE`` columns (once, when one piece is the row).  So the
+    peak is one final coset plus the tiles, and then the transform's own.
     """
     grow = (1 << size) // (stride * length)
-    width = min(grow, _BLOCK)
+    width = min(grow, _TILE)
     h = _unitary_fft(buf[:length], inverse=True)
     grown = buf[:length * grow].reshape(length, grow)
-    step = max(1, _BLOCK // grow)
-    for lo in reversed(range(0, length, step)):
-        rows = h[lo:lo + step].copy()
+    # same-shape tiles: a broadcast operand would make numpy buffer a block
+    held = np.empty((min(_TILE // width, length), width), dtype=complex)
+    twiddle = np.empty_like(held)
+    index, built = np.arange(width), None
+    for lo in reversed(range(0, length, len(held))):
+        held[...] = h[lo:lo + len(held), None]
         for col in range(0, grow, width):
-            twiddle = np.arange(col, col + width, dtype=complex)
-            twiddle *= -2j * np.pi * r / (1 << size)
-            np.exp(twiddle, out=twiddle)
-            twiddle /= math.sqrt(grow)
-            np.multiply.outer(rows, twiddle, out=grown[lo:lo + step, col:col + width])
-    del twiddle  # the transform holds blocks of its own
+            if col != built:
+                piece = twiddle[0]
+                piece[...] = index
+                piece += col
+                piece *= -2j * np.pi * r / (1 << size)
+                np.exp(piece, out=piece)
+                piece /= math.sqrt(grow)
+                twiddle[1:] = piece
+                built = col
+            np.multiply(held, twiddle, out=grown[lo:lo + len(held), col:col + width])
+    del held, twiddle, index  # the transform holds tiles of its own
     return _unitary_fft(buf[:length * grow])
 
 
@@ -514,8 +528,9 @@ def run_protocol_exact(n: int, *, s0: int = DEFAULT_S0,
     whose pages stay untouched until written.  The final output is that
     buffer: c[1::COSET_STRIDE] of the last round's register, 2**(size - 2)
     coefficients; the other three quarters are zero and are not stored.  So
-    the peak is one final coset plus blocks of 2**14 points, and the
-    amplitude cap counts that coset's coefficients, not the register's.
+    the peak is one final coset plus scratch of at most 2**14 points per
+    loop, and the amplitude cap counts that coset's coefficients, not the
+    register's.
     """
     schedule = plan_schedule(n, s0, pad)
     biggest = max(schedule.sizes)

@@ -31,6 +31,10 @@ NORM_TOL = 1e-10
 #: Points per block (256 kB of complex values) of the package's blocked loops.
 _BLOCK = 1 << 14
 
+#: Points per scratch tile (64 kB of complex values) of the exact path's
+#: transform twiddles, transpose and extension, each allocated once per call.
+_TILE = 1 << 12
+
 def amplitude_cap() -> int:
     """Current cap on n for dense amplitude vectors."""
     raw = os.environ.get(AMPLITUDE_CAP_ENV)
@@ -123,10 +127,10 @@ def _unitary_fft(buf: np.ndarray, inverse: bool = False) -> np.ndarray:
     ``np.fft.fft(a)``.  Longer, where pocketfft would hold two more vectors
     of scratch, it is a four-step FFT on ``buf`` as an R x C matrix (R =
     2**(m // 2), C = N / R): one numpy call transforms the columns in place,
-    twiddles w**(k1 n2) follow in blocks that bound their int64 exponents and
-    gathered factors, one call transforms the rows and a blocked transpose
-    ends it, rounding like one pocketfft call.  Scaled as ``fft(a) / sqrt(N)``
-    and ``ifft(a) * sqrt(N)``, it peaks at ``buf`` plus blocks of 2**14 points.
+    :func:`_twiddle` multiplies in w**(k1 n2), one call transforms the rows
+    and :func:`_transpose` ends it, rounding like one pocketfft call.  Scaled
+    as ``fft(a) / sqrt(N)`` and ``ifft(a) * sqrt(N)``, it peaks at ``buf``
+    plus the twiddle tables and scratch tiles of at most ``_TILE`` points.
     """
     N = len(buf)
     transform = np.fft.ifft if inverse else np.fft.fft
@@ -137,16 +141,7 @@ def _unitary_fft(buf: np.ndarray, inverse: bool = False) -> np.ndarray:
         R, C = 1 << (m // 2), 1 << (m - m // 2)
         grid = buf.reshape(R, C)
         transform(grid, axis=0, out=grid)
-        # w**e = coarse[e // C] * fine[e % C], the exponent e = k1 n2 < N exact
-        sign = (2j if inverse else -2j) * math.pi / N
-        fine = np.exp(sign * np.arange(C))
-        coarse = np.exp(sign * (C * np.arange(R)))
-        step = max(1, _BLOCK // C)
-        for lo in range(0, R, step):
-            rows = grid[lo:lo + step]
-            e = np.multiply.outer(np.arange(lo, lo + len(rows)), np.arange(C))
-            rows *= coarse[e >> (m - m // 2)]
-            rows *= fine[e & (C - 1)]
+        _twiddle(grid, inverse)
         transform(grid, axis=1, out=grid)
         _transpose(buf, R, C)
     if inverse:
@@ -156,30 +151,68 @@ def _unitary_fft(buf: np.ndarray, inverse: bool = False) -> np.ndarray:
     return buf
 
 
+def _twiddle(grid: np.ndarray, inverse: bool) -> None:
+    """Multiply entry (k1, n2) of the R x C ``grid`` (C = R or 2R, both powers
+    of two) by w**(k1 n2) in place, w = exp(-2 pi i / (R C)), or its
+    conjugate for the inverse transform.
+
+    w**e = coarse[e // C] * fine[e % C] from two tables of R and C factors,
+    the exponent e = k1 n2 < R C exact in int64.  The exponents, their
+    shifted or masked copy and the gathered factors go through three scratch
+    tiles of ``_TILE`` points, allocated once."""
+    R, C = grid.shape
+    sign = (2j if inverse else -2j) * math.pi / (R * C)
+    fine = np.exp(sign * np.arange(C))
+    coarse = np.exp(sign * (C * np.arange(R)))
+    index = np.arange(C)  # k1 < R <= C
+    width = min(C, _TILE)
+    e = np.empty((_TILE // width, width), dtype=np.int64)
+    part = np.empty_like(e)
+    factors = np.empty(e.shape, dtype=complex)
+    for lo in range(0, R, len(e)):
+        for col in range(0, C, width):
+            tile = grid[lo:lo + len(e), col:col + width]
+            # row by row: a broadcast operand would make numpy buffer a tile
+            for exponents, k1 in zip(e, range(lo, lo + len(e))):
+                np.multiply(index[col:col + width], k1, out=exponents)
+            np.right_shift(e, C.bit_length() - 1, out=part)
+            tile *= coarse.take(part, mode="wrap", out=factors)
+            np.bitwise_and(e, C - 1, out=part)
+            tile *= fine.take(part, mode="wrap", out=factors)
+
+
 def _transpose(buf: np.ndarray, R: int, C: int) -> None:
     """Rewrite the R x C row-major matrix in ``buf`` as its transpose, in
     place, for C = R or 2R.  For C = 2R, row half 2 k1 + s moves to s R + k1
     by following cycles with one half held, making two R x R squares; each
-    square then swaps its tiles of at most ``_BLOCK`` points in pairs."""
+    square then swaps its tiles of at most ``_TILE`` points in pairs through
+    one scratch tile, which also takes each diagonal tile's transpose (numpy
+    would copy a tile assigned its own transpose)."""
     if C != R:
         halves = buf.reshape(2 * R, R)
+        row = np.empty(R, dtype=complex)
         done = bytearray(2 * R)
         for start in range(1, 2 * R - 1):
             if done[start]:
                 continue
-            pos, held = start, halves[start].copy()
+            pos = start
+            row[...] = halves[start]
             while not done[pos]:
                 done[pos] = 1
                 src = 2 * pos if pos < R else 2 * (pos - R) + 1
-                halves[pos] = held if src == start else halves[src]
+                halves[pos] = row if src == start else halves[src]
                 pos = src
-    side = min(R, math.isqrt(_BLOCK))
+    side = min(R, math.isqrt(_TILE))
+    held = np.empty((side, side), dtype=complex)
     for lo in range(0, len(buf), R * R):
         square = buf[lo:lo + R * R].reshape(R, R)
         for i in range(0, R, side):
-            for j in range(i, R, side):
+            diagonal = square[i:i + side, i:i + side]
+            held[...] = diagonal.T
+            diagonal[...] = held
+            for j in range(i + side, R, side):
                 upper, lower = square[i:i + side, j:j + side], square[j:j + side, i:i + side]
-                held = upper.copy()
+                held[...] = upper
                 upper[...] = lower.T
                 lower[...] = held.T
 

@@ -178,11 +178,13 @@ class TestDistillK:
     def test_cli_run_builds_no_weight_array(self):
         # the initial fidelity and the dominance check read the coefficients
         # in blocks, and the rounds square the prepared buffer itself: one
-        # 2**n vector plus blocks of 2**14 points (1.29 vectors measured; a
-        # 2**n array of moduli would add 0.5, a copy of the buffer 1)
+        # 2**n vector plus the QVR pass's scratch blocks of 2**14 points
+        # (1.13 vectors measured, 1.29 with new blocks per pass step and the
+        # transform's per-block temporaries; a 2**n array of moduli would add
+        # 0.5, a copy of the buffer 1)
         distill_k(18, 2731, 3)  # numpy's first FFT allocates caches
         _, peak = traced_peak(lambda: distill_k(18, 2731, 3))
-        assert peak <= 1.35 * (16 << 18)
+        assert peak <= 1.2 * (16 << 18)
 
 
 class TestBitIdentity:

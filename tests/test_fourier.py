@@ -16,6 +16,7 @@ from fourierdistill import (
     to_fourier_basis,
 )
 from fourierdistill.fourier import (
+    _transpose,
     _unitary_fft,
     log_fidelity_threshold,
     require_register_size,
@@ -195,11 +196,24 @@ class TestBlockedTransform:
                                   np.fft.ifft(x) * math.sqrt(N))
 
     def test_blocked_transform_holds_no_long_temporary(self):
-        # pocketfft's scratch is not traced; what is traced stays block-sized
+        # pocketfft's scratch is not traced; what is traced is the twiddle
+        # tables and scratch tiles (0.17 MiB measured; 0.66 MiB with per-block
+        # exponent grids and gathered factors)
         buf = np.ones(1 << 20, dtype=complex)
         _, peak = traced_peak(lambda: _unitary_fft(buf))
-        assert peak <= 1 << 20
+        assert peak <= 1 << 18
         assert buf[0] == 1 << 10 and np.abs(buf[1:]).max() < 1e-9
+
+    @pytest.mark.parametrize("C_per_R", [1, 2])
+    @pytest.mark.parametrize("R", [1 << b for b in range(1, 10)])
+    def test_transpose_is_exact(self, R, C_per_R):
+        # R from 2 past the tile side (64) to 512; the tiles change shape,
+        # so the result is compared bit for bit
+        C = C_per_R * R
+        grid = np.random.default_rng(R + C).random((R, 2 * C)).view(complex)
+        buf = grid.ravel().copy()
+        _transpose(buf, R, C)
+        assert np.array_equal(buf, np.ascontiguousarray(grid.T).ravel())
 
 
 class TestSeriesCoefficients:
