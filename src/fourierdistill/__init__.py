@@ -1,11 +1,7 @@
 """Fourier-state distillation: exact simulation, sparse spectral analysis,
 gate-level circuits, and fault-tolerant resource accounting."""
 
-from .arbitrary import (
-    PreparedKState,
-    default_truncate_bits,
-    distill_k,
-)
+from .arbitrary import default_truncate_bits, distill_k
 from .circuits import (
     Gate,
     GateCircuit,
@@ -30,7 +26,7 @@ from .distill import (
     sparse_extend,
     sparse_symmetric_round,
 )
-from .errors import CapacityError, DegenerateInputError, PrecisionWarning
+from .errors import CapacityError, PrecisionWarning
 from .fourier import (
     StateVector,
     amplitude_cap,

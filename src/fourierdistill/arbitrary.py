@@ -4,8 +4,9 @@ Approximate initial states come from quantum-variable rotation (QVR): start
 from the index-0 state |+>^n and, for every set bit b of k, apply the
 diagonal phase exp(2*pi*i * y * 2**b / N) with the phase angle truncated to
 a limited number of bits, modeling kickback against a shortened fundamental
-Fourier state.  Truncation to ceil(log2(n)) + 2 bits keeps the aggregate
-infidelity well under one half for register sizes of interest.
+Fourier state.  The truncation is fixed at :func:`default_truncate_bits`,
+ceil(log2 n) + 2 bits, which provably leaves the Fourier weight at k above
+one half for every n and k, so k is the prepared state's dominant index.
 
 Distillation then runs the same symmetric postselected rounds as the
 fundamental protocol but at full register width every round: appending |+>
@@ -17,12 +18,11 @@ engine's loop over the schedule (n,) * rounds on that same buffer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distill import ProtocolResult, ProtocolSchedule, _exact_rounds
-from .errors import CapacityError, DegenerateInputError
+from .errors import CapacityError
 from .fourier import _BLOCK, _unitary_fft, require_register_size
 
 #: Most rounds of one distill_k run: the error reads 0.0 in double precision
@@ -31,21 +31,18 @@ MAX_ROUNDS = 64
 
 
 def default_truncate_bits(n: int) -> int:
-    """ceil(log2(n)) + 2: per-gate error O(1/n) with margin for n gates."""
+    """ceil(log2(n)) + 2, the phase truncation t of every QVR-prepared state.
+
+    It makes k dominant: 2**t >= 4n, and each of the at most n set bits of k
+    floors its phase by less than 2**-t of a turn, so the total phase error
+    eps(y) lies in [0, pi/2).  So |<f_k|psi>| = |mean e^(i eps)| >=
+    mean cos(eps - pi/4) > cos(pi/4) (or eps = 0 and psi is exact), the
+    weight at k is above 1/2, and no other weight can match it.  For t >= n
+    the phases are exact.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     return max(1, math.ceil(math.log2(n))) + 2
-
-
-@dataclass(frozen=True)
-class PreparedKState:
-    """The QVR-prepared approximation of the index-k state: k (reduced mod
-    2**n), the phase truncation in bits, and the overlap with the index-k
-    Fourier state, its weight at k."""
-
-    k: int
-    truncate_bits: int
-    fidelity: float
 
 
 def _qvr_coefficients(n: int, k: int, t: int) -> np.ndarray:
@@ -82,39 +79,25 @@ def _qvr_coefficients(n: int, k: int, t: int) -> np.ndarray:
     return _unitary_fft(amps)
 
 
-def distill_k(n: int, k: int, rounds: int,
-              truncate_bits: int | None = None) -> tuple[PreparedKState, ProtocolResult]:
+def distill_k(n: int, k: int, rounds: int) -> tuple[float, ProtocolResult]:
     """Prepare the approximate index-k state by QVR and distill it toward k
     with full-width rounds.
 
-    n, then ``truncate_bits`` (default :func:`default_truncate_bits`), then
-    ``rounds`` are checked before anything is allocated.  The rounds are the
-    exact engine's protocol on the schedule (n,) * rounds with target k,
-    squaring the prepared coefficients in place; the output is all 2**n of
-    them.  The Toffoli cost is the ``resources.ResourceReport`` of
-    ``result.schedule``.  The prepared state's dominant Fourier index must
-    already be k; otherwise squaring converges to the wrong index and the
-    run is refused.
+    n, then ``rounds`` are checked before anything is allocated.  Returns the
+    prepared state's weight at k (k taken mod 2**n), its initial fidelity,
+    and the exact engine's protocol on the schedule (n,) * rounds with
+    target k, run by squaring the prepared coefficients in place; the output
+    is all 2**n of them, and the Toffoli cost is the
+    ``resources.ResourceReport`` of ``result.schedule``.
     """
     require_register_size(n)
-    t = default_truncate_bits(n) if truncate_bits is None else truncate_bits
-    if t < 1:
-        raise ValueError(f"--truncate-bits {t} is below 1: each QVR phase keeps at least one bit")
     if rounds < 1:
         raise ValueError(f"--rounds {rounds} is below 1: distillation needs at least one round")
     if rounds > MAX_ROUNDS:
         raise CapacityError(f"--rounds {rounds} exceeds the limit of {MAX_ROUNDS} rounds")
     k %= 1 << n
-    coeffs = _qvr_coefficients(n, k, t)
-    prep = PreparedKState(k, t, float(np.abs(coeffs[k]) ** 2))
-    # the first largest |c_j|, as np.argmax finds it, one block of moduli at a time
-    blocks = ((np.abs(coeffs[lo:lo + _BLOCK]), lo) for lo in range(0, len(coeffs), _BLOCK))
-    dominant = min((-moduli.max(), lo + int(moduli.argmax())) for moduli, lo in blocks)[1]
-    if dominant != k:
-        raise DegenerateInputError(
-            f"dominant Fourier index {dominant} beats the target {k} "
-            f"(initial fidelity {prep.fidelity:.4f}); distillation would "
-            f"converge to the wrong index: use a larger --truncate-bits "
-            f"(default ceil(log2 n) + 2 = {default_truncate_bits(n)})")
+    coeffs = _qvr_coefficients(n, k, default_truncate_bits(n))
+    initial_fidelity = float(np.abs(coeffs[k]) ** 2)
     schedule = ProtocolSchedule(n, (n,) * rounds)
-    return prep, ProtocolResult(schedule, *_exact_rounds(coeffs, len(coeffs), schedule.sizes, k))
+    return initial_fidelity, ProtocolResult(
+        schedule, *_exact_rounds(coeffs, len(coeffs), schedule.sizes, k))

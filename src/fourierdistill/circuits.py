@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateInputError
+from .errors import CapacityError
 from .fourier import StateVector, _index_blocks, require_register_size
 
 GATE_ARITY = {
@@ -227,13 +227,14 @@ def extract_register(state: StateVector, register: range) -> tuple[float, StateV
     Returns the branch probability and the normalized register.  On a
     distillation circuit this is the step's postselection: the adder restores
     the ancilla, so the branch is the first register verified as index 0.
+    A branch of zero probability has no register and raises ``ValueError``.
     """
     nq = state.n
     view = state.amps.reshape((2,) * nq)
     out = view[_slice(nq, {q: 0 for q in range(nq) if q not in register})].ravel()
     probability = float(np.sum(np.abs(out) ** 2))
     if probability < 1e-300:
-        raise DegenerateInputError("register extraction hit a zero branch")
+        raise ValueError("register extraction hit a zero branch")
     return probability, StateVector(out / math.sqrt(probability))
 
 

@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from . import circuits, distill, fourier, resources
-from .arbitrary import distill_k
+from .arbitrary import default_truncate_bits, distill_k
 from .errors import CapacityError, PrecisionWarning
 
 #: Version tag carried by every JSON payload; CSV headers are pinned by
@@ -193,22 +193,23 @@ def cmd_compare(a: argparse.Namespace):
 
 
 def cmd_arbitrary_k(a: argparse.Namespace):
-    prep, result = distill_k(a.n, a.k, a.rounds, a.truncate_bits)
+    initial_fidelity, result = distill_k(a.n, a.k, a.rounds)
+    k, t = a.k % (1 << a.n), default_truncate_bits(a.n)
     # the adder cost formula starts at 3 qubits, as in simulate and clone
     cost = resources.ResourceReport(result.schedule) if a.n >= 3 else None
     rounds = _rounds(result)
     payload = {
         "command": "arbitrary-k",
         "n": a.n,
-        "k": prep.k,
-        "truncate_bits": prep.truncate_bits,
-        "initial_fidelity": prep.fidelity,
+        "k": k,
+        "truncate_bits": t,
+        "initial_fidelity": initial_fidelity,
         "rounds": rounds,
         "final_error": result.final.error,
         "adders": sum(cost.adders) if cost else None,
         "toffoli_cost": cost.toffoli_deterministic if cost else None,
     }
-    rows = [{**r, "k": prep.k, "truncate_bits": prep.truncate_bits} for r in rounds]
+    rows = [{**r, "k": k, "truncate_bits": t} for r in rounds]
     return payload, ROUND_COLUMNS + ("k", "truncate_bits"), rows
 
 
@@ -291,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--truncate-bits", type=int, default=None)
     common(p, "json")
 
     p = sub.add_parser("clone", help="copy a Fourier state with one adder")

@@ -1,15 +1,10 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.  A request with no
+valid outcome raises a plain ``ValueError`` (command-line exit code 2)."""
 
 
 class CapacityError(Exception):
     """Request past a named size limit: the amplitude cap on what a dense
     engine stores, or a limit on harmonics, rows, rounds, trials or targets."""
-
-
-class DegenerateInputError(ValueError):
-    """Operation has no valid outcome: a postselected branch of zero
-    probability (``extract_register``) or an arbitrary-index state whose
-    dominant harmonic is not its target (``distill_k``)."""
 
 
 class PrecisionWarning(UserWarning):

@@ -181,15 +181,15 @@ def test_criterion_11_rotation_comparison():
 
 
 def test_criterion_12_arbitrary_index():
-    prep, result = distill_k(8, 5, 3, 5)
-    assert prep.fidelity > 0.5
-    fids = [prep.fidelity] + [rec.fidelity for rec in result.rounds]
+    initial, result = distill_k(8, 5, 3)
+    assert initial > 0.5
+    fids = [initial] + [rec.fidelity for rec in result.rounds]
     for a, b in zip(fids, fids[1:]):
         if a < 1.0:
             assert b > a
     assert result.final.error < 1e-3
     assert transform_cost(10) == 28
-    _report(12, f"index-5 preparation F={prep.fidelity:.4f} > 0.5; three rounds "
+    _report(12, f"index-5 preparation F={initial:.4f} > 0.5; three rounds "
                 f"strictly increase fidelity to error {result.final.error:.1e} "
                 f"< 1e-3; transform cost 28 at n=10")
 

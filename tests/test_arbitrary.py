@@ -1,11 +1,11 @@
 """Tests for QVR preparation and arbitrary-index distillation."""
 import math
+import random
 
 import numpy as np
 import pytest
 
 from fourierdistill import (
-    DegenerateInputError,
     default_truncate_bits,
     distill_k,
     pure_fourier_state,
@@ -15,6 +15,7 @@ from fourierdistill import (
     to_fourier_basis,
 )
 from fourierdistill.arbitrary import _qvr_coefficients
+from fourierdistill.distill import _exact_rounds
 from oracles import (
     counted_transforms,
     distill_k_reference,
@@ -70,31 +71,46 @@ class TestQvrPhase:
 
 class TestPrepareApproxK:
     def test_k_zero_is_exact(self):
-        prep, _ = distill_k(8, 0, 1, 5)
-        assert prep.fidelity == pytest.approx(1.0, abs=1e-12)
+        initial, _ = distill_k(8, 0, 1)
+        assert initial == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(_qvr_coefficients(8, 0, 5),
                                    to_fourier_basis(pure_fourier_state(8, 0)), atol=1e-13)
 
     def test_reference_case_n8_k5(self):
-        prep, _ = distill_k(8, 5, 1, 5)
-        assert prep.fidelity > 0.5
-        assert prep.fidelity == pytest.approx(0.993242621294, abs=1e-9)
+        initial, _ = distill_k(8, 5, 1)
+        assert initial > 0.5
+        assert initial == pytest.approx(0.993242621294, abs=1e-9)
 
     def test_full_precision_is_exact_for_k1(self):
-        prep, _ = distill_k(8, 1, 1, truncate_bits=8)
-        assert prep.fidelity == pytest.approx(1.0, abs=1e-12)
+        weight = abs(_qvr_coefficients(8, 1, 8)[1]) ** 2
+        assert weight == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
     def test_default_truncation_exceeds_half_fidelity(self, n):
         for k in (1, n - 1, (1 << n) - 1, (1 << (n - 1)) + 3):
-            prep, _ = distill_k(n, k, 1)
-            assert prep.fidelity > 0.5
+            initial, _ = distill_k(n, k, 1)
+            assert initial > 0.5
+
+    def test_default_truncation_makes_k_dominant(self):
+        # default_truncate_bits' bound: the weight at k is above 1/2, so k is
+        # the argmax, for every k at n <= 9, for k with half of its bits set
+        # (the benchmark's arbitrary-k job) and for k with every bit set, the
+        # most floored phases, up to the amplitude cap (measured minimum
+        # weight 0.985, at n = 8, k = 127)
+        cases = [(n, k) for n in range(1, 10) for k in range(1 << n)]
+        for n in (14, 17, 20):
+            half = random.Random(n).sample(range(n), n // 2)
+            cases.append((n, sum(1 << b for b in half)))
+        cases += [(n, (1 << n) - 1) for n in (14, 17, 20, 22)]
+        for n, k in cases:
+            moduli = np.abs(_qvr_coefficients(n, k, default_truncate_bits(n)))
+            assert moduli[k] ** 2 > 0.5, (n, k)
+            assert moduli.argmax() == k, (n, k)
 
     def test_k_reduced_mod_dimension(self):
-        prep, result = distill_k(3, 9, 2)
-        assert prep.k == 1
-        expected_prep, expected = distill_k(3, 1, 2)
-        assert (prep, result.rounds) == (expected_prep, expected.rounds)
+        initial, result = distill_k(3, 9, 2)
+        expected_initial, expected = distill_k(3, 1, 2)
+        assert (initial, result.rounds) == (expected_initial, expected.rounds)
         np.testing.assert_array_equal(result.output, expected.output)
 
     def test_default_truncate_bits(self):
@@ -109,9 +125,9 @@ class TestPrepareApproxK:
 
 class TestDistillK:
     def test_reference_run_n8_k5(self):
-        prep, result = distill_k(8, 5, 3, 5)
+        initial, result = distill_k(8, 5, 3)
         fids = [rec.fidelity for rec in result.rounds]
-        assert all(b > a for a, b in zip([prep.fidelity] + fids, fids) if a < 1.0)
+        assert all(b > a for a, b in zip([initial] + fids, fids) if a < 1.0)
         assert result.final.error < 1e-3
         assert ResourceReport(result.schedule).toffoli_deterministic == 7 * 12 == 84
 
@@ -126,9 +142,12 @@ class TestDistillK:
         assert result.final.log_error == pytest.approx(math.log(expected), rel=1e-12, abs=0.0)
 
     def test_monotone_strict_until_saturation(self):
-        prep, result = distill_k(8, 5, 2, truncate_bits=4)
-        f1, f2 = result.rounds[0].fidelity, result.rounds[1].fidelity
-        assert prep.fidelity < f1 < f2 < 1.0 + 1e-12
+        # a truncation one bit below the default still raises fidelity every round
+        coeffs = _qvr_coefficients(8, 5, 4)
+        initial = abs(coeffs[5]) ** 2
+        rounds, _ = _exact_rounds(coeffs, len(coeffs), (8, 8), 5)
+        f1, f2 = rounds[0].fidelity, rounds[1].fidelity
+        assert initial < f1 < f2 < 1.0 + 1e-12
 
     def test_fundamental_index_cross_check(self):
         # the QVR route and the doubling protocol both converge on index 1
@@ -139,10 +158,12 @@ class TestDistillK:
         assert np.abs(via_k.output).argmax() == 1
         assert (np.abs(spread_coset(via_protocol.output)) ** 2).argmax() == 1
 
-    def test_wrong_dominant_index_detected(self):
-        # 1-bit quantization leaves the dominant weight at index 3, not 5
-        with pytest.raises(DegenerateInputError):
-            distill_k(8, 5, 3, truncate_bits=1)
+    def test_coarse_truncation_loses_dominance(self):
+        # below default_truncate_bits the bound can fail: 1-bit quantization
+        # leaves the dominant weight at index 3, not 5
+        weights = np.abs(_qvr_coefficients(8, 5, 1)) ** 2
+        assert weights.argmax() == 3
+        assert weights[5] < weights[3]
 
     def test_cost_accounting_exact(self):
         # the tree of R full-width rounds holds 2**R - 1 adders of 2n - 4 Toffolis
@@ -155,11 +176,11 @@ class TestDistillK:
             assert cost.toffoli_deterministic == ((1 << rounds) - 1) * (2 * 6 - 4)
 
     def test_prepared_state_is_left_unchanged(self):
-        # each run prepares its own buffer: two runs from the same (n, k, t)
+        # each run prepares its own buffer: two runs from the same (n, k)
         # give identical results
-        first_prep, first = distill_k(8, 5, 3)
-        second_prep, second = distill_k(8, 5, 3)
-        assert first_prep == second_prep
+        first_initial, first = distill_k(8, 5, 3)
+        second_initial, second = distill_k(8, 5, 3)
+        assert first_initial == second_initial
         assert first.rounds == second.rounds
         assert np.array_equal(first.output, second.output)
         assert first.output is not second.output
@@ -176,12 +197,11 @@ class TestDistillK:
             distill_k(8, 5, 0)
 
     def test_cli_run_builds_no_weight_array(self):
-        # the initial fidelity and the dominance check read the coefficients
-        # in blocks, and the rounds square the prepared buffer itself: one
-        # 2**n vector plus the QVR pass's scratch blocks of 2**14 points
-        # (1.13 vectors measured, 1.29 with new blocks per pass step and the
-        # transform's per-block temporaries; a 2**n array of moduli would add
-        # 0.5, a copy of the buffer 1)
+        # the initial fidelity reads one coefficient, and the rounds square
+        # the prepared buffer itself: one 2**n vector plus the QVR pass's
+        # scratch blocks of 2**14 points (1.13 vectors measured, 1.29 with new
+        # blocks per pass step and the transform's per-block temporaries; a
+        # 2**n array of moduli would add 0.5, a copy of the buffer 1)
         distill_k(18, 2731, 3)  # numpy's first FFT allocates caches
         _, peak = traced_peak(lambda: distill_k(18, 2731, 3))
         assert peak <= 1.2 * (16 << 18)
@@ -190,9 +210,9 @@ class TestDistillK:
 class TestBitIdentity:
     @pytest.mark.parametrize("n,k", [(8, 5), (12, 2731)])
     def test_distill_k_matches_direct_form(self, n, k):
-        prep, result = distill_k(n, k, 3)
-        initial, trace = distill_k_reference(n, k, rounds=3)
-        assert prep.fidelity == initial
+        initial, result = distill_k(n, k, 3)
+        expected_initial, trace = distill_k_reference(n, k, rounds=3)
+        assert initial == expected_initial
         assert [(r.p_success, r.fidelity, r.error, r.log_error)
                 for r in result.rounds] == trace
 
@@ -200,9 +220,9 @@ class TestBitIdentity:
     @pytest.mark.parametrize("n,k", [(8, 5), (12, 2731), (20, 292252)])
     def test_initial_fidelity_matches_direct_overlap(self, n, k):
         # arbitrary-k reports this prepared fidelity as its initial_fidelity
-        prep, _ = distill_k(n, k, 1)
-        direct = StateVector(qvr_state_reference(n, k, prep.truncate_bits))
-        assert prep.fidelity == pytest.approx(fidelity(direct, n, k), rel=1e-14, abs=0.0)
+        initial, _ = distill_k(n, k, 1)
+        direct = StateVector(qvr_state_reference(n, k, default_truncate_bits(n)))
+        assert initial == pytest.approx(fidelity(direct, n, k), rel=1e-14, abs=0.0)
 
     def test_one_pass_matches_chained_phases(self):
         # the transform of qvr_phase chained over k's set bits from |+>^n

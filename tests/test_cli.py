@@ -83,6 +83,25 @@ def test_golden_stdout(capsys, name, fmt):
     assert out == expected
 
 
+def _long_options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every ``--`` option of a parser and its subcommands, ``--help`` aside."""
+    options = set()
+    for action in parser._actions:
+        options |= {o for o in action.option_strings if o.startswith("--")}
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _long_options(sub)
+    return options - {"--help"}
+
+
+def test_readme_shared_flags_name_every_option():
+    # the README's "Shared flags" sentence, range flags written as --x-min/--x-max
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    sentence = re.search(r"Shared flags:(.*?)\.\s", readme, re.S).group(1)
+    documented = set(re.findall(r"--[a-z0-9-]+", sentence))
+    assert documented == _long_options(cli.build_parser())
+
+
 class TestSpectrumCommand:
     def test_support_and_values(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--n", "8",
@@ -770,24 +789,6 @@ class TestArbitraryKCommand:
         assert lines[0] == "round,size,p_success,fidelity,error,k,truncate_bits"
         assert lines[1].endswith(",5,5")
 
-    def test_bad_preparation_is_validation_error(self, capsys):
-        code, _, err = run_cli(capsys, "arbitrary-k", "--n", "8", "--k", "5",
-                               "--truncate-bits", "1")
-        assert code == 2
-        assert "dominant" in err
-        # the refusal names the remedy and the flag's default
-        assert "larger --truncate-bits" in err
-        assert "ceil(log2 n) + 2 = 5" in err
-
-    # k = 0 and k = 256 (k = 0 mod 2**8) have no set bit, so no QVR phase runs
-    @pytest.mark.parametrize("k", ["0", "256", "5"])
-    @pytest.mark.parametrize("bits", ["-3", "0"])
-    def test_truncate_bits_below_one_names_the_flag(self, capsys, k, bits):
-        code, out, err = run_cli(capsys, "arbitrary-k", "--n", "8", "--k", k,
-                                 "--truncate-bits", bits)
-        assert (code, out) == (2, "")
-        assert f"--truncate-bits {bits}" in err
-
     def test_zero_rounds_names_the_flag(self, capsys):
         code, out, err = run_cli(capsys, "arbitrary-k", "--n", "8", "--k", "5",
                                  "--rounds", "0")
@@ -859,7 +860,7 @@ class TestCloneCommand:
      "--n -3 is below 1: the target needs at least one bit of precision"),
     (["arbitrary-k", "--n", "0", "--k", "1"],
      "--n 0 is below 1: a register needs at least one qubit"),
-    (["arbitrary-k", "--n", "-1", "--k", "1", "--truncate-bits", "3"],
+    (["arbitrary-k", "--n", "-1", "--k", "1"],
      "--n -1 is below 1: a register needs at least one qubit"),
     (["clone", "--n", "0"], "--n 0 is below 1: a register needs at least one qubit"),
     (["simulate", "--n", "1"],
@@ -919,19 +920,13 @@ LIBRARY_RULES = {
                            ["distill", "--n", "1", "--pad", "0", "--engine", "sparse"],
                            "--n 1 with --pad 0 makes a 1-qubit first round: the approximate "
                            "initial state needs 2 qubits"),
-    # distill_k checks n, then --truncate-bits, then --rounds
-    "truncate-bits-zero": (lambda: arbitrary.distill_k(8, 5, 3, 0),
-                           ["arbitrary-k", "--n", "8", "--k", "5", "--truncate-bits", "0"],
-                           "--truncate-bits 0 is below 1: each QVR phase keeps at least one "
-                           "bit"),
+    # distill_k checks n, then --rounds
     "rounds-zero": (lambda: arbitrary.distill_k(8, 5, 0),
                     ["arbitrary-k", "--n", "8", "--k", "5", "--rounds", "0"],
                     "--rounds 0 is below 1: distillation needs at least one round"),
-    "truncate-bits-before-rounds": (lambda: arbitrary.distill_k(8, 5, 0, 0),
-                                    ["arbitrary-k", "--n", "8", "--k", "5",
-                                     "--truncate-bits", "0", "--rounds", "0"],
-                                    "--truncate-bits 0 is below 1: each QVR phase keeps at "
-                                    "least one bit"),
+    "n-before-rounds": (lambda: arbitrary.distill_k(0, 5, 0),
+                        ["arbitrary-k", "--n", "0", "--k", "5", "--rounds", "0"],
+                        "--n 0 is below 1: a register needs at least one qubit"),
 }
 
 
